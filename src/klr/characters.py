@@ -3,10 +3,17 @@
 The character of a monomial projective P_theta is the vector of graded
 dimensions of its idempotent truncations; on the plain sequence k it equals
 gdim_hom(k, expand(theta)) / theta!.  The bilinear form on monomials is
-gdim_hom(expand(theta'), expand(theta)) / (theta! theta'!), and is computed a
-second, independent way through the coproduct recursion (x, y y') =
-(r(x), y tensor y').  Tightness of a monomial is the statement that its
-self-pairing lies in 1 + q N[[q]], tested by series expansion to a cutoff.
+computed two independent ways, which share no code:
+
+* pair_monomials: gdim_hom(expand(theta'), expand(theta)) / (theta! theta'!),
+  where gdim_hom counts permutations by a subset DP in the ring;
+* pair_recursive: the coproduct recursion (x, y i) = (r(x), y tensor i),
+  peeling one letter of expand(theta') at a time.  Every peeled letter
+  contributes one factor 1/(1-q^2), so the recursion works with numerators
+  over the fixed denominator (1-q^2)^m, memoized per ring.
+
+Tightness of a monomial is the statement that its self-pairing lies in
+1 + q N[[q]], tested by series expansion to a cutoff.
 """
 
 from __future__ import annotations
@@ -120,22 +127,19 @@ class K0Vector:
 def _divide_factorial(gd: GradedDim, divided) -> GradedDim:
     """Divide by the quantum factorial of a divided sequence, exactly.
 
-    Prefers the denominator identity (1-q^2)^n [n]! q^{n(n-1)/2} =
-    prod_{a<=n} (1-q^{2a}), which consumes n copies of the factor (1-q^2);
-    falls back to exact numerator division when those copies are absent.
+    Uses the denominator identity (1-q^2)^n [n]! q^{n(n-1)/2} =
+    prod_{a<=n} (1-q^{2a}): each block i^(n) consumes n copies of the
+    factor (1-q^2), which the (1-q^2)^m denominator of every caller holds.
     """
     num, den = gd.num, list(gd.den)
-    for v, n in divided:
+    for _, n in divided:
         if n <= 1:
             continue
-        if den.count(1) >= n:
-            for _ in range(n):
-                den.remove(1)
-            den.extend(range(1, n + 1))
-            num = num * LaurentPoly.q_power(n * (n - 1) // 2)
-        else:
-            num = num.exact_div(factorial_poly(((v, n),)))
-    return GradedDim(num, sorted(den))
+        for _ in range(n):
+            den.remove(1)
+        den.extend(range(1, n + 1))
+        num = num * LaurentPoly.q_power(n * (n - 1) // 2)
+    return GradedDim(num, den)
 
 
 # -- characters ------------------------------------------------------------
@@ -229,23 +233,34 @@ def pair_recursive(ring, theta, theta2) -> GradedDim:
     theta, theta2 = tuple(theta), tuple(theta2)
     if divided_weight(theta) != divided_weight(theta2):
         return GradedDim.zero()
-    raw = _pair_plain(ring, theta, expand(theta2))
+    plain_seq = expand(theta2)
+    raw = GradedDim(_pair_plain(ring, theta, plain_seq), (1,) * len(plain_seq))
     return _divide_factorial(raw, theta2)
 
 
-def _pair_plain(ring, theta, plain_seq):
+def _pair_plain(ring, theta, plain_seq) -> LaurentPoly:
+    """Numerator of (theta, plain_seq) over the fixed (1-q^2)^len(plain_seq).
+
+    Each peeled letter contributes exactly one factor 1/(1-q^2), so the
+    recursion sums numerators and never forms a common denominator.  The
+    numerators are memoized per ring in ``ring._pair_cache``, keyed by
+    (theta, plain_seq).
+    """
+    key = (theta, plain_seq)
+    hit = ring._pair_cache.get(key)
+    if hit is not None:
+        return hit
     if not plain_seq:
-        return GradedDim.one() if not theta else GradedDim.zero()
-    last = plain_seq[-1]
-    out = GradedDim.zero()
-    single = ((last, 1),)
+        return LaurentPoly.zero() if theta else LaurentPoly.one()
+    single = ((plain_seq[-1], 1),)
+    out = LaurentPoly.zero()
     for left, right, coeff in comultiply(ring.graph, theta):
         if right != single:
             continue
         sub = _pair_plain(ring, left, plain_seq[:-1])
-        if sub.is_zero():
-            continue
-        out = out + sub * coeff * GradedDim(LaurentPoly.one(), (1,))
+        if not sub.is_zero():
+            out = out + sub * coeff
+    ring._pair_cache[key] = out
     return out
 
 

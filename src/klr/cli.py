@@ -100,6 +100,45 @@ def parse_weight(text):
     return tuple(sorted((v, n) for v, n in out.items() if n))
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin, exact for n < 2^64 with these bases."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def parse_field(text):
+    """None for "Q", the prime p for "Fp:<p>" with p prime and below 2^64."""
+    if not text or text == "Q":
+        return None
+    m = re.match(r"^Fp:(\d+)$", text)
+    if not m:
+        raise CLIError("--field must be Q or Fp:<p>")
+    p = int(m.group(1))
+    if not (p < 2 ** 64 and is_prime(p)):
+        raise CLIError(f"--field Fp:{p} needs a prime p below 2^64")
+    return p
+
+
 _TOKEN = re.compile(r"^([CD])(\d+)$")
 
 
@@ -328,12 +367,7 @@ def cmd_quotient(args):
         spec = sym_plus_spec(ring, weight)
     else:
         spec = cyclotomic_spec(ring, weight, dict(parse_weight(args.cyclotomic)))
-    prime = None
-    if args.field and args.field != "Q":
-        m = re.match(r"^Fp:(\d+)$", args.field)
-        if not m:
-            raise CLIError("--field must be Q or Fp:<p>")
-        prime = int(m.group(1))
+    prime = parse_field(args.field)
     if args.cutoff < args.window:
         raise CLIError("--cutoff must be >= --window")
     report = quotient_gdim(ring, spec, cutoff=args.cutoff,

@@ -28,7 +28,6 @@ from .cartan import weight_of_seq
 from .gdim import GradedDim
 from .laurent import LaurentPoly
 from .permutations import (
-    all_permutations,
     apply_perm_to_seq,
     apply_word_to_seq,
     block_sum,
@@ -129,7 +128,8 @@ class KLRElement:
         if not degs:
             raise InhomogeneousError("degree of the zero element is undefined")
         if len(degs) > 1:
-            return "inhomogeneous"
+            raise InhomogeneousError(
+                f"element has terms in degrees {sorted(degs)}")
         return degs.pop()
 
     # -- io ----------------------------------------------------------------
@@ -179,6 +179,8 @@ class KLRRing:
         self._word_cache = {}
         self._rword_cache = {}
         self._bring_cache = {}
+        # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
+        self._pair_cache = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -299,17 +301,36 @@ class KLRRing:
         return KLRElement(self, out)
 
     def gdim_hom(self, seq_j, seq_i):
-        """Graded dimension of the (j, i) sector, a GradedDim."""
+        """Graded dimension of the (j, i) sector, a GradedDim.
+
+        The numerator is the sum of q^{deg psi_w 1_i} over the permutations
+        w with w . i = j (KL I, section 2), over (1-q^2)^m.  It is computed
+        by a subset DP instead of a scan of all m! permutations: the target
+        positions of j are filled left to right, and the state is the
+        bitmask of source strands of i already used.  Placing source a after
+        the sources b > a in the mask crosses each of them once, which adds
+        -(i_a . i_b) to the exponent.  Only masks whose labels match a prefix
+        of j are reached, so the cost is O(2^m m^2) at worst.
+        """
         seq_i, seq_j = tuple(seq_i), tuple(seq_j)
         if weight_of_seq(seq_i) != weight_of_seq(seq_j):
             raise WeightMismatchError("sequences have different weights")
         m = len(seq_i)
-        num = LaurentPoly.zero()
-        for w in all_permutations(m):
-            if apply_perm_to_seq(w, seq_i) == seq_j:
-                num = num + LaurentPoly.q_power(
-                    diagram_degree(self.graph, seq_i, w))
-        return GradedDim(num, (1,) * m)
+        cartan = [[self.graph.cartan(x, y) for y in seq_i] for x in seq_i]
+        layer = {0: {0: 1}}  # mask of used sources -> exponent -> count
+        for label in seq_j:
+            nxt = {}
+            for mask, counts in layer.items():
+                for a in range(m):
+                    if seq_i[a] != label or mask >> a & 1:
+                        continue
+                    shift = -sum(cartan[a][b] for b in range(a + 1, m)
+                                 if mask >> b & 1)
+                    out = nxt.setdefault(mask | 1 << a, {})
+                    for e, c in counts.items():
+                        out[e + shift] = out.get(e + shift, 0) + c
+            layer = nxt
+        return GradedDim(LaurentPoly(layer.get((1 << m) - 1, {})), (1,) * m)
 
     def nilhecke_em(self, m, vertex):
         """The degree-0 primitive idempotent on m equal-label strands.

@@ -37,10 +37,6 @@ class GradedDim:
     def one():
         return GradedDim(LaurentPoly.one())
 
-    @staticmethod
-    def from_poly(p: LaurentPoly):
-        return GradedDim(p)
-
     def is_zero(self):
         return self.num.is_zero()
 

@@ -11,6 +11,7 @@ Ranks are computed by exact Gaussian elimination over Q or a prime field.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .cartan import weight_size
 from .elements import diagram_degree
@@ -56,8 +57,7 @@ class IdealSpec:
 
     def __init__(self, weight, generators, central=False):
         for g in generators:
-            deg = g.degree()
-            assert deg != "inhomogeneous", "ideal generators must be homogeneous"
+            g.degree()  # raises InhomogeneousError unless g is homogeneous
         self.weight = weight
         self.generators = list(generators)
         self.central = central
@@ -93,16 +93,11 @@ def sym_plus_spec(ring, weight):
             for seq in seq_enumerate(weight):
                 m = len(seq)
                 positions = [a for a in range(m) if seq[a] == color]
-                for subset in _subsets(positions, t):
+                for subset in combinations(positions, t):
                     u = tuple(1 if a in subset else 0 for a in range(m))
                     terms[(seq, identity(m), u)] = 1
             gens.append(ring.element(terms))
     return IdealSpec(weight, gens, central=True)
-
-
-def _subsets(items, k):
-    from itertools import combinations
-    return combinations(items, k)
 
 
 # -- exact rank ------------------------------------------------------------
@@ -245,6 +240,8 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     cyclotomic quotients is not a theorem, so a failed window is reported
     rather than an error.
     """
+    if prime is not None and prime < 2:
+        raise ValueError(f"field characteristic {prime} is not a prime")
     lb = degree_lower_bound(spec.weight)
     degrees = {}
     for d in range(lb, cutoff + 1):

@@ -5,7 +5,9 @@ import pytest
 from klr import (
     GradedDim,
     K0Vector,
+    KLRRing,
     LaurentPoly,
+    a2,
     bar_k0,
     char_at_divided,
     char_projective,
@@ -64,6 +66,25 @@ def test_pair_routes_agree(ring_a2):
             for t2 in monomials_of_weight(["i", "j"], total):
                 assert (pair_monomials(ring_a2, t1, t2)
                         == pair_recursive(ring_a2, t1, t2))
+
+
+def test_pair_recursive_memo_is_transparent():
+    """A warm numerator memo gives the same pairings as a cold one."""
+    monos = monomials_of_weight(["i", "j"], 4)
+    weight = divided_weight((("i", 2), ("j", 2)))
+    same = [t for t in monos if divided_weight(t) == weight]
+    targets, others = same[:3], same[3:]
+    warm = KLRRing(a2())
+    for t1 in others:
+        for t2 in others:
+            pair_recursive(warm, t1, t2)
+    assert warm._pair_cache
+    for t1 in targets:
+        for t2 in same:
+            cold = pair_recursive(KLRRing(a2()), t1, t2)
+            hot = pair_recursive(warm, t1, t2)
+            assert hot.num == cold.num and hot.den == cold.den, (t1, t2)
+            assert hot == pair_monomials(warm, t1, t2), (t1, t2)
 
 
 def test_char_values(ring_a1, ring_a1xa1):

@@ -4,6 +4,7 @@ import pytest
 
 from klr import KLRRing, a2
 from klr.cli import (
+    is_prime,
     main,
     parse_divided,
     parse_element,
@@ -196,6 +197,30 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files):
         code, _, err = run(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_field_must_be_prime(capsys, graph_files):
+    for field in ("Fp:1", "Fp:4", "Fp:0", f"Fp:{2 ** 64 + 13}"):
+        code, out, err = run(capsys, ["quotient", "-g", graph_files["a1"],
+                                      "--nu", "i:2", "--symplus",
+                                      "--field", field])
+        assert code == 2, field
+        assert out == "" and err.startswith("error:"), field
+        assert "Traceback" not in err, field
+    code, out, _ = run(capsys, ["quotient", "-g", graph_files["a1"],
+                                "--nu", "i:2", "--symplus", "--field", "Fp:2"])
+    assert code == 0 and "total (q=1): 4" in out
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(5000) if is_prime(n)] == [
+        n for n in range(5000) if trial(n)]
+    # strong pseudoprimes to the first 4 and the first 9 prime bases
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
 
 
 def test_exit_code_1_on_failed_check(capsys, graph_files, monkeypatch):

@@ -1,13 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klr import (
+    GradedDim,
     InhomogeneousError,
+    LaurentPoly,
     WeightMismatchError,
     diagram_degree,
 )
-from klr.permutations import all_permutations, canonical_word, longest_element
+from klr.permutations import (
+    all_permutations,
+    apply_perm_to_seq,
+    canonical_word,
+    longest_element,
+)
 
 from conftest import label_seqs, random_word
 
@@ -25,7 +33,8 @@ def test_generator_degrees(ring_a1, ring_a2):
     assert ring_a2.generator(("C", 1), ("i", "j")).degree() == 1
     mixed = (ring_a2.idempotent(("i", "j"))
              + ring_a2.generator(("D", 1), ("i", "j")))
-    assert mixed.degree() == "inhomogeneous"
+    with pytest.raises(InhomogeneousError):
+        mixed.degree()
     with pytest.raises(InhomogeneousError):
         ring_a2.zero().degree()
 
@@ -154,12 +163,43 @@ def test_juxtapose(ring_a2):
 
 
 def test_gdim_hom_values(ring_a1, ring_a1xa1):
-    from klr import GradedDim, LaurentPoly
+    assert ring_a1.gdim_hom((), ()) == GradedDim(LaurentPoly.one())
     assert ring_a1.gdim_hom(("i",), ("i",)) == GradedDim(LaurentPoly.one(), (1,))
     assert (ring_a1.gdim_hom(("i", "i"), ("i", "i"))
             == GradedDim(LaurentPoly({-2: 1, 0: 1}), (1, 1)))
     assert (ring_a1xa1.gdim_hom(("j", "i"), ("i", "j"))
             == GradedDim(LaurentPoly.one(), (1, 1)))
+
+
+def _gdim_hom_scan(ring, seq_j, seq_i):
+    """Reference numerator: scan all m! permutations w with w . i = j."""
+    num = LaurentPoly.zero()
+    for w in all_permutations(len(seq_i)):
+        if apply_perm_to_seq(w, seq_i) == seq_j:
+            num = num + LaurentPoly.q_power(
+                diagram_degree(ring.graph, seq_i, w))
+    return num
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_gdim_hom_matches_permutation_scan(ring_a1, ring_a2, ring_a1xa1,
+                                           ring_cycle3, data):
+    ring = data.draw(st.sampled_from([ring_a1, ring_a2, ring_a1xa1,
+                                      ring_cycle3]))
+    seq_i = tuple(data.draw(st.lists(st.sampled_from(ring.graph.vertices),
+                                     max_size=7)))
+    seq_j = tuple(data.draw(st.permutations(seq_i)))
+    gd = ring.gdim_hom(seq_j, seq_i)
+    assert gd.den == (1,) * len(seq_i)
+    assert gd.num == _gdim_hom_scan(ring, seq_j, seq_i)
+
+
+def test_gdim_hom_weight_mismatch(ring_a2):
+    with pytest.raises(WeightMismatchError):
+        ring_a2.gdim_hom(("i", "j"), ("i", "i"))
+    with pytest.raises(WeightMismatchError):
+        ring_a2.gdim_hom(("i",), ("i", "i"))
 
 
 def test_nilhecke_em(ring_a1):
