@@ -40,6 +40,7 @@ from .characters import (
     tight,
 )
 from .elements import (
+    GeneratorIndexError,
     InhomogeneousError,
     KLRElement,
     KLRRing,
@@ -78,8 +79,8 @@ __all__ = [
     "cycle_alpha", "equal_in_f", "orthogonal_idempotents_check", "pair_k0",
     "pair_monomials", "pair_recursive", "serre_check", "shuffle_product",
     "sigma_k0", "tight",
-    "InhomogeneousError", "KLRElement", "KLRRing", "WeightMismatchError",
-    "diagram_degree",
+    "GeneratorIndexError", "InhomogeneousError", "KLRElement", "KLRRing",
+    "WeightMismatchError", "diagram_degree",
     "GradedDim", "DivisibilityError", "LaurentPoly", "qbinom", "qfact",
     "qint",
     "act", "act_generator", "act_word", "default_orientation",

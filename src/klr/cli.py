@@ -94,9 +94,12 @@ def parse_weight(text):
             raise CLIError(f"weight entry {piece!r} is not vertex:count")
         v, _, n = piece.partition(":")
         try:
-            out[v.strip()] = int(n)
+            n = int(n)
         except ValueError:
             raise CLIError(f"bad multiplicity in {piece!r}")
+        if n < 0:
+            raise CLIError(f"negative multiplicity in {piece!r}")
+        out[v.strip()] = n
     return tuple(sorted((v, n) for v, n in out.items() if n))
 
 

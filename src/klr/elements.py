@@ -49,6 +49,10 @@ class InhomogeneousError(ValueError):
     """Degree requested for a zero or inhomogeneous element."""
 
 
+class GeneratorIndexError(IndexError, ValueError):
+    """A dot or crossing index outside the strands of its sequence."""
+
+
 def diagram_degree(graph, seq, w):
     """Sum of -(i_a . i_b) over the inversions of w on the labeled strands."""
     return -sum(graph.cartan(seq[a], seq[b]) for a, b in inversions(w))
@@ -193,9 +197,19 @@ class KLRRing:
     def element_from_json(self, data):
         terms = {}
         for obj in data:
-            key = (tuple(obj["source"]),
-                   tuple(x - 1 for x in obj["permutation"]),
-                   tuple(obj["dots"]))
+            seq = tuple(obj["source"])
+            w = tuple(x - 1 for x in obj["permutation"])
+            u = tuple(obj["dots"])
+            m = len(seq)
+            if len(w) != m or len(u) != m:
+                raise ValueError(f"term over {m} strands has permutation "
+                                 f"length {len(w)} and {len(u)} dots")
+            if sorted(w) != list(range(m)):
+                raise ValueError(f"{obj['permutation']} is not a permutation "
+                                 f"of 1..{m}")
+            if any(e < 0 for e in u):
+                raise ValueError(f"negative dot exponent in {list(u)}")
+            key = (seq, w, u)
             terms[key] = terms.get(key, 0) + int(obj["coeff"])
         return KLRElement(self, terms)
 
@@ -211,12 +225,14 @@ class KLRRing:
         typ, k = token
         if typ == "D":
             if not 1 <= k <= m:
-                raise IndexError(f"dot position {k} out of range for {m} strands")
+                raise GeneratorIndexError(
+                    f"dot position {k} out of range for {m} strands")
             u = tuple(1 if p == k - 1 else 0 for p in range(m))
             return KLRElement(self, {(seq, identity(m), u): 1})
         if typ == "C":
             if not 1 <= k <= m - 1:
-                raise IndexError(f"crossing {k} out of range for {m} strands")
+                raise GeneratorIndexError(
+                    f"crossing {k} out of range for {m} strands")
             w = tuple(k if x == k - 1 else k - 1 if x == k else x for x in range(m))
             return KLRElement(self, {(seq, w, (0,) * m): 1})
         raise ValueError(f"unknown token type {typ!r}")
@@ -229,11 +245,13 @@ class KLRRing:
         for typ, k in tokens:
             if typ == "D":
                 if not 1 <= k <= m:
-                    raise IndexError(f"dot position {k} out of range")
+                    raise GeneratorIndexError(
+                        f"dot position {k} out of range for {m} strands")
                 acc = self._elem_dot(k, acc)
             elif typ == "C":
                 if not 1 <= k <= m - 1:
-                    raise IndexError(f"crossing {k} out of range")
+                    raise GeneratorIndexError(
+                        f"crossing {k} out of range for {m} strands")
                 acc = self._elem_cross(k, acc)
             else:
                 raise ValueError(f"unknown token type {typ!r}")

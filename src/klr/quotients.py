@@ -5,13 +5,14 @@ form (sequence, permutation, dot exponents).  A two-sided ideal given by
 homogeneous generators is spanned, in degree d, by products a * g * b with
 a, b basis elements; the quotient dimension is dim R(nu)_d minus the rank
 of that span.  Generators marked central need only right multipliers.
-Ranks are computed by exact Gaussian elimination over Q or a prime field.
+Ranks are exact, over Q or a prime field, by sparse row reduction that is
+fraction-free over Q: rows stay dicts of small integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .cartan import weight_size
 from .elements import diagram_degree
@@ -103,46 +104,51 @@ def sym_plus_spec(ring, weight):
 # -- exact rank ------------------------------------------------------------
 
 def _rank(rows, prime=None):
-    """Rank of a list of dense rows of ints, over Q or F_prime."""
-    if prime is not None:
-        rows = [[c % prime for c in row] for row in rows]
-    else:
-        rows = [[Fraction(c) for c in row] for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    rows = [r for r in rows if any(r)]
-    while rows and pivot_col < ncols:
-        pivot_row = next((r for r in rows if r[pivot_col]), None)
-        if pivot_row is None:
-            pivot_col += 1
-            continue
-        rank += 1
-        rows.remove(pivot_row)
-        if prime is not None:
-            inv = pow(pivot_row[pivot_col], -1, prime)
-            pivot_row = [(c * inv) % prime for c in pivot_row]
-            new_rows = []
-            for r in rows:
-                f = r[pivot_col]
-                if f:
-                    r = [(c - f * p) % prime
-                         for c, p in zip(r, pivot_row)]
-                if any(r):
-                    new_rows.append(r)
-            rows = new_rows
+    """Rank of a list of dense rows of ints, over Q or F_prime.
+
+    Sparse row reduction: each row becomes a {column: value} dict, and
+    `echelon` maps each leading column to the pivot row that owns it.  A
+    row is reduced against the pivots until its leading column is free or
+    it vanishes.  Over Q the step is fraction-free, a * row - f * pivot
+    with a, f divided by their gcd, and the result is divided by the gcd
+    of its entries, so entries stay small integers.  Over F_prime the same
+    step runs modulo prime against pivots scaled to leading entry 1.
+    """
+    echelon = {}
+    for dense in rows:
+        if prime is None:
+            row = {col: c for col, c in enumerate(dense) if c}
         else:
-            inv = pivot_row[pivot_col]
-            new_rows = []
-            for r in rows:
-                f = r[pivot_col] / inv
-                if f:
-                    r = [c - f * p for c, p in zip(r, pivot_row)]
-                if any(r):
-                    new_rows.append(r)
-            rows = new_rows
-        pivot_col += 1
-    return rank
+            row = {col: c % prime for col, c in enumerate(dense) if c % prime}
+        while row:
+            lead = min(row)
+            f = row[lead]
+            pivot = echelon.get(lead)
+            if pivot is None:
+                if prime is not None:
+                    inv = pow(f, -1, prime)
+                    row = {col: c * inv % prime for col, c in row.items()}
+                echelon[lead] = row
+                break
+            if prime is None:
+                a = pivot[lead]
+                g = gcd(a, f)
+                a, f = a // g, f // g
+                if a != 1:
+                    row = {col: a * c for col, c in row.items()}
+            for col, p in pivot.items():
+                c = row.get(col, 0) - f * p
+                if prime is not None:
+                    c %= prime
+                if c:
+                    row[col] = c
+                else:
+                    del row[col]
+            if prime is None:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {col: c // g for col, c in row.items()}
+    return len(echelon)
 
 
 def ideal_degree_dim(ring, spec, d, truncation=None, prime=None):

@@ -169,7 +169,7 @@ def test_09_tightness(ring_a2):
 
 
 def test_10_quotients(ring_a1, ring_a2):
-    with Budget(300):
+    with Budget(30):
         # one-strand cyclotomic quotients are truncated polynomial rings
         for lam in range(1, 5):
             spec = cyclotomic_spec(ring_a1, (("i", 1),), {"i": lam})

@@ -175,13 +175,22 @@ def test_quotient_examples(capsys, graph_files):
     assert obj["field"] == "F_7" and obj["stabilized"]
 
 
-def test_exit_code_2_on_bad_usage(capsys, graph_files):
+def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps([{"source": ["i", "j"], "permutation": [1],
+                                  "dots": [0, 0, 0], "coeff": 1}]))
     cases = [
         ["multiply", "-g", graph_files["a2"]],
         ["multiply", "-g", graph_files["a2"], "--word", "ij: Z9"],
         ["multiply", "-g", graph_files["a2"],
          "--word", "ij: C1", "--word", "ii: C1"],
         ["multiply", "-g", "/nonexistent.json", "--word", "i: D1"],
+        ["multiply", "-g", graph_files["a2"], "--word", "ij: C5"],
+        ["multiply", "-g", graph_files["a2"], "--word", "ij: D3"],
+        ["multiply", "-g", graph_files["a2"], "--elem", str(short)],
+        ["quotient", "-g", graph_files["a2"], "--nu", "i:-1", "--symplus"],
+        ["quotient", "-g", graph_files["a1"], "--nu", "i:2",
+         "--cyclotomic", "i:-1"],
         ["quotient", "-g", graph_files["a1"], "--nu", "i:1"],
         ["quotient", "-g", graph_files["a1"], "--nu", "i:1",
          "--cyclotomic", "i:1", "--symplus"],
@@ -194,9 +203,10 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files):
         ["check", "-g", graph_files["a1"], "idempotents"],
     ]
     for argv in cases:
-        code, _, err = run(capsys, argv)
+        code, out, err = run(capsys, argv)
         assert code == 2, argv
-        assert err.startswith("error:"), argv
+        assert out == "" and err.startswith("error:"), argv
+        assert len(err.splitlines()) == 1, argv
 
 
 def test_field_must_be_prime(capsys, graph_files):

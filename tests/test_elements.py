@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klr import (
+    GeneratorIndexError,
     GradedDim,
     InhomogeneousError,
     LaurentPoly,
@@ -44,6 +45,22 @@ def test_generator_range_errors(ring_a2):
         ring_a2.generator(("D", 3), ("i", "j"))
     with pytest.raises(IndexError):
         ring_a2.generator(("C", 2), ("i", "j"))
+    with pytest.raises(GeneratorIndexError):
+        ring_a2.evaluate_word(("i", "j"), [("C", 5)])
+    with pytest.raises(ValueError):
+        ring_a2.evaluate_word(("i", "j"), [("D", 0)])
+
+
+def test_element_from_json_rejects_bad_vectors(ring_a2):
+    good = {"source": ["i", "j"], "permutation": [2, 1], "dots": [0, 1],
+            "coeff": 1}
+    assert ring_a2.element_from_json([good]) == ring_a2.element(
+        {(("i", "j"), (1, 0), (0, 1)): 1})
+    for bad in ({"permutation": [1]}, {"permutation": [1, 2, 3]},
+                {"dots": [0, 0, 0]}, {"dots": [0]}, {"permutation": [1, 1]},
+                {"permutation": [0, 1]}, {"dots": [0, -1]}):
+        with pytest.raises(ValueError):
+            ring_a2.element_from_json([{**good, **bad}])
 
 
 def test_weight_mismatch(ring_a1):

@@ -1,14 +1,22 @@
 import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klr import (
     IdealSpec,
+    LaurentPoly,
     cyclotomic_spec,
     degree_lower_bound,
     graded_basis,
     ideal_degree_dim,
+    qbinom,
+    qfact,
     quotient_gdim,
     sym_plus_spec,
 )
+from klr.quotients import _rank
 
 # Regression fixtures: graded dimensions of single-vertex cyclotomic
 # quotients, recorded from the first verified runs of this implementation
@@ -166,3 +174,81 @@ def test_report_json(ring_a1):
     assert obj["field"] == "Q"
     assert obj["degrees"]["0"] == 1
     assert obj["cutoff"] == 6 and obj["window"] == 3
+
+
+def _dense_rank(rows, prime=None):
+    """Reference rank: dense Gaussian elimination over Fraction or F_prime."""
+    if prime is None:
+        rows = [[Fraction(c) for c in row] for row in rows]
+    else:
+        rows = [[c % prime for c in row] for row in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rank += 1
+        rows.remove(pivot)
+        new_rows = []
+        for r in rows:
+            if prime is None:
+                f = r[col] / pivot[col]
+                r = [c - f * p for c, p in zip(r, pivot)]
+            else:
+                f = r[col] * pow(pivot[col], -1, prime)
+                r = [(c - f * p) % prime for c, p in zip(r, pivot)]
+            new_rows.append(r)
+        rows = new_rows
+    return rank
+
+
+@st.composite
+def int_matrices(draw):
+    """Small integer matrices, with zero rows and repeated rows mixed in."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=7))
+    zero = [0] * ncols
+    extra = draw(st.lists(st.sampled_from(rows + [zero]), max_size=3))
+    rows = rows + extra
+    return draw(st.permutations(rows)) if rows else rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices(), st.sampled_from([None, 2, 3, 5]))
+def test_rank_matches_dense_reference(rows, prime):
+    assert _rank(rows, prime) == _dense_rank(rows, prime)
+
+
+def test_rank_examples():
+    assert _rank([]) == 0
+    assert _rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert _rank([[1, 2], [1, 2], [2, 4]]) == 1
+    # the rank over F_p can drop below the rank over Q
+    assert _rank([[2, 0], [0, 1]]) == 2
+    assert _rank([[2, 0], [0, 1]], prime=2) == 1
+    assert _rank([[1, 1], [1, -1]], prime=3) == 2
+    assert _rank([[1, 1], [1, -1]], prime=2) == 1
+    # a scaled Hilbert matrix: full rank, and far from small entries
+    rows = [[720720 // (i + j + 1) for j in range(7)] for i in range(7)]
+    assert _rank(rows) == 7
+    assert _rank(rows, prime=5) == _dense_rank(rows, prime=5)
+
+
+def test_cyclotomic_nilhecke_three_strands(ring_a1):
+    # NH_n^lam is a matrix algebra of size [n]! over H*(Gr(n, lam)) (Lauda,
+    # arXiv 0803.3652): gdim = ([n]!)^2 q^{n(lam - n)} [lam choose n]
+    n, cutoff = 3, 4
+    for lam in (2, 3):
+        want = LaurentPoly.zero()
+        if lam >= n:
+            want = (qfact(n) * qfact(n) * LaurentPoly.q_power(n * (lam - n))
+                    * qbinom(lam, n))
+        spec = cyclotomic_spec(ring_a1, (("i", n),), {"i": lam})
+        for prime in (None, 2):
+            rep = quotient_gdim(ring_a1, spec, cutoff=cutoff, window=3,
+                                prime=prime)
+            got = {d: k for d, k in rep.degrees.items() if k}
+            assert got == {d: k for d, k in want.coeffs.items()
+                           if d <= cutoff}, (lam, prime)
