@@ -48,6 +48,12 @@ class CartanGraph:
             return 2
         return -1 if frozenset((i, j)) in self.edges else 0
 
+    def require_vertices(self, labels):
+        """Raise GraphError unless every label is a vertex."""
+        for v in labels:
+            if v not in self.vertices:
+                raise GraphError(f"unknown vertex {v!r}")
+
     def to_json(self):
         return {"vertices": list(self.vertices),
                 "edges": [sorted(e) for e in sorted(self.edges, key=sorted)]}
@@ -86,7 +92,8 @@ def a1xa1(i="i", j="j"):
 
 def cycle(n):
     """The n-cycle with vertices '1'..'n'."""
-    assert n >= 3
+    if n < 3:
+        raise GraphError("cycle requires n >= 3")
     verts = [str(k) for k in range(1, n + 1)]
     edges = [(verts[k], verts[(k + 1) % n]) for k in range(n)]
     return CartanGraph(verts, edges)

@@ -18,11 +18,11 @@ Tightness of a monomial is the statement that its self-pairing lies in
 
 from __future__ import annotations
 
-from .cartan import weight_add, weight_of_seq
+from .cartan import GraphError, cycle, weight_add, weight_of_seq
+from .elements import WeightMismatchError
 from .gdim import GradedDim
 from .laurent import LaurentPoly
 from .sequences import (
-    concat,
     divided_weight,
     expand,
     factorial_poly,
@@ -51,7 +51,9 @@ class CharacterVector:
         return self.values.get(tuple(seq), GradedDim.zero())
 
     def __add__(self, other):
-        assert self.weight == other.weight
+        if self.weight != other.weight:
+            raise WeightMismatchError(
+                f"weights differ: {self.weight} vs {other.weight}")
         out = dict(self.values)
         for k, v in other.values.items():
             out[k] = out[k] + v if k in out else v
@@ -98,7 +100,9 @@ class K0Vector:
                         {theta: coeff if coeff is not None else LaurentPoly.one()})
 
     def __add__(self, other):
-        assert self.weight == other.weight
+        if self.weight != other.weight:
+            raise WeightMismatchError(
+                f"weights differ: {self.weight} vs {other.weight}")
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out[k] + c if k in out else c
@@ -352,7 +356,9 @@ def tight(ring, theta, cutoff=20) -> TightReport:
 
 def serre_check(ring, i, j) -> bool:
     """K0-level Serre relations between two distinct vertices."""
-    assert i != j
+    if i == j:
+        raise ValueError(f"Serre relations need two distinct vertices, "
+                         f"got {i!r} twice")
     two = LaurentPoly({1: 1, -1: 1})
     if ring.graph.cartan(i, j) == 0:
         return equal_in_f(ring, K0Vector.monomial(((i, 1), (j, 1))),
@@ -368,7 +374,8 @@ def serre_check(ring, i, j) -> bool:
 
 def orthogonal_idempotents_check(ring, i, j) -> bool:
     """The triple crossings on iji split 1_iji into orthogonal idempotents."""
-    assert ring.graph.cartan(i, j) == -1
+    if ring.graph.cartan(i, j) != -1:
+        raise GraphError(f"{i!r} and {j!r} are not joined by an edge")
     seq = (i, j, i)
     e1 = ring.evaluate_word(seq, [("C", 1), ("C", 2), ("C", 1)])
     e2 = -ring.evaluate_word(seq, [("C", 2), ("C", 1), ("C", 2)])
@@ -385,11 +392,15 @@ def cycle_alpha(ring, n):
     permutation sending position a to a+n mod 2n over the sequence
     1 2 ... n 1 2 ... n; its defining properties (degree 0, endomorphism of
     the sequence, the degree-0 sector being two-dimensional) are asserted.
+    Raises GraphError unless the vertices '1'..'n' of the ring's graph
+    induce an n-cycle.
     """
-    if n < 3:
-        raise ValueError("cycle requires n >= 3")
-    verts = tuple(str(k) for k in range(1, n + 1))
-    assert set(verts) <= set(ring.graph.vertices), "ring is not over the n-cycle"
+    target = cycle(n)
+    verts = target.vertices
+    vset = set(verts)
+    induced = {e for e in ring.graph.edges if e <= vset}
+    if not vset <= set(ring.graph.vertices) or induced != target.edges:
+        raise GraphError("ring is not over the n-cycle")
     seq = verts + verts
     w = tuple((a + n) % (2 * n) for a in range(2 * n))
     m = 2 * n

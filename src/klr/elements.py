@@ -53,6 +53,12 @@ class GeneratorIndexError(IndexError, ValueError):
     """A dot or crossing index outside the strands of its sequence."""
 
 
+def _check_weights(x, y):
+    wx, wy = x.weight, y.weight
+    if wx is not None and wy is not None and wx != wy:
+        raise WeightMismatchError(f"weights differ: {wx} vs {wy}")
+
+
 def diagram_degree(graph, seq, w):
     """Sum of -(i_a . i_b) over the inversions of w on the labeled strands."""
     return -sum(graph.cartan(seq[a], seq[b]) for a, b in inversions(w))
@@ -106,6 +112,7 @@ class KLRElement:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
+        _check_weights(self, other)
         out = dict(self.terms)
         _acc(out, other.terms)
         return KLRElement(self.ring, out)
@@ -117,12 +124,13 @@ class KLRElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return KLRElement(self.ring, {k: c * other for k, c in self.terms.items()})
-        return self.ring.multiply(self, other)
+        if isinstance(other, KLRElement):
+            return self.ring.multiply(self, other)
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        assert isinstance(other, int)
+        if not isinstance(other, int):
+            return NotImplemented
         return KLRElement(self.ring, {k: c * other for k, c in self.terms.items()})
 
     def degree(self):
@@ -180,8 +188,8 @@ class KLRRing:
         self.graph = graph
         self._cross_cache = {}
         self._dot_cache = {}
+        # (i, crossing word) -> normal form, for any word over i
         self._word_cache = {}
-        self._rword_cache = {}
         self._bring_cache = {}
         # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
         self._pair_cache = {}
@@ -195,11 +203,26 @@ class KLRRing:
         return KLRElement(self, {})
 
     def element_from_json(self, data):
+        """Inverse of KLRElement.to_json.
+
+        Raises ValueError on malformed input: GraphError for a label that is
+        not a vertex, WeightMismatchError for terms of different weights.
+        """
+        if not (isinstance(data, list)
+                and all(isinstance(obj, dict) for obj in data)):
+            raise ValueError("an element is a JSON list of term objects")
         terms = {}
         for obj in data:
-            seq = tuple(obj["source"])
-            w = tuple(x - 1 for x in obj["permutation"])
-            u = tuple(obj["dots"])
+            seq, perm, dots = obj["source"], obj["permutation"], obj["dots"]
+            if not all(isinstance(x, list) for x in (seq, perm, dots)):
+                raise ValueError("source, permutation and dots must be lists")
+            if not all(type(x) is int for x in perm + dots):
+                raise ValueError(f"permutation {perm} and dots {dots} must "
+                                 f"hold integers")
+            seq = tuple(seq)
+            self.graph.require_vertices(seq)
+            w = tuple(x - 1 for x in perm)
+            u = tuple(dots)
             m = len(seq)
             if len(w) != m or len(u) != m:
                 raise ValueError(f"term over {m} strands has permutation "
@@ -210,36 +233,27 @@ class KLRRing:
             if any(e < 0 for e in u):
                 raise ValueError(f"negative dot exponent in {list(u)}")
             key = (seq, w, u)
-            terms[key] = terms.get(key, 0) + int(obj["coeff"])
-        return KLRElement(self, terms)
+            # to_json writes a decimal string; via str, floats are rejected
+            terms[key] = terms.get(key, 0) + int(str(obj["coeff"]))
+        elem = KLRElement(self, terms)
+        if len({weight_of_seq(i) for i, _, _ in elem.terms}) > 1:
+            raise WeightMismatchError("terms have different weights")
+        return elem
 
     def idempotent(self, seq):
         seq = tuple(seq)
+        self.graph.require_vertices(seq)
         m = len(seq)
         return KLRElement(self, {(seq, identity(m), (0,) * m): 1})
 
     def generator(self, token, seq):
         """token = ('D', k) for a dot or ('C', k) for a crossing, 1-based."""
-        seq = tuple(seq)
-        m = len(seq)
-        typ, k = token
-        if typ == "D":
-            if not 1 <= k <= m:
-                raise GeneratorIndexError(
-                    f"dot position {k} out of range for {m} strands")
-            u = tuple(1 if p == k - 1 else 0 for p in range(m))
-            return KLRElement(self, {(seq, identity(m), u): 1})
-        if typ == "C":
-            if not 1 <= k <= m - 1:
-                raise GeneratorIndexError(
-                    f"crossing {k} out of range for {m} strands")
-            w = tuple(k if x == k - 1 else k - 1 if x == k else x for x in range(m))
-            return KLRElement(self, {(seq, w, (0,) * m): 1})
-        raise ValueError(f"unknown token type {typ!r}")
+        return self.evaluate_word(seq, [token])
 
     def evaluate_word(self, seq, tokens):
         """Stack generator tokens bottom-to-top over the idempotent of seq."""
         seq = tuple(seq)
+        self.graph.require_vertices(seq)
         m = len(seq)
         acc = {(seq, identity(m), (0,) * m): 1}
         for typ, k in tokens:
@@ -260,9 +274,7 @@ class KLRRing:
     # -- ring operations ---------------------------------------------------
 
     def multiply(self, x, y):
-        wx, wy = x.weight, y.weight
-        if wx is not None and wy is not None and wx != wy:
-            raise WeightMismatchError(f"weights differ: {wx} vs {wy}")
+        _check_weights(x, y)
         out = {}
         for (ix, px, ux), cx in x.terms.items():
             word_x = tuple(reversed(canonical_word(px)))
@@ -472,7 +484,7 @@ class KLRRing:
     def _reduced_word_elem(self, i, word):
         """Normal form of a reduced word over i, via canonicalization."""
         key = (i, word)
-        hit = self._rword_cache.get(key)
+        hit = self._word_cache.get(key)
         if hit is not None:
             return hit
         if not word:
@@ -485,7 +497,7 @@ class KLRRing:
             out = self._elem_cross(c, self._reduced_word_elem(i, w1[1:]))
             for sign, cword in corrs:
                 _acc(out, self._word_elem(i, cword), sign)
-        self._rword_cache[key] = out
+        self._word_cache[key] = out
         return out
 
     def _bring_to_front(self, c, word, i):

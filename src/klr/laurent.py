@@ -113,7 +113,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"exponent {n!r} is not a nonnegative integer")
         out = LaurentPoly.one()
         base = self
         while n:
@@ -199,7 +200,8 @@ class DivisibilityError(ArithmeticError):
 
 def qint(n):
     """Balanced quantum integer [n] = q^{n-1} + q^{n-3} + ... + q^{1-n}."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"quantum integer [{n}] needs n >= 0")
     return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
 
 
@@ -213,5 +215,6 @@ def qfact(n):
 
 def qbinom(n, k):
     """Balanced quantum binomial [n choose k]; exact Laurent division."""
-    assert 0 <= k <= n
+    if not 0 <= k <= n:
+        raise ValueError(f"quantum binomial needs 0 <= {k} <= {n}")
     return qfact(n).exact_div(qfact(k) * qfact(n - k))

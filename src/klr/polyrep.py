@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .cartan import weight_of_seq
 from .permutations import canonical_word
 
 

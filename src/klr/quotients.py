@@ -70,6 +70,9 @@ def cyclotomic_spec(ring, weight, lam):
     lam maps vertices to nonnegative integers (missing vertices count 0).
     """
     lam = dict(lam)
+    ring.graph.require_vertices([v for v, _ in weight] + list(lam))
+    if any(n < 0 for n in lam.values()):
+        raise ValueError(f"negative dot power in {lam}")
     gens = []
     for seq in seq_enumerate(weight):
         if not seq:
@@ -87,6 +90,7 @@ def sym_plus_spec(ring, weight):
     These span the positive-degree part of the center, so the two-sided
     ideal they generate needs only one-sided multipliers.
     """
+    ring.graph.require_vertices(v for v, _ in weight)
     gens = []
     for color, n in weight:
         for t in range(1, n + 1):
@@ -151,13 +155,12 @@ def _rank(rows, prime=None):
     return len(echelon)
 
 
-def ideal_degree_dim(ring, spec, d, truncation=None, prime=None):
+def ideal_degree_dim(ring, spec, d, prime=None):
     """Dimension of the degree-d piece of the two-sided ideal.
 
     Products a * g * b are enumerated with deg(a) ranging over
-    [lower bound, truncation]; the default truncation d - deg(g) - bound
-    makes the enumeration exhaustive, since no multiplier exists below the
-    ring's degree lower bound.
+    [lower bound, d - deg(g) - lower bound], which is exhaustive, since no
+    multiplier exists below the ring's degree lower bound.
     """
     lb = degree_lower_bound(spec.weight)
     if d < 2 * lb:
@@ -172,8 +175,6 @@ def ideal_degree_dim(ring, spec, d, truncation=None, prime=None):
             continue
         dg = g.degree()
         hi = d - dg - lb
-        if truncation is not None:
-            hi = min(hi, truncation)
         products = []
         if spec.central:
             db = d - dg

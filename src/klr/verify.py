@@ -1,0 +1,189 @@
+"""Verification suites behind ``klr check``.
+
+Each suite checks a ring against an independent statement of what it
+should compute:
+
+* ``relations``: the defining local relations of KL I (arXiv 0803.4121) on
+  every labeling of 2 and 3 strands;
+* ``oracle``: the rewriting kernel against the faithful polynomial
+  representation, on random generator words, in both orientations;
+* ``serre``, ``idempotents``, ``cycle:<n>``: the Serre identities in K0, the
+  splitting of 1_iji into orthogonal idempotents, and the cycle phenomenon,
+  through the checks in ``klr.characters``.
+
+``run`` dispatches on the suite name.  ``import klr`` does not load this
+module; the command-line tool and the tests do.
+"""
+
+from __future__ import annotations
+
+import random
+
+from .characters import cycle_alpha, orthogonal_idempotents_check, serre_check
+from .polyrep import (
+    act,
+    act_word,
+    default_orientation,
+    monomials_up_to,
+    reversed_orientation,
+)
+from .sequences import format_seq
+
+
+def label_seqs(graph, m):
+    """Every sequence of m vertices of the graph."""
+    out = [()]
+    for _ in range(m):
+        out = [s + (v,) for s in out for v in graph.vertices]
+    return out
+
+
+def random_word(rng, m, max_tokens=6):
+    """A random generator word on m strands, about 60% crossings."""
+    tokens = []
+    for _ in range(rng.randint(0, max_tokens)):
+        if rng.random() < 0.6 and m > 1:
+            tokens.append(("C", rng.randint(1, m - 1)))
+        else:
+            tokens.append(("D", rng.randint(1, m)))
+    return tokens
+
+
+def relations(ring):
+    """All defining relations on 2 and 3 strands, every labeling.
+
+    Returns the failures as (relation, element found) pairs.
+    """
+    graph = ring.graph
+    failures = []
+
+    def expect(name, got, want):
+        if got != want:
+            failures.append((name, got))
+
+    for seq in label_seqs(graph, 2):
+        a, b = seq
+        dd = ring.evaluate_word(seq, [("C", 1), ("C", 1)])
+        if a == b:
+            expect(f"double crossing {format_seq(seq)}", dd, ring.zero())
+        elif graph.cartan(a, b) == 0:
+            expect(f"double crossing {format_seq(seq)}", dd,
+                   ring.idempotent(seq))
+        else:
+            want = (ring.generator(("D", 1), seq)
+                    + ring.generator(("D", 2), seq))
+            expect(f"double crossing {format_seq(seq)}", dd, want)
+        for k, k2 in ((1, 2), (2, 1)):
+            lhs = ring.evaluate_word(seq, [("D", k), ("C", 1)])
+            rhs = ring.evaluate_word(seq, [("C", 1), ("D", k2)])
+            if a == b:
+                corr = ring.idempotent(seq)
+                want = rhs + corr if k == 1 else rhs - corr
+            else:
+                want = rhs
+            expect(f"dot slide {format_seq(seq)} D{k}", lhs, want)
+    for seq in label_seqs(graph, 3):
+        a, b, c = seq
+        L = ring.evaluate_word(seq, [("C", 1), ("C", 2), ("C", 1)])
+        R = ring.evaluate_word(seq, [("C", 2), ("C", 1), ("C", 2)])
+        if a == c and graph.cartan(a, b) == -1:
+            expect(f"braid {format_seq(seq)}", L - R, ring.idempotent(seq))
+        else:
+            expect(f"braid {format_seq(seq)}", L - R, ring.zero())
+        # distant dots commute with crossings
+        lhs = ring.evaluate_word(seq, [("D", 3), ("C", 1)])
+        rhs = ring.evaluate_word(seq, [("C", 1), ("D", 3)])
+        expect(f"distant dot {format_seq(seq)}", lhs, rhs)
+    return failures
+
+
+def oracle(ring, trials=200, degree_bound=3, seed=0):
+    """Kernel products against the polynomial representation.
+
+    Each trial evaluates a random word on 2 to 4 strands in the kernel and
+    compares its action on every monomial up to degree_bound with the word
+    applied generator by generator.  Returns the failures as (word,
+    monomial) pairs.
+    """
+    graph = ring.graph
+    rng = random.Random(seed)
+    failures = []
+    orientations = [default_orientation(graph), reversed_orientation(graph)]
+    seqs = [s for m in (2, 3, 4) for s in label_seqs(graph, m)]
+    for _ in range(trials):
+        seq = rng.choice(seqs)
+        m = len(seq)
+        tokens = random_word(rng, m)
+        elem = ring.evaluate_word(seq, tokens)
+        for orient in orientations:
+            for mono in monomials_up_to(m, degree_bound):
+                want_seq, want = act_word(graph, orient, seq, tokens,
+                                          {mono: 1})
+                got = act(orient, elem, seq, {mono: 1})
+                want_map = {want_seq: want} if want else {}
+                if got != want_map:
+                    failures.append((f"word {tokens} on {format_seq(seq)}",
+                                     mono))
+                    break
+    return failures
+
+
+def _verdict(ok):
+    return "PASS" if ok else "FAIL"
+
+
+def run(ring, suite):
+    """Run the named suite; returns (verdict lines, failures).
+
+    suite is relations, serre, idempotents, cycle:<n> or oracle.  failures
+    lists the counterexamples as (name, detail or None) pairs and is empty
+    when the suite passes.  Raises ValueError for an unknown suite and for
+    a graph the suite does not apply to.
+    """
+    graph = ring.graph
+    if suite == "relations":
+        failures = relations(ring)
+        return ([f"relations on 2 and 3 strands: {_verdict(not failures)}"],
+                failures)
+    if suite == "oracle":
+        failures = oracle(ring)
+        return ([f"oracle agreement (200 random words, both orientations): "
+                 f"{_verdict(not failures)}"], failures)
+    lines, failures = [], []
+    if suite == "serre":
+        for i in graph.vertices:
+            for j in graph.vertices:
+                if i >= j:
+                    continue
+                ok = serre_check(ring, i, j)
+                lines.append(f"serre {i},{j}: {_verdict(ok)}")
+                if not ok:
+                    failures.append((f"serre {i},{j}", None))
+    elif suite == "idempotents":
+        if not graph.edges:
+            raise ValueError("graph has no edges; idempotent suite needs one")
+        for e in graph.edges:
+            i, j = sorted(e)
+            for x, y in ((i, j), (j, i)):
+                ok = orthogonal_idempotents_check(ring, x, y)
+                lines.append(f"idempotents on {x}{y}{x}: {_verdict(ok)}")
+                if not ok:
+                    failures.append((f"idempotents {x}{y}{x}", None))
+    elif suite.startswith("cycle:"):
+        try:
+            n = int(suite.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad cycle suite {suite!r}") from None
+        alpha, sq = cycle_alpha(ring, n)
+        if n % 2:
+            ok = sq.is_zero()
+            lines.append(f"alpha^2 = 0 {_verdict(ok)}")
+        else:
+            ok = sq == -2 * alpha
+            lines.append(f"alpha^2 = -2*alpha {_verdict(ok)}")
+        if not ok:
+            failures.append((f"cycle:{n}", str(sq)))
+    else:
+        raise ValueError(f"unknown suite {suite!r} (relations, serre, "
+                         f"idempotents, cycle:<n>, oracle)")
+    return lines, failures

@@ -47,19 +47,3 @@ def graph_files(tmp_path):
         out[name] = str(path)
     return out
 
-
-def random_word(rng, m, max_tokens=6):
-    tokens = []
-    for _ in range(rng.randint(0, max_tokens)):
-        if rng.random() < 0.6 and m > 1:
-            tokens.append(("C", rng.randint(1, m - 1)))
-        else:
-            tokens.append(("D", rng.randint(1, m)))
-    return tokens
-
-
-def label_seqs(graph, m):
-    out = [()]
-    for _ in range(m):
-        out = [s + (v,) for s in out for v in graph.vertices]
-    return out

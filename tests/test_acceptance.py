@@ -26,9 +26,9 @@ from klr import (
     sym_plus_spec,
     tight,
 )
-from klr.cli import _check_oracle, _check_relations
 from klr.laurent import qfact, qint
 from klr.sequences import concat, divided_weight
+from klr.verify import oracle, relations
 
 
 class Budget:
@@ -67,13 +67,13 @@ def monomials_of_total(verts, total):
 def test_01_relation_suite(ring_a1, ring_a2, ring_a1xa1, ring_cycle3):
     with Budget(5):
         for ring in (ring_a1, ring_a2, ring_a1xa1, ring_cycle3):
-            assert _check_relations(ring) == []
+            assert relations(ring) == []
 
 
 def test_02_oracle_consistency(ring_a1, ring_a2, ring_a1xa1, ring_cycle3):
     with Budget(60):
         for ring in (ring_a1, ring_a2, ring_a1xa1, ring_cycle3):
-            assert _check_oracle(ring, trials=200, degree_bound=3) == []
+            assert oracle(ring, trials=200, degree_bound=3) == []
 
 
 def test_03_pairing_values_and_routes(ring_a1, ring_a2):

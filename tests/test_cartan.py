@@ -35,6 +35,9 @@ def test_cartan_symmetry_all_stock_graphs():
 def test_unknown_vertex():
     with pytest.raises(GraphError):
         a2().cartan("i", "z")
+    a2().require_vertices("iji")
+    with pytest.raises(GraphError):
+        a2().require_vertices("ijz")
 
 
 def test_loop_rejected():
@@ -62,6 +65,8 @@ def test_json_round_trip(tmp_path):
 
 
 def test_cycle_structure():
+    with pytest.raises(GraphError):
+        cycle(2)
     g = cycle(3)
     assert g.cartan("1", "2") == -1
     assert g.cartan("1", "3") == -1

@@ -4,9 +4,11 @@ import pytest
 
 from klr import (
     GradedDim,
+    GraphError,
     K0Vector,
     KLRRing,
     LaurentPoly,
+    WeightMismatchError,
     a2,
     bar_k0,
     char_at_divided,
@@ -199,6 +201,11 @@ def test_equal_in_f(ring_a1, ring_a2, ring_a1xa1):
     assert not equal_in_f(
         ring_a1, K0Vector.monomial((("i", 1),)),
         K0Vector.monomial((("i", 1),)).scale(LaurentPoly.q_power(1)))
+    with pytest.raises(WeightMismatchError):
+        K0Vector.monomial((("i", 1),)) + K0Vector.monomial((("j", 1),))
+    with pytest.raises(WeightMismatchError):
+        (char_projective(ring_a2, (("i", 1),))
+         + char_projective(ring_a2, (("j", 1),)))
 
 
 def test_bar_sigma_k0():
@@ -213,11 +220,15 @@ def test_bar_sigma_k0():
 def test_serre(ring_a2, ring_a1xa1):
     assert serre_check(ring_a2, "i", "j")
     assert serre_check(ring_a1xa1, "i", "j")
+    with pytest.raises(ValueError):
+        serre_check(ring_a2, "i", "i")
 
 
-def test_orthogonal_idempotents(ring_a2):
+def test_orthogonal_idempotents(ring_a2, ring_a1xa1):
     assert orthogonal_idempotents_check(ring_a2, "i", "j")
     assert orthogonal_idempotents_check(ring_a2, "j", "i")
+    with pytest.raises(GraphError):
+        orthogonal_idempotents_check(ring_a1xa1, "i", "j")
 
 
 def test_orthogonal_idempotents_oracle_confirmation(ring_a2):
@@ -254,3 +265,7 @@ def test_cycle_alpha(ring_cycle3, ring_cycle4):
     assert sq4 == -2 * alpha4
     with pytest.raises(ValueError):
         cycle_alpha(ring_cycle3, 2)
+    # '1' '2' '3' span a path in the 4-cycle, and '4' is not in the 3-cycle
+    for ring, n in ((ring_cycle4, 3), (ring_cycle3, 4)):
+        with pytest.raises(GraphError):
+            cycle_alpha(ring, n)

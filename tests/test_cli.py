@@ -7,7 +7,6 @@ from klr.cli import (
     is_prime,
     main,
     parse_divided,
-    parse_element,
     parse_seq,
     parse_weight,
     parse_word,
@@ -40,17 +39,6 @@ def test_parse_weight():
 def test_parse_word():
     assert parse_word("iji: C1 D2") == (("i", "j", "i"),
                                         [("C", 1), ("D", 2)])
-
-
-def test_parse_element_round_trip(ring_a2):
-    import random
-    from conftest import label_seqs, random_word
-    rng = random.Random(41)
-    for _ in range(25):
-        seq = rng.choice(label_seqs(ring_a2.graph, 3))
-        x = ring_a2.evaluate_word(seq, random_word(rng, 3, 5))
-        assert parse_element(ring_a2, str(x)) == x
-    assert parse_element(ring_a2, "0").is_zero()
 
 
 def test_multiply_examples(capsys, graph_files):
@@ -176,9 +164,16 @@ def test_quotient_examples(capsys, graph_files):
 
 
 def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
-    short = tmp_path / "short.json"
-    short.write_text(json.dumps([{"source": ["i", "j"], "permutation": [1],
-                                  "dots": [0, 0, 0], "coeff": 1}]))
+    term = {"source": ["i", "j"], "permutation": [1, 2], "dots": [0, 0],
+            "coeff": 1}
+    elems = {
+        "short": [{**term, "permutation": [1], "dots": [0, 0, 0]}],
+        "letters": [{**term, "permutation": ["a", "b"]}],
+        "object": term,
+        "vertex": [{**term, "source": ["i", "k"]}],
+    }
+    for name, data in elems.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
     cases = [
         ["multiply", "-g", graph_files["a2"]],
         ["multiply", "-g", graph_files["a2"], "--word", "ij: Z9"],
@@ -187,7 +182,12 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
         ["multiply", "-g", "/nonexistent.json", "--word", "i: D1"],
         ["multiply", "-g", graph_files["a2"], "--word", "ij: C5"],
         ["multiply", "-g", graph_files["a2"], "--word", "ij: D3"],
-        ["multiply", "-g", graph_files["a2"], "--elem", str(short)],
+        ["multiply", "-g", graph_files["a2"], "--word", "ik: C1"],
+        *(["multiply", "-g", graph_files["a2"],
+           "--elem", str(tmp_path / f"{name}.json")] for name in elems),
+        ["quotient", "-g", graph_files["a2"], "--nu", "k:1", "--symplus"],
+        ["quotient", "-g", graph_files["a2"], "--nu", "i:1",
+         "--cyclotomic", "k:1"],
         ["quotient", "-g", graph_files["a2"], "--nu", "i:-1", "--symplus"],
         ["quotient", "-g", graph_files["a1"], "--nu", "i:2",
          "--cyclotomic", "i:-1"],
@@ -201,6 +201,7 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
         ["check", "-g", graph_files["a2"], "nonsense"],
         ["check", "-g", graph_files["a2"], "cycle:x"],
         ["check", "-g", graph_files["a1"], "idempotents"],
+        ["check", "-g", graph_files["cycle4"], "cycle:3"],
     ]
     for argv in cases:
         code, out, err = run(capsys, argv)
@@ -234,13 +235,18 @@ def test_is_prime_matches_trial_division():
 
 
 def test_exit_code_1_on_failed_check(capsys, graph_files, monkeypatch):
-    import klr.cli as cli
-    monkeypatch.setattr(cli, "serre_check", lambda *a: False)
+    import klr.verify as verify
+    monkeypatch.setattr(verify, "serre_check", lambda *a: False)
     code, out, _ = run(capsys, ["check", "-g", graph_files["a2"], "serre"])
     assert code == 1 and "FAIL" in out
 
 
 def test_argparse_errors_exit_2(graph_files):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate", "-g", graph_files["a1"]])
-    assert exc.value.code == 2
+    g = graph_files["a2"]
+    for argv in (["frobnicate", "-g", g],
+                 ["check", "-g", g, "relations", "--orientation", "x"],
+                 ["check", "-g", g, "relations", "--json"],
+                 ["multiply", "-g", g, "--word", "i: D1", "--expand", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from klr import (
     GeneratorIndexError,
     GradedDim,
+    GraphError,
     InhomogeneousError,
     LaurentPoly,
     WeightMismatchError,
@@ -18,7 +19,7 @@ from klr.permutations import (
     longest_element,
 )
 
-from conftest import label_seqs, random_word
+from klr.verify import label_seqs, random_word
 
 
 def test_idempotents(ring_a2):
@@ -49,6 +50,11 @@ def test_generator_range_errors(ring_a2):
         ring_a2.evaluate_word(("i", "j"), [("C", 5)])
     with pytest.raises(ValueError):
         ring_a2.evaluate_word(("i", "j"), [("D", 0)])
+    for make in (lambda: ring_a2.evaluate_word(("i", "k"), []),
+                 lambda: ring_a2.generator(("C", 1), ("k", "i")),
+                 lambda: ring_a2.idempotent(("k",))):
+        with pytest.raises(GraphError):
+            make()
 
 
 def test_element_from_json_rejects_bad_vectors(ring_a2):
@@ -58,9 +64,19 @@ def test_element_from_json_rejects_bad_vectors(ring_a2):
         {(("i", "j"), (1, 0), (0, 1)): 1})
     for bad in ({"permutation": [1]}, {"permutation": [1, 2, 3]},
                 {"dots": [0, 0, 0]}, {"dots": [0]}, {"permutation": [1, 1]},
-                {"permutation": [0, 1]}, {"dots": [0, -1]}):
+                {"permutation": [0, 1]}, {"dots": [0, -1]},
+                {"permutation": ["a", "b"]}, {"dots": [0.5, 0]},
+                {"dots": "01"}, {"coeff": 1.5}, {"coeff": None},
+                {"source": ["i", "k"]}):
         with pytest.raises(ValueError):
             ring_a2.element_from_json([{**good, **bad}])
+    for data in (good, "ij", [good, 1]):
+        with pytest.raises(ValueError):
+            ring_a2.element_from_json(data)
+    ii = {"source": ["i", "i"], "permutation": [1, 2], "dots": [0, 0],
+          "coeff": "1"}
+    with pytest.raises(WeightMismatchError):
+        ring_a2.element_from_json([good, ii])
 
 
 def test_weight_mismatch(ring_a1):
@@ -68,6 +84,11 @@ def test_weight_mismatch(ring_a1):
     y = ring_a1.idempotent(("i", "i"))
     with pytest.raises(WeightMismatchError):
         x * y
+    with pytest.raises(WeightMismatchError):
+        x + y
+    with pytest.raises(WeightMismatchError):
+        y - x
+    assert x + ring_a1.zero() == x
 
 
 def test_double_crossings(ring_a1, ring_a2, ring_a1xa1):

@@ -51,6 +51,10 @@ def test_quantum_integers():
     assert qint(3).coeffs == {2: 1, 0: 1, -2: 1}
     assert qfact(3) == qint(3) * qint(2) * qint(1)
     assert qfact(0) == LaurentPoly.one()
+    with pytest.raises(ValueError):
+        qint(-1)
+    with pytest.raises(ValueError):
+        qint(2) ** -1
 
 
 def test_qbinom():
@@ -58,3 +62,5 @@ def test_qbinom():
     # balanced q-binomial (4 choose 2) = [4]![2]!^-2... check by product
     assert qbinom(4, 2) * qfact(2) * qfact(2) == qfact(4)
     assert qbinom(3, 0) == LaurentPoly.one()
+    with pytest.raises(ValueError):
+        qbinom(2, 3)

@@ -10,7 +10,7 @@ from klr import (
 )
 from klr.polyrep import divided_difference, monomials_up_to, poly_add, poly_const
 
-from conftest import label_seqs, random_word
+from klr.verify import label_seqs, random_word
 
 
 def test_divided_difference():

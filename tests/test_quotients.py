@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klr import (
+    GraphError,
     IdealSpec,
     LaurentPoly,
     cyclotomic_spec,
@@ -68,6 +70,13 @@ def test_cyclotomic_zero_lambda_mixed(ring_a2):
     gens = {str(g) for g in spec.generators}
     assert "1[ji]" in gens
     assert "x1[ij]" in gens
+    for make in (lambda: cyclotomic_spec(ring_a2, (("k", 1),), {}),
+                 lambda: cyclotomic_spec(ring_a2, weight, {"k": 1}),
+                 lambda: sym_plus_spec(ring_a2, (("i", 1), ("k", 1)))):
+        with pytest.raises(GraphError):
+            make()
+    with pytest.raises(ValueError):
+        cyclotomic_spec(ring_a2, weight, {"i": -1})
 
 
 def test_cyclotomic_fixtures(ring_a1):
@@ -155,15 +164,6 @@ def test_prime_field_agrees_here(ring_a1):
     rep_p = quotient_gdim(ring_a1, spec, cutoff=8, window=3, prime=5)
     assert rep_q.degrees == rep_p.degrees
     assert rep_p.field == "F_5"
-
-
-def test_truncation_monotone(ring_a1):
-    weight = (("i", 2),)
-    spec = cyclotomic_spec(ring_a1, weight, {"i": 2})
-    for d in range(-2, 7):
-        full = ideal_degree_dim(ring_a1, spec, d)
-        capped = ideal_degree_dim(ring_a1, spec, d, truncation=d + 10)
-        assert full == capped
 
 
 def test_report_json(ring_a1):
