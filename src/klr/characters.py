@@ -333,7 +333,13 @@ class TightReport:
 
 
 def tight(ring, theta, cutoff=20) -> TightReport:
-    """Is the self-pairing in 1 + q N[[q]], up to the cutoff exponent?"""
+    """Is the self-pairing in 1 + q N[[q]], up to the cutoff exponent?
+
+    Raises ValueError for a negative cutoff: the series would stop below
+    its constant term.
+    """
+    if cutoff < 0:
+        raise ValueError(f"tightness cutoff {cutoff} must be >= 0")
     theta = tuple(theta)
     series = pair_monomials(ring, theta, theta).series(cutoff)
     if not series.is_zero() and series.min_exp() < 0:

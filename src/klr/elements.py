@@ -24,9 +24,11 @@ the dot vector and the shift is applied afterwards.
 
 from __future__ import annotations
 
+from operator import add
+
 from .cartan import weight_of_seq
 from .gdim import GradedDim
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, format_sum
 from .permutations import (
     apply_perm_to_seq,
     apply_word_to_seq,
@@ -64,20 +66,19 @@ def diagram_degree(graph, seq, w):
     return -sum(graph.cartan(seq[a], seq[b]) for a, b in inversions(w))
 
 
-def _acc(target, terms, scalar=1):
+def _acc(target, terms, scalar=1, u=()):
+    """target += scalar * terms * x^u; x^u shifts the dot vector of each key."""
+    get = target.get
+    shift = any(u)
     for key, c in terms.items():
-        v = target.get(key, 0) + scalar * c
+        if shift:
+            i, w, uu = key
+            key = (i, w, tuple(map(add, uu, u)))
+        v = get(key, 0) + scalar * c
         if v:
             target[key] = v
         else:
             target.pop(key, None)
-
-
-def _shift_u(terms, u):
-    if not any(u):
-        return dict(terms)
-    return {(i, w, tuple(a + b for a, b in zip(uu, u))): c
-            for (i, w, uu), c in terms.items()}
 
 
 class KLRElement:
@@ -154,29 +155,17 @@ class KLRElement:
                 for (i, w, u), c in sorted(self.terms.items())]
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, w, u) in sorted(self.terms,
-                                key=lambda k: (k[0], k[1],
-                                               tuple(-x for x in k[2]))):
-            c = self.terms[(i, w, u)]
+        def term(key):
+            i, w, u = key
             factors = [f"s{l}" for l in canonical_word(w)]
             factors += [f"x{p+1}" if e == 1 else f"x{p+1}^{e}"
                         for p, e in enumerate(u) if e]
             body = "*".join(factors) if factors else "1"
             seq = "".join(i) if all(len(v) == 1 for v in i) else " ".join(i)
-            if c == 1:
-                t = f"{body}[{seq}]"
-            elif c == -1:
-                t = f"-{body}[{seq}]"
-            else:
-                t = f"{c}*{body}[{seq}]"
-            parts.append(t)
-        s = parts[0]
-        for t in parts[1:]:
-            s += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return s
+            return self.terms[key], f"{body}[{seq}]"
+
+        return format_sum(map(term, sorted(
+            self.terms, key=lambda k: (k[0], k[1], tuple(-x for x in k[2])))))
 
     __repr__ = __str__
 
@@ -313,8 +302,7 @@ class KLRRing:
                     sign = -sign
             i2 = tuple(reversed(i))
             word2 = tuple(m - l for l in canonical_word(w))
-            acc = _shift_u(self._word_elem(i2, word2), tuple(reversed(u)))
-            _acc(out, acc, sign * c)
+            _acc(out, self._word_elem(i2, word2), sign * c, tuple(reversed(u)))
         return KLRElement(self, out)
 
     def juxtapose(self, x, y):
@@ -384,13 +372,13 @@ class KLRRing:
     def _elem_cross(self, k, terms):
         out = {}
         for (i, w, u), c in terms.items():
-            _acc(out, _shift_u(self._cross(k, i, w), u), c)
+            _acc(out, self._cross(k, i, w), c, u)
         return out
 
     def _elem_dot(self, k, terms):
         out = {}
         for (i, w, u), c in terms.items():
-            _acc(out, _shift_u(self._dot(k, i, w), u), c)
+            _acc(out, self._dot(k, i, w), c, u)
         return out
 
     def _cross(self, k, i, w):

@@ -169,29 +169,35 @@ class LaurentPoly:
     # -- formatting --------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                t = str(c)
-            else:
-                qp = "q" if e == 1 else f"q^{e}"
-                if c == 1:
-                    t = qp
-                elif c == -1:
-                    t = f"-{qp}"
-                else:
-                    t = f"{c}*{qp}"
-            parts.append(t)
-        s = parts[0]
-        for t in parts[1:]:
-            s += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return s
+        return format_sum((self.coeffs[e],
+                           None if e == 0 else "q" if e == 1 else f"q^{e}")
+                          for e in sorted(self.coeffs))
 
     def __repr__(self):
         return f"LaurentPoly({self.coeffs!r})"
+
+
+def format_sum(terms):
+    """Write (coefficient, body) pairs as a signed sum like "2*q - q^3".
+
+    A coefficient of 1 or -1 is written as a bare sign before the body, and
+    a body of None stands for 1 (only the coefficient is written).  The
+    empty sum is "0".
+    """
+    parts = []
+    for c, body in terms:
+        if body is None:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(body)
+        elif c == -1:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{c}*{body}")
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+                              for t in parts[1:])
 
 
 class DivisibilityError(ArithmeticError):

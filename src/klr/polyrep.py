@@ -18,6 +18,7 @@ each sequence to such a polynomial.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from operator import add
 
 from .permutations import canonical_word
 
@@ -63,34 +64,37 @@ def poly_mul_var(p, k):
 
 
 def poly_swap(p, k):
-    """Exchange the variables x_k and x_{k+1}."""
+    """Exchange the variables x_k and x_{k+1}; a bijection on monomials."""
     out = {}
     for e, c in p.items():
         e2 = list(e)
         e2[k - 1], e2[k] = e2[k], e2[k - 1]
-        e2 = tuple(e2)
-        out[e2] = out.get(e2, 0) + c
-    return {e: c for e, c in out.items() if c}
+        out[tuple(e2)] = c
+    return out
 
 
 def divided_difference(p, k):
-    """(p - s_k p) / (x_k - x_{k+1}), by exact division after antisymmetrizing."""
-    g = poly_add(p, poly_swap(p, k), -1)
+    """(p - s_k p) / (x_k - x_{k+1}), term by term in closed form.
+
+    With x = x_k, y = x_{k+1} and a > b, x^a y^b maps to
+    sum_{j < a-b} x^{a-1-j} y^{b+j}; a < b gives the negative of the same
+    sum with a and b exchanged, and a = b gives 0.
+    """
     out = {}
-    while g:
-        e = max(g, key=lambda t: (t[k - 1], t))
-        c = g[e]
-        assert e[k - 1] > 0, f"division by x{k} - x{k+1} not exact"
-        q = list(e)
-        q[k - 1] -= 1
-        q = tuple(q)
-        out[q] = out.get(q, 0) + c
-        # subtract c * x^q * (x_k - x_{k+1})
-        g = poly_add(g, {e: c}, -1)
-        r = list(q)
-        r[k] += 1
-        g = poly_add(g, {tuple(r): c})
-    return {e: c for e, c in out.items() if c}
+    for e, c in p.items():
+        a, b = e[k - 1], e[k]
+        if a < b:
+            a, b, c = b, a, -c
+        e2 = list(e)
+        for j in range(a - b):
+            e2[k - 1], e2[k] = a - 1 - j, b + j
+            t = tuple(e2)
+            v = out.get(t, 0) + c
+            if v:
+                out[t] = v
+            else:
+                del out[t]
+    return out
 
 
 # -- the action ------------------------------------------------------------
@@ -130,9 +134,8 @@ def act_term(graph, orientation, key, seq, poly):
     if i != tuple(seq):
         return None
     cur_seq, cur = i, poly
-    for pos, mult in enumerate(u):
-        for _ in range(mult):
-            cur = poly_mul_var(cur, pos + 1)
+    if any(u):
+        cur = {tuple(map(add, e, u)): c for e, c in poly.items()}
     for letter in reversed(canonical_word(w)):
         cur_seq, cur = act_generator(graph, orientation, ("C", letter),
                                      cur_seq, cur)

@@ -245,8 +245,11 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     Stabilization means the last `window` consecutive degrees (including
     both parities) of the quotient are zero; finite-dimensionality of
     cyclotomic quotients is not a theorem, so a failed window is reported
-    rather than an error.
+    rather than an error.  Raises ValueError for a window below 1, which
+    would call any truncated answer stabilized.
     """
+    if window < 1:
+        raise ValueError(f"stabilization window {window} must be >= 1")
     if prime is not None and prime < 2:
         raise ValueError(f"field characteristic {prime} is not a prime")
     lb = degree_lower_bound(spec.weight)

@@ -162,8 +162,7 @@ def run(ring, suite):
     elif suite == "idempotents":
         if not graph.edges:
             raise ValueError("graph has no edges; idempotent suite needs one")
-        for e in graph.edges:
-            i, j = sorted(e)
+        for i, j in sorted(map(sorted, graph.edges)):
             for x, y in ((i, j), (j, i)):
                 ok = orthogonal_idempotents_check(ring, x, y)
                 lines.append(f"idempotents on {x}{y}{x}: {_verdict(ok)}")

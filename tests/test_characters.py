@@ -255,6 +255,12 @@ def test_tight(ring_a1, ring_a2):
     assert rep.constant_term == 2
     assert rep.first_bad == (0, 2)
     assert "constant term 2" in str(rep)
+    # a series cut below q^0 has no constant term to judge
+    for theta, cutoff in (((("i", 1), ("j", 1), ("i", 1)), -3),
+                          ((("i", 1), ("j", 2), ("i", 1)), -1)):
+        with pytest.raises(ValueError):
+            tight(ring_a2, theta, cutoff=cutoff)
+    assert tight(ring_a2, (("i", 1), ("j", 2), ("i", 1)), cutoff=0).tight
 
 
 def test_cycle_alpha(ring_cycle3, ring_cycle4):

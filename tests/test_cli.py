@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import klr
 from klr import KLRRing, a2
 from klr.cli import (
     is_prime,
@@ -198,6 +203,10 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
          "--cyclotomic", "i:1", "--field", "GF(4)"],
         ["quotient", "-g", graph_files["a1"], "--nu", "i:1",
          "--cyclotomic", "i:1", "--cutoff", "1", "--window", "3"],
+        ["quotient", "-g", graph_files["a1"], "--nu", "i:3", "--symplus",
+         "--cutoff", "2", "--window", "0"],
+        ["tight", "-g", graph_files["a2"], "iji", "--cutoff", "-3"],
+        ["tight", "-g", graph_files["a2"], "i j^(2) i", "--cutoff", "-1"],
         ["check", "-g", graph_files["a2"], "nonsense"],
         ["check", "-g", graph_files["a2"], "cycle:x"],
         ["check", "-g", graph_files["a1"], "idempotents"],
@@ -232,6 +241,25 @@ def test_is_prime_matches_trial_division():
     assert not is_prime(3215031751)
     assert not is_prime(3825123056546413051)
     assert is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
+
+
+def test_check_output_does_not_depend_on_hash_seed(graph_files):
+    # the suite walks the graph's edges, a frozenset whose order follows
+    # the string hash; run in fresh interpreters with different seeds
+    src = str(Path(klr.__file__).resolve().parent.parent)
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "klr.cli", "check",
+             "-g", graph_files["cycle3"], "idempotents"],
+            env=env, capture_output=True, check=True, timeout=120)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].decode().splitlines()[:2] == [
+        "idempotents on 121: PASS", "idempotents on 212: PASS"]
 
 
 def test_exit_code_1_on_failed_check(capsys, graph_files, monkeypatch):

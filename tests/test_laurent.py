@@ -1,6 +1,7 @@
 import pytest
 
 from klr import DivisibilityError, LaurentPoly, qbinom, qfact, qint
+from klr.laurent import format_sum
 
 
 def test_basic_arithmetic():
@@ -21,6 +22,13 @@ def test_str_ascending():
     p = LaurentPoly({-2: 1, 0: 1, 3: 2})
     assert str(p) == "q^-2 + 1 + 2*q^3"
     assert str(LaurentPoly.zero()) == "0"
+
+
+def test_format_sum():
+    assert format_sum([]) == "0"
+    assert format_sum([(-1, "x"), (3, None), (-2, "y"), (1, "z")]) == (
+        "-x + 3 - 2*y + z")
+    assert format_sum([(-4, None), (-1, "x")]) == "-4 - x"
 
 
 def test_bar():

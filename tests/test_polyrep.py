@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from klr import (
     act,
     act_generator,
@@ -8,6 +11,7 @@ from klr import (
     oracle_equal,
     reversed_orientation,
 )
+from klr.permutations import apply_perm_to_seq
 from klr.polyrep import divided_difference, monomials_up_to, poly_add, poly_const
 
 from klr.verify import label_seqs, random_word
@@ -18,6 +22,100 @@ def test_divided_difference():
     assert divided_difference({(1, 0): 1}, 1) == {(0, 0): 1}
     assert divided_difference({(1, 1): 1}, 1) == {}
     assert divided_difference({(2, 0): 1}, 1) == {(1, 0): 1, (0, 1): 1}
+
+
+def _divided_difference_reference(p, k):
+    """The quadratic long division that the closed form replaced."""
+    swapped = {}
+    for e, c in p.items():
+        e2 = list(e)
+        e2[k - 1], e2[k] = e2[k], e2[k - 1]
+        swapped[tuple(e2)] = swapped.get(tuple(e2), 0) + c
+    g = poly_add(p, swapped, -1)
+    out = {}
+    while g:
+        e = max(g, key=lambda t: (t[k - 1], t))
+        c = g[e]
+        assert e[k - 1] > 0, f"division by x{k} - x{k+1} not exact"
+        q = list(e)
+        q[k - 1] -= 1
+        q = tuple(q)
+        out[q] = out.get(q, 0) + c
+        # subtract c * x^q * (x_k - x_{k+1})
+        g = poly_add(g, {e: c}, -1)
+        r = list(q)
+        r[k] += 1
+        g = poly_add(g, {tuple(r): c})
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def polys_and_index(draw):
+    m = draw(st.integers(2, 4))
+    mono = st.tuples(*[st.integers(0, 6)] * m)
+    coeff = st.integers(-5, 5).filter(bool)
+    return (draw(st.dictionaries(mono, coeff, max_size=8)),
+            draw(st.integers(1, m - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_and_index())
+def test_divided_difference_matches_reference(pk):
+    p, k = pk
+    assert divided_difference(p, k) == _divided_difference_reference(p, k)
+
+
+@st.composite
+def basis_keys(draw, ring, seq=None):
+    """A basis key (i, w, u); over seq if one is given."""
+    if seq is None:
+        m = draw(st.integers(2, 4))
+        seq = tuple(draw(st.lists(st.sampled_from(ring.graph.vertices),
+                                  min_size=m, max_size=m)))
+    m = len(seq)
+    w = tuple(draw(st.permutations(range(m))))
+    u = tuple(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)))
+    return seq, w, u
+
+
+def _monomials(seq):
+    return [{mono: 1} for mono in monomials_up_to(len(seq), 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluate_word_matches_act_word(ring_a1, ring_a2, ring_cycle3, data):
+    ring = data.draw(st.sampled_from([ring_a1, ring_a2, ring_cycle3]))
+    g = ring.graph
+    seq, _, _ = data.draw(basis_keys(ring))
+    m = len(seq)
+    token = st.one_of(st.tuples(st.just("C"), st.integers(1, m - 1)),
+                      st.tuples(st.just("D"), st.integers(1, m)))
+    tokens = data.draw(st.lists(token, max_size=7))
+    elem = ring.evaluate_word(seq, tokens)
+    orient = default_orientation(g)
+    for f in _monomials(seq):
+        ws, wp = act_word(g, orient, seq, tokens, f)
+        assert act(orient, elem, seq, f) == ({ws: wp} if wp else {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_multiply_matches_composed_action(ring_a1, ring_a2, ring_cycle3,
+                                          data):
+    ring = data.draw(st.sampled_from([ring_a1, ring_a2, ring_cycle3]))
+    bkey = data.draw(basis_keys(ring))
+    akey = data.draw(basis_keys(ring, apply_perm_to_seq(bkey[1], bkey[0])))
+    a, b = ring.element({akey: 1}), ring.element({bkey: 1})
+    orient = default_orientation(ring.graph)
+    src = bkey[0]
+    for f in _monomials(src):
+        composed = {}
+        for s2, p2 in act(orient, b, src, f).items():
+            for s3, p3 in act(orient, a, s2, p2).items():
+                composed[s3] = poly_add(composed.get(s3, {}), p3)
+        composed = {s: p for s, p in composed.items() if p}
+        assert act(orient, a * b, src, f) == composed
 
 
 def test_generator_cases(ring_a2):

@@ -157,6 +157,16 @@ def test_zero_ideal_reproduces_ring(ring_a1):
     assert not rep.stabilized
 
 
+def test_window_must_be_positive(ring_a1):
+    # an empty window would call this truncated answer (31 of 3!^2 = 36)
+    # stabilized
+    spec = sym_plus_spec(ring_a1, (("i", 3),))
+    for window in (0, -1):
+        with pytest.raises(ValueError):
+            quotient_gdim(ring_a1, spec, cutoff=2, window=window)
+    assert not quotient_gdim(ring_a1, spec, cutoff=2, window=1).stabilized
+
+
 def test_prime_field_agrees_here(ring_a1):
     weight = (("i", 2),)
     spec = cyclotomic_spec(ring_a1, weight, {"i": 2})
