@@ -22,7 +22,6 @@ from .cartan import (
 from .characters import (
     CharacterVector,
     K0Vector,
-    MalformedPairingError,
     TightReport,
     bar_k0,
     char_at_divided,
@@ -74,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CartanGraph", "GraphError", "a1xa1", "a2", "cycle", "single_vertex",
     "weight_add", "weight_from_dict", "weight_of_seq", "weight_size",
-    "CharacterVector", "K0Vector", "MalformedPairingError", "TightReport",
+    "CharacterVector", "K0Vector", "TightReport",
     "bar_k0", "char_at_divided", "char_projective", "comultiply",
     "cycle_alpha", "equal_in_f", "orthogonal_idempotents_check", "pair_k0",
     "pair_monomials", "pair_recursive", "serre_check", "shuffle_product",

@@ -12,8 +12,10 @@ computed two independent ways, which share no code:
   contributes one factor 1/(1-q^2), so the recursion works with numerators
   over the fixed denominator (1-q^2)^m, memoized per ring.
 
-Tightness of a monomial is the statement that its self-pairing lies in
-1 + q N[[q]], tested by series expansion to a cutoff.
+A monomial is tight when its self-pairing lies in 1 + q N[[q]].  The form
+is the graded dimension of a hom space (KL I, section 3), so no coefficient
+of its expansion is negative and only the lowest term decides: theta is
+tight iff that term is 1 * q^0.  No series cutoff is involved.
 """
 
 from __future__ import annotations
@@ -22,20 +24,18 @@ from .cartan import GraphError, cycle, weight_add, weight_of_seq
 from .elements import WeightMismatchError
 from .gdim import GradedDim
 from .laurent import LaurentPoly
+from .permutations import apply_perm_to_seq
 from .sequences import (
     divided_weight,
     expand,
     factorial_poly,
     format_divided,
     format_seq,
+    plain,
     reverse,
     seq_enumerate,
     shuffles,
 )
-
-
-class MalformedPairingError(ValueError):
-    """A pairing series produced a negative exponent."""
 
 
 class CharacterVector:
@@ -288,8 +288,7 @@ def equal_in_f(ring, u: K0Vector, v: K0Vector) -> bool:
         return False
     diff = u - v
     for seq in seq_enumerate(u.weight):
-        theta = tuple((x, 1) for x in seq)
-        if not (pair_k0(ring, diff, theta) == 0):
+        if not (pair_k0(ring, diff, plain(seq)) == 0):
             return False
     return True
 
@@ -307,55 +306,43 @@ def sigma_k0(u: K0Vector) -> K0Vector:
 # -- tightness -------------------------------------------------------------
 
 class TightReport:
-    __slots__ = ("theta", "tight", "cutoff", "constant_term", "first_bad")
+    __slots__ = ("theta", "tight", "constant_term", "first_bad")
 
-    def __init__(self, theta, tight, cutoff, constant_term, first_bad):
+    def __init__(self, theta, tight, constant_term, first_bad):
         self.theta = theta
         self.tight = tight
-        self.cutoff = cutoff
         self.constant_term = constant_term
         self.first_bad = first_bad  # (exponent, coefficient) or None
 
     def to_json(self):
         return {"monomial": format_divided(self.theta),
                 "tight": self.tight,
-                "cutoff": self.cutoff,
                 "constant_term": self.constant_term,
                 "first_bad": list(self.first_bad) if self.first_bad else None}
 
     def __str__(self):
         if self.tight:
-            return f"TIGHT (up to q^{self.cutoff})"
+            return "TIGHT"
         e, c = self.first_bad
         if e == 0:
             return f"NOT TIGHT: constant term {self.constant_term}"
-        return f"NOT TIGHT: coefficient of q^{e} is {c}"
+        return f"NOT TIGHT: lowest term q^{e} has coefficient {c}"
 
 
-def tight(ring, theta, cutoff=20) -> TightReport:
-    """Is the self-pairing in 1 + q N[[q]], up to the cutoff exponent?
+def tight(ring, theta) -> TightReport:
+    """Is the self-pairing in 1 + q N[[q]]?  Decided exactly.
 
-    Raises ValueError for a negative cutoff: the series would stop below
-    its constant term.
+    The expansion's lowest term is the numerator's, since every denominator
+    factor 1 - q^{2a} has constant term 1.  first_bad is that term when it
+    is not 1 * q^0, or (0, 0) when the expansion starts above q^0.
     """
-    if cutoff < 0:
-        raise ValueError(f"tightness cutoff {cutoff} must be >= 0")
     theta = tuple(theta)
-    series = pair_monomials(ring, theta, theta).series(cutoff)
-    if not series.is_zero() and series.min_exp() < 0:
-        raise MalformedPairingError(
-            f"self-pairing of {format_divided(theta)} has a q^"
-            f"{series.min_exp()} term")
-    constant = series[0]
-    first_bad = None
-    if constant != 1:
-        first_bad = (0, constant)
-    else:
-        for e in range(1, cutoff + 1):
-            if series[e] < 0:
-                first_bad = (e, series[e])
-                break
-    return TightReport(theta, first_bad is None, cutoff, constant, first_bad)
+    pairing = pair_monomials(ring, theta, theta)
+    low = min(pairing.num.min_exp(), 0)
+    lowest = (low, pairing.num[low])
+    ok = lowest == (0, 1)
+    return TightReport(theta, ok, pairing.series(0)[0],
+                       None if ok else lowest)
 
 
 # -- structural checks -----------------------------------------------------
@@ -412,7 +399,6 @@ def cycle_alpha(ring, n):
     m = 2 * n
     alpha = ring.element({(seq, w, (0,) * m): 1})
     assert alpha.degree() == 0
-    from .permutations import apply_perm_to_seq
     assert apply_perm_to_seq(w, seq) == seq
     sector = ring.gdim_hom(seq, seq).series(0)
     assert sector[0] == 2, "degree-0 endomorphism sector should be {1, alpha}"

@@ -254,7 +254,7 @@ def cmd_comul(args):
 def cmd_tight(args):
     graph = load_graph(args.graph)
     ring = KLRRing(graph)
-    report = tight(ring, parse_divided(args.monomial), cutoff=args.cutoff)
+    report = tight(ring, parse_divided(args.monomial))
     if args.json:
         print(json.dumps(report.to_json()))
     else:
@@ -350,7 +350,6 @@ def build_parser():
 
     p = sub.add_parser("tight", parents=[out], help="tightness of a monomial")
     p.add_argument("monomial")
-    p.add_argument("--cutoff", type=int, default=20)
     p.set_defaults(func=cmd_tight)
 
     p = sub.add_parser("check", parents=[graph],

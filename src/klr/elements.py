@@ -360,13 +360,6 @@ class KLRRing:
         u = tuple(range(m - 1, -1, -1))
         return KLRElement(self, {(seq, longest_element(m), u): 1})
 
-    def divided_idempotent(self, divided):
-        """Tensor product of the nilHecke block idempotents."""
-        out = KLRElement(self, {((), (), ()): 1})
-        for v, n in divided:
-            out = self.juxtapose(out, self.nilhecke_em(n, v))
-        return out
-
     # -- rewriting kernel --------------------------------------------------
 
     def _elem_cross(self, k, terms):

@@ -61,9 +61,6 @@ class LaurentPoly:
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else 0
 
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else 0
-
     def __getitem__(self, e):
         return self.coeffs.get(e, 0)
 

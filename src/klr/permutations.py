@@ -20,22 +20,11 @@ def identity(m):
     return tuple(range(m))
 
 
-def compose(u, v):
-    """u after v: (u o v)[a] = u[v[a]]."""
-    return tuple(u[x] for x in v)
-
-
 def inverse(w):
     inv = [0] * len(w)
     for a, b in enumerate(w):
         inv[b] = a
     return tuple(inv)
-
-
-def length(w):
-    """Number of inversions."""
-    return sum(1 for a in range(len(w)) for b in range(a + 1, len(w))
-               if w[a] > w[b])
 
 
 def inversions(w):

@@ -23,10 +23,6 @@ from operator import add
 from .permutations import canonical_word
 
 
-class OrientationError(ValueError):
-    pass
-
-
 def default_orientation(graph):
     """Each edge directed from the lex-smaller to the lex-larger vertex."""
     return {frozenset(e): tuple(sorted(e)) for e in graph.edges}
@@ -37,10 +33,6 @@ def reversed_orientation(graph):
 
 
 # -- sparse polynomials ----------------------------------------------------
-
-def poly_const(m, c=1):
-    return {(0,) * m: c} if c else {}
-
 
 def poly_add(p, q, scalar=1):
     out = dict(p)

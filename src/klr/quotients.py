@@ -243,16 +243,23 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     """Per-degree dimensions of R(nu)/ideal up to the cutoff degree.
 
     Stabilization means the last `window` consecutive degrees (including
-    both parities) of the quotient are zero; finite-dimensionality of
-    cyclotomic quotients is not a theorem, so a failed window is reported
-    rather than an error.  Raises ValueError for a window below 1, which
-    would call any truncated answer stabilized.
+    both parities) of the quotient are zero.  Cyclotomic quotients are
+    finite-dimensional (they categorify V(lambda), Kang-Kashiwara), and so
+    is R(nu)/Sym+, since R(nu) is free of finite rank over its centre
+    Sym(nu) (KL I, section 2).  But zeros in a window do not prove that no
+    higher degree is nonzero, so a failed window is reported rather than
+    an error.  Raises ValueError for a window below 1, which
+    would call any truncated answer stabilized, and for a window reaching
+    below the degree lower bound, where there are no degrees to read.
     """
     if window < 1:
         raise ValueError(f"stabilization window {window} must be >= 1")
     if prime is not None and prime < 2:
         raise ValueError(f"field characteristic {prime} is not a prime")
     lb = degree_lower_bound(spec.weight)
+    if cutoff - window + 1 < lb:
+        raise ValueError(f"window of {window} degrees up to cutoff {cutoff} "
+                         f"reaches below the lowest degree {lb}")
     degrees = {}
     for d in range(lb, cutoff + 1):
         total = len(graded_basis(ring.graph, spec.weight, d))

@@ -64,10 +64,6 @@ def plain(seq):
     return tuple((v, 1) for v in seq)
 
 
-def concat(d1, d2):
-    return tuple(d1) + tuple(d2)
-
-
 def reverse(divided):
     return tuple(reversed(divided))
 

@@ -27,7 +27,7 @@ from klr import (
     tight,
 )
 from klr.laurent import qfact, qint
-from klr.sequences import concat, divided_weight
+from klr.sequences import divided_weight
 from klr.verify import oracle, relations
 
 
@@ -105,7 +105,7 @@ def test_04_shuffle_lemma(ring_a2, ring_a1xa1):
                 for n2 in range(1, 5 - n1):
                     for t1 in monomials_of_total(["i", "j"], n1):
                         for t2 in monomials_of_total(["i", "j"], n2):
-                            lhs = char_projective(ring, concat(t1, t2))
+                            lhs = char_projective(ring, t1 + t2)
                             rhs = shuffle_product(
                                 ring.graph,
                                 char_projective(ring, t1),
@@ -155,16 +155,16 @@ def test_08_cycle_phenomenon(ring_cycle3, ring_cycle4):
 
 
 def test_09_tightness(ring_a2):
-    with Budget(60):
+    with Budget(10):
         for a, b, c in [(0, 1, 0), (1, 2, 1), (1, 3, 1), (2, 3, 1)]:
             theta = tuple(x for x in (("i", a), ("j", b), ("i", c)) if x[1])
-            rep = tight(ring_a2, theta, cutoff=20)
+            rep = tight(ring_a2, theta)
             assert rep.tight, (a, b, c)
-        rep = tight(ring_a2, (("i", 1), ("j", 1), ("i", 1)), cutoff=20)
+        rep = tight(ring_a2, (("i", 1), ("j", 1), ("i", 1)))
         assert not rep.tight
         assert rep.constant_term == 2
         # 12 strands: i^(2) j^(8) i^(2) is a canonical basis element
-        rep = tight(ring_a2, (("i", 2), ("j", 8), ("i", 2)), cutoff=20)
+        rep = tight(ring_a2, (("i", 2), ("j", 8), ("i", 2)))
         assert rep.tight
 
 

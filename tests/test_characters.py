@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klr import (
     GradedDim,
@@ -25,7 +27,7 @@ from klr import (
     tight,
 )
 from klr.laurent import qbinom, qfact
-from klr.sequences import concat, divided_weight
+from klr.sequences import divided_weight
 
 
 def monomials_of_weight(verts, total):
@@ -120,7 +122,7 @@ def test_shuffle_lemma(ring_a2, ring_a1xa1):
             for n2 in (1, 2):
                 for t1 in monomials_of_weight(["i", "j"], n1):
                     for t2 in monomials_of_weight(["i", "j"], n2):
-                        lhs = char_projective(ring, concat(t1, t2))
+                        lhs = char_projective(ring, t1 + t2)
                         rhs = shuffle_product(ring.graph,
                                               char_projective(ring, t1),
                                               char_projective(ring, t2))
@@ -156,11 +158,11 @@ def test_adjointness(ring_a2):
         splits = [(y, y2)
                   for y in monomials_of_weight(["i", "j"], k)
                   for y2 in monomials_of_weight(["i", "j"], total - k)
-                  if divided_weight(concat(y, y2)) == divided_weight(x)]
+                  if divided_weight(y + y2) == divided_weight(x)]
         if not splits:
             continue
         y, y2 = rng.choice(splits)
-        lhs = pair_monomials(ring_a2, x, concat(y, y2))
+        lhs = pair_monomials(ring_a2, x, y + y2)
         rhs = GradedDim.zero()
         for left, right, coeff in comultiply(ring_a2.graph, x):
             t1 = pair_monomials(ring_a2, left, y)
@@ -255,12 +257,70 @@ def test_tight(ring_a1, ring_a2):
     assert rep.constant_term == 2
     assert rep.first_bad == (0, 2)
     assert "constant term 2" in str(rep)
-    # a series cut below q^0 has no constant term to judge
-    for theta, cutoff in (((("i", 1), ("j", 1), ("i", 1)), -3),
-                          ((("i", 1), ("j", 2), ("i", 1)), -1)):
-        with pytest.raises(ValueError):
-            tight(ring_a2, theta, cutoff=cutoff)
-    assert tight(ring_a2, (("i", 1), ("j", 2), ("i", 1)), cutoff=0).tight
+    # End(P_ii) is the nilHecke ring NH_2, with psi in degree -2
+    rep = tight(ring_a2, (("i", 1), ("i", 1)))
+    assert not rep.tight
+    assert rep.first_bad == (-2, 1) and rep.constant_term == 3
+    assert rep.to_json() == {"monomial": "i i", "tight": False,
+                             "constant_term": 3, "first_bad": [-2, 1]}
+
+
+def _scan_tight(ring, theta, cutoff=12):
+    """The series-scan verdict tight() gave before it was exact.
+
+    Returns (tight, constant term, first bad term), or None where the scan
+    refused a self-pairing with a negative power of q.
+    """
+    series = pair_monomials(ring, theta, theta).series(cutoff)
+    if not series.is_zero() and series.min_exp() < 0:
+        return None
+    constant = series[0]
+    first_bad = None
+    if constant != 1:
+        first_bad = (0, constant)
+    else:
+        for e in range(1, cutoff + 1):
+            if series[e] < 0:
+                first_bad = (e, series[e])
+                break
+    return first_bad is None, constant, first_bad
+
+
+def _divided(draw, seq):
+    """Group a plain sequence into divided blocks at random."""
+    blocks = []
+    for v in seq:
+        if blocks and blocks[-1][0] == v and draw(st.booleans()):
+            blocks[-1] = (v, blocks[-1][1] + 1)
+        else:
+            blocks.append((v, 1))
+    return tuple(blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pairing_routes_positive_and_tightness_exact(ring_a1, ring_a2,
+                                                     ring_cycle3, data):
+    ring = data.draw(st.sampled_from([ring_a1, ring_a2, ring_cycle3]))
+    seq = data.draw(st.lists(st.sampled_from(ring.graph.vertices),
+                             min_size=1, max_size=7))
+    theta = _divided(data.draw, seq)
+    theta2 = _divided(data.draw, data.draw(st.permutations(seq)))
+    forward = pair_monomials(ring, theta, theta2)
+    assert forward == pair_recursive(ring, theta, theta2)
+    assert forward == pair_monomials(ring, theta2, theta)
+    assert forward == pair_recursive(ring, theta2, theta)
+    # the form is a graded dimension of a hom space (KL I, section 3)
+    self_pairing = pair_monomials(ring, theta, theta).series(12)
+    for series in (forward.series(12), self_pairing):
+        assert all(c >= 0 for c in series.coeffs.values())
+    rep = tight(ring, theta)
+    old = _scan_tight(ring, theta)
+    if old is not None:
+        assert (rep.tight, rep.constant_term, rep.first_bad) == old
+    else:
+        low = self_pairing.min_exp()
+        assert not rep.tight and rep.first_bad == (low, self_pairing[low])
 
 
 def test_cycle_alpha(ring_cycle3, ring_cycle4):

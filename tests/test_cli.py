@@ -125,6 +125,18 @@ def test_tight_examples(capsys, graph_files):
     assert code == 0 and out.strip() == "NOT TIGHT: constant term 2"
     code, out, _ = run(capsys, ["tight", "-g", graph_files["a1"], "i^(3)"])
     assert code == 0 and out.startswith("TIGHT")
+    # self-pairings with negative powers of q are valid, and not tight
+    for monomial, lowest in (("i i", [-2, 1]), ("i^(2) j i^(2)", [-4, 2])):
+        code, out, err = run(capsys, ["tight", "-g", graph_files["a2"],
+                                      monomial])
+        assert code == 0 and err == ""
+        assert out.strip() == (f"NOT TIGHT: lowest term q^{lowest[0]} "
+                               f"has coefficient {lowest[1]}")
+        code, out, _ = run(capsys, ["tight", "-g", graph_files["a2"],
+                                    "--json", monomial])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["tight"] is False and obj["first_bad"] == lowest
 
 
 def test_check_suites(capsys, graph_files):
@@ -205,8 +217,6 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
          "--cyclotomic", "i:1", "--cutoff", "1", "--window", "3"],
         ["quotient", "-g", graph_files["a1"], "--nu", "i:3", "--symplus",
          "--cutoff", "2", "--window", "0"],
-        ["tight", "-g", graph_files["a2"], "iji", "--cutoff", "-3"],
-        ["tight", "-g", graph_files["a2"], "i j^(2) i", "--cutoff", "-1"],
         ["check", "-g", graph_files["a2"], "nonsense"],
         ["check", "-g", graph_files["a2"], "cycle:x"],
         ["check", "-g", graph_files["a1"], "idempotents"],
@@ -274,7 +284,9 @@ def test_argparse_errors_exit_2(graph_files):
     for argv in (["frobnicate", "-g", g],
                  ["check", "-g", g, "relations", "--orientation", "x"],
                  ["check", "-g", g, "relations", "--json"],
-                 ["multiply", "-g", g, "--word", "i: D1", "--expand", "3"]):
+                 ["multiply", "-g", g, "--word", "i: D1", "--expand", "3"],
+                 ["tight", "-g", g, "iji", "--cutoff", "-3"],
+                 ["tight", "-g", g, "i j^(2) i", "--cutoff", "-1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

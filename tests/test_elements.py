@@ -251,10 +251,12 @@ def test_nilhecke_em(ring_a1):
 
 
 def test_divided_idempotent(ring_a2):
-    e = ring_a2.divided_idempotent((("i", 2), ("j", 1)))
+    e = ring_a2.juxtapose(ring_a2.nilhecke_em(2, "i"),
+                          ring_a2.nilhecke_em(1, "j"))
     assert e * e == e
     assert e.degree() == 0
-    assert (ring_a2.divided_idempotent((("i", 1), ("j", 1)))
+    assert (ring_a2.juxtapose(ring_a2.nilhecke_em(1, "i"),
+                              ring_a2.nilhecke_em(1, "j"))
             == ring_a2.idempotent(("i", "j")))
 
 

@@ -37,3 +37,41 @@ def test_no_unused_imports_in_package():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(Path(klr.__file__).parent.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def dead_names(sources, exported):
+    """Module-level functions and classes that no module reads.
+
+    ``sources`` maps module names to source text.  A name counts as read
+    wherever it is loaded as a bare name or an attribute, in any module,
+    its own included; names in ``exported`` are public API and never dead.
+    """
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in read and name not in exported)
+
+
+def test_dead_names_detected():
+    sources = {"a": "def used():\n    pass\n\n\nclass Gone:\n    pass\n",
+               "b": ("from a import used\nimport a\n\n\n"
+                     "def public():\n    return used()\n\n\n"
+                     "def helper():\n    return a.used\n\n\n"
+                     "def dead():\n    helper()\n")}
+    assert dead_names(sources, {"public"}) == ["a.Gone", "b.dead"]
+
+
+def test_no_dead_names_in_package():
+    sources = {path.stem: path.read_text()
+               for path in sorted(Path(klr.__file__).parent.glob("*.py"))}
+    assert dead_names(sources, set(klr.__all__)) == []

@@ -12,7 +12,7 @@ from klr import (
     reversed_orientation,
 )
 from klr.permutations import apply_perm_to_seq
-from klr.polyrep import divided_difference, monomials_up_to, poly_add, poly_const
+from klr.polyrep import divided_difference, monomials_up_to, poly_add
 
 from klr.verify import label_seqs, random_word
 
@@ -122,7 +122,7 @@ def test_generator_cases(ring_a2):
     g = ring_a2.graph
     ori = default_orientation(g)
     # oriented edge i -> j (lex order): crossing over (i, j) multiplies
-    seq, p = act_generator(g, ori, ("C", 1), ("i", "j"), poly_const(2))
+    seq, p = act_generator(g, ori, ("C", 1), ("i", "j"), {(0, 0): 1})
     assert seq == ("j", "i")
     assert p == {(1, 0): 1, (0, 1): 1}
     # against the orientation: plain swap
@@ -139,7 +139,7 @@ def test_double_crossing_action_both_orientations(ring_a2):
     g = ring_a2.graph
     for ori in (default_orientation(g), reversed_orientation(g)):
         seq, p = act_word(g, ori, ("i", "j"),
-                          [("C", 1), ("C", 1)], poly_const(2))
+                          [("C", 1), ("C", 1)], {(0, 0): 1})
         assert seq == ("i", "j")
         assert p == {(1, 0): 1, (0, 1): 1}
 

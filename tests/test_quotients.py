@@ -134,7 +134,7 @@ def test_symplus_total_dims(ring_a1, ring_a2, ring_a1xa1):
 def test_symplus_single_vertex_coinvariant_factorization(ring_a1):
     # gdim R'(mi) = (sum_w q^{-2 l(w)}) * gdim(coinvariant algebra)
     from klr.laurent import LaurentPoly
-    from klr.permutations import all_permutations, length
+    from klr.permutations import all_permutations, inversions
     for m, cutoff in ((2, 8), (3, 10)):
         weight = (("i", m),)
         rep = quotient_gdim(ring_a1, sym_plus_spec(ring_a1, weight),
@@ -142,7 +142,8 @@ def test_symplus_single_vertex_coinvariant_factorization(ring_a1):
         got = LaurentPoly({d: n for d, n in rep.degrees.items() if n})
         crossings = LaurentPoly.zero()
         for w in all_permutations(m):
-            crossings = crossings + LaurentPoly.q_power(-2 * length(w))
+            crossings = crossings + LaurentPoly.q_power(
+                -2 * len(inversions(w)))
         coinv = LaurentPoly.one()
         for t in range(1, m + 1):
             coinv = coinv * LaurentPoly({2 * a: 1 for a in range(t)})
@@ -165,6 +166,10 @@ def test_window_must_be_positive(ring_a1):
         with pytest.raises(ValueError):
             quotient_gdim(ring_a1, spec, cutoff=2, window=window)
     assert not quotient_gdim(ring_a1, spec, cutoff=2, window=1).stabilized
+    # the lowest degree of R(3i) is -6: these windows reach below it
+    for cutoff, window in ((-8, 1), (-6, 3)):
+        with pytest.raises(ValueError):
+            quotient_gdim(ring_a1, spec, cutoff=cutoff, window=window)
 
 
 def test_prime_field_agrees_here(ring_a1):

@@ -3,7 +3,6 @@ from math import comb, factorial
 from klr import a1xa1, a2, seq_enumerate
 from klr.laurent import LaurentPoly, qfact
 from klr.sequences import (
-    concat,
     divided_weight,
     expand,
     factorial_poly,
@@ -41,7 +40,6 @@ def test_divided_sequences():
     assert factorial_poly(theta) == qfact(2)
     assert plain(("i", "j")) == (("i", 1), ("j", 1))
     assert reverse(theta) == (("j", 1), ("i", 2))
-    assert concat(theta, (("i", 1),)) == (("i", 2), ("j", 1), ("i", 1))
     assert format_divided(theta) == "i^(2) j"
     assert format_seq(("i", "j")) == "ij"
     assert format_seq(("v1", "v2")) == "v1 v2"
