@@ -43,7 +43,9 @@ class CartanGraph:
     def cartan(self, i, j):
         """The pairing i.j in {2, -1, 0}."""
         if i not in self.vertices or j not in self.vertices:
-            raise GraphError(f"unknown vertex {i!r} or {j!r}")
+            unknown = " or ".join(repr(v) for v in dict.fromkeys((i, j))
+                                  if v not in self.vertices)
+            raise GraphError(f"unknown vertex {unknown}")
         if i == j:
             return 2
         return -1 if frozenset((i, j)) in self.edges else 0

@@ -2,8 +2,9 @@
 
 Elements are integer combinations of basis keys (i, w, u): bottom sequence
 i, permutation w rendered as the crossings of its canonical (lex-min)
-reduced word, and a monomial of dots x^u at the bottom.  Multiplication
-rewrites any stacked diagram back into this basis using the local relations:
+reduced word, and a monomial of dots x^u at the bottom, i.e. the KL I basis
+psi_w x^u e(i).  Diagrams are rewritten into this basis with the local
+relations:
 
 * a double crossing is 0 (equal labels), the identity (pairing 0), or a sum
   of two single dots (pairing -1);
@@ -14,12 +15,21 @@ rewrites any stacked diagram back into this basis using the local relations:
   braid move whose outer strands carry equal labels adjacent to the middle
   label costs +/- the diagram with the three crossings deleted.
 
-The directed rewriting primitive is ``_bring_to_front``: move a chosen
-descent crossing to the top of a reduced word by commutation and braid
-moves, collecting correction words.  Iterating it canonicalizes any word.
-All per-generator products are cached per (letter, sequence, permutation);
-dots at the bottom commute with everything below them, so the cache ignores
-the dot vector and the shift is applied afterwards.
+A product x * y is built from the outside in.  Each key of x is multiplied
+on the right by the crossings of y's canonical word, top to bottom, and
+y's dots are shifted in at the end.  One right step slides the dots of the
+key down through the new crossing in closed form (a divided difference on
+equal labels), so the crossings of x stay on top throughout and a term they
+kill dies at once.  The dot-free part psi_w psi_c is cached per (letter,
+sequence, permutation).
+
+Crossings stacked on top (``_cross``) are the other primitive.  Its directed
+rewriting step is ``_bring_to_front``: move a chosen descent crossing to the
+top of a reduced word by commutation and braid moves, collecting correction
+words.  Iterating it canonicalizes any word.  All per-generator products are
+cached per (letter, sequence, permutation); dots at the bottom commute with
+everything below them, so the caches ignore the dot vector and the shift is
+applied afterwards.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from .permutations import (
     inversions,
     left_mult_letter,
     longest_element,
+    right_mult_letter,
     word_to_perm,
 )
 
@@ -180,8 +191,20 @@ class KLRRing:
         # (i, crossing word) -> normal form, for any word over i
         self._word_cache = {}
         self._bring_cache = {}
+        # (c, i, w) -> normal form of psi_w e(i) with crossing c below it
+        self._right_cross_cache = {}
         # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
         self._pair_cache = {}
+        self._terms_read = 0  # terms read by the right-crossing steps
+
+    def stats(self):
+        """Work done so far: the size of each cache, and ``terms_read``,
+        the number of terms the right-crossing steps of ``multiply`` and
+        ``psi`` have read."""
+        caches = {name[1:-len("_cache")]: len(value)
+                  for name, value in vars(self).items()
+                  if name.endswith("_cache")}
+        return {"caches": caches, "terms_read": self._terms_read}
 
     # -- constructors ------------------------------------------------------
 
@@ -263,32 +286,27 @@ class KLRRing:
     # -- ring operations ---------------------------------------------------
 
     def multiply(self, x, y):
+        """x * y, with x stacked on top of y.
+
+        Built from the outside in: the terms of x whose bottom is the top of
+        a term of y are right-multiplied by that term's crossings, top to
+        bottom, and its dots are shifted in last.
+        """
         _check_weights(x, y)
         out = {}
-        for (ix, px, ux), cx in x.terms.items():
-            word_x = tuple(reversed(canonical_word(px)))
-            for (iy, py, uy), cy in y.terms.items():
-                if apply_perm_to_seq(py, iy) != ix:
-                    continue
-                acc = {(iy, py, uy): cx * cy}
-                for pos, mult in enumerate(ux):
-                    for _ in range(mult):
-                        acc = self._elem_dot(pos + 1, acc)
-                for letter in word_x:
-                    acc = self._elem_cross(letter, acc)
-                _acc(out, acc)
+        for (iy, py, uy), cy in y.terms.items():
+            top = apply_perm_to_seq(py, iy)
+            acc = {k: c for k, c in x.terms.items() if k[0] == top}
+            if acc:
+                _acc(out, self._right_word(acc, canonical_word(py)), cy, uy)
         return KLRElement(self, out)
 
     def psi(self, x):
         """Horizontal flip: antiautomorphism fixing idempotents and dots."""
         out = {}
         for (i, w, u), c in x.terms.items():
-            top = apply_perm_to_seq(w, i)
-            acc = self._word_elem(top, tuple(reversed(canonical_word(w))))
-            for pos, mult in enumerate(u):
-                for _ in range(mult):
-                    acc = self._elem_dot(pos + 1, acc)
-            _acc(out, acc, c)
+            start = {(i, identity(len(i)), u): c}
+            _acc(out, self._right_word(start, tuple(reversed(canonical_word(w)))))
         return KLRElement(self, out)
 
     def sigma(self, x):
@@ -372,6 +390,66 @@ class KLRRing:
         out = {}
         for (i, w, u), c in terms.items():
             _acc(out, self._dot(k, i, w), c, u)
+        return out
+
+    def _right_word(self, terms, word):
+        """terms * psi_word: right-multiply by the letters of word, top first.
+
+        One step is  psi_w x^v e(i) . psi_c = (psi_w psi_c) x^{s_c v}
+        + [i_c = i_{c+1}] psi_w d_c(x^v) e(i),  where d_c = (f - s_c f) /
+        (x_c - x_{c+1}) is the divided difference.  It follows from sliding
+        the dots down through the new crossing, x_c psi_c = psi_c x_{c+1} + 1
+        and x_{c+1} psi_c = psi_c x_c - 1 on equal labels.  On monomials,
+        d_c(x_c^a x_{c+1}^b) = sum_{j < a-b} x_c^{a-1-j} x_{c+1}^{b+j} for
+        a > b, minus the same sum with a and b exchanged for a < b, and 0
+        for a = b.
+        """
+        for c in word:
+            self._terms_read += len(terms)
+            out = {}
+            get = out.get
+            for (i, w, v), k in terms.items():
+                sv = list(v)
+                a, b = sv[c - 1], sv[c]
+                sv[c - 1], sv[c] = b, a
+                _acc(out, self._right_cross(c, i, w), k, tuple(sv))
+                if a == b or i[c - 1] != i[c]:
+                    continue
+                lo, hi = (b, a) if a > b else (a, b)
+                sign = k if a > b else -k
+                for j in range(hi - lo):
+                    sv[c - 1], sv[c] = hi - 1 - j, lo + j
+                    key = (i, w, tuple(sv))
+                    n = get(key, 0) + sign
+                    if n:
+                        out[key] = n
+                    else:
+                        del out[key]
+            terms = out
+        return terms
+
+    def _right_cross(self, c, i, w):
+        """Normal form of psi_w e(i) . psi_c, over the sequence s_c i."""
+        key = (c, i, w)
+        hit = self._right_cross_cache.get(key)
+        if hit is not None:
+            return hit
+        lst = list(i)
+        lst[c - 1], lst[c] = lst[c], lst[c - 1]
+        below = tuple(lst)
+        cw = canonical_word(w)
+        if w[c - 1] < w[c]:
+            # length goes up: canonical(w) + c is reduced for w s_c
+            v = right_mult_letter(w, c)
+            if canonical_word(v) == cw + (c,):
+                out = {(below, v, (0,) * len(i)): 1}
+            else:
+                out = self._reduced_word_elem(below, cw + (c,))
+        else:
+            # psi_w is psi_{cw[0]} psi_{w'} with psi_{w'} canonical
+            out = self._elem_cross(cw[0], self._right_cross(
+                c, i, left_mult_letter(cw[0], w)))
+        self._right_cross_cache[key] = out
         return out
 
     def _cross(self, k, i, w):

@@ -33,8 +33,13 @@ def test_cartan_symmetry_all_stock_graphs():
 
 
 def test_unknown_vertex():
-    with pytest.raises(GraphError):
-        a2().cartan("i", "z")
+    for i, j in (("i", "z"), ("z", "i"), ("z", "z")):
+        with pytest.raises(GraphError) as err:
+            a2().cartan(i, j)
+        assert str(err.value) == "unknown vertex 'z'"
+    with pytest.raises(GraphError) as err:
+        a2().cartan("y", "z")
+    assert str(err.value) == "unknown vertex 'y' or 'z'"
     a2().require_vertices("iji")
     with pytest.raises(GraphError):
         a2().require_vertices("ijz")

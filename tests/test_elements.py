@@ -8,14 +8,17 @@ from klr import (
     GradedDim,
     GraphError,
     InhomogeneousError,
+    KLRRing,
     LaurentPoly,
     WeightMismatchError,
     diagram_degree,
+    single_vertex,
 )
 from klr.permutations import (
     all_permutations,
     apply_perm_to_seq,
     canonical_word,
+    inverse,
     longest_element,
 )
 
@@ -155,19 +158,74 @@ def test_degree_additivity(ring_a2):
     assert checked > 10
 
 
-def test_psi_sigma(ring_a1, ring_a2):
-    rng = random.Random(13)
-    for ring in (ring_a1, ring_a2):
-        seqs = label_seqs(ring.graph, 3)
-        for _ in range(30):
-            seq = rng.choice(seqs)
-            a = ring.evaluate_word(seq, random_word(rng, 3, 4))
-            b = ring.evaluate_word(seq, random_word(rng, 3, 4))
-            assert ring.psi(a * b) == ring.psi(b) * ring.psi(a)
-            assert ring.psi(ring.psi(a)) == a
-            assert ring.sigma(a * b) == ring.sigma(a) * ring.sigma(b)
-            assert ring.sigma(ring.sigma(a)) == a
-            assert ring.sigma(ring.psi(a)) == ring.psi(ring.sigma(a))
+def _multiply_inside_out(ring, x, y):
+    """Reference product, the former KLRRing.multiply: push the dots of x
+    into y one at a time, then stack the crossings of x on top."""
+    out = {}
+    for (ix, px, ux), cx in x.terms.items():
+        word_x = tuple(reversed(canonical_word(px)))
+        for (iy, py, uy), cy in y.terms.items():
+            if apply_perm_to_seq(py, iy) != ix:
+                continue
+            acc = {(iy, py, uy): cx * cy}
+            for pos, mult in enumerate(ux):
+                for _ in range(mult):
+                    acc = ring._elem_dot(pos + 1, acc)
+            for letter in word_x:
+                acc = ring._elem_cross(letter, acc)
+            for key, c in acc.items():
+                out[key] = out.get(key, 0) + c
+    return ring.element(out)
+
+
+def _draw_element(data, ring, base, tops=(), max_dot=3):
+    """1-3 basis keys over permutations of base, with dots 0..max_dot and
+    small coefficients.  Each key's top sequence is drawn from tops when
+    tops is non-empty, so products with an element over those bottoms
+    meet."""
+    m = len(base)
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        w = tuple(data.draw(st.permutations(range(m))))
+        if tops:
+            i = apply_perm_to_seq(inverse(w), data.draw(st.sampled_from(tops)))
+        else:
+            i = tuple(data.draw(st.permutations(base)))
+        u = tuple(data.draw(st.lists(st.integers(0, max_dot),
+                                     min_size=m, max_size=m)))
+        terms[(i, w, u)] = data.draw(st.sampled_from([-2, -1, 1, 3]))
+    return ring.element(terms)
+
+
+def _draw_pair(data, rings, strands):
+    """A ring and two elements x, y of it whose product usually meets."""
+    ring = data.draw(st.sampled_from(rings))
+    base = tuple(data.draw(st.lists(st.sampled_from(ring.graph.vertices),
+                                    min_size=strands[0],
+                                    max_size=strands[1])))
+    x = _draw_element(data, ring, base)
+    y = _draw_element(data, ring, base,
+                      tops=sorted({i for i, _, _ in x.terms}))
+    return ring, x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_multiply_matches_inside_out(ring_a1, ring_a2, ring_cycle3, data):
+    ring, x, y = _draw_pair(data, [ring_a1, ring_a2, ring_cycle3], (3, 5))
+    assert ring.multiply(x, y) == _multiply_inside_out(ring, x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_psi_sigma(ring_a1, ring_a2, ring_cycle3, data):
+    ring, a, b = _draw_pair(data, [ring_a1, ring_a2, ring_cycle3], (2, 4))
+    assert ring.psi(ring.psi(a)) == a
+    assert ring.sigma(ring.sigma(a)) == a
+    assert ring.psi(a * b) == ring.psi(b) * ring.psi(a)
+    assert ring.sigma(a * b) == ring.sigma(a) * ring.sigma(b)
+    assert ring.sigma(ring.psi(a)) == ring.psi(ring.sigma(a))
+    assert ring.element_from_json(a.to_json()) == a
 
 
 def test_psi_sigma_on_generators(ring_a1, ring_a2):
@@ -244,10 +302,26 @@ def test_nilhecke_em(ring_a1):
     assert ring_a1.nilhecke_em(1, "i") == ring_a1.idempotent(("i",))
     e2 = ring_a1.nilhecke_em(2, "i")
     assert e2.terms == {(("i", "i"), (1, 0), (1, 0)): 1}
-    for m in (2, 3, 4):
+    for m in range(2, 9):
         em = ring_a1.nilhecke_em(m, "i")
         assert em * em == em
         assert em.degree() == 0
+
+
+def test_stats_count_right_crossing_terms():
+    ring = KLRRing(single_vertex())
+    assert ring.stats() == {
+        "caches": {"cross": 0, "dot": 0, "word": 0, "bring": 0,
+                   "right_cross": 0, "pair": 0},
+        "terms_read": 0}
+    e8 = ring.nilhecke_em(8, "i")
+    assert e8 * e8 == e8
+    stats = ring.stats()
+    # one term per letter of the longest word: psi_{w0} psi_c = 0, and only
+    # the divided difference of the staircase survives each step
+    assert stats["terms_read"] <= 28
+    assert stats["caches"]["right_cross"] > 0
+    assert stats["caches"]["dot"] == 0
 
 
 def test_divided_idempotent(ring_a2):
