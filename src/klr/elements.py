@@ -40,6 +40,7 @@ from .cartan import weight_of_seq
 from .gdim import GradedDim
 from .laurent import LaurentPoly, format_sum
 from .permutations import (
+    GeneratorIndexError,
     apply_perm_to_seq,
     apply_word_to_seq,
     block_sum,
@@ -60,10 +61,6 @@ class WeightMismatchError(ValueError):
 
 class InhomogeneousError(ValueError):
     """Degree requested for a zero or inhomogeneous element."""
-
-
-class GeneratorIndexError(IndexError, ValueError):
-    """A dot or crossing index outside the strands of its sequence."""
 
 
 def _check_weights(x, y):

@@ -16,6 +16,10 @@ from functools import lru_cache
 from itertools import permutations as _permutations
 
 
+class GeneratorIndexError(IndexError, ValueError):
+    """A dot or crossing index outside the strands of its sequence."""
+
+
 def identity(m):
     return tuple(range(m))
 

@@ -6,6 +6,9 @@ divided difference operator (equal labels), a plain variable swap (pairing
 0, or an edge oriented against the crossing), or swap followed by
 multiplication by x_k + x_{k+1} (an edge oriented with the crossing).  The
 orientation of each edge is a choice; the ring itself does not depend on it.
+Each crossing is one pass over the polynomial: every monomial is written
+once, swapped and, for an oriented edge, multiplied in the same loop, and
+a basis key keeps one label list for its whole word.
 
 This module deliberately shares no code with the rewriting kernel beyond
 the basis-key data: products are *not* normalized here, they are composed
@@ -20,7 +23,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from operator import add
 
-from .permutations import canonical_word
+from .permutations import GeneratorIndexError, canonical_word
+from .sequences import seq_enumerate
 
 
 def default_orientation(graph):
@@ -34,33 +38,12 @@ def reversed_orientation(graph):
 
 # -- sparse polynomials ----------------------------------------------------
 
-def poly_add(p, q, scalar=1):
-    out = dict(p)
-    for e, c in q.items():
-        v = out.get(e, 0) + scalar * c
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
-
-
 def poly_mul_var(p, k):
     """Multiply by x_k (1-based)."""
     out = {}
     for e, c in p.items():
         e2 = list(e)
         e2[k - 1] += 1
-        out[tuple(e2)] = c
-    return out
-
-
-def poly_swap(p, k):
-    """Exchange the variables x_k and x_{k+1}; a bijection on monomials."""
-    out = {}
-    for e, c in p.items():
-        e2 = list(e)
-        e2[k - 1], e2[k] = e2[k], e2[k - 1]
         out[tuple(e2)] = c
     return out
 
@@ -91,33 +74,67 @@ def divided_difference(p, k):
 
 # -- the action ------------------------------------------------------------
 
+def _cross(graph, orientation, labels, k, poly):
+    """The crossing of strands k, k+1 on poly, in one pass over its terms.
+
+    ``labels`` is the bottom sequence as a list; it is swapped in place to
+    the top sequence.  Equal labels act by the divided difference.  Other
+    labels swap x_k and x_{k+1} in every monomial, and an edge oriented
+    with the crossing, from labels[k-1] to labels[k], also multiplies by
+    x_k + x_{k+1} in the same loop.
+    """
+    j = k - 1
+    a, b = labels[j], labels[k]
+    if a == b:
+        return divided_difference(poly, k)
+    labels[j], labels[k] = b, a
+    out = {}
+    if graph.cartan(a, b) == 0 or orientation[frozenset((a, b))] != (a, b):
+        for e, c in poly.items():
+            e2 = list(e)
+            e2[j], e2[k] = e2[k], e2[j]
+            out[tuple(e2)] = c
+        return out
+    for e, c in poly.items():
+        e2 = list(e)
+        p, q = e2[k], e2[j]
+        e2[j], e2[k] = p + 1, q
+        t = tuple(e2)
+        v = out.get(t, 0) + c
+        if v:
+            out[t] = v
+        else:
+            del out[t]
+        e2[j], e2[k] = p, q + 1
+        t = tuple(e2)
+        v = out.get(t, 0) + c
+        if v:
+            out[t] = v
+        else:
+            del out[t]
+    return out
+
+
 def act_generator(graph, orientation, token, seq, poly):
     """Act by one generator on a polynomial over one sequence.
 
-    Returns (new_sequence, new_polynomial).
+    Returns (new_sequence, new_polynomial).  Raises GeneratorIndexError for
+    a dot or crossing outside the strands of seq.
     """
     typ, k = token
-    seq = tuple(seq)
+    m = len(seq)
     if typ == "D":
-        return seq, poly_mul_var(poly, k)
+        if not 1 <= k <= m:
+            raise GeneratorIndexError(
+                f"dot position {k} out of range for {m} strands")
+        return tuple(seq), poly_mul_var(poly, k)
     if typ != "C":
         raise ValueError(f"unknown token type {typ!r}")
-    a, b = seq[k - 1], seq[k]
-    lst = list(seq)
-    lst[k - 1], lst[k] = lst[k], lst[k - 1]
-    new_seq = tuple(lst)
-    if a == b:
-        return seq, divided_difference(poly, k)
-    pairing = graph.cartan(a, b)
-    if pairing == 0:
-        return new_seq, poly_swap(poly, k)
-    tail, head = orientation[frozenset((a, b))]
-    swapped = poly_swap(poly, k)
-    if (a, b) == (tail, head):
-        # edge oriented with the bottom labels: swap then multiply
-        return new_seq, poly_add(poly_mul_var(swapped, k),
-                                 poly_mul_var(swapped, k + 1))
-    return new_seq, poly_swap(poly, k)
+    if not 1 <= k <= m - 1:
+        raise GeneratorIndexError(f"crossing {k} out of range for {m} strands")
+    labels = list(seq)
+    poly = _cross(graph, orientation, labels, k, poly)
+    return tuple(labels), poly
 
 
 def act_term(graph, orientation, key, seq, poly):
@@ -125,13 +142,12 @@ def act_term(graph, orientation, key, seq, poly):
     i, w, u = key
     if i != tuple(seq):
         return None
-    cur_seq, cur = i, poly
     if any(u):
-        cur = {tuple(map(add, e, u)): c for e, c in poly.items()}
+        poly = {tuple(map(add, e, u)): c for e, c in poly.items()}
+    labels = list(i)
     for letter in reversed(canonical_word(w)):
-        cur_seq, cur = act_generator(graph, orientation, ("C", letter),
-                                     cur_seq, cur)
-    return cur_seq, cur
+        poly = _cross(graph, orientation, labels, letter, poly)
+    return tuple(labels), poly
 
 
 def act(orientation, x, seq, poly):
@@ -143,7 +159,13 @@ def act(orientation, x, seq, poly):
         if res is None:
             continue
         new_seq, p = res
-        out[new_seq] = poly_add(out.get(new_seq, {}), p, c)
+        target = out.setdefault(new_seq, {})
+        for e, v in p.items():
+            v = target.get(e, 0) + c * v
+            if v:
+                target[e] = v
+            else:
+                del target[e]
     return {s: p for s, p in out.items() if p}
 
 
@@ -183,7 +205,6 @@ def oracle_equal(x, y, degree_bound=3, orientation=None):
     wy = y.weight
     if wy is not None and wy != weight:
         raise ValueError("weight mismatch in oracle comparison")
-    from .sequences import seq_enumerate
     m = sum(n for _, n in weight)
     diff = x - y
     for seq in seq_enumerate(weight):

@@ -35,8 +35,7 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def graded_basis(graph, weight, d):
-    """All basis keys (sequence, permutation, dots) of degree d, sorted."""
+def _enumerate_basis(graph, weight, d):
     m = weight_size(weight)
     out = []
     for seq in seq_enumerate(weight):
@@ -47,8 +46,24 @@ def graded_basis(graph, weight, d):
                 continue
             for u in _compositions(rem // 2, m):
                 out.append((seq, w, u))
-    out.sort()
-    return out
+    return tuple(sorted(out))
+
+
+# (vertices, edges, weight, d) -> sorted tuple of basis keys
+_basis_cache = {}
+
+
+def graded_basis(graph, weight, d):
+    """All basis keys (sequence, permutation, dots) of degree d, sorted.
+
+    Each basis is enumerated once per graph, weight and degree; every call
+    returns a new list, so no caller can change the cached one.
+    """
+    key = (graph.vertices, graph.edges, tuple((v, n) for v, n in weight), d)
+    basis = _basis_cache.get(key)
+    if basis is None:
+        basis = _basis_cache[key] = _enumerate_basis(graph, weight, d)
+    return list(basis)
 
 
 class IdealSpec:

@@ -75,3 +75,27 @@ def test_no_dead_names_in_package():
     sources = {path.stem: path.read_text()
                for path in sorted(Path(klr.__file__).parent.glob("*.py"))}
     assert dead_names(sources, set(klr.__all__)) == []
+
+
+def local_imports(source):
+    """Imports inside a function body, as "function:line"."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.add(f"{node.name}:{inner.lineno}")
+    return sorted(found)
+
+
+def test_local_imports_detected():
+    source = ("import os\n\n\ndef f():\n    from x import y\n    return y\n"
+              "\n\nclass C:\n    def g(self):\n        import re\n"
+              "        return re\n")
+    assert local_imports(source) == ["f:5", "g:11"]
+
+
+def test_no_function_local_imports():
+    found = {path.name: local_imports(path.read_text())
+             for path in sorted(Path(klr.__file__).parent.glob("*.py"))}
+    assert {name: where for name, where in found.items() if where} == {}

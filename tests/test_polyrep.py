@@ -1,9 +1,12 @@
 import random
+from operator import add
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klr import (
+    GeneratorIndexError,
     act,
     act_generator,
     act_word,
@@ -11,10 +14,65 @@ from klr import (
     oracle_equal,
     reversed_orientation,
 )
-from klr.permutations import apply_perm_to_seq
-from klr.polyrep import divided_difference, monomials_up_to, poly_add
+from klr.permutations import apply_perm_to_seq, canonical_word
+from klr.polyrep import divided_difference, monomials_up_to, poly_mul_var
 
 from klr.verify import label_seqs, random_word
+
+
+def poly_add(p, q, scalar=1):
+    out = dict(p)
+    for e, c in q.items():
+        v = out.get(e, 0) + scalar * c
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def poly_swap(p, k):
+    """Exchange the variables x_k and x_{k+1}."""
+    out = {}
+    for e, c in p.items():
+        e2 = list(e)
+        e2[k - 1], e2[k] = e2[k], e2[k - 1]
+        out[tuple(e2)] = c
+    return out
+
+
+def _act_generator_reference(graph, orientation, token, seq, poly):
+    """The per-generator action that the one-pass crossing replaced."""
+    typ, k = token
+    seq = tuple(seq)
+    if typ == "D":
+        return seq, poly_mul_var(poly, k)
+    a, b = seq[k - 1], seq[k]
+    lst = list(seq)
+    lst[k - 1], lst[k] = lst[k], lst[k - 1]
+    new_seq = tuple(lst)
+    if a == b:
+        return seq, divided_difference(poly, k)
+    if graph.cartan(a, b) != 0 and orientation[frozenset((a, b))] == (a, b):
+        swapped = poly_swap(poly, k)
+        return new_seq, poly_add(poly_mul_var(swapped, k),
+                                 poly_mul_var(swapped, k + 1))
+    return new_seq, poly_swap(poly, k)
+
+
+def _act_reference(orientation, x, seq, poly):
+    """Each term's crossings one generator at a time, summed by poly_add."""
+    out = {}
+    for (i, w, u), c in x.terms.items():
+        if i != tuple(seq):
+            continue
+        cur_seq = i
+        cur = {tuple(map(add, e, u)): v for e, v in poly.items()}
+        for letter in reversed(canonical_word(w)):
+            cur_seq, cur = _act_generator_reference(
+                x.ring.graph, orientation, ("C", letter), cur_seq, cur)
+        out[cur_seq] = poly_add(out.get(cur_seq, {}), cur, c)
+    return {s: p for s, p in out.items() if p}
 
 
 def test_divided_difference():
@@ -116,6 +174,102 @@ def test_multiply_matches_composed_action(ring_a1, ring_a2, ring_cycle3,
                 composed[s3] = poly_add(composed.get(s3, {}), p3)
         composed = {s: p for s, p in composed.items() if p}
         assert act(orient, a * b, src, f) == composed
+
+
+@st.composite
+def signed_polys(draw, m, k=None):
+    """Up to 6 terms, exponents 0..3, signed coefficients.
+
+    Given a crossing index k, a term may get a partner with one exponent
+    moved from x_k to x_{k+1} and the opposite coefficient, so that their
+    images under an oriented crossing share a monomial that cancels.
+    """
+    mono = st.tuples(*[st.integers(0, 3)] * m)
+    coeff = st.integers(-3, 3).filter(bool)
+    poly = draw(st.dictionaries(mono, coeff, max_size=6))
+    if k is not None and poly and draw(st.booleans()):
+        e = draw(st.sampled_from(sorted(poly)))
+        if e[k - 1] > 0:
+            e2 = list(e)
+            e2[k - 1] -= 1
+            e2[k] += 1
+            poly[tuple(e2)] = -poly[e]
+    return poly
+
+
+@st.composite
+def oracle_setups(draw, rings):
+    """A ring, an orientation of its graph, and a sequence of 2-5 labels."""
+    ring = draw(st.sampled_from(rings))
+    g = ring.graph
+    orient = draw(st.sampled_from([default_orientation(g),
+                                   reversed_orientation(g)]))
+    m = draw(st.integers(2, 5))
+    seq = tuple(draw(st.lists(st.sampled_from(g.vertices),
+                              min_size=m, max_size=m)))
+    return ring, orient, seq
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_act_generator_matches_reference(ring_a1, ring_a2, ring_cycle3,
+                                         data):
+    ring, orient, seq = data.draw(
+        oracle_setups([ring_a1, ring_a2, ring_cycle3]))
+    m = len(seq)
+    token = data.draw(st.one_of(
+        st.tuples(st.just("C"), st.integers(1, m - 1)),
+        st.tuples(st.just("D"), st.integers(1, m))))
+    k = token[1] if token[0] == "C" else None
+    poly = data.draw(signed_polys(m, k))
+    g = ring.graph
+    assert (act_generator(g, orient, token, seq, poly)
+            == _act_generator_reference(g, orient, token, seq, poly))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_act_matches_reference(ring_a1, ring_a2, ring_cycle3, data):
+    ring, orient, seq = data.draw(
+        oracle_setups([ring_a1, ring_a2, ring_cycle3]))
+    keys = data.draw(st.lists(basis_keys(ring, seq), min_size=1, max_size=4))
+    # a term over a reordering of seq acts by zero unless it is seq itself
+    other = tuple(data.draw(st.permutations(seq)))
+    keys.append(data.draw(basis_keys(ring, other)))
+    coeff = st.integers(-3, 3).filter(bool)
+    x = ring.element({key: data.draw(coeff) for key in keys})
+    poly = data.draw(signed_polys(len(seq)))
+    assert act(orient, x, seq, poly) == _act_reference(orient, x, seq, poly)
+
+
+def test_cancelling_terms_are_dropped(ring_a2):
+    g = ring_a2.graph
+    ori = default_orientation(g)
+    # (x2 - x1)(x1 + x2) after the swap: the x1 x2 terms cancel
+    seq, p = act_generator(g, ori, ("C", 1), ("i", "j"),
+                           {(1, 0): 1, (0, 1): -1})
+    assert seq == ("j", "i")
+    assert p == {(0, 2): 1, (2, 0): -1}
+    # (2 x1 - x2)(2 x1 + x2): the x1 x2 terms of the two products cancel
+    x = ring_a2.element({(("i", "j"), (0, 1), (1, 0)): 2,
+                         (("i", "j"), (0, 1), (0, 1)): -1})
+    assert (act(ori, x, ("i", "j"), {(1, 0): 2, (0, 1): 1})
+            == {("i", "j"): {(2, 0): 4, (0, 2): -1}})
+
+
+def test_generator_index_errors(ring_a2):
+    g = ring_a2.graph
+    ori = default_orientation(g)
+    for token in [("C", 0), ("C", 2), ("D", 0), ("D", 3)]:
+        with pytest.raises(GeneratorIndexError) as oracle:
+            act_generator(g, ori, token, ("i", "j"), {(1, 0): 1})
+        with pytest.raises(GeneratorIndexError) as kernel:
+            ring_a2.evaluate_word(("i", "j"), [token])
+        assert str(oracle.value) == str(kernel.value)
+        with pytest.raises(GeneratorIndexError):
+            act_word(g, ori, ("i", "j"), [("C", 1), token], {(1, 0): 1})
+    with pytest.raises(ValueError, match="unknown token type"):
+        act_generator(g, ori, ("X", 1), ("i", "j"), {(1, 0): 1})
 
 
 def test_generator_cases(ring_a2):

@@ -9,6 +9,8 @@ from klr import (
     GraphError,
     IdealSpec,
     LaurentPoly,
+    a1xa1,
+    a2,
     cyclotomic_spec,
     degree_lower_bound,
     graded_basis,
@@ -18,7 +20,7 @@ from klr import (
     quotient_gdim,
     sym_plus_spec,
 )
-from klr.quotients import _rank
+from klr.quotients import _enumerate_basis, _rank
 
 # Regression fixtures: graded dimensions of single-vertex cyclotomic
 # quotients, recorded from the first verified runs of this implementation
@@ -35,6 +37,22 @@ def test_graded_basis_examples(ring_a1):
     assert graded_basis(g, (("i", 1),), 2) == [(("i",), (0,), (1,))]
     assert graded_basis(g, (("i", 1),), 1) == []
     assert graded_basis(g, (("i", 2),), -2) == [(("i", "i"), (1, 0), (0, 0))]
+
+
+def test_graded_basis_cache(ring_a2):
+    g = ring_a2.graph
+    weight = (("i", 2), ("j", 1))
+    for d in range(degree_lower_bound(weight), 5):
+        fresh = list(_enumerate_basis(g, weight, d))
+        first = graded_basis(g, weight, d)
+        assert first == fresh
+        first.append("changed")
+        assert graded_basis(g, weight, d) == fresh
+    # equal graphs share a basis; another graph gets its own
+    assert graded_basis(a2(), weight, 0) == graded_basis(g, weight, 0)
+    other = graded_basis(a1xa1(), weight, 0)
+    assert other == list(_enumerate_basis(a1xa1(), weight, 0))
+    assert other != graded_basis(g, weight, 0)
 
 
 def test_degree_lower_bound(ring_a1, ring_a2, ring_a1xa1):
