@@ -9,27 +9,29 @@ relations:
 * a double crossing is 0 (equal labels), the identity (pairing 0), or a sum
   of two single dots (pairing -1);
 * dots slide freely through distinct-label crossings, and through an
-  equal-label crossing at the cost of +/- the diagram with that crossing
-  deleted;
+  equal-label crossing by the one dot slide x_c psi_c = psi_c x_{c+1} + 1;
 * two reduced words of the same permutation differ by braid moves, and a
   braid move whose outer strands carry equal labels adjacent to the middle
   label costs +/- the diagram with the three crossings deleted.
 
-A product x * y is built from the outside in.  Each key of x is multiplied
-on the right by the crossings of y's canonical word, top to bottom, and
-y's dots are shifted in at the end.  One right step slides the dots of the
-key down through the new crossing in closed form (a divided difference on
-equal labels), so the crossings of x stay on top throughout and a term they
-kill dies at once.  The dot-free part psi_w psi_c is cached per (letter,
-sequence, permutation).
+Every product is built from the outside in, as a right word: keys are
+multiplied on the right by crossings, top to bottom (``_right_word``), and
+dots below them are shifted in.  One right step slides the dots of a key
+down through the new crossing in closed form (a divided difference on
+equal labels), so the crossings above stay on top and a term they kill
+dies at once.  ``multiply``, ``psi``, ``evaluate_word``, a dot over a basis
+diagram (``_dot``) and a crossing word over a sequence (``_word_elem``)
+are all built this way.  The dot-free part psi_w psi_c is cached per
+(letter, sequence, permutation); dots at the bottom commute with
+everything below them, so the caches ignore the dot vector and the shift
+is applied afterwards.
 
-Crossings stacked on top (``_cross``) are the other primitive.  Its directed
-rewriting step is ``_bring_to_front``: move a chosen descent crossing to the
-top of a reduced word by commutation and braid moves, collecting correction
-words.  Iterating it canonicalizes any word.  All per-generator products are
-cached per (letter, sequence, permutation); dots at the bottom commute with
-everything below them, so the caches ignore the dot vector and the shift is
-applied afterwards.
+Crossings stacked on top (``_cross``) are kept only for canonicalization.
+``_bring_to_front`` moves a chosen descent crossing to the top of a
+reduced word by commutation and braid moves, collecting correction words;
+iterating it brings a reduced word to canonical form.  When a right step
+shortens the permutation, ``_right_cross`` splits off the first letter of
+the canonical word and stacks it back on top with ``_cross``.
 """
 
 from __future__ import annotations
@@ -184,7 +186,6 @@ class KLRRing:
     def __init__(self, graph):
         self.graph = graph
         self._cross_cache = {}
-        self._dot_cache = {}
         # (i, crossing word) -> normal form, for any word over i
         self._word_cache = {}
         self._bring_cache = {}
@@ -196,8 +197,9 @@ class KLRRing:
 
     def stats(self):
         """Work done so far: the size of each cache, and ``terms_read``,
-        the number of terms the right-crossing steps of ``multiply`` and
-        ``psi`` have read."""
+        the number of terms read by every right-crossing step, whether of
+        ``multiply``, ``psi``, ``evaluate_word`` or the kernel's own dots
+        and words."""
         caches = {name[1:-len("_cache")]: len(value)
                   for name, value in vars(self).items()
                   if name.endswith("_cache")}
@@ -260,24 +262,34 @@ class KLRRing:
         return self.evaluate_word(seq, [token])
 
     def evaluate_word(self, seq, tokens):
-        """Stack generator tokens bottom-to-top over the idempotent of seq."""
+        """Stack generator tokens bottom-to-top over the idempotent of seq.
+
+        The tokens are checked first.  The word is then built top down: a
+        crossing is one right step, and a dot shifts the bottom dots.
+        """
         seq = tuple(seq)
         self.graph.require_vertices(seq)
         m = len(seq)
-        acc = {(seq, identity(m), (0,) * m): 1}
+        top = list(seq)
         for typ, k in tokens:
             if typ == "D":
                 if not 1 <= k <= m:
                     raise GeneratorIndexError(
                         f"dot position {k} out of range for {m} strands")
-                acc = self._elem_dot(k, acc)
             elif typ == "C":
                 if not 1 <= k <= m - 1:
                     raise GeneratorIndexError(
                         f"crossing {k} out of range for {m} strands")
-                acc = self._elem_cross(k, acc)
+                top[k - 1], top[k] = top[k], top[k - 1]
             else:
                 raise ValueError(f"unknown token type {typ!r}")
+        acc = {(tuple(top), identity(m), (0,) * m): 1}
+        for typ, k in reversed(tokens):
+            if typ == "C":
+                acc = self._right_word(acc, (k,))
+            else:
+                above, acc = acc, {}
+                _acc(acc, above, 1, tuple(int(a == k - 1) for a in range(m)))
         return KLRElement(self, acc)
 
     # -- ring operations ---------------------------------------------------
@@ -487,41 +499,10 @@ class KLRRing:
 
     def _dot(self, k, i, w):
         """Normal form of a dot at top position k over the basis diagram w."""
-        key = (k, i, w)
-        hit = self._dot_cache.get(key)
-        if hit is not None:
-            return hit
-        word = canonical_word(w)
-        r = len(word)
-        # sequence at the level just below each crossing, top-to-bottom
-        below_seq = [None] * r
-        cur = i
-        for t in range(r - 1, -1, -1):
-            below_seq[t] = cur
-            c = word[t]
-            lst = list(cur)
-            lst[c - 1], lst[c] = lst[c], lst[c - 1]
-            cur = tuple(lst)
-        out = {}
-        p = k
-        for t in range(r):
-            c = word[t]
-            if p != c and p != c + 1:
-                continue
-            if below_seq[t][c - 1] != below_seq[t][c]:
-                p = c + 1 if p == c else c
-            else:
-                deleted = word[:t] + word[t + 1:]
-                if p == c:
-                    _acc(out, self._word_elem(i, deleted), 1)
-                    p = c + 1
-                else:
-                    _acc(out, self._word_elem(i, deleted), -1)
-                    p = c
-        u = tuple(1 if a == p - 1 else 0 for a in range(len(i)))
-        _acc(out, {(i, w, u): 1})
-        self._dot_cache[key] = out
-        return out
+        m = len(i)
+        u = tuple(int(a == k - 1) for a in range(m))
+        top = apply_perm_to_seq(w, i)
+        return self._right_word({(top, identity(m), u): 1}, canonical_word(w))
 
     def _word_elem(self, i, word):
         """Normal form of an arbitrary crossing word (top-to-bottom) over i."""
@@ -529,11 +510,9 @@ class KLRRing:
         hit = self._word_cache.get(key)
         if hit is not None:
             return hit
-        if not word:
-            m = len(i)
-            out = {(i, identity(m), (0,) * m): 1}
-        else:
-            out = self._elem_cross(word[0], self._word_elem(i, word[1:]))
+        m = len(i)
+        top = apply_word_to_seq(word, i)
+        out = self._right_word({(top, identity(m), (0,) * m): 1}, word)
         self._word_cache[key] = out
         return out
 

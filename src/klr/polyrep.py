@@ -74,6 +74,17 @@ def divided_difference(p, k):
 
 # -- the action ------------------------------------------------------------
 
+def _check_input(graph, seq, poly):
+    """Raise GraphError for a label of seq that is not a vertex, and
+    ValueError for a monomial without one variable per strand."""
+    graph.require_vertices(seq)
+    m = len(seq)
+    for e in poly:
+        if len(e) != m:
+            raise ValueError(f"monomial {e} has {len(e)} variables for "
+                             f"{m} strands")
+
+
 def _cross(graph, orientation, labels, k, poly):
     """The crossing of strands k, k+1 on poly, in one pass over its terms.
 
@@ -118,9 +129,12 @@ def _cross(graph, orientation, labels, k, poly):
 def act_generator(graph, orientation, token, seq, poly):
     """Act by one generator on a polynomial over one sequence.
 
-    Returns (new_sequence, new_polynomial).  Raises GeneratorIndexError for
-    a dot or crossing outside the strands of seq.
+    Returns (new_sequence, new_polynomial).  Raises GraphError for a label
+    of seq that is not a vertex, ValueError for a monomial without one
+    variable per strand, and GeneratorIndexError for a dot or crossing
+    outside the strands of seq.
     """
+    _check_input(graph, seq, poly)
     typ, k = token
     m = len(seq)
     if typ == "D":
@@ -151,8 +165,13 @@ def act_term(graph, orientation, key, seq, poly):
 
 
 def act(orientation, x, seq, poly):
-    """Act by a KLRElement; result is a map sequence -> polynomial."""
+    """Act by a KLRElement; result is a map sequence -> polynomial.
+
+    Raises GraphError for a label of seq that is not a vertex, and
+    ValueError for a monomial without one variable per strand.
+    """
     graph = x.ring.graph
+    _check_input(graph, seq, poly)
     out = {}
     for key, c in x.terms.items():
         res = act_term(graph, orientation, key, seq, poly)

@@ -1,4 +1,5 @@
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +52,8 @@ def test_generator_range_errors(ring_a2):
         ring_a2.generator(("C", 2), ("i", "j"))
     with pytest.raises(GeneratorIndexError):
         ring_a2.evaluate_word(("i", "j"), [("C", 5)])
+    with pytest.raises(GeneratorIndexError):
+        ring_a2.evaluate_word(("i", "j"), [("C", 1), ("C", 5)])
     with pytest.raises(ValueError):
         ring_a2.evaluate_word(("i", "j"), [("D", 0)])
     for make in (lambda: ring_a2.evaluate_word(("i", "k"), []),
@@ -158,6 +161,39 @@ def test_degree_additivity(ring_a2):
     assert checked > 10
 
 
+def _dot_reference(ring, k, i, w):
+    """Reference for KLRRing._dot, the former top-down scan: a dot at top
+    position k moves down the canonical word of w, and at each equal-label
+    crossing it passes it adds +/- the word with that crossing deleted."""
+    word = canonical_word(w)
+    r = len(word)
+    # sequence at the level just below each crossing, top-to-bottom
+    below_seq = [None] * r
+    cur = i
+    for t in range(r - 1, -1, -1):
+        below_seq[t] = cur
+        c = word[t]
+        lst = list(cur)
+        lst[c - 1], lst[c] = lst[c], lst[c - 1]
+        cur = tuple(lst)
+    out = ring.zero()
+    p = k
+    for t in range(r):
+        c = word[t]
+        if p != c and p != c + 1:
+            continue
+        if below_seq[t][c - 1] != below_seq[t][c]:
+            p = c + 1 if p == c else c
+        else:
+            deleted = word[:t] + word[t + 1:]
+            tokens = [("C", letter) for letter in reversed(deleted)]
+            sign = 1 if p == c else -1
+            out = out + sign * ring.evaluate_word(i, tokens)
+            p = c + 1 if p == c else c
+    u = tuple(1 if a == p - 1 else 0 for a in range(len(i)))
+    return out + ring.element({(i, w, u): 1})
+
+
 def _multiply_inside_out(ring, x, y):
     """Reference product, the former KLRRing.multiply: push the dots of x
     into y one at a time, then stack the crossings of x on top."""
@@ -167,13 +203,20 @@ def _multiply_inside_out(ring, x, y):
         for (iy, py, uy), cy in y.terms.items():
             if apply_perm_to_seq(py, iy) != ix:
                 continue
-            acc = {(iy, py, uy): cx * cy}
+            acc = ring.element({(iy, py, uy): cx * cy})
             for pos, mult in enumerate(ux):
                 for _ in range(mult):
-                    acc = ring._elem_dot(pos + 1, acc)
+                    pushed = ring.zero()
+                    for (i, w, u), c in acc.terms.items():
+                        dot = _dot_reference(ring, pos + 1, i, w)
+                        pushed = pushed + c * ring.element(
+                            {(j, v, tuple(map(add, e, u))): a
+                             for (j, v, e), a in dot.terms.items()})
+                    acc = pushed
+            terms = acc.terms
             for letter in word_x:
-                acc = ring._elem_cross(letter, acc)
-            for key, c in acc.items():
+                terms = ring._elem_cross(letter, terms)
+            for key, c in terms.items():
                 out[key] = out.get(key, 0) + c
     return ring.element(out)
 
@@ -214,6 +257,17 @@ def _draw_pair(data, rings, strands):
 def test_multiply_matches_inside_out(ring_a1, ring_a2, ring_cycle3, data):
     ring, x, y = _draw_pair(data, [ring_a1, ring_a2, ring_cycle3], (3, 5))
     assert ring.multiply(x, y) == _multiply_inside_out(ring, x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dot_matches_top_down_scan(ring_a1, ring_a2, ring_cycle3, data):
+    ring = data.draw(st.sampled_from([ring_a1, ring_a2, ring_cycle3]))
+    i = tuple(data.draw(st.lists(st.sampled_from(ring.graph.vertices),
+                                 min_size=1, max_size=5)))
+    w = tuple(data.draw(st.permutations(range(len(i)))))
+    k = data.draw(st.integers(1, len(i)))
+    assert ring.element(ring._dot(k, i, w)) == _dot_reference(ring, k, i, w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,9 +365,12 @@ def test_nilhecke_em(ring_a1):
 def test_stats_count_right_crossing_terms():
     ring = KLRRing(single_vertex())
     assert ring.stats() == {
-        "caches": {"cross": 0, "dot": 0, "word": 0, "bring": 0,
-                   "right_cross": 0, "pair": 0},
+        "caches": {"cross": 0, "word": 0, "bring": 0, "right_cross": 0,
+                   "pair": 0},
         "terms_read": 0}
+    dots = []
+    dot = ring._dot
+    ring._dot = lambda *args: dots.append(args) or dot(*args)
     e8 = ring.nilhecke_em(8, "i")
     assert e8 * e8 == e8
     stats = ring.stats()
@@ -321,7 +378,7 @@ def test_stats_count_right_crossing_terms():
     # the divided difference of the staircase survives each step
     assert stats["terms_read"] <= 28
     assert stats["caches"]["right_cross"] > 0
-    assert stats["caches"]["dot"] == 0
+    assert dots == []
 
 
 def test_divided_idempotent(ring_a2):

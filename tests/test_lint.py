@@ -40,11 +40,13 @@ def test_no_unused_imports_in_package():
 
 
 def dead_names(sources, exported):
-    """Module-level functions and classes that no module reads.
+    """Module-level functions and classes, and private methods of classes,
+    that no module reads.
 
     ``sources`` maps module names to source text.  A name counts as read
     wherever it is loaded as a bare name or an attribute, in any module,
     its own included; names in ``exported`` are public API and never dead.
+    A private method is one named ``_name``; dunders are called by Python.
     """
     defined = []
     read = set()
@@ -53,6 +55,12 @@ def dead_names(sources, exported):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and item.name.startswith("_")
+                            and not item.name.endswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -69,6 +77,18 @@ def test_dead_names_detected():
                      "def helper():\n    return a.used\n\n\n"
                      "def dead():\n    helper()\n")}
     assert dead_names(sources, {"public"}) == ["a.Gone", "b.dead"]
+
+
+def test_dead_private_methods_detected():
+    sources = {"a": ("class Ring:\n"
+                     "    def __init__(self):\n        self._step()\n\n"
+                     "    def _step(self):\n        return self._loop()\n\n"
+                     "    def _loop(self):\n        return self._loop()\n\n"
+                     "    def _orphan(self):\n        return 0\n\n"
+                     "    def public(self):\n        return 1\n"),
+               "b": "from a import Ring\n\n\nRing()._helper\n",
+               "c": "class Other:\n    def _helper(self):\n        pass\n"}
+    assert dead_names(sources, {"Ring", "Other"}) == ["a.Ring._orphan"]
 
 
 def test_no_dead_names_in_package():

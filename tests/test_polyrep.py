@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from klr import (
     GeneratorIndexError,
+    GraphError,
     act,
     act_generator,
     act_word,
@@ -270,6 +271,33 @@ def test_generator_index_errors(ring_a2):
             act_word(g, ori, ("i", "j"), [("C", 1), token], {(1, 0): 1})
     with pytest.raises(ValueError, match="unknown token type"):
         act_generator(g, ori, ("X", 1), ("i", "j"), {(1, 0): 1})
+
+
+def test_polynomial_needs_one_variable_per_strand(ring_a2):
+    g = ring_a2.graph
+    ori = default_orientation(g)
+    x = ring_a2.idempotent(("i", "j"))
+    for poly in ({(1,): 1}, {(1, 0, 0): 1}, {(0, 0): 1, (1,): 2}):
+        with pytest.raises(ValueError, match="variables for 2 strands"):
+            act_generator(g, ori, ("C", 1), ("i", "j"), poly)
+        with pytest.raises(ValueError, match="variables for 2 strands"):
+            act_generator(g, ori, ("D", 1), ("i", "j"), poly)
+        with pytest.raises(ValueError, match="variables for 2 strands"):
+            act(ori, x, ("i", "j"), poly)
+
+
+def test_act_rejects_unknown_vertices(ring_a2):
+    g = ring_a2.graph
+    ori = default_orientation(g)
+    x = ring_a2.idempotent(("i", "j"))
+    with pytest.raises(GraphError, match="'k'"):
+        act(ori, x, ("i", "k"), {(0, 0): 1})
+    for token, seq in [(("C", 1), ("i", "k")), (("C", 1), ("k", "k")),
+                       (("D", 2), ("i", "k"))]:
+        with pytest.raises(GraphError, match="'k'"):
+            act_generator(g, ori, token, seq, {(0, 0): 1})
+    with pytest.raises(GraphError, match="'k'"):
+        act_word(g, ori, ("i", "k"), [("D", 1)], {(0, 0): 1})
 
 
 def test_generator_cases(ring_a2):
