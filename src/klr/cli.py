@@ -67,7 +67,7 @@ def parse_divided(text):
 
 
 def parse_weight(text):
-    """A weight like "i:2,j:1"."""
+    """A weight like "i:2,j:1"; each vertex may appear once."""
     out = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -82,7 +82,10 @@ def parse_weight(text):
             raise CLIError(f"bad multiplicity in {piece!r}")
         if n < 0:
             raise CLIError(f"negative multiplicity in {piece!r}")
-        out[v.strip()] = n
+        v = v.strip()
+        if v in out:
+            raise CLIError(f"vertex {v!r} appears twice in {text!r}")
+        out[v] = n
     return tuple(sorted((v, n) for v, n in out.items() if n))
 
 

@@ -169,7 +169,7 @@ def test_09_tightness(ring_a2):
 
 
 def test_10_quotients(ring_a1, ring_a2):
-    with Budget(30):
+    with Budget(5):
         # one-strand cyclotomic quotients are truncated polynomial rings
         for lam in range(1, 5):
             spec = cyclotomic_spec(ring_a1, (("i", 1),), {"i": lam})
@@ -203,6 +203,25 @@ def test_10_quotients(ring_a1, ring_a2):
             rep = quotient_gdim(ring_a1, spec, cutoff=10, window=3)
             assert rep.stabilized, (m, lam)
             assert {d: n for d, n in rep.degrees.items() if n} == expected
+
+
+def test_12_quotient_gate(ring_a1, ring_a2):
+    # R^lambda(nu) for lambda = Lambda_i + Lambda_j, nu = 2i + 2j on a2:
+    # the cyclotomic quotient categorifies V(lambda) (Kang-Kashiwara)
+    weight = (("i", 2), ("j", 2))
+    want = {-2: 4, -1: 8, 0: 12, 1: 8, 2: 4}
+    for prime in (None, 2147483629):
+        with Budget(5):
+            spec = cyclotomic_spec(ring_a2, weight, {"i": 1, "j": 1})
+            rep = quotient_gdim(ring_a2, spec, cutoff=6, window=3,
+                                prime=prime)
+            assert {d: n for d, n in rep.degrees.items() if n} == want
+            assert rep.stabilized
+    # NH_3 with lambda = 2: three strands need lambda >= 3
+    with Budget(5):
+        spec = cyclotomic_spec(ring_a1, (("i", 3),), {"i": 2})
+        rep = quotient_gdim(ring_a1, spec, cutoff=6, window=3)
+        assert rep.total() == 0 and rep.stabilized
 
 
 def test_11_degree_lower_bound(ring_a2):

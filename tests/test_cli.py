@@ -180,6 +180,24 @@ def test_quotient_examples(capsys, graph_files):
     assert obj["field"] == "F_7" and obj["stabilized"]
 
 
+def test_quotient_json_stats(capsys, graph_files):
+    # per-degree counts: basis size minus the rank of the spanning rows is
+    # the quotient dimension, and no row is counted that no product gave
+    for argv in (["-g", graph_files["a2"], "--nu", "i:2,j:1", "--symplus"],
+                 ["-g", graph_files["a2"], "--nu", "i:1,j:2",
+                  "--cyclotomic", "i:1,j:1", "--field", "Fp:5"]):
+        code, out, _ = run(capsys, ["quotient", "--json", *argv])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["stats"].keys() == obj["degrees"].keys()
+        for d, stats in obj["stats"].items():
+            assert set(stats) == {"basis", "products", "rows", "rank"}
+            assert stats["basis"] - stats["rank"] == obj["degrees"][d]
+            assert stats["rank"] <= stats["rows"] <= stats["products"]
+        # the counts are part of the answer: a second run prints the same
+        assert run(capsys, ["quotient", "--json", *argv])[1] == out
+
+
 def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
     term = {"source": ["i", "j"], "permutation": [1, 2], "dots": [0, 0],
             "coeff": 1}
@@ -217,6 +235,11 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
          "--cyclotomic", "i:1", "--cutoff", "1", "--window", "3"],
         ["quotient", "-g", graph_files["a1"], "--nu", "i:3", "--symplus",
          "--cutoff", "2", "--window", "0"],
+        # a repeated vertex is an error, not a silent overwrite
+        ["quotient", "-g", graph_files["a2"], "--nu", "i:1,i:1",
+         "--symplus"],
+        ["quotient", "-g", graph_files["a1"], "--nu", "i:2",
+         "--cyclotomic", "i:1,i:3"],
         ["check", "-g", graph_files["a2"], "nonsense"],
         ["check", "-g", graph_files["a2"], "cycle:x"],
         ["check", "-g", graph_files["a1"], "idempotents"],

@@ -9,6 +9,7 @@ from klr import (
     GraphError,
     IdealSpec,
     LaurentPoly,
+    WeightMismatchError,
     a1xa1,
     a2,
     cyclotomic_spec,
@@ -18,6 +19,7 @@ from klr import (
     qbinom,
     qfact,
     quotient_gdim,
+    seq_enumerate,
     sym_plus_spec,
 )
 from klr.quotients import _enumerate_basis, _rank
@@ -115,13 +117,28 @@ def test_ideal_degree_dim_examples(ring_a1):
     assert ideal_degree_dim(ring_a1, spec, -6) == 0
 
 
+def test_ideal_degree_dim_matches_report(ring_a2):
+    # ideal_degree_dim builds a span for one degree; it must agree with
+    # the counts of the span that quotient_gdim shares across degrees
+    weight = (("i", 2), ("j", 1))
+    for spec in (cyclotomic_spec(ring_a2, weight, {"i": 1, "j": 1}),
+                 sym_plus_spec(ring_a2, weight)):
+        for prime in (None, 3):
+            rep = quotient_gdim(ring_a2, spec, cutoff=5, window=1,
+                                prime=prime)
+            for d, stats in rep.stats.items():
+                assert ideal_degree_dim(ring_a2, spec, d, prime) == (
+                    stats["rank"]), (d, prime)
+                assert stats["basis"] == len(
+                    graded_basis(ring_a2.graph, weight, d))
+
+
 def test_sym_plus_generators_central(ring_a2):
     weight = (("i", 2), ("j", 1))
     spec = sym_plus_spec(ring_a2, weight)
     assert spec.central
     gens = list(ring_a2.generator(("D", k), seq)
                 for seq in [("i", "i", "j")] for k in (1,))
-    from klr import seq_enumerate
     test_elems = []
     for seq in seq_enumerate(weight):
         test_elems.append(ring_a2.generator(("D", 1), seq))
@@ -166,6 +183,55 @@ def test_symplus_single_vertex_coinvariant_factorization(ring_a1):
         for t in range(1, m + 1):
             coinv = coinv * LaurentPoly({2 * a: 1 for a in range(t)})
         assert got == crossings * coinv
+
+
+def _symplus_closed_form(ring, weight):
+    """gdim R(nu)/Sym+ from the hom spaces alone.
+
+    R(nu) is free over Sym(nu) = prod_i Sym[x_1..x_{nu_i}] (KL I, section
+    2), whose graded dimension is prod_i prod_{a <= nu_i} 1/(1 - q^{2a}),
+    so gdim R(nu)/Sym+ = gdim R(nu) * prod_i prod_{a <= nu_i} (1 - q^{2a}),
+    with gdim R(nu) the sum over all sectors of gdim_hom(j, i).
+    """
+    seqs = seq_enumerate(weight)
+    num = LaurentPoly.zero()
+    for i in seqs:
+        for j in seqs:
+            num = num + ring.gdim_hom(j, i).num  # over (1 - q^2)^m
+    for _, n in weight:
+        for a in range(1, n + 1):
+            num = num * LaurentPoly({0: 1, 2 * a: -1})
+    m = sum(n for _, n in weight)
+    return num.exact_div(LaurentPoly({0: 1, 2: -1}) ** m).coeffs
+
+
+def test_symplus_closed_form(ring_a1, ring_a2):
+    cases = [
+        (ring_a1, (("i", 2),)),
+        (ring_a1, (("i", 3),)),
+        (ring_a2, (("i", 1), ("j", 1))),
+        (ring_a2, (("i", 2), ("j", 1))),
+        (ring_a2, (("i", 1), ("j", 2))),
+        (ring_a2, (("i", 2), ("j", 2))),
+    ]
+    for ring, weight in cases:
+        want = _symplus_closed_form(ring, weight)
+        cutoff = max(want) + 3
+        for prime in (None, 2):
+            rep = quotient_gdim(ring, sym_plus_spec(ring, weight),
+                                cutoff=cutoff, window=3, prime=prime)
+            assert rep.stabilized, (weight, prime)
+            assert {d: n for d, n in rep.degrees.items() if n} == want, (
+                weight, prime)
+
+
+def test_ideal_spec_rejects_other_weights(ring_a2):
+    with pytest.raises(WeightMismatchError):
+        IdealSpec((("i", 2),), [ring_a2.idempotent("ij")])
+    # the order of the weight's entries does not matter
+    spec = IdealSpec((("j", 1), ("i", 1)), [ring_a2.idempotent("ij")])
+    rep = quotient_gdim(ring_a2, spec, cutoff=4, window=1)
+    assert rep.degrees == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
 
 
 def test_zero_ideal_reproduces_ring(ring_a1):
