@@ -19,7 +19,12 @@ from .cartan import CartanGraph
 from .characters import char_projective, comultiply, pair_monomials, tight
 from .elements import KLRRing
 from .laurent import LaurentPoly
-from .quotients import cyclotomic_spec, quotient_gdim, sym_plus_spec
+from .quotients import (
+    cyclotomic_spec,
+    is_prime,
+    quotient_gdim,
+    sym_plus_spec,
+)
 from .sequences import expand, format_divided, format_seq, shuffles
 
 
@@ -87,32 +92,6 @@ def parse_weight(text):
             raise CLIError(f"vertex {v!r} appears twice in {text!r}")
         out[v] = n
     return tuple(sorted((v, n) for v, n in out.items() if n))
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n):
-    """Deterministic Miller-Rabin, exact for n < 2^64 with these bases."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def parse_field(text):

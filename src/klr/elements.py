@@ -295,20 +295,26 @@ class KLRRing:
     # -- ring operations ---------------------------------------------------
 
     def multiply(self, x, y):
-        """x * y, with x stacked on top of y.
+        """x * y, with x stacked on top of y."""
+        _check_weights(x, y)
+        return KLRElement(self, self.multiply_terms(x.terms, y.terms))
+
+    def multiply_terms(self, xterms, yterms):
+        """The terms of x * y from the terms of x and y, as a new dict.
 
         Built from the outside in: the terms of x whose bottom is the top of
         a term of y are right-multiplied by that term's crossings, top to
-        bottom, and its dots are shifted in last.
+        bottom, and its dots are shifted in last.  No weight check is made
+        and no element is built, so it suits callers that multiply many
+        term dicts of one known weight.
         """
-        _check_weights(x, y)
         out = {}
-        for (iy, py, uy), cy in y.terms.items():
+        for (iy, py, uy), cy in yterms.items():
             top = apply_perm_to_seq(py, iy)
-            acc = {k: c for k, c in x.terms.items() if k[0] == top}
+            acc = {k: c for k, c in xterms.items() if k[0] == top}
             if acc:
                 _acc(out, self._right_word(acc, canonical_word(py)), cy, uy)
-        return KLRElement(self, out)
+        return out
 
     def psi(self, x):
         """Horizontal flip: antiautomorphism fixing idempotents and dots."""

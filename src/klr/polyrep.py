@@ -92,15 +92,23 @@ def _cross(graph, orientation, labels, k, poly):
     the top sequence.  Equal labels act by the divided difference.  Other
     labels swap x_k and x_{k+1} in every monomial, and an edge oriented
     with the crossing, from labels[k-1] to labels[k], also multiplies by
-    x_k + x_{k+1} in the same loop.
+    x_k + x_{k+1} in the same loop.  Raises ValueError if the edge is not
+    oriented one of its two ways.
     """
     j = k - 1
     a, b = labels[j], labels[k]
     if a == b:
         return divided_difference(poly, k)
+    along = False
+    if graph.cartan(a, b):
+        head = orientation.get(frozenset((a, b)))
+        along = head == (a, b)
+        if not along and head != (b, a):
+            raise ValueError(f"edge {a}-{b} is oriented as {head!r}, not as "
+                             f"{(a, b)!r} or {(b, a)!r}")
     labels[j], labels[k] = b, a
     out = {}
-    if graph.cartan(a, b) == 0 or orientation[frozenset((a, b))] != (a, b):
+    if not along:
         for e, c in poly.items():
             e2 = list(e)
             e2[j], e2[k] = e2[k], e2[j]
@@ -131,8 +139,9 @@ def act_generator(graph, orientation, token, seq, poly):
 
     Returns (new_sequence, new_polynomial).  Raises GraphError for a label
     of seq that is not a vertex, ValueError for a monomial without one
-    variable per strand, and GeneratorIndexError for a dot or crossing
-    outside the strands of seq.
+    variable per strand or for a crossed edge that the orientation does
+    not orient one of its two ways, and GeneratorIndexError for a dot or
+    crossing outside the strands of seq.
     """
     _check_input(graph, seq, poly)
     typ, k = token
@@ -168,7 +177,8 @@ def act(orientation, x, seq, poly):
     """Act by a KLRElement; result is a map sequence -> polynomial.
 
     Raises GraphError for a label of seq that is not a vertex, and
-    ValueError for a monomial without one variable per strand.
+    ValueError for a monomial without one variable per strand or for a
+    crossed edge that the orientation does not orient one of its two ways.
     """
     graph = x.ring.graph
     _check_input(graph, seq, poly)
@@ -189,7 +199,10 @@ def act(orientation, x, seq, poly):
 
 
 def act_word(graph, orientation, seq, tokens, poly):
-    """Compose generator actions for a bottom-to-top token list."""
+    """Compose generator actions for a bottom-to-top token list.
+
+    Raises what ``act_generator`` raises for each token.
+    """
     cur_seq, cur = tuple(seq), poly
     for token in tokens:
         cur_seq, cur = act_generator(graph, orientation, token, cur_seq, cur)

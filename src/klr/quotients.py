@@ -13,10 +13,26 @@ and the span is shared across all degrees:
   psi_v e(j); the basis element psi_v x^t e(j) then only shifts the dots
   of that product by t, because bottom dots multiply from the right by a
   shift;
-* the products of degree d are ranked one (top, bottom) block of the basis
-  at a time.
+* the rows of degree d, the products l psi_v x^t, are reduced into one
+  echelon per (top, bottom) block of the basis as they are built.
 
-The quotient dimension is dim R(nu)_d minus that rank.  Ranks are exact,
+A product l psi_v e(j) of degree d0 is dead if its own row (t = 0) adds
+no rank at degree d0: it reduces to zero, or its block is already full.
+Its shifts are then never built, in any degree.  This is exact.  The row
+is a combination of rows r already in the echelon, so l psi_v x^t is the
+same combination of the rows r x^t of degree d0 + 2|t|.  Each r is a
+shift of a lower product or a product met earlier at d0, so a dead
+product depends only on products before it (by degree, then in the order
+met), and by induction every row that is skipped is spanned by rows that
+are built.  This holds in whatever order the degrees are computed.  To
+let more products die, the shifts of lower products are reduced before
+the products of degree d0.
+
+A generator piece made of dots only needs only the dot-free multipliers
+psi_w in the left ideal: it commutes with dots, so psi_w x^u g = psi_w g
+x^u is a shift of a lower candidate.
+
+The quotient dimension is dim R(nu)_d minus the rank.  Ranks are exact,
 over Q or a prime field, by sparse row reduction that is fraction-free over
 Q: rows stay dicts of small integers.
 """
@@ -143,6 +159,32 @@ def sym_plus_spec(ring, weight):
 
 # -- exact rank ------------------------------------------------------------
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin, exact for n < 2^64 with these bases."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _insert(echelon, row, prime=None):
     """Reduce a sparse row against the echelon; add it if it survives.
 
@@ -194,19 +236,22 @@ def _sparse(items, prime=None):
     return {col: c % prime for col, c in items if c % prime}
 
 
-def _rank(rows, prime=None):
-    """Rank of a list of dense rows of ints, over Q or F_prime.
+def _rank(rows, prime=None, echelon=None):
+    """Rank that rows of ints add to an echelon, over Q or F_prime.
 
-    Sparse row reduction with ``_insert``; it stops once the pivots fill
-    the columns, since no later row can raise the rank.
+    A row is a dense list, or a sparse {column: value} dict with no zero
+    values, reduced modulo prime, which is consumed.  Each row is reduced
+    with ``_insert``.  ``echelon`` is extended in place; without one, the
+    result is the rank of the rows.
     """
-    echelon = {}
-    ncols = len(rows[0]) if rows else 0
-    for dense in rows:
-        if len(echelon) == ncols:
-            break
-        _insert(echelon, _sparse(enumerate(dense), prime), prime)
-    return len(echelon)
+    if echelon is None:
+        echelon = {}
+    size = len(echelon)
+    for row in rows:
+        if not isinstance(row, dict):
+            row = _sparse(enumerate(row), prime)
+        _insert(echelon, row, prime)
+    return len(echelon) - size
 
 
 # -- the ideal, sector by sector -------------------------------------------
@@ -227,8 +272,8 @@ class _IdealSpan:
 
     ``left(e)`` keeps the left vectors of degree e, ``_product`` caches
     each left vector times each dot-free right factor, and ``degree(d)``
-    ranks the shifted products of degree d block by block (see the module
-    docstring).
+    ranks the shifted products of degree d block by block, and records the
+    dead products (see the module docstring).
     """
 
     def __init__(self, ring, spec, prime=None):
@@ -274,11 +319,16 @@ class _IdealSpan:
             for top, bottom, piece in self.pieces.get(e, ()):
                 sectors.setdefault((top, bottom), []).append(piece.terms)
         else:
+            ident = identity(self.m)
             for dg, pieces in self.pieces.items():
                 multipliers = graded_basis(ring.graph, self.weight, e - dg)
                 for top, bottom, piece in pieces:
+                    # a piece made of dots only commutes with the dots of
+                    # a multiplier psi_w x^u, and psi_w x^u g = psi_w g x^u
+                    # is a shift of a lower candidate: it is never kept
+                    dots_only = all(w == ident for _, w, _ in piece.terms)
                     for akey in multipliers:
-                        if akey[0] != top:
+                        if akey[0] != top or dots_only and any(akey[2]):
                             continue
                         elem = ring.multiply(ring.element({akey: 1}), piece)
                         if elem:
@@ -301,49 +351,66 @@ class _IdealSpan:
         self._left[e] = out
         return out
 
-    def _product(self, e, index, terms, j, v):
-        """Terms of the left vector times psi_v e(j), cached."""
-        key = (e, index, j, v)
-        hit = self._products.get(key)
-        if hit is None:
-            ring = self.ring
-            hit = ring.multiply(ring.element(terms),
-                                ring.element({(j, v, (0,) * self.m): 1})).terms
-            self._products[key] = hit
-        return hit
+    def _product(self, key, left):
+        """Terms of a left vector times psi_v e(j), for key (e, index, j,
+        v), reduced modulo the prime; cached, and {} once the product is
+        dead."""
+        terms = self._products.get(key)
+        if terms is None:
+            _, _, j, v = key
+            terms = self.ring.multiply_terms(left, {(j, v, (0,) * self.m): 1})
+            if self.prime is not None:
+                terms = _sparse(terms.items(), self.prime)
+            self._products[key] = terms
+        return terms
+
+    def _spanning(self, d):
+        """(product key, left terms, block, |t|) for each product whose
+        shifts by x^t reach degree d; the block is (top, bottom) of the
+        product."""
+        for e in range(self.low, d - self.lb + 1):
+            for index, (top, bottom, left) in enumerate(self.left(e)):
+                for j, v, dv in self.right[bottom]:
+                    rem = d - e - dv
+                    if rem >= 0 and not rem % 2:
+                        yield (e, index, j, v), left, (top, j), rem // 2
 
     def degree(self, d):
-        """Counts for degree d: basis size, spanning products, nonzero
-        rows, and the rank of those rows."""
+        """Counts for degree d: basis size, spanning products, rows
+        reduced, and the rank of those rows.
+
+        Each (top, bottom) block of the basis keeps one echelon, and each
+        row goes into it as soon as it is built: first the shifts of lower
+        products, then the products of degree d itself.  A product of
+        degree d whose row adds no rank is dead, and its shifts are never
+        built (see the module docstring).
+        """
         basis = graded_basis(self.ring.graph, self.weight, d)
         blocks = {}  # (top, bottom) -> {basis key: column}
         for key in basis:
             block = blocks.setdefault(_sector(key), {})
             block[key] = len(block)
-        rows = {}
-        products = 0
-        for e in range(self.low, d - self.lb + 1):
-            for index, (top, bottom, left) in enumerate(self.left(e)):
-                for j, v, dv in self.right[bottom]:
-                    rem = d - e - dv
-                    if rem < 0 or rem % 2:
-                        continue
-                    shifts = _compositions(rem // 2, self.m)
-                    products += len(shifts)
-                    terms = self._product(e, index, left, j, v)
-                    if not terms:
-                        continue
-                    columns = blocks[top, j]
-                    block_rows = rows.setdefault((top, j), [])
-                    for t in shifts:
-                        row = [0] * len(columns)
-                        for key, c in _shifted(terms, t).items():
-                            row[columns[key]] = c
-                        block_rows.append(row)
-        rank = sum(_rank(block_rows, self.prime)
-                   for block_rows in rows.values())
-        return {"basis": len(basis), "products": products,
-                "rows": sum(map(len, rows.values())), "rank": rank}
+        echelons = {sector: {} for sector in blocks}
+        products = rows = 0
+        # a stable sort: products of degree d (|t| = 0) go last
+        for key, left, block, size in sorted(self._spanning(d),
+                                             key=lambda p: not p[3]):
+            shifts = _compositions(size, self.m)
+            products += len(shifts)
+            columns = blocks.get(block)
+            added = 0
+            if columns and len(echelons[block]) < len(columns):
+                terms = self._product(key, left)
+                if terms:
+                    new = [{columns[i, w, tuple(map(add, u, t))]: c
+                            for (i, w, u), c in terms.items()}
+                           for t in shifts]
+                    rows += len(new)
+                    added = _rank(new, self.prime, echelons[block])
+            if not (added or size):
+                self._products[key] = {}  # dead
+        return {"basis": len(basis), "products": products, "rows": rows,
+                "rank": sum(map(len, echelons.values()))}
 
 
 def ideal_degree_dim(ring, spec, d, prime=None):
@@ -405,13 +472,16 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     Sym(nu) (KL I, section 2).  But zeros in a window do not prove that no
     higher degree is nonzero, so a failed window is reported rather than
     an error.  Raises ValueError for a window below 1, which
-    would call any truncated answer stabilized, and for a window reaching
-    below the degree lower bound, where there are no degrees to read.
+    would call any truncated answer stabilized, for a window reaching
+    below the degree lower bound, where there are no degrees to read, and
+    for a prime that is not a prime below 2^64, where ``is_prime`` is
+    exact: Z/n is not a field for composite n.
     """
     if window < 1:
         raise ValueError(f"stabilization window {window} must be >= 1")
-    if prime is not None and prime < 2:
-        raise ValueError(f"field characteristic {prime} is not a prime")
+    if prime is not None and not (prime < 2 ** 64 and is_prime(prime)):
+        raise ValueError(f"field characteristic {prime} is not a prime "
+                         f"below 2^64")
     lb = degree_lower_bound(spec.weight)
     if cutoff - window + 1 < lb:
         raise ValueError(f"window of {window} degrees up to cutoff {cutoff} "

@@ -217,6 +217,18 @@ def test_12_quotient_gate(ring_a1, ring_a2):
                                 prime=prime)
             assert {d: n for d, n in rep.degrees.items() if n} == want
             assert rep.stabilized
+    # lambda = 2 Lambda_i + Lambda_j, nu = 3i + 2j, up to degree 0; the
+    # q-Shapovalov form on V(lambda) gives the same degrees.  Without dead
+    # products, 52 504 rows are reduced at degree 0 for a rank of 3 003.
+    weight = (("i", 3), ("j", 2))
+    want = {-6: 1, -5: 8, -4: 29, -3: 72, -2: 140, -1: 216, 0: 282}
+    for prime in (None, 2147483629):
+        with Budget(10):
+            spec = cyclotomic_spec(ring_a2, weight, {"i": 2, "j": 1})
+            rep = quotient_gdim(ring_a2, spec, cutoff=0, window=1,
+                                prime=prime)
+            assert {d: n for d, n in rep.degrees.items() if n} == want
+            assert rep.stats[0]["rows"] <= 15000
     # NH_3 with lambda = 2: three strands need lambda >= 3
     with Budget(5):
         spec = cyclotomic_spec(ring_a1, (("i", 3),), {"i": 2})

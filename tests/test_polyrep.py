@@ -300,6 +300,25 @@ def test_act_rejects_unknown_vertices(ring_a2):
         act_word(g, ori, ("i", "k"), [("D", 1)], {(0, 0): 1})
 
 
+def test_orientation_must_orient_each_crossed_edge(ring_a2):
+    g = ring_a2.graph
+    x = ring_a2.generator(("C", 1), ("i", "j"))
+    one = {(0, 0): 1}
+    assert act(default_orientation(g), x, ("i", "j"), one) == {
+        ("j", "i"): {(1, 0): 1, (0, 1): 1}}
+    for ori in ({frozenset("ij"): ("i", "k")}, {frozenset("ij"): ("i", "i")},
+                {frozenset("ij"): None}, {}):
+        with pytest.raises(ValueError, match="edge i-j"):
+            act(ori, x, ("i", "j"), one)
+        with pytest.raises(ValueError, match="edge i-j"):
+            act_generator(g, ori, ("C", 1), ("i", "j"), one)
+        with pytest.raises(ValueError, match="edge j-i"):
+            act_word(g, ori, ("j", "i"), [("D", 1), ("C", 1)], one)
+    # dots and equal labels cross no edge, so they need no orientation
+    assert act_word(g, {}, ("i", "i"), [("D", 1), ("C", 1)], one) == (
+        ("i", "i"), one)
+
+
 def test_generator_cases(ring_a2):
     g = ring_a2.graph
     ori = default_orientation(g)

@@ -21,7 +21,9 @@ from klr import (
     quotient_gdim,
     seq_enumerate,
     sym_plus_spec,
+    weight_size,
 )
+from klr import cli, quotients
 from klr.quotients import _enumerate_basis, _rank
 
 # Regression fixtures: graded dimensions of single-vertex cyclotomic
@@ -351,3 +353,77 @@ def test_cyclotomic_nilhecke_three_strands(ring_a1):
             got = {d: k for d, k in rep.degrees.items() if k}
             assert got == {d: k for d, k in want.coeffs.items()
                            if d <= cutoff}, (lam, prime)
+
+
+def test_prime_must_be_a_prime_below_2_64(ring_a2):
+    # Z/4 and Z/6 are not fields, so a rank over them means nothing
+    spec = cyclotomic_spec(ring_a2, (("i", 2), ("j", 2)), {"i": 1, "j": 1})
+    for prime in (0, 1, 4, 6, 2 ** 61 - 3, 2 ** 64 + 13):
+        with pytest.raises(ValueError, match="not a prime"):
+            quotient_gdim(ring_a2, spec, cutoff=0, window=1, prime=prime)
+    rep = quotient_gdim(ring_a2, spec, cutoff=0, window=1, prime=2 ** 61 - 1)
+    assert {d: n for d, n in rep.degrees.items() if n} == {
+        -2: 4, -1: 8, 0: 12}
+    # the CLI and the engine share one primality test
+    assert cli.is_prime is quotients.is_prime
+
+
+def _ideal_by_brute_force(ring, spec, d, prime):
+    """Rank of every a * g * b of degree d, over whole graded bases."""
+    graph, weight = ring.graph, spec.weight
+    lb = degree_lower_bound(weight)
+    columns = {key: n for n, key in enumerate(graded_basis(graph, weight, d))}
+    rows = set()
+    for g in spec.generators:
+        rest = d - g.degree()
+        for da in range(lb, rest - lb + 1):
+            for akey in graded_basis(graph, weight, da):
+                ag = ring.element({akey: 1}) * g
+                if not ag:
+                    continue
+                for bkey in graded_basis(graph, weight, rest - da):
+                    row = [0] * len(columns)
+                    for key, c in (ag * ring.element({bkey: 1})).terms.items():
+                        row[columns[key]] = c
+                    if any(row):
+                        rows.add(tuple(row))
+    return len(columns) - _dense_rank(sorted(rows), prime)
+
+
+@st.composite
+def random_ideals(draw, rings):
+    """A ring, and a few homogeneous generators of a non-central ideal of
+    R(nu) with |nu| <= 3, each a combination of basis keys of one degree."""
+    ring = draw(st.sampled_from(rings))
+    if len(ring.graph.vertices) == 1:
+        weight = (("i", draw(st.integers(1, 3))),)
+    else:
+        a = draw(st.integers(0, 3))
+        b = draw(st.integers(1 if a == 0 else 0, 3 - a))
+        weight = tuple((v, n) for v, n in (("i", a), ("j", b)) if n)
+    lb = degree_lower_bound(weight)
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.integers(lb, lb + 4))
+        keys = graded_basis(ring.graph, weight, d)
+        if not keys:
+            continue
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=1,
+                               max_size=3, unique=True))
+        coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3])
+        gens.append(ring.element({key: draw(coeffs) for key in chosen}))
+    return ring, IdealSpec(weight, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quotient_matches_brute_force(ring_a1, ring_a2, ring_a1xa1, data):
+    ring, spec = data.draw(random_ideals([ring_a1, ring_a2, ring_a1xa1]))
+    prime = data.draw(st.sampled_from([None, 2, 3]))
+    lb = degree_lower_bound(spec.weight)
+    # three strands only up to lb + 3, where the brute force stays small
+    cutoff = lb + (3 if weight_size(spec.weight) == 3 else 6)
+    rep = quotient_gdim(ring, spec, cutoff=cutoff, window=1, prime=prime)
+    for d in range(lb, cutoff + 1):
+        assert rep.degrees[d] == _ideal_by_brute_force(ring, spec, d, prime), (
+            d, [str(g) for g in spec.generators], prime)
