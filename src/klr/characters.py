@@ -195,8 +195,10 @@ def comultiply(graph, theta):
     Each block i^(n) splits as sum over a+b=n of q^{-ab} i^(a) (x) i^(b);
     blocks are assembled left to right in the twisted tensor product, so a
     block landing on the left picks up q^{-B(weight(right so far), a*i)}.
-    Blocks are kept unmerged in the output.
+    Blocks are kept unmerged in the output.  Raises GraphError on a label
+    that is not a vertex.
     """
+    graph.require_vertices(v for v, _ in theta)
     terms = [((), (), (), LaurentPoly.one())]  # (left, right, right weight, coeff)
     for v, n in theta:
         new_terms = []
@@ -220,6 +222,7 @@ def comultiply(graph, theta):
 def pair_monomials(ring, theta, theta2) -> GradedDim:
     """(theta, theta') via the hom-space graded dimension."""
     theta, theta2 = tuple(theta), tuple(theta2)
+    ring.graph.require_vertices(v for v, _ in theta + theta2)
     if divided_weight(theta) != divided_weight(theta2):
         return GradedDim.zero()
     gd = ring.gdim_hom(expand(theta2), expand(theta))
@@ -235,6 +238,7 @@ def pair_recursive(ring, theta, theta2) -> GradedDim:
     theta'! [P_theta'].
     """
     theta, theta2 = tuple(theta), tuple(theta2)
+    ring.graph.require_vertices(v for v, _ in theta + theta2)
     if divided_weight(theta) != divided_weight(theta2):
         return GradedDim.zero()
     plain_seq = expand(theta2)

@@ -19,19 +19,22 @@ multiplied on the right by crossings, top to bottom (``_right_word``), and
 dots below them are shifted in.  One right step slides the dots of a key
 down through the new crossing in closed form (a divided difference on
 equal labels), so the crossings above stay on top and a term they kill
-dies at once.  ``multiply``, ``psi``, ``evaluate_word``, a dot over a basis
-diagram (``_dot``) and a crossing word over a sequence (``_word_elem``)
-are all built this way.  The dot-free part psi_w psi_c is cached per
-(letter, sequence, permutation); dots at the bottom commute with
-everything below them, so the caches ignore the dot vector and the shift
-is applied afterwards.
+dies at once.  ``multiply``, ``psi``, ``evaluate_word`` and a crossing word
+over a sequence (``_word_elem``) are all built this way, and a dot at the
+bottom (``_dot``) only shifts the dot vector.  The dot-free part
+psi_w psi_c is cached per (letter, sequence, permutation) by ``_cross``;
+dots at the bottom commute with everything below them, so the cache
+ignores the dot vector and the shift is applied afterwards.
 
-Crossings stacked on top (``_cross``) are kept only for canonicalization.
-``_bring_to_front`` moves a chosen descent crossing to the top of a
-reduced word by commutation and braid moves, collecting correction words;
-iterating it brings a reduced word to canonical form.  When a right step
-shortens the permutation, ``_right_cross`` splits off the first letter of
-the canonical word and stacks it back on top with ``_cross``.
+Canonicalization also works from the bottom.  Canonical words are closed
+under prefixes (see ``permutations``), so a right step that keeps the
+canonical word of w plus c canonical is a single key.  Otherwise
+``_bring_to_back`` moves a chosen right descent to the bottom of a reduced
+word by commutation and braid moves, collecting correction words, and
+``_reduced_word_elem`` takes one right step from the canonical prefix.
+When a right step shortens the permutation, ``_bring_to_back`` exposes the
+double crossing psi_c psi_c at the bottom: 0, the identity, or a dot on
+strand c plus one on strand c+1.
 """
 
 from __future__ import annotations
@@ -48,11 +51,8 @@ from .permutations import (
     block_sum,
     canonical_word,
     identity,
-    inverse,
     inversions,
-    left_mult_letter,
     longest_element,
-    right_mult_letter,
     word_to_perm,
 )
 
@@ -185,12 +185,11 @@ class KLRRing:
 
     def __init__(self, graph):
         self.graph = graph
+        # (c, i, w) -> normal form of psi_w e(i) with crossing c below it
         self._cross_cache = {}
         # (i, crossing word) -> normal form, for any word over i
         self._word_cache = {}
         self._bring_cache = {}
-        # (c, i, w) -> normal form of psi_w e(i) with crossing c below it
-        self._right_cross_cache = {}
         # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
         self._pair_cache = {}
         self._terms_read = 0  # terms read by the right-crossing steps
@@ -198,8 +197,8 @@ class KLRRing:
     def stats(self):
         """Work done so far: the size of each cache, and ``terms_read``,
         the number of terms read by every right-crossing step, whether of
-        ``multiply``, ``psi``, ``evaluate_word`` or the kernel's own dots
-        and words."""
+        ``multiply``, ``psi``, ``evaluate_word`` or the kernel's own
+        canonicalization."""
         caches = {name[1:-len("_cache")]: len(value)
                   for name, value in vars(self).items()
                   if name.endswith("_cache")}
@@ -288,8 +287,7 @@ class KLRRing:
             if typ == "C":
                 acc = self._right_word(acc, (k,))
             else:
-                above, acc = acc, {}
-                _acc(acc, above, 1, tuple(int(a == k - 1) for a in range(m)))
+                acc = self._dot(k, acc)
         return KLRElement(self, acc)
 
     # -- ring operations ---------------------------------------------------
@@ -395,18 +393,6 @@ class KLRRing:
 
     # -- rewriting kernel --------------------------------------------------
 
-    def _elem_cross(self, k, terms):
-        out = {}
-        for (i, w, u), c in terms.items():
-            _acc(out, self._cross(k, i, w), c, u)
-        return out
-
-    def _elem_dot(self, k, terms):
-        out = {}
-        for (i, w, u), c in terms.items():
-            _acc(out, self._dot(k, i, w), c, u)
-        return out
-
     def _right_word(self, terms, word):
         """terms * psi_word: right-multiply by the letters of word, top first.
 
@@ -427,7 +413,7 @@ class KLRRing:
                 sv = list(v)
                 a, b = sv[c - 1], sv[c]
                 sv[c - 1], sv[c] = b, a
-                _acc(out, self._right_cross(c, i, w), k, tuple(sv))
+                _acc(out, self._cross(c, i, w), k, tuple(sv))
                 if a == b or i[c - 1] != i[c]:
                     continue
                 lo, hi = (b, a) if a > b else (a, b)
@@ -443,72 +429,42 @@ class KLRRing:
             terms = out
         return terms
 
-    def _right_cross(self, c, i, w):
+    def _cross(self, c, i, w):
         """Normal form of psi_w e(i) . psi_c, over the sequence s_c i."""
         key = (c, i, w)
-        hit = self._right_cross_cache.get(key)
-        if hit is not None:
-            return hit
-        lst = list(i)
-        lst[c - 1], lst[c] = lst[c], lst[c - 1]
-        below = tuple(lst)
-        cw = canonical_word(w)
-        if w[c - 1] < w[c]:
-            # length goes up: canonical(w) + c is reduced for w s_c
-            v = right_mult_letter(w, c)
-            if canonical_word(v) == cw + (c,):
-                out = {(below, v, (0,) * len(i)): 1}
-            else:
-                out = self._reduced_word_elem(below, cw + (c,))
-        else:
-            # psi_w is psi_{cw[0]} psi_{w'} with psi_{w'} canonical
-            out = self._elem_cross(cw[0], self._right_cross(
-                c, i, left_mult_letter(cw[0], w)))
-        self._right_cross_cache[key] = out
-        return out
-
-    def _cross(self, k, i, w):
-        """Normal form of crossing k stacked on top of the basis diagram w."""
-        key = (k, i, w)
         hit = self._cross_cache.get(key)
         if hit is not None:
             return hit
-        m = len(i)
-        inv = inverse(w)
-        v = left_mult_letter(k, w)
-        if inv[k - 1] < inv[k]:
-            # length goes up: the word k + canonical(w) is reduced for v
-            cw = canonical_word(w)
-            if canonical_word(v) == (k,) + cw:
-                out = {(i, v, (0,) * m): 1}
-            else:
-                out = self._reduced_word_elem(i, (k,) + cw)
+        below = apply_word_to_seq((c,), i)
+        cw = canonical_word(w)
+        if w[c - 1] < w[c]:
+            # length goes up: canonical(w) + c is reduced for w s_c
+            out = self._reduced_word_elem(below, cw + (c,))
         else:
-            # length goes down: expose the double crossing at the top
-            w1, corrs = self._bring_to_front(k, canonical_word(w), i)
-            rest = w1[1:]
-            below = apply_perm_to_seq(v, i)
-            la, lb = below[k - 1], below[k]
+            # length goes down: expose the double crossing at the bottom
+            w1, corrs = self._bring_to_back(c, cw, i)
+            la, lb = i[c - 1], i[c]
             out = {}
-            if la == lb:
-                pass  # double crossing of equal labels is zero
-            elif self.graph.cartan(la, lb) == 0:
-                _acc(out, self._reduced_word_elem(i, rest))
-            else:
-                inner = self._reduced_word_elem(i, rest)
-                _acc(out, self._elem_dot(k, inner))
-                _acc(out, self._elem_dot(k + 1, inner))
+            if la != lb:  # a double crossing of equal labels is zero
+                inner = self._reduced_word_elem(below, w1[:-1])
+                if self.graph.cartan(la, lb) == 0:
+                    _acc(out, inner)
+                else:
+                    _acc(out, self._dot(c, inner))
+                    _acc(out, self._dot(c + 1, inner))
             for sign, cword in corrs:
-                _acc(out, self._elem_cross(k, self._word_elem(i, cword)), sign)
+                _acc(out, self._word_elem(below, cword + (c,)), sign)
         self._cross_cache[key] = out
         return out
 
-    def _dot(self, k, i, w):
-        """Normal form of a dot at top position k over the basis diagram w."""
-        m = len(i)
-        u = tuple(int(a == k - 1) for a in range(m))
-        top = apply_perm_to_seq(w, i)
-        return self._right_word({(top, identity(m), u): 1}, canonical_word(w))
+    def _dot(self, k, terms):
+        """terms * x_k: a dot at bottom position k shifts every key's dots."""
+        out = {}
+        for (i, w, u), c in terms.items():
+            u = list(u)
+            u[k - 1] += 1
+            out[(i, w, tuple(u))] = c
+        return out
 
     def _word_elem(self, i, word):
         """Normal form of an arbitrary crossing word (top-to-bottom) over i."""
@@ -528,48 +484,51 @@ class KLRRing:
         hit = self._word_cache.get(key)
         if hit is not None:
             return hit
-        if not word:
-            m = len(i)
-            out = {(i, identity(m), (0,) * m): 1}
-        else:
-            v = word_to_perm(word, len(i))
-            c = canonical_word(v)[0]
-            w1, corrs = self._bring_to_front(c, word, i)
-            out = self._elem_cross(c, self._reduced_word_elem(i, w1[1:]))
-            for sign, cword in corrs:
-                _acc(out, self._word_elem(i, cword), sign)
+        m = len(i)
+        v = word_to_perm(word, m)
+        cv = canonical_word(v)
+        if word == cv:
+            return {(i, v, (0,) * m): 1}
+        # bring the last letter d of canonical(v) to the bottom; what is
+        # left is a reduced word of v s_d, whose canonical word is cv[:-1]
+        d = cv[-1]
+        w1, corrs = self._bring_to_back(d, word, i)
+        above = apply_word_to_seq((d,), i)
+        out = self._right_word(self._reduced_word_elem(above, w1[:-1]), (d,))
+        for sign, cword in corrs:
+            _acc(out, self._word_elem(i, cword), sign)
         self._word_cache[key] = out
         return out
 
-    def _bring_to_front(self, c, word, i):
-        """Rewrite a reduced word to start with the left descent c.
+    def _bring_to_back(self, c, word, i):
+        """Rewrite a reduced word over i to end with the right descent c.
 
         Returns (new_word, corrections) where each correction is (sign,
-        word-with-three-fewer-letters) over the same bottom sequence, so
+        word-with-three-fewer-letters) over the same bottom sequence i, so
         that  word == new_word + sum sign * correction  as diagrams.
         """
         key = (c, word, i)
         hit = self._bring_cache.get(key)
         if hit is not None:
             return hit
-        a = word[0]
+        a = word[-1]
         if a == c:
             result = (word, ())
-        elif abs(a - c) >= 2:
-            w1, sub = self._bring_to_front(c, word[1:], i)
-            corrs = tuple((s, (a,) + cw) for s, cw in sub)
-            result = ((c, a) + w1[1:], corrs)
         else:
-            w1, sub = self._bring_to_front(c, word[1:], i)
-            corrs = [(s, (a,) + cw) for s, cw in sub]
-            w2, sub2 = self._bring_to_front(a, w1[1:], i)
-            corrs += [(s, (a, c) + cw) for s, cw in sub2]
-            rest = w2[1:]
-            t = apply_word_to_seq(rest, i)
-            mpos = min(a, c)
-            if (t[mpos - 1] == t[mpos + 1]
-                    and self.graph.cartan(t[mpos - 1], t[mpos]) == -1):
-                corrs.append((1 if a == mpos else -1, rest))
-            result = ((c, a, c) + rest, tuple(corrs))
+            above = apply_word_to_seq((a,), i)
+            w1, sub = self._bring_to_back(c, word[:-1], above)
+            corrs = [(s, cw + (a,)) for s, cw in sub]
+            if abs(a - c) >= 2:
+                result = (w1[:-1] + (a, c), tuple(corrs))
+            else:
+                w2, sub2 = self._bring_to_back(
+                    a, w1[:-1], apply_word_to_seq((c,), above))
+                corrs += [(s, cw + (c, a)) for s, cw in sub2]
+                rest = w2[:-1]
+                mpos = min(a, c)
+                if (i[mpos - 1] == i[mpos + 1]
+                        and self.graph.cartan(i[mpos - 1], i[mpos]) == -1):
+                    corrs.append((1 if a == mpos else -1, rest))
+                result = (rest + (c, a, c), tuple(corrs))
         self._bring_cache[key] = result
         return result

@@ -8,6 +8,11 @@ The canonical reduced word of w is the lexicographically smallest one; it is
 produced by greedily taking the minimal left descent, so it satisfies
 ``canonical(w) = [c] + canonical(s_c w)`` where c is the minimal left
 descent.  Words are read left-to-right as top-to-bottom in diagrams.
+
+Lex-min words are closed under prefixes as well as suffixes: if
+``canonical(w) = P + [d]``, then ``P = canonical(w s_d)``.  Otherwise
+``canonical(w s_d) + [d]`` would be a reduced word of w smaller than
+``P + [d]``.
 """
 
 from __future__ import annotations

@@ -72,6 +72,17 @@ def test_pair_routes_agree(ring_a2):
                         == pair_recursive(ring_a2, t1, t2))
 
 
+def test_pair_routes_reject_unknown_vertices(ring_a2):
+    """Both routes check labels before the weight short-circuit."""
+    k, i = (("k", 1),), (("i", 1),)
+    for route in (pair_monomials, pair_recursive):
+        for left, right in ((k, k), (i, k), (k, i)):
+            with pytest.raises(GraphError):
+                route(ring_a2, left, right)
+    with pytest.raises(GraphError):
+        comultiply(ring_a2.graph, k)
+
+
 def test_pair_recursive_memo_is_transparent():
     """A warm numerator memo gives the same pairings as a cold one."""
     monos = monomials_of_weight(["i", "j"], 4)

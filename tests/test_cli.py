@@ -244,6 +244,9 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
         ["check", "-g", graph_files["a2"], "cycle:x"],
         ["check", "-g", graph_files["a1"], "idempotents"],
         ["check", "-g", graph_files["cycle4"], "cycle:3"],
+        # an unknown vertex on the pairing routes
+        ["pair", "-g", graph_files["a2"], "i", "k"],
+        ["comul", "-g", graph_files["a2"], "k"],
     ]
     for argv in cases:
         code, out, err = run(capsys, argv)

@@ -18,6 +18,7 @@ from klr import (
 from klr.permutations import (
     all_permutations,
     apply_perm_to_seq,
+    apply_word_to_seq,
     canonical_word,
     inverse,
     longest_element,
@@ -162,9 +163,10 @@ def test_degree_additivity(ring_a2):
 
 
 def _dot_reference(ring, k, i, w):
-    """Reference for KLRRing._dot, the former top-down scan: a dot at top
-    position k moves down the canonical word of w, and at each equal-label
-    crossing it passes it adds +/- the word with that crossing deleted."""
+    """Reference for a dot over a basis diagram, the former top-down scan:
+    a dot at top position k moves down the canonical word of w, and at each
+    equal-label crossing it passes it adds +/- the word with that crossing
+    deleted."""
     word = canonical_word(w)
     r = len(word)
     # sequence at the level just below each crossing, top-to-bottom
@@ -196,7 +198,8 @@ def _dot_reference(ring, k, i, w):
 
 def _multiply_inside_out(ring, x, y):
     """Reference product, the former KLRRing.multiply: push the dots of x
-    into y one at a time, then stack the crossings of x on top."""
+    into y one at a time, then stack the crossings of x on top, each as a
+    crossing generator over the current top sequence."""
     out = {}
     for (ix, px, ux), cx in x.terms.items():
         word_x = tuple(reversed(canonical_word(px)))
@@ -213,10 +216,11 @@ def _multiply_inside_out(ring, x, y):
                             {(j, v, tuple(map(add, e, u))): a
                              for (j, v, e), a in dot.terms.items()})
                     acc = pushed
-            terms = acc.terms
+            top = ix
             for letter in word_x:
-                terms = ring._elem_cross(letter, terms)
-            for key, c in terms.items():
+                acc = ring.generator(("C", letter), top) * acc
+                top = apply_word_to_seq((letter,), top)
+            for key, c in acc.terms.items():
                 out[key] = out.get(key, 0) + c
     return ring.element(out)
 
@@ -267,7 +271,9 @@ def test_dot_matches_top_down_scan(ring_a1, ring_a2, ring_cycle3, data):
                                  min_size=1, max_size=5)))
     w = tuple(data.draw(st.permutations(range(len(i)))))
     k = data.draw(st.integers(1, len(i)))
-    assert ring.element(ring._dot(k, i, w)) == _dot_reference(ring, k, i, w)
+    dot = ring.generator(("D", k), apply_perm_to_seq(w, i))
+    basis = ring.element({(i, w, (0,) * len(i)): 1})
+    assert dot * basis == _dot_reference(ring, k, i, w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -365,8 +371,7 @@ def test_nilhecke_em(ring_a1):
 def test_stats_count_right_crossing_terms():
     ring = KLRRing(single_vertex())
     assert ring.stats() == {
-        "caches": {"cross": 0, "word": 0, "bring": 0, "right_cross": 0,
-                   "pair": 0},
+        "caches": {"cross": 0, "word": 0, "bring": 0, "pair": 0},
         "terms_read": 0}
     dots = []
     dot = ring._dot
@@ -377,7 +382,7 @@ def test_stats_count_right_crossing_terms():
     # one term per letter of the longest word: psi_{w0} psi_c = 0, and only
     # the divided difference of the staircase survives each step
     assert stats["terms_read"] <= 28
-    assert stats["caches"]["right_cross"] > 0
+    assert stats["caches"]["cross"] > 0
     assert dots == []
 
 

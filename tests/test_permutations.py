@@ -32,6 +32,9 @@ def test_canonical_word_properties():
             word = canonical_word(w)
             assert len(word) == len(inversions(w))
             assert word_to_perm(word, m) == w
+            # closed under prefixes: the kernel canonicalizes from the bottom
+            assert not word or word[:-1] == canonical_word(
+                right_mult_letter(w, word[-1]))
 
 
 def test_canonical_word_is_lex_smallest_s3():
