@@ -8,9 +8,15 @@ computed two independent ways, which share no code:
 * pair_monomials: gdim_hom(expand(theta'), expand(theta)) / (theta! theta'!),
   where gdim_hom counts permutations by a subset DP in the ring;
 * pair_recursive: the coproduct recursion (x, y i) = (r(x), y tensor i),
-  peeling one letter of expand(theta') at a time.  Every peeled letter
-  contributes one factor 1/(1-q^2), so the recursion works with numerators
-  over the fixed denominator (1-q^2)^m, memoized per ring.
+  peeling one letter of expand(theta') at a time.  Only the terms of r(x)
+  whose right factor is that single letter survive, and they are written
+  down in closed form (see _pair_plain) rather than filtered from the full
+  comultiply.  Every peeled letter contributes one factor 1/(1-q^2), so
+  the recursion works with numerators over the fixed denominator
+  (1-q^2)^m, memoized per ring.
+
+Every entry point that takes a divided sequence rejects a block that is
+not (vertex, n) with n an integer >= 1 with ValueError.
 
 A monomial is tight when its self-pairing lies in 1 + q N[[q]].  The form
 is the graded dimension of a hom space (KL I, section 3), so no coefficient
@@ -26,6 +32,7 @@ from .gdim import GradedDim
 from .laurent import LaurentPoly
 from .permutations import apply_perm_to_seq
 from .sequences import (
+    check_divided,
     divided_weight,
     expand,
     factorial_poly,
@@ -96,6 +103,7 @@ class K0Vector:
     @staticmethod
     def monomial(theta, coeff=None):
         theta = tuple(theta)
+        check_divided(theta)
         return K0Vector(divided_weight(theta),
                         {theta: coeff if coeff is not None else LaurentPoly.one()})
 
@@ -151,6 +159,7 @@ def _divide_factorial(gd: GradedDim, divided) -> GradedDim:
 def char_projective(ring, theta):
     """Character of the monomial projective: gdim_hom(k, expand) / theta!."""
     theta = tuple(theta)
+    check_divided(theta)
     hat = expand(theta)
     weight = weight_of_seq(hat)
     fact = factorial_poly(theta)
@@ -166,6 +175,7 @@ def char_projective(ring, theta):
 def char_at_divided(cv: CharacterVector, theta):
     """Evaluate a character at a divided sequence: value at expansion / theta!."""
     theta = tuple(theta)
+    check_divided(theta)
     return cv.value(expand(theta)).divide_poly(factorial_poly(theta))
 
 
@@ -195,9 +205,10 @@ def comultiply(graph, theta):
     Each block i^(n) splits as sum over a+b=n of q^{-ab} i^(a) (x) i^(b);
     blocks are assembled left to right in the twisted tensor product, so a
     block landing on the left picks up q^{-B(weight(right so far), a*i)}.
-    Blocks are kept unmerged in the output.  Raises GraphError on a label
-    that is not a vertex.
+    Blocks are kept unmerged in the output.  Raises ValueError on a bad
+    block and GraphError on a label that is not a vertex.
     """
+    check_divided(theta)
     graph.require_vertices(v for v, _ in theta)
     terms = [((), (), (), LaurentPoly.one())]  # (left, right, right weight, coeff)
     for v, n in theta:
@@ -222,6 +233,7 @@ def comultiply(graph, theta):
 def pair_monomials(ring, theta, theta2) -> GradedDim:
     """(theta, theta') via the hom-space graded dimension."""
     theta, theta2 = tuple(theta), tuple(theta2)
+    check_divided(theta + theta2)
     ring.graph.require_vertices(v for v, _ in theta + theta2)
     if divided_weight(theta) != divided_weight(theta2):
         return GradedDim.zero()
@@ -238,6 +250,7 @@ def pair_recursive(ring, theta, theta2) -> GradedDim:
     theta'! [P_theta'].
     """
     theta, theta2 = tuple(theta), tuple(theta2)
+    check_divided(theta + theta2)
     ring.graph.require_vertices(v for v, _ in theta + theta2)
     if divided_weight(theta) != divided_weight(theta2):
         return GradedDim.zero()
@@ -248,6 +261,14 @@ def pair_recursive(ring, theta, theta2) -> GradedDim:
 
 def _pair_plain(ring, theta, plain_seq) -> LaurentPoly:
     """Numerator of (theta, plain_seq) over the fixed (1-q^2)^len(plain_seq).
+
+    Peels v, the last letter of plain_seq.  A term of r(theta) has right
+    factor exactly v^(1) only when one block p = (v, n_p) sends one letter
+    right and every other block stays left.  Its left factor is theta with
+    n_p lowered by one (the block dropped when n_p = 1), and its
+    coefficient is q^{-(n_p - 1) - sum_{r > p} n_r (v_r . v)}: the split
+    factor q^{-ab} with a = n_p - 1, b = 1, times the twist each later
+    block pays for crossing the letter already on the right.
 
     Each peeled letter contributes exactly one factor 1/(1-q^2), so the
     recursion sums numerators and never forms a common denominator.  The
@@ -260,14 +281,19 @@ def _pair_plain(ring, theta, plain_seq) -> LaurentPoly:
         return hit
     if not plain_seq:
         return LaurentPoly.zero() if theta else LaurentPoly.one()
-    single = ((plain_seq[-1], 1),)
+    v, rest = plain_seq[-1], plain_seq[:-1]
+    cartan = ring.graph.cartan
     out = LaurentPoly.zero()
-    for left, right, coeff in comultiply(ring.graph, theta):
-        if right != single:
-            continue
-        sub = _pair_plain(ring, left, plain_seq[:-1])
-        if not sub.is_zero():
-            out = out + sub * coeff
+    twist = 0  # sum over the blocks right of p of n_r (v_r . v)
+    for p in range(len(theta) - 1, -1, -1):
+        vp, n = theta[p]
+        if vp == v:
+            left = (theta[:p] + ((v, n - 1),) + theta[p + 1:] if n > 1
+                    else theta[:p] + theta[p + 1:])
+            sub = _pair_plain(ring, left, rest)
+            if not sub.is_zero():
+                out = out + sub * LaurentPoly.q_power(-(n - 1) - twist)
+        twist += n * cartan(vp, v)
     ring._pair_cache[key] = out
     return out
 
@@ -341,6 +367,7 @@ def tight(ring, theta) -> TightReport:
     is not 1 * q^0, or (0, 0) when the expansion starts above q^0.
     """
     theta = tuple(theta)
+    check_divided(theta)
     pairing = pair_monomials(ring, theta, theta)
     low = min(pairing.num.min_exp(), 0)
     lowest = (low, pairing.num[low])

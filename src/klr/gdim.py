@@ -1,8 +1,10 @@
 """Exact graded dimensions: Laurent numerator over factors (1 - q^{2a}).
 
 A GradedDim is numerator / prod_a (1 - q^{2a}) with the denominator kept as
-a multiset of positive integers a.  Equality is cross-multiplication; no
-factorization is ever attempted.  bar (q -> 1/q) rewrites each factor via
+a multiset of positive integers a.  Equality cross-multiplies by the
+multiset difference of the two denominators only: the shared factors cancel
+exactly, since each 1 - q^{2a} is nonzero.  No factorization is ever
+attempted.  bar (q -> 1/q) rewrites each factor via
 1/(1 - q^{-2a}) = -q^{2a}/(1 - q^{2a}).
 """
 
@@ -13,6 +15,19 @@ from .laurent import LaurentPoly, DivisibilityError
 
 def _factor_poly(a):
     return LaurentPoly({0: 1, 2 * a: -1})
+
+
+def _den_minus(den, other):
+    """The multiset difference den - other of two sorted factor tuples."""
+    out, t = [], 0
+    for a in den:
+        while t < len(other) and other[t] < a:
+            t += 1
+        if t < len(other) and other[t] == a:
+            t += 1
+        else:
+            out.append(a)
+    return out
 
 
 def _den_poly(factors):
@@ -113,7 +128,10 @@ class GradedDim:
             other = GradedDim(LaurentPoly.const(other))
         if not isinstance(other, GradedDim):
             return NotImplemented
-        return self.num * _den_poly(other.den) == other.num * _den_poly(self.den)
+        if self.den == other.den:
+            return self.num == other.num
+        return (self.num * _den_poly(_den_minus(other.den, self.den))
+                == other.num * _den_poly(_den_minus(self.den, other.den)))
 
     def __hash__(self):
         raise TypeError("GradedDim is unhashable (equality is cross-multiplication)")

@@ -34,6 +34,15 @@ def seq_enumerate(weight):
 
 # -- divided sequences -----------------------------------------------------
 
+def check_divided(divided):
+    """Raise ValueError unless every block is (vertex, n) with n an int >= 1."""
+    for block in divided:
+        if not (isinstance(block, tuple) and len(block) == 2
+                and type(block[1]) is int and block[1] >= 1):
+            raise ValueError(f"divided-power block {block!r} is not "
+                             f"(vertex, n) with n an integer >= 1")
+
+
 def expand(divided):
     """The plain sequence obtained by repeating each block's vertex."""
     out = []

@@ -27,7 +27,7 @@ from klr import (
     tight,
 )
 from klr.laurent import qbinom, qfact
-from klr.sequences import divided_weight
+from klr.sequences import divided_weight, expand, factorial_poly
 
 
 def monomials_of_weight(verts, total):
@@ -81,6 +81,27 @@ def test_pair_routes_reject_unknown_vertices(ring_a2):
                 route(ring_a2, left, right)
     with pytest.raises(GraphError):
         comultiply(ring_a2.graph, k)
+
+
+def test_bad_divided_powers_raise_value_error(ring_a2):
+    """Every divided-sequence entry point rejects n < 1 and non-int n."""
+    ok = (("i", 1),)
+    for n in (0, -1, 1.5):
+        bad = (("i", n),)
+        for route in (pair_monomials, pair_recursive):
+            for left, right in ((bad, ok), (ok, bad), (bad, ())):
+                with pytest.raises(ValueError, match="divided-power block"):
+                    route(ring_a2, left, right)
+        with pytest.raises(ValueError, match="divided-power block"):
+            comultiply(ring_a2.graph, bad)
+        with pytest.raises(ValueError, match="divided-power block"):
+            char_projective(ring_a2, bad)
+        with pytest.raises(ValueError, match="divided-power block"):
+            tight(ring_a2, bad)
+        with pytest.raises(ValueError, match="divided-power block"):
+            char_at_divided(char_projective(ring_a2, ok), bad)
+        with pytest.raises(ValueError, match="divided-power block"):
+            K0Vector.monomial(bad)
 
 
 def test_pair_recursive_memo_is_transparent():
@@ -346,3 +367,57 @@ def test_cycle_alpha(ring_cycle3, ring_cycle4):
     for ring, n in ((ring_cycle4, 3), (ring_cycle3, 4)):
         with pytest.raises(GraphError):
             cycle_alpha(ring, n)
+
+
+def _peel_by_comultiply(graph, theta, plain_seq, memo):
+    """Numerator of (theta, plain_seq) over (1-q^2)^len(plain_seq), peeling
+    the last letter through the terms of the full coproduct r(theta)."""
+    key = (theta, plain_seq)
+    if key not in memo:
+        if not plain_seq:
+            memo[key] = LaurentPoly.zero() if theta else LaurentPoly.one()
+        else:
+            single = ((plain_seq[-1], 1),)
+            out = LaurentPoly.zero()
+            for left, right, coeff in comultiply(graph, theta):
+                if right == single:
+                    out = out + _peel_by_comultiply(
+                        graph, left, plain_seq[:-1], memo) * coeff
+            memo[key] = out
+    return memo[key]
+
+
+def _check_peel(ring, theta, theta2):
+    plain_seq = expand(theta2)
+    num = _peel_by_comultiply(ring.graph, theta, plain_seq, {})
+    # (theta, expansion of theta') = theta'! (theta, theta')
+    assert (pair_recursive(ring, theta, theta2) * factorial_poly(theta2)
+            == GradedDim(num, (1,) * len(plain_seq))), (theta, theta2)
+
+
+def test_pair_recursive_matches_comultiply_peel_examples(ring_a2):
+    ring = ring_a2
+    i_i2 = (("i", 1), ("i", 2))
+    for theta2 in (i_i2, (("i", 3),), (("i", 2), ("i", 1)),
+                   (("i", 1), ("i", 1), ("i", 1))):
+        _check_peel(ring, i_i2, theta2)
+    _check_peel(ring, (("i", 1), ("j", 1), ("i", 2)),
+                (("i", 2), ("j", 1), ("i", 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pair_recursive_matches_comultiply_peel(ring_a2, ring_a1xa1,
+                                                ring_cycle3, data):
+    """The closed-form peel equals the filtered coproduct terms."""
+    ring = data.draw(st.sampled_from([ring_a2, ring_a1xa1, ring_cycle3]))
+    seq = data.draw(st.lists(st.sampled_from(ring.graph.vertices),
+                             min_size=0, max_size=5))
+    theta = _divided(data.draw, seq)
+    theta2 = _divided(data.draw, data.draw(st.permutations(seq)))
+    _check_peel(ring, theta, theta2)
+    # a plain sequence of another weight pairs to zero by both
+    other = _divided(data.draw, data.draw(st.lists(
+        st.sampled_from(ring.graph.vertices), min_size=len(seq),
+        max_size=len(seq))))
+    _check_peel(ring, theta, other)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klr import GradedDim, LaurentPoly
 from klr.laurent import qint
@@ -95,3 +97,27 @@ def test_distributivity_random():
         cut = 6
         assert (x * y).series(cut) == (
             x.series(cut + 8) * y.series(cut + 8)).truncate(cut)
+
+
+_nums = st.dictionaries(st.integers(-6, 6), st.integers(-4, 4).filter(bool),
+                        min_size=1, max_size=4).map(LaurentPoly)
+_dens = st.lists(st.integers(1, 3), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nums, _dens, _dens, st.data())
+def test_equality_cancels_shared_factors(num, den, extra, data):
+    """Equal values over different denominators compare equal, and a
+    changed numerator coefficient is seen over any denominators."""
+    gd = GradedDim(num, den)
+    factors = LaurentPoly.one()
+    for a in extra:
+        factors = factors * LaurentPoly({0: 1, 2 * a: -1})
+    wide = GradedDim(num * factors, den + extra)
+    assert gd == wide and wide == gd
+    e = data.draw(st.integers(-6, 6))
+    delta = data.draw(st.integers(-3, 3).filter(bool))
+    changed = GradedDim((num + LaurentPoly.q_power(e, delta)) * factors,
+                        den + extra)
+    assert not (gd == changed) and not (changed == gd)
+    assert gd.bar().bar() == gd and wide.bar().bar() == gd
