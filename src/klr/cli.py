@@ -255,8 +255,6 @@ def cmd_quotient(args):
     else:
         spec = cyclotomic_spec(ring, weight, dict(parse_weight(args.cyclotomic)))
     prime = parse_field(args.field)
-    if args.cutoff < args.window:
-        raise CLIError("--cutoff must be >= --window")
     report = quotient_gdim(ring, spec, cutoff=args.cutoff,
                            window=args.window, prime=prime)
     if args.json:

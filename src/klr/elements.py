@@ -187,9 +187,6 @@ class KLRRing:
         self.graph = graph
         # (c, i, w) -> normal form of psi_w e(i) with crossing c below it
         self._cross_cache = {}
-        # (i, crossing word) -> normal form, for any word over i
-        self._word_cache = {}
-        self._bring_cache = {}
         # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
         self._pair_cache = {}
         self._terms_read = 0  # terms read by the right-crossing steps
@@ -468,22 +465,12 @@ class KLRRing:
 
     def _word_elem(self, i, word):
         """Normal form of an arbitrary crossing word (top-to-bottom) over i."""
-        key = (i, word)
-        hit = self._word_cache.get(key)
-        if hit is not None:
-            return hit
         m = len(i)
         top = apply_word_to_seq(word, i)
-        out = self._right_word({(top, identity(m), (0,) * m): 1}, word)
-        self._word_cache[key] = out
-        return out
+        return self._right_word({(top, identity(m), (0,) * m): 1}, word)
 
     def _reduced_word_elem(self, i, word):
         """Normal form of a reduced word over i, via canonicalization."""
-        key = (i, word)
-        hit = self._word_cache.get(key)
-        if hit is not None:
-            return hit
         m = len(i)
         v = word_to_perm(word, m)
         cv = canonical_word(v)
@@ -497,7 +484,6 @@ class KLRRing:
         out = self._right_word(self._reduced_word_elem(above, w1[:-1]), (d,))
         for sign, cword in corrs:
             _acc(out, self._word_elem(i, cword), sign)
-        self._word_cache[key] = out
         return out
 
     def _bring_to_back(self, c, word, i):
@@ -507,28 +493,20 @@ class KLRRing:
         word-with-three-fewer-letters) over the same bottom sequence i, so
         that  word == new_word + sum sign * correction  as diagrams.
         """
-        key = (c, word, i)
-        hit = self._bring_cache.get(key)
-        if hit is not None:
-            return hit
         a = word[-1]
         if a == c:
-            result = (word, ())
-        else:
-            above = apply_word_to_seq((a,), i)
-            w1, sub = self._bring_to_back(c, word[:-1], above)
-            corrs = [(s, cw + (a,)) for s, cw in sub]
-            if abs(a - c) >= 2:
-                result = (w1[:-1] + (a, c), tuple(corrs))
-            else:
-                w2, sub2 = self._bring_to_back(
-                    a, w1[:-1], apply_word_to_seq((c,), above))
-                corrs += [(s, cw + (c, a)) for s, cw in sub2]
-                rest = w2[:-1]
-                mpos = min(a, c)
-                if (i[mpos - 1] == i[mpos + 1]
-                        and self.graph.cartan(i[mpos - 1], i[mpos]) == -1):
-                    corrs.append((1 if a == mpos else -1, rest))
-                result = (rest + (c, a, c), tuple(corrs))
-        self._bring_cache[key] = result
-        return result
+            return word, []
+        above = apply_word_to_seq((a,), i)
+        w1, sub = self._bring_to_back(c, word[:-1], above)
+        corrs = [(s, cw + (a,)) for s, cw in sub]
+        if abs(a - c) >= 2:
+            return w1[:-1] + (a, c), corrs
+        w2, sub2 = self._bring_to_back(
+            a, w1[:-1], apply_word_to_seq((c,), above))
+        corrs += [(s, cw + (c, a)) for s, cw in sub2]
+        rest = w2[:-1]
+        mpos = min(a, c)
+        if (i[mpos - 1] == i[mpos + 1]
+                and self.graph.cartan(i[mpos - 1], i[mpos]) == -1):
+            corrs.append((1 if a == mpos else -1, rest))
+        return rest + (c, a, c), corrs

@@ -3,7 +3,8 @@
 A GradedDim is numerator / prod_a (1 - q^{2a}) with the denominator kept as
 a multiset of positive integers a.  Equality cross-multiplies by the
 multiset difference of the two denominators only: the shared factors cancel
-exactly, since each 1 - q^{2a} is nonzero.  No factorization is ever
+exactly, since each 1 - q^{2a} is nonzero.  Addition uses the same
+differences to reach the multiset maximum.  No factorization is ever
 attempted.  bar (q -> 1/q) rewrites each factor via
 1/(1 - q^{-2a}) = -q^{2a}/(1 - q^{2a}).
 """
@@ -37,10 +38,24 @@ def _den_poly(factors):
     return out
 
 
+def _lift(other):
+    """An int or LaurentPoly as a GradedDim with no denominator."""
+    if isinstance(other, int):
+        other = LaurentPoly.const(other)
+    if isinstance(other, LaurentPoly):
+        other = GradedDim(other)
+    return other
+
+
 class GradedDim:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den=()):
+        den = tuple(den)
+        for a in den:
+            if type(a) is not int or a < 1:
+                raise ValueError(f"denominator factor {a!r} must be an "
+                                 "int >= 1")
         self.num = num
         self.den = tuple(sorted(den))
 
@@ -58,35 +73,18 @@ class GradedDim:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = GradedDim(LaurentPoly.const(other)
-                              if isinstance(other, int) else other)
-        # common denominator: multiset maximum of the factor multiplicities
-        counts = {}
-        for a in self.den:
-            counts[a] = counts.get(a, 0) + 1
-        other_counts = {}
-        for a in other.den:
-            other_counts[a] = other_counts.get(a, 0) + 1
-        union = {a: max(counts.get(a, 0), other_counts.get(a, 0))
-                 for a in set(counts) | set(other_counts)}
-        den = [a for a, c in union.items() for _ in range(c)]
-        n1 = self.num * _den_poly(
-            a for a, c in union.items()
-            for _ in range(c - counts.get(a, 0)))
-        n2 = other.num * _den_poly(
-            a for a, c in union.items()
-            for _ in range(c - other_counts.get(a, 0)))
-        return GradedDim(n1 + n2, den)
+        other = _lift(other)
+        # common denominator: the multiset maximum of the two
+        extra = _den_minus(other.den, self.den)
+        n1 = self.num * _den_poly(extra)
+        n2 = other.num * _den_poly(_den_minus(self.den, other.den))
+        return GradedDim(n1 + n2, self.den + tuple(extra))
 
     def __neg__(self):
         return GradedDim(-self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = GradedDim(LaurentPoly.const(other)
-                              if isinstance(other, int) else other)
-        return self + (-other)
+        return self + (-_lift(other))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -124,8 +122,7 @@ class GradedDim:
     # -- comparison and expansion -----------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = GradedDim(LaurentPoly.const(other))
+        other = _lift(other)
         if not isinstance(other, GradedDim):
             return NotImplemented
         if self.den == other.den:

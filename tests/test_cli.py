@@ -172,6 +172,14 @@ def test_quotient_examples(capsys, graph_files):
                                 "--nu", "i:1", "--cyclotomic", "i:0"])
     assert code == 0 and "all degrees zero" in out
 
+    # a window wider than the cutoff is fine while it stays above the
+    # lowest degree (-2 here); the library checks the window itself
+    code, out, _ = run(capsys, ["quotient", "-g", graph_files["a1"],
+                                "--nu", "i:2", "--symplus",
+                                "--cutoff", "1", "--window", "3"])
+    assert code == 0
+    assert "deg   -2: 1" in out and "deg    0: 2" in out
+
     code, out, _ = run(capsys, ["quotient", "-g", graph_files["a1"], "--json",
                                 "--nu", "i:1", "--cyclotomic", "i:2",
                                 "--field", "Fp:7"])

@@ -81,6 +81,28 @@ def test_json_round_trip():
     assert GradedDim.from_json(gd.to_json()) == gd
 
 
+def test_bad_denominator_factor():
+    # 1/(1-q^0) is 1/0, and a negative factor would expand to garbage
+    for den in ((0,), (-1,), (2, 0, 1), (1.0,), (True,), ("1",),
+                ("a", 1)):
+        with pytest.raises(ValueError):
+            GradedDim(LaurentPoly.one(), den)
+        with pytest.raises(ValueError):
+            GradedDim.from_json({"num": {"0": 1}, "den": list(den)})
+    assert GradedDim(LaurentPoly.one(), (2, 1)).den == (1, 2)
+
+
+def test_compare_with_laurent_poly():
+    assert GradedDim.one() == LaurentPoly.one()
+    assert LaurentPoly.one() == GradedDim.one()
+    assert GradedDim(LaurentPoly({0: 1, 2: -1}), (1,)) == LaurentPoly.one()
+    assert not (geom(1) == LaurentPoly.one())
+    assert geom(1) != LaurentPoly.one()
+    assert GradedDim.one() + LaurentPoly.one() == LaurentPoly.const(2)
+    assert (geom(1) - LaurentPoly.one()) == GradedDim(
+        LaurentPoly({2: 1}), (1,))
+
+
 def test_distributivity_random():
     rng = random.Random(7)
 
