@@ -41,6 +41,7 @@ from .sequences import (
     plain,
     reverse,
     seq_enumerate,
+    shift,
     shuffles,
 )
 
@@ -140,18 +141,18 @@ def _divide_factorial(gd: GradedDim, divided) -> GradedDim:
     """Divide by the quantum factorial of a divided sequence, exactly.
 
     Uses the denominator identity (1-q^2)^n [n]! q^{n(n-1)/2} =
-    prod_{a<=n} (1-q^{2a}): each block i^(n) consumes n copies of the
-    factor (1-q^2), which the (1-q^2)^m denominator of every caller holds.
+    prod_{a<=n} (1-q^{2a}): each block i^(n) trades n - 1 of the factors
+    1-q^2 that the (1-q^2)^m denominator of every caller holds for a = 2..n.
     """
-    num, den = gd.num, list(gd.den)
+    s = shift(divided)
+    if not s:
+        return gd
+    den = list(gd.den)
     for _, n in divided:
-        if n <= 1:
-            continue
-        for _ in range(n):
+        for _ in range(n - 1):
             den.remove(1)
-        den.extend(range(1, n + 1))
-        num = num * LaurentPoly.q_power(n * (n - 1) // 2)
-    return GradedDim(num, den)
+        den.extend(range(2, n + 1))
+    return GradedDim(gd.num * LaurentPoly.q_power(s), den)
 
 
 # -- characters ------------------------------------------------------------
@@ -162,7 +163,6 @@ def char_projective(ring, theta):
     check_divided(theta)
     hat = expand(theta)
     weight = weight_of_seq(hat)
-    fact = factorial_poly(theta)
     values = {}
     for seq in seq_enumerate(weight):
         gd = ring.gdim_hom(seq, hat)
@@ -367,7 +367,6 @@ def tight(ring, theta) -> TightReport:
     is not 1 * q^0, or (0, 0) when the expansion starts above q^0.
     """
     theta = tuple(theta)
-    check_divided(theta)
     pairing = pair_monomials(ring, theta, theta)
     low = min(pairing.num.min_exp(), 0)
     lowest = (low, pairing.num[low])

@@ -132,6 +132,11 @@ def load_graph(path):
         raise CLIError(f"cannot load graph {path}: {exc}")
 
 
+def _print(obj, args):
+    """obj.to_json() as JSON with --json, else str(obj)."""
+    print(json.dumps(obj.to_json()) if args.json else obj)
+
+
 def _print_gdim(gd, args):
     if args.json:
         obj = gd.to_json()
@@ -165,10 +170,7 @@ def cmd_multiply(args):
     out = factors[0]
     for f in factors[1:]:
         out = out * f
-    if args.json:
-        print(json.dumps(out.to_json()))
-    else:
-        print(out)
+    _print(out, args)
     return 0
 
 
@@ -236,11 +238,7 @@ def cmd_comul(args):
 def cmd_tight(args):
     graph = load_graph(args.graph)
     ring = KLRRing(graph)
-    report = tight(ring, parse_divided(args.monomial))
-    if args.json:
-        print(json.dumps(report.to_json()))
-    else:
-        print(report)
+    _print(tight(ring, parse_divided(args.monomial)), args)
     return 0
 
 
@@ -255,12 +253,8 @@ def cmd_quotient(args):
     else:
         spec = cyclotomic_spec(ring, weight, dict(parse_weight(args.cyclotomic)))
     prime = parse_field(args.field)
-    report = quotient_gdim(ring, spec, cutoff=args.cutoff,
-                           window=args.window, prime=prime)
-    if args.json:
-        print(json.dumps(report.to_json()))
-    else:
-        print(report)
+    _print(quotient_gdim(ring, spec, cutoff=args.cutoff,
+                         window=args.window, prime=prime), args)
     return 0
 
 

@@ -55,6 +55,7 @@ from .permutations import (
     longest_element,
     word_to_perm,
 )
+from .sequences import format_seq
 
 
 class WeightMismatchError(ValueError):
@@ -171,8 +172,7 @@ class KLRElement:
             factors += [f"x{p+1}" if e == 1 else f"x{p+1}^{e}"
                         for p, e in enumerate(u) if e]
             body = "*".join(factors) if factors else "1"
-            seq = "".join(i) if all(len(v) == 1 for v in i) else " ".join(i)
-            return self.terms[key], f"{body}[{seq}]"
+            return self.terms[key], f"{body}[{format_seq(i)}]"
 
         return format_sum(map(term, sorted(
             self.terms, key=lambda k: (k[0], k[1], tuple(-x for x in k[2])))))
@@ -248,10 +248,7 @@ class KLRRing:
         return elem
 
     def idempotent(self, seq):
-        seq = tuple(seq)
-        self.graph.require_vertices(seq)
-        m = len(seq)
-        return KLRElement(self, {(seq, identity(m), (0,) * m): 1})
+        return self.evaluate_word(seq, [])
 
     def generator(self, token, seq):
         """token = ('D', k) for a dot or ('C', k) for a crossing, 1-based."""

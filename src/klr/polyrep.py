@@ -8,7 +8,8 @@ multiplication by x_k + x_{k+1} (an edge oriented with the crossing).  The
 orientation of each edge is a choice; the ring itself does not depend on it.
 Each crossing is one pass over the polynomial: every monomial is written
 once, swapped and, for an oriented edge, multiplied in the same loop, and
-a basis key keeps one label list for its whole word.
+a basis key keeps one label list for its whole word.  ``act_word`` is the
+one loop over generator tokens; ``act_generator`` is its one-token case.
 
 This module deliberately shares no code with the rewriting kernel beyond
 the basis-key data: products are *not* normalized here, they are composed
@@ -134,61 +135,63 @@ def _cross(graph, orientation, labels, k, poly):
     return out
 
 
-def act_generator(graph, orientation, token, seq, poly):
-    """Act by one generator on a polynomial over one sequence.
+def act_word(graph, orientation, seq, tokens, poly):
+    """Compose generator actions for a bottom-to-top token list.
 
-    Returns (new_sequence, new_polynomial).  Raises GraphError for a label
-    of seq that is not a vertex, ValueError for a monomial without one
-    variable per strand or for a crossed edge that the orientation does
-    not orient one of its two ways, and GeneratorIndexError for a dot or
-    crossing outside the strands of seq.
+    Returns (top sequence, polynomial).  The input is checked once, also
+    for an empty word, and each token as it is applied.  Raises GraphError
+    for a label of seq that is not a vertex, ValueError for a monomial
+    without one variable per strand, an unknown token type or a crossed
+    edge that the orientation does not orient one of its two ways, and
+    GeneratorIndexError for a dot or crossing outside the strands of seq.
     """
     _check_input(graph, seq, poly)
-    typ, k = token
-    m = len(seq)
-    if typ == "D":
-        if not 1 <= k <= m:
-            raise GeneratorIndexError(
-                f"dot position {k} out of range for {m} strands")
-        return tuple(seq), poly_mul_var(poly, k)
-    if typ != "C":
-        raise ValueError(f"unknown token type {typ!r}")
-    if not 1 <= k <= m - 1:
-        raise GeneratorIndexError(f"crossing {k} out of range for {m} strands")
     labels = list(seq)
-    poly = _cross(graph, orientation, labels, k, poly)
+    m = len(labels)
+    for typ, k in tokens:
+        if typ == "D":
+            if not 1 <= k <= m:
+                raise GeneratorIndexError(
+                    f"dot position {k} out of range for {m} strands")
+            poly = poly_mul_var(poly, k)
+        elif typ == "C":
+            if not 1 <= k <= m - 1:
+                raise GeneratorIndexError(
+                    f"crossing {k} out of range for {m} strands")
+            poly = _cross(graph, orientation, labels, k, poly)
+        else:
+            raise ValueError(f"unknown token type {typ!r}")
     return tuple(labels), poly
 
 
-def act_term(graph, orientation, key, seq, poly):
-    """Act by a single basis key (i, w, u) on poly over seq; None if i != seq."""
-    i, w, u = key
-    if i != tuple(seq):
-        return None
-    if any(u):
-        poly = {tuple(map(add, e, u)): c for e, c in poly.items()}
-    labels = list(i)
-    for letter in reversed(canonical_word(w)):
-        poly = _cross(graph, orientation, labels, letter, poly)
-    return tuple(labels), poly
+def act_generator(graph, orientation, token, seq, poly):
+    """Act by one generator: ``act_word`` on the one-token word."""
+    return act_word(graph, orientation, seq, [token], poly)
 
 
 def act(orientation, x, seq, poly):
     """Act by a KLRElement; result is a map sequence -> polynomial.
 
-    Raises GraphError for a label of seq that is not a vertex, and
-    ValueError for a monomial without one variable per strand or for a
-    crossed edge that the orientation does not orient one of its two ways.
+    A term (i, w, u) with i = seq shifts the exponents by u, then crosses
+    by the canonical word of w, bottom first.  Raises GraphError for a
+    label of seq that is not a vertex, and ValueError for a monomial
+    without one variable per strand or for a crossed edge that the
+    orientation does not orient one of its two ways.
     """
     graph = x.ring.graph
     _check_input(graph, seq, poly)
+    seq = tuple(seq)
     out = {}
-    for key, c in x.terms.items():
-        res = act_term(graph, orientation, key, seq, poly)
-        if res is None:
+    for (i, w, u), c in x.terms.items():
+        if i != seq:
             continue
-        new_seq, p = res
-        target = out.setdefault(new_seq, {})
+        p = poly
+        if any(u):
+            p = {tuple(map(add, e, u)): v for e, v in poly.items()}
+        labels = list(i)
+        for letter in reversed(canonical_word(w)):
+            p = _cross(graph, orientation, labels, letter, p)
+        target = out.setdefault(tuple(labels), {})
         for e, v in p.items():
             v = target.get(e, 0) + c * v
             if v:
@@ -196,17 +199,6 @@ def act(orientation, x, seq, poly):
             else:
                 del target[e]
     return {s: p for s, p in out.items() if p}
-
-
-def act_word(graph, orientation, seq, tokens, poly):
-    """Compose generator actions for a bottom-to-top token list.
-
-    Raises what ``act_generator`` raises for each token.
-    """
-    cur_seq, cur = tuple(seq), poly
-    for token in tokens:
-        cur_seq, cur = act_generator(graph, orientation, token, cur_seq, cur)
-    return cur_seq, cur
 
 
 def monomials_up_to(m, degree_bound):

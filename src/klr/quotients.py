@@ -7,8 +7,9 @@ and the span is shared across all degrees:
 
 * the generators are split into their sector pieces e(j) g e(i);
 * the left ideal L = R G is echelon-reduced in each degree and each
-  (top, bottom) sector, modulo the dots below its lower-degree vectors
-  (for central generators L is just the pieces, since R g R = g R);
+  (top, bottom) sector, modulo the dots below its lower-degree vectors;
+  if every generator is central, which ``IdealSpec`` reads off the terms
+  (see ``_is_central``), L is just the pieces, since R g R = g R;
 * each left vector l is multiplied once by each dot-free right factor
   psi_v e(j); the basis element psi_v x^t e(j) then only shifts the dots
   of that product by t, because bottom dots multiply from the right by a
@@ -46,7 +47,12 @@ from operator import add
 
 from .cartan import weight_of_seq, weight_size
 from .elements import WeightMismatchError, diagram_degree
-from .permutations import all_permutations, apply_perm_to_seq, identity
+from .permutations import (
+    all_permutations,
+    apply_perm_to_seq,
+    identity,
+    right_mult_letter,
+)
 from .sequences import seq_enumerate
 
 
@@ -95,16 +101,32 @@ def graded_basis(graph, weight, d):
     return list(basis)
 
 
+def _is_central(g):
+    """Is g in the centre Sym(nu) of R(nu) (KL I, Thm 2.9)?  It is iff g
+    has dots only, and for each term (i, 1, u) and each strand k, the term
+    (s_k i, 1, s_k u) has the same coefficient."""
+    terms = g.terms
+    for (i, w, u), c in terms.items():
+        if w != identity(len(i)):
+            return False
+        for k in range(1, len(i)):
+            if terms.get((right_mult_letter(i, k), w,
+                          right_mult_letter(u, k))) != c:
+                return False
+    return True
+
+
 class IdealSpec:
     """Homogeneous generators of a two-sided ideal of R(nu).
 
-    Raises InhomogeneousError for a generator that is not homogeneous and
-    WeightMismatchError for one that is not in R(nu).
+    ``central`` is derived, not asserted: it is true iff every generator
+    is central.  Raises InhomogeneousError for a generator that is not
+    homogeneous and WeightMismatchError for one that is not in R(nu).
     """
 
     __slots__ = ("weight", "generators", "central")
 
-    def __init__(self, weight, generators, central=False):
+    def __init__(self, weight, generators):
         nu = weight_of_seq(v for v, n in weight for _ in range(n))
         for g in generators:
             g.degree()  # raises InhomogeneousError unless g is homogeneous
@@ -113,7 +135,7 @@ class IdealSpec:
                     f"generator over {g.weight} in an ideal of R({nu})")
         self.weight = weight
         self.generators = list(generators)
-        self.central = central
+        self.central = all(map(_is_central, self.generators))
 
 
 def cyclotomic_spec(ring, weight, lam):
@@ -127,12 +149,9 @@ def cyclotomic_spec(ring, weight, lam):
         raise ValueError(f"negative dot power in {lam}")
     gens = []
     for seq in seq_enumerate(weight):
-        if not seq:
-            continue
-        power = lam.get(seq[0], 0)
-        m = len(seq)
-        u = tuple(power if a == 0 else 0 for a in range(m))
-        gens.append(ring.element({(seq, identity(m), u): 1}))
+        if seq:
+            dots = [("D", 1)] * lam.get(seq[0], 0)
+            gens.append(ring.evaluate_word(seq, dots))
     return IdealSpec(weight, gens)
 
 
@@ -154,7 +173,7 @@ def sym_plus_spec(ring, weight):
                     u = tuple(1 if a in subset else 0 for a in range(m))
                     terms[(seq, identity(m), u)] = 1
             gens.append(ring.element(terms))
-    return IdealSpec(weight, gens, central=True)
+    return IdealSpec(weight, gens)
 
 
 # -- exact rank ------------------------------------------------------------

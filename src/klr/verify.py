@@ -18,6 +18,7 @@ module; the command-line tool and the tests do.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .characters import cycle_alpha, orthogonal_idempotents_check, serre_check
 from .polyrep import (
@@ -32,10 +33,7 @@ from .sequences import format_seq
 
 def label_seqs(graph, m):
     """Every sequence of m vertices of the graph."""
-    out = [()]
-    for _ in range(m):
-        out = [s + (v,) for s in out for v in graph.vertices]
-    return out
+    return list(product(graph.vertices, repeat=m))
 
 
 def random_word(rng, m, max_tokens=6):

@@ -27,7 +27,7 @@ from klr import (
     tight,
 )
 from klr.laurent import qbinom, qfact
-from klr.sequences import divided_weight, expand, factorial_poly
+from klr.sequences import divided_weight, expand, factorial_poly, reverse
 
 
 def monomials_of_weight(verts, total):
@@ -327,6 +327,22 @@ def _divided(draw, seq):
         else:
             blocks.append((v, 1))
     return tuple(blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_form_is_sigma_invariant(ring_a2, ring_a1xa1, ring_cycle3, data):
+    """(rev theta, rev theta') = (theta, theta') on both routes.  The
+    coproduct route peels letters from the right, so reversing the
+    monomials sends it down other recursions."""
+    ring = data.draw(st.sampled_from([ring_a2, ring_a1xa1, ring_cycle3]))
+    seq = data.draw(st.lists(st.sampled_from(ring.graph.vertices),
+                             min_size=0, max_size=5))
+    theta = _divided(data.draw, seq)
+    theta2 = _divided(data.draw, data.draw(st.permutations(seq)))
+    for route in (pair_monomials, pair_recursive):
+        assert (route(ring, reverse(theta), reverse(theta2))
+                == route(ring, theta, theta2)), (route, theta, theta2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -286,6 +286,17 @@ def test_polynomial_needs_one_variable_per_strand(ring_a2):
             act(ori, x, ("i", "j"), poly)
 
 
+def test_empty_word_checks_its_input(ring_a2):
+    g = ring_a2.graph
+    ori = default_orientation(g)
+    with pytest.raises(GraphError, match="'k'"):
+        act_word(g, ori, ("k",), [], {(0,): 1})
+    with pytest.raises(ValueError, match="variables for 2 strands"):
+        act_word(g, ori, ("i", "j"), [], {(1,): 1})
+    assert act_word(g, ori, ("i", "j"), [], {(1, 0): 1}) == (
+        ("i", "j"), {(1, 0): 1})
+
+
 def test_act_rejects_unknown_vertices(ring_a2):
     g = ring_a2.graph
     ori = default_orientation(g)

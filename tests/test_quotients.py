@@ -24,6 +24,7 @@ from klr import (
     weight_size,
 )
 from klr import cli, quotients
+from klr.permutations import all_permutations, apply_perm_to_seq, identity
 from klr.quotients import _enumerate_basis, _rank
 
 # Regression fixtures: graded dimensions of single-vertex cyclotomic
@@ -149,6 +150,79 @@ def test_sym_plus_generators_central(ring_a2):
     for z in spec.generators:
         for g in test_elems:
             assert z * g == g * z
+
+
+def test_ideal_spec_derives_centrality(ring_a1, ring_a2, ring_cycle3):
+    with pytest.raises(TypeError):
+        IdealSpec((("i", 1),), [ring_a1.idempotent("i")], central=True)
+    for ring, weight in [(ring_a1, (("i", 3),)),
+                         (ring_a2, (("i", 2), ("j", 1))),
+                         (ring_cycle3, (("1", 1), ("2", 1), ("3", 1)))]:
+        assert sym_plus_spec(ring, weight).central, weight
+    # lambda = 0 on one vertex: the generator e(i...i) is the unit
+    for n in (1, 2, 3):
+        assert cyclotomic_spec(ring_a1, (("i", n),), {}).central
+    for ring, weight, lam in [
+            (ring_a1, (("i", 2),), {"i": 1}),
+            (ring_a1, (("i", 3),), {"i": 2}),
+            (ring_a2, (("i", 1), ("j", 1)), {"i": 1}),
+            (ring_a2, (("i", 1), ("j", 1)), {}),
+            (ring_a2, (("i", 2), ("j", 1)), {"i": 1, "j": 1}),
+            (ring_cycle3, (("1", 1), ("2", 1)), {"1": 1})]:
+        assert not cyclotomic_spec(ring, weight, lam).central, (weight, lam)
+
+
+def test_hand_built_cyclotomic_spec(ring_a2):
+    """The cyclotomic generators of lambda = Lambda_i on nu = i + j are not
+    central, so a hand-built spec must not take the central shortcut,
+    which answers 1 in every degree."""
+    weight = (("i", 1), ("j", 1))
+    gens = cyclotomic_spec(ring_a2, weight, {"i": 1}).generators
+    rep = quotient_gdim(ring_a2, IdealSpec(weight, gens), cutoff=6)
+    assert {d: n for d, n in rep.degrees.items() if n} == {0: 1}
+    assert rep.stabilized
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_centrality_matches_commutation(ring_a1, ring_a2, ring_a1xa1, data):
+    """spec.central agrees with commuting with every dot and crossing, on
+    basis combinations, dots-only ones, and S_m-symmetrized dots-only
+    ones."""
+    ring = data.draw(st.sampled_from([ring_a1, ring_a2, ring_a1xa1]))
+    if len(ring.graph.vertices) == 1:
+        weight = (("i", data.draw(st.integers(1, 3))),)
+    else:
+        weight = data.draw(st.sampled_from(
+            [(("i", 1), ("j", 1)), (("i", 2), ("j", 1)),
+             (("i", 1), ("j", 2))]))
+    m = weight_size(weight)
+    mode = data.draw(st.sampled_from(["basis", "dots", "symmetric"]))
+    lowest = degree_lower_bound(weight) if mode == "basis" else 0
+    d = data.draw(st.integers(lowest, 4))
+    keys = graded_basis(ring.graph, weight, d)
+    if mode != "basis":
+        keys = [key for key in keys if key[1] == identity(m)]
+    if not keys:
+        return
+    chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1,
+                                max_size=4, unique=True))
+    terms = {key: data.draw(st.integers(1, 3)) for key in chosen}
+    if mode == "symmetric":
+        orbit = {}
+        for (i, w, u), c in terms.items():
+            for v in all_permutations(m):
+                key = (apply_perm_to_seq(v, i), w, apply_perm_to_seq(v, u))
+                orbit[key] = orbit.get(key, 0) + c
+        terms = orbit
+    g = ring.element(terms)
+    gens = [ring.generator((typ, k), seq) for seq in seq_enumerate(weight)
+            for typ, top in (("D", m), ("C", m - 1))
+            for k in range(1, top + 1)]
+    commutes = all(g * x == x * g for x in gens)
+    assert IdealSpec(weight, [g]).central == commutes, str(g)
+    if mode == "symmetric":
+        assert commutes
 
 
 def test_symplus_total_dims(ring_a1, ring_a2, ring_a1xa1):
