@@ -21,7 +21,7 @@ class CartanGraph:
     unordered pairs of distinct vertices.
     """
 
-    __slots__ = ("vertices", "edges")
+    __slots__ = ("vertices", "edges", "_pairing")
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
@@ -39,16 +39,23 @@ class CartanGraph:
                 raise GraphError(f"duplicate edge {a!r}-{b!r}")
             seen.add(key)
         self.edges = frozenset(seen)
+        # the nonzero pairings only, so the table grows with the edges
+        self._pairing = {(v, v): 2 for v in self.vertices}
+        for a, b in self.edges:
+            self._pairing[a, b] = self._pairing[b, a] = -1
 
     def cartan(self, i, j):
-        """The pairing i.j in {2, -1, 0}."""
-        if i not in self.vertices or j not in self.vertices:
-            unknown = " or ".join(repr(v) for v in dict.fromkeys((i, j))
-                                  if v not in self.vertices)
-            raise GraphError(f"unknown vertex {unknown}")
-        if i == j:
-            return 2
-        return -1 if frozenset((i, j)) in self.edges else 0
+        """The pairing i.j in {2, -1, 0}, read from the table of nonzero
+        pairs; two vertices missing from it pair to 0."""
+        pairing = self._pairing
+        value = pairing.get((i, j))
+        if value is not None:
+            return value
+        if (i, i) in pairing and (j, j) in pairing:
+            return 0
+        unknown = " or ".join(repr(v) for v in dict.fromkeys((i, j))
+                              if v not in self.vertices)
+        raise GraphError(f"unknown vertex {unknown}")
 
     def require_vertices(self, labels):
         """Raise GraphError unless every label is a vertex."""

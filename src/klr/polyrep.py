@@ -6,10 +6,15 @@ divided difference operator (equal labels), a plain variable swap (pairing
 0, or an edge oriented against the crossing), or swap followed by
 multiplication by x_k + x_{k+1} (an edge oriented with the crossing).  The
 orientation of each edge is a choice; the ring itself does not depend on it.
-Each crossing is one pass over the polynomial: every monomial is written
-once, swapped and, for an oriented edge, multiplied in the same loop, and
-a basis key keeps one label list for its whole word.  ``act_word`` is the
-one loop over generator tokens; ``act_generator`` is its one-token case.
+One loop, ``_cross_word``, crosses a run of letters: ``act`` hands it the
+whole canonical word of a term, and ``act_word``, the one loop over
+generator tokens, each crossing token (``act_generator`` is its one-token
+case).  Each call of ``act`` or ``act_word`` resolves the kind of a
+crossing once per label pair, in a small dict, and checks an edge's
+orientation then.  Each crossing is one pass over the polynomial: every
+monomial is written once, swapped and, for an oriented edge, multiplied in
+the same loop.  Once a polynomial is zero, the rest of its word only moves
+the labels and checks the edges it crosses.
 
 This module deliberately shares no code with the rewriting kernel beyond
 the basis-key data: products are *not* normalized here, they are composed
@@ -57,13 +62,16 @@ def divided_difference(p, k):
     sum with a and b exchanged, and a = b gives 0.
     """
     out = {}
+    i = k - 1
     for e, c in p.items():
-        a, b = e[k - 1], e[k]
+        a, b = e[i], e[k]
+        if a == b:
+            continue
         if a < b:
             a, b, c = b, a, -c
         e2 = list(e)
         for j in range(a - b):
-            e2[k - 1], e2[k] = a - 1 - j, b + j
+            e2[i], e2[k] = a - 1 - j, b + j
             t = tuple(e2)
             v = out.get(t, 0) + c
             if v:
@@ -86,53 +94,74 @@ def _check_input(graph, seq, poly):
                              f"{m} strands")
 
 
-def _cross(graph, orientation, labels, k, poly):
-    """The crossing of strands k, k+1 on poly, in one pass over its terms.
+def _along(graph, orientation, a, b):
+    """Whether a crossing of distinct labels a, b, bottom left to right,
+    multiplies by x_k + x_{k+1}: true for an edge oriented from a to b,
+    false for labels that pair to 0 or an edge oriented from b to a.
+    Raises ValueError if the edge is not oriented one of its two ways.
+    """
+    if not graph.cartan(a, b):
+        return False
+    head = orientation.get(frozenset((a, b)))
+    if head == (a, b):
+        return True
+    if head == (b, a):
+        return False
+    raise ValueError(f"edge {a}-{b} is oriented as {head!r}, not as "
+                     f"{(a, b)!r} or {(b, a)!r}")
+
+
+def _cross_word(graph, orientation, kinds, labels, letters, poly):
+    """Cross poly by each letter k (strands k, k+1) of ``letters`` in turn.
 
     ``labels`` is the bottom sequence as a list; it is swapped in place to
     the top sequence.  Equal labels act by the divided difference.  Other
     labels swap x_k and x_{k+1} in every monomial, and an edge oriented
-    with the crossing, from labels[k-1] to labels[k], also multiplies by
-    x_k + x_{k+1} in the same loop.  Raises ValueError if the edge is not
-    oriented one of its two ways.
+    along the crossing also multiplies by x_k + x_{k+1} in the same pass.
+    ``kinds`` maps a pair of distinct labels to ``_along``, filled the
+    first time the pair is crossed, so the caller checks each edge's
+    orientation once per call.  Once poly is zero, the rest of the word
+    only moves the labels and checks the edges it crosses.
     """
-    j = k - 1
-    a, b = labels[j], labels[k]
-    if a == b:
-        return divided_difference(poly, k)
-    along = False
-    if graph.cartan(a, b):
-        head = orientation.get(frozenset((a, b)))
-        along = head == (a, b)
-        if not along and head != (b, a):
-            raise ValueError(f"edge {a}-{b} is oriented as {head!r}, not as "
-                             f"{(a, b)!r} or {(b, a)!r}")
-    labels[j], labels[k] = b, a
-    out = {}
-    if not along:
-        for e, c in poly.items():
-            e2 = list(e)
-            e2[j], e2[k] = e2[k], e2[j]
-            out[tuple(e2)] = c
-        return out
-    for e, c in poly.items():
-        e2 = list(e)
-        p, q = e2[k], e2[j]
-        e2[j], e2[k] = p + 1, q
-        t = tuple(e2)
-        v = out.get(t, 0) + c
-        if v:
-            out[t] = v
+    for k in letters:
+        j = k - 1
+        a, b = labels[j], labels[k]
+        if a == b:
+            if poly:
+                poly = divided_difference(poly, k)
+            continue
+        along = kinds.get((a, b))
+        if along is None:
+            along = kinds[a, b] = _along(graph, orientation, a, b)
+        labels[j], labels[k] = b, a
+        if not poly:
+            continue
+        out = {}
+        if not along:
+            for e, c in poly.items():
+                e2 = list(e)
+                e2[j], e2[k] = e2[k], e2[j]
+                out[tuple(e2)] = c
         else:
-            del out[t]
-        e2[j], e2[k] = p, q + 1
-        t = tuple(e2)
-        v = out.get(t, 0) + c
-        if v:
-            out[t] = v
-        else:
-            del out[t]
-    return out
+            for e, c in poly.items():
+                e2 = list(e)
+                p, q = e2[k], e2[j]
+                e2[j], e2[k] = p + 1, q
+                t = tuple(e2)
+                v = out.get(t, 0) + c
+                if v:
+                    out[t] = v
+                else:
+                    del out[t]
+                e2[j], e2[k] = p, q + 1
+                t = tuple(e2)
+                v = out.get(t, 0) + c
+                if v:
+                    out[t] = v
+                else:
+                    del out[t]
+        poly = out
+    return poly
 
 
 def act_word(graph, orientation, seq, tokens, poly):
@@ -148,6 +177,7 @@ def act_word(graph, orientation, seq, tokens, poly):
     _check_input(graph, seq, poly)
     labels = list(seq)
     m = len(labels)
+    kinds = {}
     for typ, k in tokens:
         if typ == "D":
             if not 1 <= k <= m:
@@ -158,7 +188,7 @@ def act_word(graph, orientation, seq, tokens, poly):
             if not 1 <= k <= m - 1:
                 raise GeneratorIndexError(
                     f"crossing {k} out of range for {m} strands")
-            poly = _cross(graph, orientation, labels, k, poly)
+            poly = _cross_word(graph, orientation, kinds, labels, (k,), poly)
         else:
             raise ValueError(f"unknown token type {typ!r}")
     return tuple(labels), poly
@@ -182,6 +212,7 @@ def act(orientation, x, seq, poly):
     _check_input(graph, seq, poly)
     seq = tuple(seq)
     out = {}
+    kinds = {}
     for (i, w, u), c in x.terms.items():
         if i != seq:
             continue
@@ -189,9 +220,13 @@ def act(orientation, x, seq, poly):
         if any(u):
             p = {tuple(map(add, e, u)): v for e, v in poly.items()}
         labels = list(i)
-        for letter in reversed(canonical_word(w)):
-            p = _cross(graph, orientation, labels, letter, p)
-        target = out.setdefault(tuple(labels), {})
+        p = _cross_word(graph, orientation, kinds, labels,
+                        reversed(canonical_word(w)), p)
+        top = tuple(labels)
+        target = out.get(top)
+        if target is None:
+            out[top] = {e: c * v for e, v in p.items()}
+            continue
         for e, v in p.items():
             v = target.get(e, 0) + c * v
             if v:
@@ -217,7 +252,8 @@ def oracle_equal(x, y, degree_bound=3, orientation=None):
     """Compare two elements by their action on low-degree monomials.
 
     Checks every source sequence of the common weight and every monomial of
-    total degree up to the bound; a sampling check, not a proof.
+    total degree up to the bound; a sampling check, not a proof.  Raises
+    WeightMismatchError, from ``x - y``, if the weights differ.
     """
     ring = x.ring
     graph = ring.graph
@@ -226,9 +262,6 @@ def oracle_equal(x, y, degree_bound=3, orientation=None):
     weight = x.weight or y.weight
     if weight is None:
         return True
-    wy = y.weight
-    if wy is not None and wy != weight:
-        raise ValueError("weight mismatch in oracle comparison")
     m = sum(n for _, n in weight)
     diff = x - y
     for seq in seq_enumerate(weight):

@@ -32,6 +32,26 @@ def test_cartan_symmetry_all_stock_graphs():
                 assert g.cartan(i, j) == g.cartan(j, i)
 
 
+def test_cartan_table_matches_edges():
+    """The pairing table is symmetric, 2 on the diagonal and -1 exactly on
+    the edges, whichever way and in whatever container they were given."""
+    graphs = (single_vertex(), a2(), a1xa1(), cycle(3), cycle(4),
+              CartanGraph(["b", "a", "c"], iter([("c", "a"), ("b", "c")])))
+    for g in graphs:
+        for i in g.vertices:
+            for j in g.vertices:
+                want = (2 if i == j
+                        else -1 if frozenset((i, j)) in g.edges else 0)
+                assert g.cartan(i, j) == g.cartan(j, i) == want, (g, i, j)
+        for v in ("k", ("k",), 0):
+            with pytest.raises(GraphError) as err:
+                g.cartan(v, v)
+            assert str(err.value) == f"unknown vertex {v!r}"
+        with pytest.raises(GraphError) as err:
+            g.cartan("y", "z")
+        assert str(err.value) == "unknown vertex 'y' or 'z'"
+
+
 def test_unknown_vertex():
     for i, j in (("i", "z"), ("z", "i"), ("z", "z")):
         with pytest.raises(GraphError) as err:

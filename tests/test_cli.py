@@ -9,13 +9,13 @@ import pytest
 import klr
 from klr import KLRRing, a2
 from klr.cli import (
-    is_prime,
     main,
     parse_divided,
     parse_seq,
     parse_weight,
     parse_word,
 )
+from klr.quotients import is_prime
 
 
 def run(capsys, argv):
@@ -271,6 +271,9 @@ def test_field_must_be_prime(capsys, graph_files):
         assert code == 2, field
         assert out == "" and err.startswith("error:"), field
         assert "Traceback" not in err, field
+        # the one check is the library's
+        assert err == (f"error: field characteristic {field[3:]} is not a "
+                       f"prime below 2^64\n"), field
     code, out, _ = run(capsys, ["quotient", "-g", graph_files["a1"],
                                 "--nu", "i:2", "--symplus", "--field", "Fp:2"])
     assert code == 0 and "total (q=1): 4" in out

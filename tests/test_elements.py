@@ -1,3 +1,4 @@
+import math
 import random
 from operator import add
 
@@ -13,7 +14,9 @@ from klr import (
     LaurentPoly,
     WeightMismatchError,
     diagram_degree,
+    seq_enumerate,
     single_vertex,
+    weight_from_dict,
 )
 from klr.permutations import (
     all_permutations,
@@ -367,6 +370,39 @@ def test_gdim_hom_matches_permutation_scan(ring_a1, ring_a2, ring_a1xa1,
     gd = ring.gdim_hom(seq_j, seq_i)
     assert gd.den == (1,) * len(seq_i)
     assert gd.num == _gdim_hom_scan(ring, seq_j, seq_i)
+
+
+def _den_poly(factors):
+    out = LaurentPoly.one()
+    for a in factors:
+        out = out * LaurentPoly({0: 1, 2 * a: -1})
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gdim_hom_numerators_over_sym_nu(ring_a2, ring_cycle3, data):
+    """Over prod_i prod_{a <= nu_i} (1 - q^{2a}), the denominator of the
+    Hilbert series of Sym(nu), every sector's numerator is nonnegative,
+    and the numerators of all sectors sum to (m!)^2 at q = 1: R(nu) is
+    free over Sym(nu) of that rank (KL I, section 2)."""
+    ring = data.draw(st.sampled_from([ring_a2, ring_cycle3]))
+    vertices = ring.graph.vertices
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=len(vertices),
+                                max_size=len(vertices))
+                       .filter(lambda c: 1 <= sum(c) <= 4))
+    weight = weight_from_dict(dict(zip(vertices, counts)))
+    den = [a for _, n in weight for a in range(1, n + 1)]
+    seqs = seq_enumerate(weight)
+    total = 0
+    for seq_i in seqs:
+        for seq_j in seqs:
+            gd = ring.gdim_hom(seq_j, seq_i)
+            num = (gd.num * _den_poly(den)).exact_div(_den_poly(gd.den))
+            assert GradedDim(num, den) == gd
+            assert all(c >= 0 for c in num.coeffs.values()), (seq_j, seq_i)
+            total += sum(num.coeffs.values())
+    assert total == math.factorial(sum(counts)) ** 2
 
 
 def test_gdim_hom_weight_mismatch(ring_a2):

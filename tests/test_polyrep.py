@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from klr import (
     GeneratorIndexError,
     GraphError,
+    WeightMismatchError,
     act,
     act_generator,
     act_word,
@@ -330,6 +331,40 @@ def test_orientation_must_orient_each_crossed_edge(ring_a2):
         ("i", "i"), one)
 
 
+def test_dead_polynomial_still_moves_the_labels(ring_a2):
+    g = ring_a2.graph
+    ori = default_orientation(g)
+    one = {(0, 0, 0): 1}
+    # the divided difference kills 1 on the i, i strands; the i, j crossing
+    # after it still moves the labels to the top sequence
+    assert act_word(g, ori, ("i", "i", "j"), [("C", 1), ("C", 2)], one) == (
+        ("i", "j", "i"), {})
+    dead = ring_a2.evaluate_word(("i", "i", "j"), [("C", 1), ("C", 2)])
+    live = ring_a2.evaluate_word(("i", "i", "j"), [("C", 2)])
+    assert act(ori, dead, ("i", "i", "j"), one) == {}
+    assert act(ori, dead + live, ("i", "i", "j"), one) == {
+        ("i", "j", "i"): {(0, 1, 0): 1, (0, 0, 1): 1}}
+    assert act(ori, dead + live, ("i", "i", "j"), one) == _act_reference(
+        ori, dead + live, ("i", "i", "j"), one)
+
+
+def test_every_crossed_edge_is_checked(ring_a2):
+    g = ring_a2.graph
+    one = {(0, 0, 0): 1}
+    divide = ring_a2.evaluate_word(("i", "i", "j"), [("C", 1)])
+    edge = ring_a2.evaluate_word(("i", "i", "j"), [("C", 2)])
+    assert act({}, divide, ("i", "i", "j"), one) == {}
+    # only a later term crosses the edge
+    with pytest.raises(ValueError, match="edge i-j"):
+        act({}, divide + edge, ("i", "i", "j"), one)
+    # the edge is crossed two letters after the polynomial is zero
+    seq, word = ("i", "i", "i", "j"), [("C", 1), ("C", 2), ("C", 3)]
+    with pytest.raises(ValueError, match="edge i-j"):
+        act({}, ring_a2.evaluate_word(seq, word), seq, {(0, 0, 0, 0): 1})
+    with pytest.raises(ValueError, match="edge i-j"):
+        act_word(g, {}, seq, word, {(0, 0, 0, 0): 1})
+
+
 def test_generator_cases(ring_a2):
     g = ring_a2.graph
     ori = default_orientation(g)
@@ -434,6 +469,15 @@ def test_oracle_equal(ring_a1):
     assert oracle_equal(cc, ring_a1.zero(), 3)
     x1 = ring_a1.generator(("D", 1), ("i",))
     assert not oracle_equal(x1, x1 + ring_a1.idempotent(("i",)), 3)
+
+
+def test_oracle_weight_mismatch(ring_a2):
+    x, y = ring_a2.idempotent(("i",)), ring_a2.idempotent(("j",))
+    with pytest.raises(WeightMismatchError, match="weights differ"):
+        oracle_equal(x, y)
+    assert issubclass(WeightMismatchError, ValueError)
+    assert oracle_equal(ring_a2.zero(), ring_a2.zero())
+    assert not oracle_equal(ring_a2.zero(), y)
 
 
 def test_oracle_orientation_independent(ring_a2):

@@ -23,7 +23,7 @@ from klr import (
     sym_plus_spec,
     weight_size,
 )
-from klr import cli, quotients
+from klr import cli
 from klr.permutations import all_permutations, apply_perm_to_seq, identity
 from klr.quotients import _enumerate_basis, _rank
 
@@ -438,8 +438,9 @@ def test_prime_must_be_a_prime_below_2_64(ring_a2):
     rep = quotient_gdim(ring_a2, spec, cutoff=0, window=1, prime=2 ** 61 - 1)
     assert {d: n for d, n in rep.degrees.items() if n} == {
         -2: 4, -1: 8, 0: 12}
-    # the CLI and the engine share one primality test
-    assert cli.is_prime is quotients.is_prime
+    # the engine is the one primality check: the CLI only parses Fp:<p>
+    assert not hasattr(cli, "is_prime")
+    assert cli.parse_field("Fp:4") == 4
 
 
 def _ideal_by_brute_force(ring, spec, d, prime):
