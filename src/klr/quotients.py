@@ -6,10 +6,10 @@ by homogeneous generators is spanned sector by sector, once per quotient,
 and the span is shared across all degrees:
 
 * the generators are split into their sector pieces e(j) g e(i);
-* the left ideal L = R G is echelon-reduced in each degree and each
-  (top, bottom) sector, modulo the dots below its lower-degree vectors;
-  if every generator is central, which ``IdealSpec`` reads off the terms
-  (see ``_is_central``), L is just the pieces, since R g R = g R;
+* the left ideal L = R G is spanned by the basis elements times the
+  pieces, kept as they come: nonzero, but not reduced against each
+  other; if every generator is central, which ``IdealSpec`` reads off the
+  terms (see ``_is_central``), L is just the pieces, since R g R = g R;
 * each left vector l is multiplied once by each dot-free right factor
   psi_v e(j); the basis element psi_v x^t e(j) then only shifts the dots
   of that product by t, because bottom dots multiply from the right by a
@@ -25,13 +25,15 @@ same combination of the rows r x^t of degree d0 + 2|t|.  Each r is a
 shift of a lower product or a product met earlier at d0, so a dead
 product depends only on products before it (by degree, then in the order
 met), and by induction every row that is skipped is spanned by rows that
-are built.  This holds in whatever order the degrees are computed.  To
-let more products die, the shifts of lower products are reduced before
-the products of degree d0.
+are built.  This holds in whatever order the degrees are computed, and
+for any left vectors that span L, so L needs no reduction of its own: a
+redundant left vector adds rows to reduce, never a wrong rank.  To let
+more products die, the shifts of lower products are reduced before the
+products of degree d0.
 
 A generator piece made of dots only needs only the dot-free multipliers
 psi_w in the left ideal: it commutes with dots, so psi_w x^u g = psi_w g
-x^u is a shift of a lower candidate.
+x^u, and psi_w g x^u R lies in psi_w g R.
 
 The quotient dimension is dim R(nu)_d minus the rank.  Ranks are exact,
 over Q or a prime field, by sparse row reduction that is fraction-free over
@@ -275,11 +277,6 @@ def _rank(rows, prime=None, echelon=None):
 
 # -- the ideal, sector by sector -------------------------------------------
 
-def _shifted(terms, t):
-    """terms * x^t: dots at the bottom multiply from the right by a shift."""
-    return {(i, w, tuple(map(add, u, t))): c for (i, w, u), c in terms.items()}
-
-
 def _sector(key):
     """(top, bottom) sequences of a basis key, the idempotents around it."""
     i, w, _ = key
@@ -323,16 +320,19 @@ class _IdealSpan:
         self._products = {}
 
     def left(self, e):
-        """Left vectors spanning L_e modulo dots below lower ones, as
-        [(top, bottom, terms)].
+        """Left vectors of degree e, as [(top, bottom, terms)] with the
+        terms reduced modulo the prime.
 
-        A candidate that the shifts l * x^t of lower left vectors l already
-        span is dropped: l * x^t * R lies in l * R.
+        These are the nonzero candidates as they come: the generator
+        pieces of degree e if the spec is central, and otherwise each
+        multiplier of degree e - deg g times each piece g.  None is
+        reduced against another: a redundant one only adds rows for
+        ``degree`` to reduce (see the module docstring).
         """
         hit = self._left.get(e)
         if hit is not None:
             return hit
-        ring = self.ring
+        ring, prime = self.ring, self.prime
         sectors = {}  # (top, bottom) -> candidate terms
         if self.central:
             for top, bottom, piece in self.pieces.get(e, ()):
@@ -343,30 +343,21 @@ class _IdealSpan:
                 multipliers = graded_basis(ring.graph, self.weight, e - dg)
                 for top, bottom, piece in pieces:
                     # a piece made of dots only commutes with the dots of
-                    # a multiplier psi_w x^u, and psi_w x^u g = psi_w g x^u
-                    # is a shift of a lower candidate: it is never kept
+                    # a multiplier: psi_w x^u g = l x^u for l = psi_w g, and
+                    # l x^u R lies in l R, so only dot-free ones count
                     dots_only = all(w == ident for _, w, _ in piece.terms)
                     for akey in multipliers:
                         if akey[0] != top or dots_only and any(akey[2]):
                             continue
                         elem = ring.multiply(ring.element({akey: 1}), piece)
-                        if elem:
-                            sectors.setdefault((_sector(akey)[0], bottom),
-                                               []).append(elem.terms)
-        prime = self.prime
-        echelons = {sector: {} for sector in sectors}
-        for low in range(e - 2, self.low - 1, -2):
-            shifts = _compositions((e - low) // 2, self.m)
-            for top, bottom, terms in self.left(low):
-                echelon = echelons.get((top, bottom))
-                if echelon is not None:
-                    for t in shifts:
-                        _insert(echelon, _sparse(
-                            _shifted(terms, t).items(), prime), prime)
-        out = [sector + (terms,) for sector, candidates in sectors.items()
-               for terms in candidates
-               if _insert(echelons[sector], _sparse(terms.items(), prime),
-                          prime)]
+                        sectors.setdefault((_sector(akey)[0], bottom),
+                                           []).append(elem.terms)
+        out = []
+        for sector, candidates in sectors.items():
+            for terms in candidates:
+                terms = _sparse(terms.items(), prime)
+                if terms:
+                    out.append(sector + (terms,))
         self._left[e] = out
         return out
 
@@ -436,11 +427,11 @@ def ideal_degree_dim(ring, spec, d, prime=None):
     """Dimension of the degree-d piece of the two-sided ideal.
 
     One degree of the sector span that ``quotient_gdim`` shares across all
-    degrees: the left ideal R G echelon-reduced per sector, each left
-    vector times each dot-free right factor psi_v e(j), shifted by the dots
-    x^t, and the rank taken one (top, bottom) block at a time.  Left
-    degrees run up to d minus the ring's degree lower bound, which is
-    exhaustive, since no right factor lies below it.
+    degrees: the left ideal R G spanned by the basis times the generator
+    pieces, each left vector times each dot-free right factor psi_v e(j),
+    shifted by the dots x^t, and the rank taken one (top, bottom) block at
+    a time.  Left degrees run up to d minus the ring's degree lower bound,
+    which is exhaustive, since no right factor lies below it.
     """
     return _IdealSpan(ring, spec, prime).degree(d)["rank"]
 

@@ -95,8 +95,10 @@ def shuffles(graph, seq_i, seq_j):
 
     Returns (sequence, degree) pairs; the degree is minus the sum of the
     Cartan pairings over crossing pairs, where a crossing pair is an entry
-    of ``seq_j`` placed to the left of an entry of ``seq_i``.
+    of ``seq_j`` placed to the left of an entry of ``seq_i``.  Raises
+    GraphError for a label that is not a vertex, crossed or not.
     """
+    graph.require_vertices((*seq_i, *seq_j))
     m, n = len(seq_i), len(seq_j)
     out = []
 

@@ -149,6 +149,9 @@ def run(ring, suite):
                  f"{_verdict(not failures)}"], failures)
     lines, failures = [], []
     if suite == "serre":
+        if len(graph.vertices) < 2:
+            raise ValueError("graph has fewer than two vertices; serre "
+                             "suite needs two")
         for i in graph.vertices:
             for j in graph.vertices:
                 if i >= j:

@@ -94,6 +94,11 @@ def test_shuffle_example(capsys, graph_files):
     code, out, _ = run(capsys, ["shuffle", "-g", graph_files["a2"],
                                 "i", "j"])
     assert code == 0 and out.strip() == "ij: 1, ji: q"
+    # an unknown vertex is an error even where nothing crosses it
+    for argv in (["k", ""], ["", "k"], ["i", "k"]):
+        code, out, err = run(capsys, ["shuffle", "-g", graph_files["a2"],
+                                      *argv])
+        assert (code, out, err) == (2, "", "error: unknown vertex 'k'\n")
 
 
 def test_char(capsys, graph_files):
@@ -251,6 +256,8 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
         ["check", "-g", graph_files["a2"], "nonsense"],
         ["check", "-g", graph_files["a2"], "cycle:x"],
         ["check", "-g", graph_files["a1"], "idempotents"],
+        # one vertex has no Serre pair to check
+        ["check", "-g", graph_files["a1"], "serre"],
         ["check", "-g", graph_files["cycle4"], "cycle:3"],
         # an unknown vertex on the pairing routes
         ["pair", "-g", graph_files["a2"], "i", "k"],

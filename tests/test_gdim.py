@@ -55,12 +55,20 @@ def test_bar():
     # bar(1/(1-q^2)) = -q^2/(1-q^2)
     assert a.bar() == GradedDim(LaurentPoly({2: -1}), (1,))
     rng = random.Random(3)
-    for _ in range(20):
+
+    def draw():
         num = LaurentPoly({rng.randint(-3, 3): rng.randint(-5, 5)
                            for _ in range(3)})
         den = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3)))
-        gd = GradedDim(num, den)
+        return GradedDim(num, den)
+
+    for _ in range(20):
+        gd, other = draw(), draw()
         assert gd.bar().bar() == gd
+        # bar is a ring involution: additive and multiplicative
+        assert (gd + other).bar() == gd.bar() + other.bar()
+        assert (gd - other).bar() == gd.bar() - other.bar()
+        assert (gd * other).bar() == gd.bar() * other.bar()
 
 
 def test_divide_poly():

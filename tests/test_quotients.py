@@ -468,7 +468,9 @@ def _ideal_by_brute_force(ring, spec, d, prime):
 @st.composite
 def random_ideals(draw, rings):
     """A ring, and a few homogeneous generators of a non-central ideal of
-    R(nu) with |nu| <= 3, each a combination of basis keys of one degree."""
+    R(nu) with |nu| <= 3, each a combination of basis keys of one degree,
+    plus one redundant generator, 2 g or a g for a basis key a, at a drawn
+    place, so that the engine always meets redundant left vectors."""
     ring = draw(st.sampled_from(rings))
     if len(ring.graph.vertices) == 1:
         weight = (("i", draw(st.integers(1, 3))),)
@@ -487,6 +489,13 @@ def random_ideals(draw, rings):
                                max_size=3, unique=True))
         coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3])
         gens.append(ring.element({key: draw(coeffs) for key in chosen}))
+    if gens:
+        g = draw(st.sampled_from(gens))
+        keys = [key for d in range(lb, lb + 3)
+                for key in graded_basis(ring.graph, weight, d)]
+        a = draw(st.one_of(st.none(), st.sampled_from(keys)))
+        extra = 2 * g if a is None else ring.element({a: 1}) * g
+        gens.insert(draw(st.integers(0, len(gens))), extra or 2 * g)
     return ring, IdealSpec(weight, gens)
 
 

@@ -1,6 +1,8 @@
 from math import comb, factorial
 
-from klr import a1xa1, a2, seq_enumerate
+import pytest
+
+from klr import GraphError, a1xa1, a2, seq_enumerate
 from klr.laurent import LaurentPoly, qfact
 from klr.sequences import (
     divided_weight,
@@ -54,6 +56,14 @@ def test_shuffles_counts_and_degrees():
     assert sorted(out) == [(("i", "j"), 0), (("j", "i"), 0)]
     out = shuffles(g, ("i",), ("i",))
     assert sorted(out) == [(("i", "i"), -2), (("i", "i"), 0)]
+
+
+def test_shuffles_reject_unknown_vertex():
+    g = a2()
+    for seq_i, seq_j in ((("k",), ()), ((), ("k",)), (("i",), ("k",)),
+                         (("k", "i"), ("j",))):
+        with pytest.raises(GraphError, match="unknown vertex 'k'"):
+            shuffles(g, seq_i, seq_j)
 
 
 def test_shuffles_cardinality():
