@@ -11,7 +11,8 @@ import json
 
 
 class GraphError(ValueError):
-    """Malformed graph input (loop, duplicate edge, unknown vertex)."""
+    """Malformed graph input (a vertex that is not a string, a loop, a
+    duplicate edge, an unknown vertex)."""
 
 
 class CartanGraph:
@@ -25,6 +26,9 @@ class CartanGraph:
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
+        for v in self.vertices:
+            if not isinstance(v, str):
+                raise GraphError(f"vertex {v!r} is not a string")
         if len(set(self.vertices)) != len(self.vertices):
             raise GraphError("duplicate vertex")
         vset = set(self.vertices)

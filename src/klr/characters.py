@@ -84,7 +84,7 @@ class CharacterVector:
         return {format_seq(k): v.to_json() for k, v in sorted(self.values.items())}
 
     def __str__(self):
-        return ", ".join(f"{format_seq(k)}: {v}"
+        return "\n".join(f"{format_seq(k)}: {v}"
                          for k, v in sorted(self.values.items())) or "0"
 
 
@@ -127,7 +127,7 @@ class K0Vector:
         return K0Vector(self.weight, {k: c * p for k, c in self.coeffs.items()})
 
     def to_json(self):
-        return {format_divided(k): {str(e): c for e, c in sorted(v.coeffs.items())}
+        return {format_divided(k): v.to_json()
                 for k, v in sorted(self.coeffs.items())}
 
     def __str__(self):

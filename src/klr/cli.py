@@ -4,7 +4,9 @@ Subcommands: multiply, gdim, pair, char, shuffle, comul, tight, check,
 quotient.  Sequences are written as juxtaposed single-character vertices
 ("iji") or whitespace-separated identifiers; divided powers as "i^(2)".
 Generator words are "<seq>: C1 D2 ...", tokens applied bottom to top.
-Exit codes: 0 success, 1 a verification suite failed, 2 bad usage or input.
+``main`` loads the graph, builds the ring, runs the subcommand and sets
+the exit code: 0 success, 1 a verification suite found a counterexample,
+2 bad usage or input (one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -84,8 +86,6 @@ def parse_weight(text):
             n = int(n)
         except ValueError:
             raise CLIError(f"bad multiplicity in {piece!r}")
-        if n < 0:
-            raise CLIError(f"negative multiplicity in {piece!r}")
         v = v.strip()
         if v in out:
             raise CLIError(f"vertex {v!r} appears twice in {text!r}")
@@ -138,8 +138,7 @@ def _print_gdim(gd, args):
     if args.json:
         obj = gd.to_json()
         if args.expand:
-            series = gd.series(args.expand)
-            obj["series"] = {str(e): c for e, c in sorted(series.coeffs.items())}
+            obj["series"] = gd.series(args.expand).to_json()
         print(json.dumps(obj))
         return
     print(gd)
@@ -147,11 +146,9 @@ def _print_gdim(gd, args):
         print(f"series up to q^{args.expand}: {gd.series(args.expand)}")
 
 
-# -- subcommands -----------------------------------------------------------
+# -- subcommands: each takes (ring, args) and returns None on success ------
 
-def cmd_multiply(args):
-    graph = load_graph(args.graph)
-    ring = KLRRing(graph)
+def cmd_multiply(ring, args):
     factors = []
     for spec in args.word or []:
         seq, tokens = parse_word(spec)
@@ -160,7 +157,7 @@ def cmd_multiply(args):
         try:
             with open(path) as fh:
                 factors.append(ring.element_from_json(json.load(fh)))
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise CLIError(f"cannot load element {path}: {exc}")
     if not factors:
         raise CLIError("need at least one --word or --elem")
@@ -168,80 +165,54 @@ def cmd_multiply(args):
     for f in factors[1:]:
         out = out * f
     _print(out, args)
-    return 0
 
 
-def cmd_gdim(args):
-    graph = load_graph(args.graph)
-    ring = KLRRing(graph)
-    gd = ring.gdim_hom(parse_seq(args.target), parse_seq(args.source))
-    _print_gdim(gd, args)
-    return 0
+def cmd_gdim(ring, args):
+    _print_gdim(ring.gdim_hom(parse_seq(args.target), parse_seq(args.source)),
+                args)
 
 
-def cmd_pair(args):
-    graph = load_graph(args.graph)
-    ring = KLRRing(graph)
-    gd = pair_monomials(ring, parse_divided(args.left),
-                        parse_divided(args.right))
-    _print_gdim(gd, args)
-    return 0
+def cmd_pair(ring, args):
+    _print_gdim(pair_monomials(ring, parse_divided(args.left),
+                               parse_divided(args.right)), args)
 
 
-def cmd_char(args):
-    graph = load_graph(args.graph)
-    ring = KLRRing(graph)
-    cv = char_projective(ring, parse_divided(args.monomial))
-    if args.json:
-        print(json.dumps(cv.to_json()))
-    else:
-        for seq, v in sorted(cv.values.items()):
-            print(f"{format_seq(seq)}: {v}")
-    return 0
+def cmd_char(ring, args):
+    _print(char_projective(ring, parse_divided(args.monomial)), args)
 
 
-def cmd_shuffle(args):
-    graph = load_graph(args.graph)
+def cmd_shuffle(ring, args):
     left = expand(parse_divided(args.left))
     right = expand(parse_divided(args.right))
     coeffs = {}
-    for seq, deg in shuffles(graph, left, right):
+    for seq, deg in shuffles(ring.graph, left, right):
         p = coeffs.get(seq, LaurentPoly.zero()) + LaurentPoly.q_power(deg)
         coeffs[seq] = p
     if args.json:
-        print(json.dumps({format_seq(s): {str(e): c for e, c in
-                                          sorted(p.coeffs.items())}
+        print(json.dumps({format_seq(s): p.to_json()
                           for s, p in sorted(coeffs.items())}))
     else:
         print(", ".join(f"{format_seq(s)}: {p}"
                         for s, p in sorted(coeffs.items())))
-    return 0
 
 
-def cmd_comul(args):
-    graph = load_graph(args.graph)
-    terms = comultiply(graph, parse_divided(args.monomial))
+def cmd_comul(ring, args):
+    terms = comultiply(ring.graph, parse_divided(args.monomial))
     if args.json:
         print(json.dumps([{"left": format_divided(l) or "1",
                            "right": format_divided(r) or "1",
-                           "coeff": {str(e): c for e, c in sorted(c2.coeffs.items())}}
-                          for l, r, c2 in terms]))
+                           "coeff": c.to_json()}
+                          for l, r, c in terms]))
     else:
         for l, r, c in terms:
             print(f"({c}) * {format_divided(l) or '1'} (x) {format_divided(r) or '1'}")
-    return 0
 
 
-def cmd_tight(args):
-    graph = load_graph(args.graph)
-    ring = KLRRing(graph)
+def cmd_tight(ring, args):
     _print(tight(ring, parse_divided(args.monomial)), args)
-    return 0
 
 
-def cmd_quotient(args):
-    graph = load_graph(args.graph)
-    ring = KLRRing(graph)
+def cmd_quotient(ring, args):
     weight = parse_weight(args.nu)
     if (args.cyclotomic is None) == (not args.symplus):
         raise CLIError("specify exactly one of --cyclotomic or --symplus")
@@ -252,18 +223,17 @@ def cmd_quotient(args):
     prime = parse_field(args.field)
     _print(quotient_gdim(ring, spec, cutoff=args.cutoff,
                          window=args.window, prime=prime), args)
-    return 0
 
 
-def cmd_check(args):
-    ring = KLRRing(load_graph(args.graph))
+def cmd_check(ring, args):
     lines, failures = verify.run(ring, args.suite)
     for line in lines:
         print(line)
     for name, detail in failures:
         extra = f" [{detail}]" if detail is not None else ""
         print(f"  counterexample: {name}{extra}", file=sys.stderr)
-    return 1 if failures else 0
+    if failures:
+        return 1
 
 
 # -- entry point -----------------------------------------------------------
@@ -344,10 +314,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(KLRRing(load_graph(args.graph)), args) or 0
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -220,7 +220,11 @@ class KLRRing:
             raise ValueError("an element is a JSON list of term objects")
         terms = {}
         for obj in data:
-            seq, perm, dots = obj["source"], obj["permutation"], obj["dots"]
+            try:
+                seq, perm, dots, coeff = (obj["source"], obj["permutation"],
+                                          obj["dots"], obj["coeff"])
+            except KeyError as exc:
+                raise ValueError(f"term is missing key {exc}") from None
             if not all(isinstance(x, list) for x in (seq, perm, dots)):
                 raise ValueError("source, permutation and dots must be lists")
             if not all(type(x) is int for x in perm + dots):
@@ -235,13 +239,12 @@ class KLRRing:
                 raise ValueError(f"term over {m} strands has permutation "
                                  f"length {len(w)} and {len(u)} dots")
             if sorted(w) != list(range(m)):
-                raise ValueError(f"{obj['permutation']} is not a permutation "
-                                 f"of 1..{m}")
+                raise ValueError(f"{perm} is not a permutation of 1..{m}")
             if any(e < 0 for e in u):
                 raise ValueError(f"negative dot exponent in {list(u)}")
             key = (seq, w, u)
             # to_json writes a decimal string; via str, floats are rejected
-            terms[key] = terms.get(key, 0) + int(str(obj["coeff"]))
+            terms[key] = terms.get(key, 0) + int(str(coeff))
         elem = KLRElement(self, terms)
         if len({weight_of_seq(i) for i, _, _ in elem.terms}) > 1:
             raise WeightMismatchError("terms have different weights")

@@ -148,8 +148,7 @@ class GradedDim:
     # -- io ----------------------------------------------------------------
 
     def to_json(self):
-        return {"num": {str(e): c for e, c in sorted(self.num.coeffs.items())},
-                "den": list(self.den)}
+        return {"num": self.num.to_json(), "den": list(self.den)}
 
     @staticmethod
     def from_json(obj):

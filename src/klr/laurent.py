@@ -64,6 +64,10 @@ class LaurentPoly:
     def __getitem__(self, e):
         return self.coeffs.get(e, 0)
 
+    def to_json(self):
+        """{str(exponent): coefficient}, by increasing exponent."""
+        return {str(e): c for e, c in sorted(self.coeffs.items())}
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

@@ -55,7 +55,7 @@ from .permutations import (
     identity,
     right_mult_letter,
 )
-from .sequences import seq_enumerate
+from .sequences import check_weight, seq_enumerate
 
 
 def degree_lower_bound(weight):
@@ -94,11 +94,14 @@ def graded_basis(graph, weight, d):
     """All basis keys (sequence, permutation, dots) of degree d, sorted.
 
     Each basis is enumerated once per graph, weight and degree; every call
-    returns a new list, so no caller can change the cached one.
+    returns a new list, so no caller can change the cached one.  Raises
+    GraphError for a vertex not in the graph and ValueError for a bad
+    weight, both checked only when the basis is first enumerated.
     """
     key = (graph.vertices, graph.edges, tuple((v, n) for v, n in weight), d)
     basis = _basis_cache.get(key)
     if basis is None:
+        graph.require_vertices(v for v, _ in weight)
         basis = _basis_cache[key] = _enumerate_basis(graph, weight, d)
     return list(basis)
 
@@ -121,21 +124,24 @@ def _is_central(g):
 class IdealSpec:
     """Homogeneous generators of a two-sided ideal of R(nu).
 
-    ``central`` is derived, not asserted: it is true iff every generator
-    is central.  Raises InhomogeneousError for a generator that is not
-    homogeneous and WeightMismatchError for one that is not in R(nu).
+    ``weight`` is kept as nu, sorted with zero counts dropped.  ``central``
+    is derived, not asserted: it is true iff every generator is central.
+    Raises ValueError for a bad weight (see ``check_weight``),
+    InhomogeneousError for a generator that is not homogeneous and
+    WeightMismatchError for one that is not in R(nu).
     """
 
     __slots__ = ("weight", "generators", "central")
 
     def __init__(self, weight, generators):
+        check_weight(weight)
         nu = weight_of_seq(v for v, n in weight for _ in range(n))
         for g in generators:
             g.degree()  # raises InhomogeneousError unless g is homogeneous
             if g.weight != nu:
                 raise WeightMismatchError(
                     f"generator over {g.weight} in an ideal of R({nu})")
-        self.weight = weight
+        self.weight = nu
         self.generators = list(generators)
         self.central = all(map(_is_central, self.generators))
 
@@ -164,11 +170,12 @@ def sym_plus_spec(ring, weight):
     ideal they generate needs only one-sided multipliers.
     """
     ring.graph.require_vertices(v for v, _ in weight)
+    seqs = seq_enumerate(weight)
     gens = []
     for color, n in weight:
         for t in range(1, n + 1):
             terms = {}
-            for seq in seq_enumerate(weight):
+            for seq in seqs:
                 m = len(seq)
                 positions = [a for a in range(m) if seq[a] == color]
                 for subset in combinations(positions, t):

@@ -12,8 +12,25 @@ from .cartan import weight_of_seq
 from .laurent import LaurentPoly, qfact
 
 
+def check_weight(weight):
+    """Raise ValueError unless each entry is (vertex, n) with n an int >= 0
+    and no vertex is listed twice."""
+    seen = set()
+    for v, n in weight:
+        if type(n) is not int or n < 0:
+            raise ValueError(f"count of vertex {v!r} is {n!r}, not an "
+                             f"integer >= 0")
+        if v in seen:
+            raise ValueError(f"vertex {v!r} appears twice in weight {weight}")
+        seen.add(v)
+
+
 def seq_enumerate(weight):
-    """All sequences with the given vertex multiplicities, lexicographic."""
+    """All sequences with the given vertex multiplicities, lexicographic.
+
+    Raises ValueError for a bad weight (see ``check_weight``).
+    """
+    check_weight(weight)
     letters = []
     for v, n in weight:
         letters.extend([v] * n)

@@ -144,6 +144,8 @@ def run(ring, suite):
         return ([f"relations on 2 and 3 strands: {_verdict(not failures)}"],
                 failures)
     if suite == "oracle":
+        if not graph.vertices:
+            raise ValueError("graph has no vertices; oracle suite needs one")
         failures = oracle(ring)
         return ([f"oracle agreement (200 random words, both orientations): "
                  f"{_verdict(not failures)}"], failures)

@@ -40,6 +40,8 @@ def graph_files(tmp_path):
         "a1xa1": {"vertices": ["i", "j"], "edges": []},
         "cycle3": cycle(3).to_json(),
         "cycle4": cycle(4).to_json(),
+        "empty": {"vertices": [], "edges": []},
+        "ints": {"vertices": [1, 2], "edges": [[1, 2]]},
     }
     for name, obj in specs.items():
         path = tmp_path / f"{name}.json"

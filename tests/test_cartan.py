@@ -75,6 +75,15 @@ def test_duplicate_edge_rejected():
         CartanGraph(["a", "b"], [("a", "b"), ("b", "a")])
 
 
+def test_non_string_vertex_rejected():
+    for vertices, edges in (([1, 2], [(1, 2)]), (["i", None], [])):
+        with pytest.raises(GraphError) as err:
+            CartanGraph(vertices, edges)
+        assert "is not a string" in str(err.value)
+    with pytest.raises(GraphError):
+        CartanGraph.from_json({"vertices": [1, 2], "edges": [[1, 2]]})
+
+
 def test_dangling_edge_rejected():
     with pytest.raises(GraphError):
         CartanGraph(["a"], [("a", "b")])

@@ -88,12 +88,20 @@ def test_pair_examples(capsys, graph_files):
     code, out, _ = run(capsys, ["pair", "-g", graph_files["a1"],
                                 "i^(2)", "i^(2)"])
     assert code == 0 and out.strip() == "1 / ((1-q^2)(1-q^4))"
+    code, out, _ = run(capsys, ["pair", "-g", graph_files["a2"], "--json",
+                                "--expand", "4", "i^(2) j", "i j i"])
+    assert code == 0 and out == (
+        '{"num": {"0": 1, "2": 1}, "den": [1, 1, 2], '
+        '"series": {"0": 1, "2": 3, "4": 6}}\n')
 
 
 def test_shuffle_example(capsys, graph_files):
     code, out, _ = run(capsys, ["shuffle", "-g", graph_files["a2"],
                                 "i", "j"])
     assert code == 0 and out.strip() == "ij: 1, ji: q"
+    code, out, _ = run(capsys, ["shuffle", "-g", graph_files["a2"], "--json",
+                                "i", "j"])
+    assert code == 0 and out == '{"ij": {"0": 1}, "ji": {"1": 1}}\n'
     # an unknown vertex is an error even where nothing crosses it
     for argv in (["k", ""], ["", "k"], ["i", "k"]):
         code, out, err = run(capsys, ["shuffle", "-g", graph_files["a2"],
@@ -110,6 +118,14 @@ def test_char(capsys, graph_files):
     got = GradedDim(LaurentPoly({-1: 1, 1: 1}), (1, 2))
     assert value == str(got)
     assert got == GradedDim(LaurentPoly.q_power(-1), (1, 1))
+    # one line per sequence
+    code, out, _ = run(capsys, ["char", "-g", graph_files["a2"], "ij"])
+    assert code == 0
+    assert out == "ij: 1 / ((1-q^2)^2)\nji: q / ((1-q^2)^2)\n"
+    code, out, _ = run(capsys, ["char", "-g", graph_files["a2"], "--json",
+                                "ij"])
+    assert code == 0 and out == ('{"ij": {"num": {"0": 1}, "den": [1, 1]}, '
+                                 '"ji": {"num": {"1": 1}, "den": [1, 1]}}\n')
 
 
 def test_comul(capsys, graph_files):
@@ -120,6 +136,14 @@ def test_comul(capsys, graph_files):
     lookup = {(t["left"], t["right"]): t["coeff"] for t in terms}
     assert lookup[("j", "i")] == {"1": 1}
     assert lookup[("i", "j")] == {"0": 1}
+    assert out == (
+        '[{"left": "1", "right": "i j", "coeff": {"0": 1}}, '
+        '{"left": "j", "right": "i", "coeff": {"1": 1}}, '
+        '{"left": "i", "right": "j", "coeff": {"0": 1}}, '
+        '{"left": "i j", "right": "1", "coeff": {"0": 1}}]\n')
+    code, out, _ = run(capsys, ["comul", "-g", graph_files["a2"], "ij"])
+    assert code == 0 and out == ("(1) * 1 (x) i j\n(q) * j (x) i\n"
+                                 "(1) * i (x) j\n(1) * i j (x) 1\n")
 
 
 def test_tight_examples(capsys, graph_files):
@@ -219,6 +243,7 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
         "letters": [{**term, "permutation": ["a", "b"]}],
         "object": term,
         "vertex": [{**term, "source": ["i", "k"]}],
+        "nokey": [{}],
     }
     for name, data in elems.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
@@ -259,6 +284,10 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
         # one vertex has no Serre pair to check
         ["check", "-g", graph_files["a1"], "serre"],
         ["check", "-g", graph_files["cycle4"], "cycle:3"],
+        # no vertex to draw a random word from
+        ["check", "-g", graph_files["empty"], "oracle"],
+        # a vertex must be a string
+        ["check", "-g", graph_files["ints"], "relations"],
         # an unknown vertex on the pairing routes
         ["pair", "-g", graph_files["a2"], "i", "k"],
         ["comul", "-g", graph_files["a2"], "k"],
@@ -268,6 +297,28 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
         assert code == 2, argv
         assert out == "" and err.startswith("error:"), argv
         assert len(err.splitlines()) == 1, argv
+
+
+def test_bad_input_messages(capsys, graph_files, tmp_path):
+    # the library's checks, reported as they are raised
+    nokey = tmp_path / "nokey.json"
+    nokey.write_text("[{}]")
+    cases = [
+        (["check", "-g", graph_files["empty"], "oracle"],
+         "graph has no vertices; oracle suite needs one"),
+        (["check", "-g", graph_files["ints"], "relations"],
+         f"cannot load graph {graph_files['ints']}: vertex 1 is not a "
+         f"string"),
+        (["multiply", "-g", graph_files["a2"], "--elem", str(nokey)],
+         f"cannot load element {nokey}: term is missing key 'source'"),
+        (["quotient", "-g", graph_files["a2"], "--nu", "i:-1", "--symplus"],
+         "count of vertex 'i' is -1, not an integer >= 0"),
+        (["quotient", "-g", graph_files["a2"], "--nu", "i:-1,j:1",
+          "--cyclotomic", "i:1"],
+         "count of vertex 'i' is -1, not an integer >= 0"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_field_must_be_prime(capsys, graph_files):

@@ -83,6 +83,13 @@ def test_element_from_json_rejects_bad_vectors(ring_a2):
     for data in (good, "ij", [good, 1]):
         with pytest.raises(ValueError):
             ring_a2.element_from_json(data)
+    # a missing key is a ValueError that names the key
+    with pytest.raises(ValueError, match="missing key 'source'"):
+        ring_a2.element_from_json([{}])
+    for key in good:
+        rest = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            ring_a2.element_from_json([rest])
     ii = {"source": ["i", "i"], "permutation": [1, 2], "dots": [0, 0],
           "coeff": "1"}
     with pytest.raises(WeightMismatchError):

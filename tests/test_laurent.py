@@ -71,3 +71,9 @@ def test_qbinom():
     assert qbinom(3, 0) == LaurentPoly.one()
     with pytest.raises(ValueError):
         qbinom(2, 3)
+
+
+def test_to_json():
+    p = LaurentPoly({2: 3, -1: 1, 0: -2})
+    assert list(p.to_json().items()) == [("-1", 1), ("0", -2), ("2", 3)]
+    assert LaurentPoly.zero().to_json() == {}

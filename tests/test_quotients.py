@@ -44,6 +44,26 @@ def test_graded_basis_examples(ring_a1):
     assert graded_basis(g, (("i", 2),), -2) == [(("i", "i"), (1, 0), (0, 0))]
 
 
+def test_graded_basis_rejects_negative_count(ring_a1):
+    with pytest.raises(ValueError):
+        graded_basis(ring_a1.graph, (("i", -1),), 0)
+
+
+def test_graded_basis_rejects_unknown_vertex(ring_a2):
+    with pytest.raises(GraphError):
+        graded_basis(ring_a2.graph, (("k", 1),), 0)
+
+
+def test_sym_plus_rejects_repeated_vertex(ring_a2):
+    # (i:1, i:1) once built e_1 twice and no e_2, with lowest degree 0
+    with pytest.raises(ValueError):
+        sym_plus_spec(ring_a2, (("i", 1), ("i", 1)))
+    rep = quotient_gdim(ring_a2, sym_plus_spec(ring_a2, (("i", 2),)),
+                        cutoff=6)
+    assert rep.stabilized
+    assert {d: n for d, n in rep.degrees.items() if n} == {-2: 1, 0: 2, 2: 1}
+
+
 def test_graded_basis_cache(ring_a2):
     g = ring_a2.graph
     weight = (("i", 2), ("j", 1))
@@ -306,6 +326,9 @@ def test_ideal_spec_rejects_other_weights(ring_a2):
         IdealSpec((("i", 2),), [ring_a2.idempotent("ij")])
     # the order of the weight's entries does not matter
     spec = IdealSpec((("j", 1), ("i", 1)), [ring_a2.idempotent("ij")])
+    assert spec.weight == (("i", 1), ("j", 1))
+    with pytest.raises(ValueError):
+        IdealSpec((("i", 1), ("i", 1)), [ring_a2.idempotent("ii")])
     rep = quotient_gdim(ring_a2, spec, cutoff=4, window=1)
     assert rep.degrees == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
 

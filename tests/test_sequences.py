@@ -34,6 +34,14 @@ def test_seq_enumerate_counts():
         assert len(seq_enumerate(weight)) == expect
 
 
+def test_seq_enumerate_rejects_bad_weights():
+    for weight in ((("i", 1), ("i", 1)), (("i", 0), ("j", 1), ("i", 2)),
+                   (("i", -1),), (("i", 1.0),), (("i", "2"),)):
+        with pytest.raises(ValueError):
+            seq_enumerate(weight)
+    assert seq_enumerate((("i", 0), ("j", 1))) == [("j",)]
+
+
 def test_divided_sequences():
     theta = (("i", 2), ("j", 1))
     assert expand(theta) == ("i", "i", "j")
