@@ -6,7 +6,8 @@ gdim_hom(k, expand(theta)) / theta!.  The bilinear form on monomials is
 computed two independent ways, which share no code:
 
 * pair_monomials: gdim_hom(expand(theta'), expand(theta)) / (theta! theta'!),
-  where gdim_hom counts permutations by a subset DP in the ring;
+  where gdim_hom sums over permutations in the ring, by a DP over the
+  shortest coset representatives modulo the runs of equal labels;
 * pair_recursive: the coproduct recursion (x, y i) = (r(x), y tensor i),
   peeling one letter of expand(theta') at a time.  Only the terms of r(x)
   whose right factor is that single letter survive, and they are written

@@ -39,11 +39,12 @@ strand c plus one on strand c+1.
 
 from __future__ import annotations
 
+from itertools import groupby
 from operator import add
 
 from .cartan import weight_of_seq
 from .gdim import GradedDim
-from .laurent import LaurentPoly, format_sum
+from .laurent import LaurentPoly, format_sum, qfact
 from .permutations import (
     GeneratorIndexError,
     apply_perm_to_seq,
@@ -350,33 +351,49 @@ class KLRRing:
         """Graded dimension of the (j, i) sector, a GradedDim.
 
         The numerator is the sum of q^{deg psi_w 1_i} over the permutations
-        w with w . i = j (KL I, section 2), over (1-q^2)^m.  It is computed
-        by a subset DP instead of a scan of all m! permutations: the target
-        positions of j are filled left to right, and the state is the
-        bitmask of source strands of i already used.  Placing source a after
-        the sources b > a in the mask crosses each of them once, which adds
-        -(i_a . i_b) to the exponent.  Only masks whose labels match a prefix
-        of j are reached, so the cost is O(2^m m^2) at worst.
+        w with w . i = j (KL I, section 2), over (1-q^2)^m.  A run of i is a
+        maximal block of adjacent equal labels; the Young subgroup S that
+        permutes strands within runs is standard parabolic and fixes i, so
+        the w split into cosets uS, with u the shortest element of its coset
+        (increasing on every run).  Then l(u s) = l(u) + l(s) for s in S,
+        and s crosses only equal labels, so deg(u s) = deg(u) - 2 l(s): the
+        numerator is sum_u q^{deg u} times prod over runs of length r of
+        q^{-r(r-1)/2} [r]!.  Only adjacent equal labels may be grouped, as
+        the full stabilizer of i is not parabolic.
+
+        The sum over u is a DP: the target positions of j are filled left to
+        right, each from the leftmost unused source of a run with that label,
+        and the state is how many sources of each run are used.  Placing a
+        source crosses the used sources to its right once each, which adds
+        -(i_a . i_b) to the exponent.  There are at most prod (r+1) states,
+        so the cost is O(prod (r+1) m^2) at worst.
         """
         seq_i, seq_j = tuple(seq_i), tuple(seq_j)
         if weight_of_seq(seq_i) != weight_of_seq(seq_j):
             raise WeightMismatchError("sequences have different weights")
-        m = len(seq_i)
-        cartan = [[self.graph.cartan(x, y) for y in seq_i] for x in seq_i]
-        layer = {0: {0: 1}}  # mask of used sources -> exponent -> count
+        runs = [(v, len(list(g))) for v, g in groupby(seq_i)]
+        k = len(runs)
+        cartan = [[self.graph.cartan(x, y) for y, _ in runs] for x, _ in runs]
+        # sources used per run -> exponent -> count; q^{-r(r-1)/2} per run
+        layer = {(0,) * k: {-sum(n * (n - 1) // 2 for _, n in runs): 1}}
         for label in seq_j:
             nxt = {}
-            for mask, counts in layer.items():
-                for a in range(m):
-                    if seq_i[a] != label or mask >> a & 1:
+            for used, counts in layer.items():
+                for r, (v, n) in enumerate(runs):
+                    if v != label or used[r] == n:
                         continue
-                    shift = -sum(cartan[a][b] for b in range(a + 1, m)
-                                 if mask >> b & 1)
-                    out = nxt.setdefault(mask | 1 << a, {})
+                    shift = -sum(cartan[r][t] * used[t]
+                                 for t in range(r + 1, k))
+                    key = used[:r] + (used[r] + 1,) + used[r + 1:]
+                    out = nxt.setdefault(key, {})
                     for e, c in counts.items():
                         out[e + shift] = out.get(e + shift, 0) + c
             layer = nxt
-        return GradedDim(LaurentPoly(layer.get((1 << m) - 1, {})), (1,) * m)
+        num = LaurentPoly(layer.get(tuple(n for _, n in runs), {}))
+        for _, n in runs:
+            if n > 1:
+                num = num * qfact(n)
+        return GradedDim(num, (1,) * len(seq_i))
 
     def nilhecke_em(self, m, vertex):
         """The degree-0 primitive idempotent on m equal-label strands.

@@ -7,6 +7,8 @@ with no zero values.  Includes the balanced quantum integers [n], factorials
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 class LaurentPoly:
     """A Laurent polynomial in q with integer coefficients.
@@ -212,8 +214,9 @@ def qint(n):
     return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
 
 
+@lru_cache(maxsize=None)
 def qfact(n):
-    """Quantum factorial [n]! = [n][n-1]...[1]."""
+    """Quantum factorial [n]! = [n][n-1]...[1], memoized."""
     out = LaurentPoly.one()
     for k in range(2, n + 1):
         out = out * qint(k)

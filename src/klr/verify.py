@@ -139,13 +139,13 @@ def run(ring, suite):
     a graph the suite does not apply to.
     """
     graph = ring.graph
+    if suite in ("relations", "oracle") and not graph.vertices:
+        raise ValueError(f"graph has no vertices; {suite} suite needs one")
     if suite == "relations":
         failures = relations(ring)
         return ([f"relations on 2 and 3 strands: {_verdict(not failures)}"],
                 failures)
     if suite == "oracle":
-        if not graph.vertices:
-            raise ValueError("graph has no vertices; oracle suite needs one")
         failures = oracle(ring)
         return ([f"oracle agreement (200 random words, both orientations): "
                  f"{_verdict(not failures)}"], failures)

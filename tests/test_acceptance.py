@@ -4,6 +4,7 @@ Each test pins down one headline guarantee of the package, with an explicit
 wall-clock budget asserted alongside the mathematical content.
 """
 
+import itertools
 import math
 import time
 
@@ -155,7 +156,7 @@ def test_08_cycle_phenomenon(ring_cycle3, ring_cycle4):
 
 
 def test_09_tightness(ring_a2):
-    with Budget(10):
+    with Budget(5):
         for a, b, c in [(0, 1, 0), (1, 2, 1), (1, 3, 1), (2, 3, 1)]:
             theta = tuple(x for x in (("i", a), ("j", b), ("i", c)) if x[1])
             rep = tight(ring_a2, theta)
@@ -163,9 +164,25 @@ def test_09_tightness(ring_a2):
         rep = tight(ring_a2, (("i", 1), ("j", 1), ("i", 1)))
         assert not rep.tight
         assert rep.constant_term == 2
-        # 12 strands: i^(2) j^(8) i^(2) is a canonical basis element
-        rep = tight(ring_a2, (("i", 2), ("j", 8), ("i", 2)))
-        assert rep.tight
+        # Lusztig's A2 closed form: i^(a) j^(b) i^(c) is a canonical basis
+        # element iff b >= a + c; all 560 monomials up to 16 strands
+        count = 0
+        for a, b, c in itertools.product(range(1, 15), repeat=3):
+            if a + b + c > 16:
+                continue
+            count += 1
+            rep = tight(ring_a2, (("i", a), ("j", b), ("i", c)))
+            assert rep.tight == (b >= a + c), (a, b, c)
+            if b == a + c - 1:
+                assert rep.constant_term == 2, (a, b, c)
+                assert rep.first_bad == (0, 2), (a, b, c)
+            elif b < a + c - 1:
+                assert rep.first_bad[0] < 0, (a, b, c)
+        assert count == 560
+        # 20 strands: both routes agree on i^(4) j^(12) i^(4)
+        theta = (("i", 4), ("j", 12), ("i", 4))
+        assert (pair_monomials(ring_a2, theta, theta)
+                == pair_recursive(ring_a2, theta, theta))
 
 
 def test_10_quotients(ring_a1, ring_a2):

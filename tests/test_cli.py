@@ -284,8 +284,9 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
         # one vertex has no Serre pair to check
         ["check", "-g", graph_files["a1"], "serre"],
         ["check", "-g", graph_files["cycle4"], "cycle:3"],
-        # no vertex to draw a random word from
+        # no vertex to draw a random word from, or to label strands with
         ["check", "-g", graph_files["empty"], "oracle"],
+        ["check", "-g", graph_files["empty"], "relations"],
         # a vertex must be a string
         ["check", "-g", graph_files["ints"], "relations"],
         # an unknown vertex on the pairing routes
@@ -306,6 +307,8 @@ def test_bad_input_messages(capsys, graph_files, tmp_path):
     cases = [
         (["check", "-g", graph_files["empty"], "oracle"],
          "graph has no vertices; oracle suite needs one"),
+        (["check", "-g", graph_files["empty"], "relations"],
+         "graph has no vertices; relations suite needs one"),
         (["check", "-g", graph_files["ints"], "relations"],
          f"cannot load graph {graph_files['ints']}: vertex 1 is not a "
          f"string"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from operator import add
@@ -14,6 +15,7 @@ from klr import (
     LaurentPoly,
     WeightMismatchError,
     diagram_degree,
+    qfact,
     seq_enumerate,
     single_vertex,
     weight_from_dict,
@@ -365,18 +367,48 @@ def _gdim_hom_scan(ring, seq_j, seq_i):
     return num
 
 
+def _run_blocks(vertices):
+    """Sequences of at most 7 strands built from (vertex, run length) blocks;
+    adjacent blocks may share a vertex and so merge into one longer run."""
+    blocks = st.lists(st.tuples(st.sampled_from(vertices), st.integers(1, 4)),
+                      max_size=7)
+    return blocks.map(lambda bs: tuple(v for v, n in bs for _ in range(n))[:7])
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_gdim_hom_matches_permutation_scan(ring_a1, ring_a2, ring_a1xa1,
                                            ring_cycle3, data):
     ring = data.draw(st.sampled_from([ring_a1, ring_a2, ring_a1xa1,
                                       ring_cycle3]))
-    seq_i = tuple(data.draw(st.lists(st.sampled_from(ring.graph.vertices),
-                                     max_size=7)))
+    vertices = ring.graph.vertices
+    seq_i = data.draw(st.one_of(
+        st.lists(st.sampled_from(vertices), max_size=7).map(tuple),
+        _run_blocks(vertices)))
     seq_j = tuple(data.draw(st.permutations(seq_i)))
     gd = ring.gdim_hom(seq_j, seq_i)
     assert gd.den == (1,) * len(seq_i)
     assert gd.num == _gdim_hom_scan(ring, seq_j, seq_i)
+
+
+def test_gdim_hom_non_adjacent_equal_labels(ring_a2, ring_a1xa1, ring_cycle3):
+    """Equal labels that are not adjacent are not one run: the stabilizer of
+    i is then not a parabolic subgroup, and grouping them is wrong."""
+    cases = [(ring_a2, "jij"), (ring_a2, "ijji"), (ring_a2, "iji"),
+             (ring_a2, "ijjii"), (ring_a1xa1, "ijij"), (ring_cycle3, "1231")]
+    for ring, word in cases:
+        seq_i = tuple(word)
+        for seq_j in set(itertools.permutations(seq_i)):
+            assert (ring.gdim_hom(seq_j, seq_i).num
+                    == _gdim_hom_scan(ring, seq_j, seq_i)), (word, seq_j)
+
+
+def test_gdim_hom_nilhecke_closed_form(ring_a1):
+    """End(i^m) of the nilHecke ring: q^{-m(m-1)/2} [m]! over (1-q^2)^m."""
+    for m in range(15):
+        gd = ring_a1.gdim_hom(("i",) * m, ("i",) * m)
+        assert gd.num == LaurentPoly.q_power(-m * (m - 1) // 2) * qfact(m), m
+        assert gd.den == (1,) * m
 
 
 def _den_poly(factors):
