@@ -5,9 +5,14 @@ dimensions of its idempotent truncations; on the plain sequence k it equals
 gdim_hom(k, expand(theta)) / theta!.  The bilinear form on monomials is
 computed two independent ways, which share no code:
 
-* pair_monomials: gdim_hom(expand(theta'), expand(theta)) / (theta! theta'!),
+* pair_monomials: gdim_hom(expand(theta), expand(theta')) / (theta! theta'!),
   where gdim_hom sums over permutations in the ring, by a DP over the
-  shortest coset representatives modulo the runs of equal labels;
+  shortest coset representatives modulo the runs of equal labels.  The
+  anti-involution that flips diagrams upside down preserves degree, so this
+  (theta, theta') sector has the graded dimension of the (theta', theta)
+  one.  The DP takes theta' as a divided source (gdim_hom_divided) and
+  divides by theta'! in closed form, one quantum multinomial per run; the
+  division by theta! is _divide_factorial's;
 * pair_recursive: the coproduct recursion (x, y i) = (r(x), y tensor i),
   peeling one letter of expand(theta') at a time.  Only the terms of r(x)
   whose right factor is that single letter survive, and they are written
@@ -238,8 +243,10 @@ def pair_monomials(ring, theta, theta2) -> GradedDim:
     ring.graph.require_vertices(v for v, _ in theta + theta2)
     if divided_weight(theta) != divided_weight(theta2):
         return GradedDim.zero()
-    gd = ring.gdim_hom(expand(theta2), expand(theta))
-    return _divide_factorial(gd.divide_poly(factorial_poly(theta2)), theta)
+    # the upside-down flip preserves degree: the (theta, theta') sector has
+    # the graded dimension of the (theta', theta) one
+    gd = ring.gdim_hom_divided(expand(theta), theta2)
+    return _divide_factorial(gd, theta)
 
 
 def pair_recursive(ring, theta, theta2) -> GradedDim:
@@ -279,6 +286,7 @@ def _pair_plain(ring, theta, plain_seq) -> LaurentPoly:
     key = (theta, plain_seq)
     hit = ring._pair_cache.get(key)
     if hit is not None:
+        ring._pair_hits += 1
         return hit
     if not plain_seq:
         return LaurentPoly.zero() if theta else LaurentPoly.one()

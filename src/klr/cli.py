@@ -12,6 +12,7 @@ the exit code: 0 success, 1 a verification suite found a counterexample,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -238,7 +239,10 @@ def cmd_check(ring, args):
 
 # -- entry point -----------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on the first call and then reused:
+    parse_args keeps no state in it between calls."""
     top = argparse.ArgumentParser(
         prog="klr", description="Exact computations in diagrammatic rings "
         "attached to a Cartan graph.")

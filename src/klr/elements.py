@@ -40,11 +40,11 @@ strand c plus one on strand c+1.
 from __future__ import annotations
 
 from itertools import groupby
-from operator import add
+from operator import add, itemgetter
 
 from .cartan import weight_of_seq
 from .gdim import GradedDim
-from .laurent import LaurentPoly, format_sum, qfact
+from .laurent import LaurentPoly, format_sum, qmultinomial
 from .permutations import (
     GeneratorIndexError,
     apply_perm_to_seq,
@@ -56,7 +56,7 @@ from .permutations import (
     longest_element,
     word_to_perm,
 )
-from .sequences import format_seq
+from .sequences import check_divided, divided_weight, format_seq, plain
 
 
 class WeightMismatchError(ValueError):
@@ -190,17 +190,21 @@ class KLRRing:
         self._cross_cache = {}
         # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
         self._pair_cache = {}
+        self._cross_hits = self._pair_hits = 0  # reads that found an entry
         self._terms_read = 0  # terms read by the right-crossing steps
 
     def stats(self):
-        """Work done so far: the size of each cache, and ``terms_read``,
-        the number of terms read by every right-crossing step, whether of
+        """Work done so far: the size of each cache, its ``hits`` (a miss
+        adds one entry, so misses equal the size), and ``terms_read``, the
+        number of terms read by every right-crossing step, whether of
         ``multiply``, ``psi``, ``evaluate_word`` or the kernel's own
         canonicalization."""
         caches = {name[1:-len("_cache")]: len(value)
                   for name, value in vars(self).items()
                   if name.endswith("_cache")}
-        return {"caches": caches, "terms_read": self._terms_read}
+        hits = {"cross": self._cross_hits, "pair": self._pair_hits}
+        return {"caches": caches, "hits": hits,
+                "terms_read": self._terms_read}
 
     # -- constructors ------------------------------------------------------
 
@@ -348,30 +352,45 @@ class KLRRing:
         return KLRElement(self, out)
 
     def gdim_hom(self, seq_j, seq_i):
-        """Graded dimension of the (j, i) sector, a GradedDim.
+        """Graded dimension of the (j, i) sector, a GradedDim: the plain
+        case of ``gdim_hom_divided``, with source ``plain(seq_i)``."""
+        return self.gdim_hom_divided(seq_j, plain(seq_i))
 
-        The numerator is the sum of q^{deg psi_w 1_i} over the permutations
-        w with w . i = j (KL I, section 2), over (1-q^2)^m.  A run of i is a
-        maximal block of adjacent equal labels; the Young subgroup S that
-        permutes strands within runs is standard parabolic and fixes i, so
-        the w split into cosets uS, with u the shortest element of its coset
-        (increasing on every run).  Then l(u s) = l(u) + l(s) for s in S,
-        and s crosses only equal labels, so deg(u s) = deg(u) - 2 l(s): the
-        numerator is sum_u q^{deg u} times prod over runs of length r of
+    def gdim_hom_divided(self, seq_j, theta):
+        """gdim e(j) R e(expand theta) / theta!, a GradedDim over (1-q^2)^m.
+
+        The numerator of the (j, i) sector is the sum of q^{deg psi_w 1_i}
+        over the permutations w with w . i = j (KL I, section 2).  A run of
+        i is a maximal block of adjacent equal labels; the Young subgroup S
+        that permutes strands within runs is standard parabolic and fixes i,
+        so the w split into cosets uS, with u the shortest element of its
+        coset (increasing on every run).  Then l(u s) = l(u) + l(s) for s in
+        S, and s crosses only equal labels, so deg(u s) = deg(u) - 2 l(s):
+        the numerator is sum_u q^{deg u} times prod over runs of length r of
         q^{-r(r-1)/2} [r]!.  Only adjacent equal labels may be grouped, as
         the full stabilizer of i is not parabolic.
+
+        The source is the divided sequence theta, i = expand(theta).  Each
+        block i^(n) lies inside one run, so dividing by theta! turns a run's
+        factor [r]! into the quantum multinomial [r]! / prod [n_b]! over the
+        run's blocks, which is 1 for a run of one block.  For a plain theta
+        (``sequences.plain``) the factor is [r]!.
 
         The sum over u is a DP: the target positions of j are filled left to
         right, each from the leftmost unused source of a run with that label,
         and the state is how many sources of each run are used.  Placing a
         source crosses the used sources to its right once each, which adds
         -(i_a . i_b) to the exponent.  There are at most prod (r+1) states,
-        so the cost is O(prod (r+1) m^2) at worst.
+        so the cost is O(prod (r+1) m^2) at worst.  Raises ValueError on a
+        bad block and WeightMismatchError when the weights differ.
         """
-        seq_i, seq_j = tuple(seq_i), tuple(seq_j)
-        if weight_of_seq(seq_i) != weight_of_seq(seq_j):
+        seq_j, theta = tuple(seq_j), tuple(theta)
+        check_divided(theta)
+        if weight_of_seq(seq_j) != divided_weight(theta):
             raise WeightMismatchError("sequences have different weights")
-        runs = [(v, len(list(g))) for v, g in groupby(seq_i)]
+        blocks = [(v, tuple(n for _, n in g))
+                  for v, g in groupby(theta, key=itemgetter(0))]
+        runs = [(v, sum(ns)) for v, ns in blocks]
         k = len(runs)
         cartan = [[self.graph.cartan(x, y) for y, _ in runs] for x, _ in runs]
         # sources used per run -> exponent -> count; q^{-r(r-1)/2} per run
@@ -390,10 +409,10 @@ class KLRRing:
                         out[e + shift] = out.get(e + shift, 0) + c
             layer = nxt
         num = LaurentPoly(layer.get(tuple(n for _, n in runs), {}))
-        for _, n in runs:
-            if n > 1:
-                num = num * qfact(n)
-        return GradedDim(num, (1,) * len(seq_i))
+        for _, ns in blocks:
+            if len(ns) > 1:
+                num = num * qmultinomial(ns)
+        return GradedDim(num, (1,) * len(seq_j))
 
     def nilhecke_em(self, m, vertex):
         """The degree-0 primitive idempotent on m equal-label strands.
@@ -448,6 +467,7 @@ class KLRRing:
         key = (c, i, w)
         hit = self._cross_cache.get(key)
         if hit is not None:
+            self._cross_hits += 1
             return hit
         below = apply_word_to_seq((c,), i)
         cw = canonical_word(w)

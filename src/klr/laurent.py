@@ -223,8 +223,18 @@ def qfact(n):
     return out
 
 
+@lru_cache(maxsize=None)
+def qmultinomial(parts):
+    """Balanced quantum multinomial [sum parts]! / prod [n]! over the tuple
+    parts; exact Laurent division, memoized."""
+    den = LaurentPoly.one()
+    for n in parts:
+        den = den * qfact(n)
+    return qfact(sum(parts)).exact_div(den)
+
+
 def qbinom(n, k):
-    """Balanced quantum binomial [n choose k]; exact Laurent division."""
+    """Balanced quantum binomial [n choose k]."""
     if not 0 <= k <= n:
         raise ValueError(f"quantum binomial needs 0 <= {k} <= {n}")
-    return qfact(n).exact_div(qfact(k) * qfact(n - k))
+    return qmultinomial((k, n - k))

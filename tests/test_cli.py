@@ -9,6 +9,7 @@ import pytest
 import klr
 from klr import KLRRing, a2
 from klr.cli import (
+    build_parser,
     main,
     parse_divided,
     parse_seq,
@@ -93,6 +94,57 @@ def test_pair_examples(capsys, graph_files):
     assert code == 0 and out == (
         '{"num": {"0": 1, "2": 1}, "den": [1, 1, 2], '
         '"series": {"0": 1, "2": 3, "4": 6}}\n')
+
+
+def test_pair_merged_runs(capsys, graph_files):
+    # adjacent blocks on one vertex merge into one run of the hom route
+    code, out, _ = run(capsys, ["pair", "-g", graph_files["a2"],
+                                "i^(2) i", "i i^(2)"])
+    assert code == 0 and out == "(q^-4 + q^-2 + 1) / ((1-q^2)^2(1-q^4))\n"
+    code, out, _ = run(capsys, ["pair", "-g", graph_files["a2"],
+                                "--expand", "5", "i^(2) i", "i i^(2)"])
+    assert code == 0 and out == (
+        "(q^-4 + q^-2 + 1) / ((1-q^2)^2(1-q^4))\n"
+        "series up to q^5: q^-4 + 3*q^-2 + 7 + 12*q^2 + 19*q^4\n")
+    code, out, _ = run(capsys, ["tight", "-g", graph_files["a2"],
+                                "i^(2) i^(3)"])
+    assert code == 0 and out == (
+        "NOT TIGHT: lowest term q^-12 has coefficient 1\n")
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, graph_files):
+    """One parser serves every call in a process; an option given to one
+    call is not seen by the next."""
+    g = graph_files["a2"]
+    assert build_parser() is build_parser()
+    pair_json = ('{"num": {"0": 1, "2": 1}, "den": [1, 1, 2], '
+                 '"series": {"0": 1, "2": 3, "4": 6}}\n')
+    pair_text = "(1 + q^2) / ((1-q^2)^2(1-q^4))\n"
+    gdim_text = "(q^-1 + q) / ((1-q^2)^3)\n"
+    bad = (2, "", "error: specify exactly one of --cyclotomic or --symplus\n")
+    calls = [
+        (["pair", "-g", g, "--json", "--expand", "4", "i^(2) j", "i j i"],
+         (0, pair_json, "")),
+        (["pair", "-g", g, "i^(2) j", "i j i"], (0, pair_text, "")),
+        (["quotient", "-g", g, "--nu", "i:1"], bad),
+        (["gdim", "-g", g, "--expand", "3", "iji", "iij"],
+         (0, gdim_text + "series up to q^3: q^-1 + 4*q + 9*q^3\n", "")),
+        (["gdim", "-g", g, "iji", "iij"], (0, gdim_text, "")),
+        (["quotient", "-g", g, "--nu", "i:1,j:1", "--symplus"],
+         (0, "deg    0: 2\ndeg    1: 2\ntotal (q=1): 4\nstabilized\n", "")),
+        (["quotient", "-g", g, "--nu", "i:1,j:1", "--cyclotomic", "i:1"],
+         (0, "deg    0: 1\ntotal (q=1): 1\nstabilized\n", "")),
+        (["quotient", "-g", g, "--nu", "i:1"], bad),
+        (["pair", "-g", g, "i^(2) j", "i j i"], (0, pair_text, "")),
+    ]
+    for argv, want in calls:
+        assert run(capsys, argv) == want, argv
+    # an argparse error in between leaves the parser as it was
+    with pytest.raises(SystemExit):
+        main(["gdim", "-g", g, "--expand", "x", "i", "i"])
+    capsys.readouterr()
+    for argv, want in calls:
+        assert run(capsys, argv) == want, argv
 
 
 def test_shuffle_example(capsys, graph_files):

@@ -14,7 +14,11 @@ from klr import (
     KLRRing,
     LaurentPoly,
     WeightMismatchError,
+    a2,
     diagram_degree,
+    expand,
+    factorial_poly,
+    pair_recursive,
     qfact,
     seq_enumerate,
     single_vertex,
@@ -403,6 +407,53 @@ def test_gdim_hom_non_adjacent_equal_labels(ring_a2, ring_a1xa1, ring_cycle3):
                     == _gdim_hom_scan(ring, seq_j, seq_i)), (word, seq_j)
 
 
+def _divided_runs(vertices):
+    """Divided sequences of at most 6 strands, drawn run by run: each run is
+    one vertex split into blocks i^(n_1) ... i^(n_k), and adjacent runs may
+    share a vertex and so merge."""
+    runs = st.lists(st.tuples(st.sampled_from(vertices),
+                              st.lists(st.integers(1, 3), min_size=1,
+                                       max_size=3)), max_size=4)
+
+    def trim(rs):
+        out, left = [], 6
+        for v, ns in rs:
+            for n in ns:
+                if left:
+                    out.append((v, min(n, left)))
+                    left -= out[-1][1]
+        return tuple(out)
+
+    return runs.map(trim)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_gdim_hom_divided_source(ring_a2, ring_a1xa1, ring_cycle3, data):
+    """The DP divides by theta! in closed form, one quantum multinomial per
+    run, and equals gdim_hom(j, expand theta) / theta! exactly.  The (j, i)
+    and (i, j) sectors have the same graded dimension (the upside-down flip
+    preserves degree), which pair_monomials relies on."""
+    ring = data.draw(st.sampled_from([ring_a2, ring_a1xa1, ring_cycle3]))
+    theta = data.draw(_divided_runs(ring.graph.vertices))
+    seq_i = expand(theta)
+    seq_j = tuple(data.draw(st.permutations(seq_i)))
+    gd = ring.gdim_hom_divided(seq_j, theta)
+    plain_gd = ring.gdim_hom(seq_j, seq_i)
+    want = plain_gd.divide_poly(factorial_poly(theta))
+    assert (gd.num, gd.den) == (want.num, want.den)
+    back = ring.gdim_hom(seq_i, seq_j)
+    assert (back.num, back.den) == (plain_gd.num, plain_gd.den)
+
+
+def test_gdim_hom_divided_rejects_bad_input(ring_a2):
+    for bad in ((("i", 0),), (("i", 1.0),), ("i",)):
+        with pytest.raises(ValueError):
+            ring_a2.gdim_hom_divided(("i",), bad)
+    with pytest.raises(WeightMismatchError):
+        ring_a2.gdim_hom_divided(("i", "j"), (("i", 2),))
+
+
 def test_gdim_hom_nilhecke_closed_form(ring_a1):
     """End(i^m) of the nilHecke ring: q^{-m(m-1)/2} [m]! over (1-q^2)^m."""
     for m in range(15):
@@ -465,6 +516,7 @@ def test_stats_count_right_crossing_terms():
     ring = KLRRing(single_vertex())
     assert ring.stats() == {
         "caches": {"cross": 0, "pair": 0},
+        "hits": {"cross": 0, "pair": 0},
         "terms_read": 0}
     dots = []
     dot = ring._dot
@@ -525,3 +577,24 @@ def test_str_format(ring_a2):
     assert str(z) == "0"
     y = ring_a2.generator(("D", 1), ("i", "j")) * 2
     assert str(y) == "2*x1[ij]"
+
+
+def test_stats_count_cache_hits():
+    """A repeated call reads only the cache: it adds hits and no entries."""
+    ring = KLRRing(a2())
+    theta = (("i", 1), ("j", 2), ("i", 1))
+    theta2 = (("j", 1), ("i", 2), ("j", 1))
+    pair_recursive(ring, theta, theta2)
+    assert ring.stats()["caches"]["pair"] == 5
+    assert ring.stats()["hits"] == {"cross": 0, "pair": 1}
+    pair_recursive(ring, theta, theta2)
+    assert ring.stats()["caches"]["pair"] == 5
+    assert ring.stats()["hits"] == {"cross": 0, "pair": 2}
+    word = [("C", 1), ("C", 2), ("C", 1)]
+    ring.evaluate_word(("i", "j", "i"), word)
+    assert ring.stats()["caches"]["cross"] == 3
+    assert ring.stats()["hits"] == {"cross": 0, "pair": 2}
+    ring.evaluate_word(("i", "j", "i"), word)
+    assert ring.stats() == {"caches": {"cross": 3, "pair": 5},
+                            "hits": {"cross": 3, "pair": 2},
+                            "terms_read": 6}
