@@ -20,13 +20,20 @@ This module deliberately shares no code with the rewriting kernel beyond
 the basis-key data: products are *not* normalized here, they are composed
 as operators, so agreement with the kernel is a genuine cross-check.
 
+The oracle is exact.  Sym(nu) is central in R(nu) (KL I, section 2), so
+every element acts Sym(nu)-linearly.  Each summand Z[x]e(i) is free over
+Sym(nu) on the Artin staircase monomials (``artin_basis``), and the
+representation is faithful (the proof of KL I, Thm 2.5).  So two elements
+are equal exactly when they agree on the Artin basis of every sequence of
+their weight, which is what ``oracle_equal`` checks.
+
 Polynomials are sparse maps exponent-tuple -> int.  An oracle vector maps
 each sequence to such a polynomial.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import product
 from operator import add
 
 from .permutations import GeneratorIndexError, canonical_word
@@ -236,36 +243,36 @@ def act(orientation, x, seq, poly):
     return {s: p for s, p in out.items() if p}
 
 
-def monomials_up_to(m, degree_bound):
-    """All exponent tuples of length m with total degree <= degree_bound."""
-    out = [(0,) * m]
-    for d in range(1, degree_bound + 1):
-        for combo in combinations_with_replacement(range(m), d):
-            e = [0] * m
-            for pos in combo:
-                e[pos] += 1
-            out.append(tuple(e))
-    return out
+def artin_basis(seq):
+    """The Artin staircase monomials of the summand Z[x_1, ..., x_m]e(seq).
+
+    For each vertex c, the exponents on the positions labelled c run under
+    the staircase (n_c - 1, ..., 1, 0): position k may carry as many as
+    there are later positions with its label.  These prod_c n_c! monomials
+    are a basis of the summand as a module over Sym(nu).
+    """
+    return list(product(*(range(seq[k + 1:].count(v) + 1)
+                          for k, v in enumerate(seq))))
 
 
-def oracle_equal(x, y, degree_bound=3, orientation=None):
-    """Compare two elements by their action on low-degree monomials.
+def oracle_equal(x, y, *, orientation=None):
+    """Whether x = y in R(nu), decided by their action on a finite basis.
 
-    Checks every source sequence of the common weight and every monomial of
-    total degree up to the bound; a sampling check, not a proof.  Raises
+    Sym(nu) is central (KL I, section 2), so x - y acts Sym(nu)-linearly.
+    Each summand Z[x]e(i) is free over Sym(nu) on ``artin_basis(i)``, and
+    the polynomial representation is faithful (the proof of KL I, Thm
+    2.5).  So x = y exactly when x - y kills the Artin basis of every
+    sequence of the weight: a proof, not a sample.  Raises
     WeightMismatchError, from ``x - y``, if the weights differ.
     """
-    ring = x.ring
-    graph = ring.graph
     if orientation is None:
-        orientation = default_orientation(graph)
-    weight = x.weight or y.weight
+        orientation = default_orientation(x.ring.graph)
+    weight = x.weight if x.weight is not None else y.weight
     if weight is None:
         return True
-    m = sum(n for _, n in weight)
     diff = x - y
     for seq in seq_enumerate(weight):
-        for mono in monomials_up_to(m, degree_bound):
+        for mono in artin_basis(seq):
             if act(orientation, diff, seq, {mono: 1}):
                 return False
     return True

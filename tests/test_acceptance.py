@@ -74,7 +74,7 @@ def test_01_relation_suite(ring_a1, ring_a2, ring_a1xa1, ring_cycle3):
 def test_02_oracle_consistency(ring_a1, ring_a2, ring_a1xa1, ring_cycle3):
     with Budget(10):
         for ring in (ring_a1, ring_a2, ring_a1xa1, ring_cycle3):
-            assert oracle(ring, trials=200, degree_bound=3) == []
+            assert oracle(ring) == []
 
 
 def test_03_pairing_values_and_routes(ring_a1, ring_a2):

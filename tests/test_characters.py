@@ -19,6 +19,7 @@ from klr import (
     cycle_alpha,
     equal_in_f,
     orthogonal_idempotents_check,
+    pair_k0,
     pair_monomials,
     pair_recursive,
     serre_check,
@@ -271,11 +272,11 @@ def test_orthogonal_idempotents_oracle_confirmation(ring_a2):
     e1 = ring_a2.evaluate_word(seq, [("C", 1), ("C", 2), ("C", 1)])
     e2 = -ring_a2.evaluate_word(seq, [("C", 2), ("C", 1), ("C", 2)])
     one = ring_a2.idempotent(seq)
-    assert oracle_equal(e1 * e1, e1, 3)
-    assert oracle_equal(e2 * e2, e2, 3)
-    assert oracle_equal(e1 * e2, ring_a2.zero(), 3)
-    assert oracle_equal(e2 * e1, ring_a2.zero(), 3)
-    assert oracle_equal(e1 + e2, one, 3)
+    assert oracle_equal(e1 * e1, e1)
+    assert oracle_equal(e2 * e2, e2)
+    assert oracle_equal(e1 * e2, ring_a2.zero())
+    assert oracle_equal(e2 * e1, ring_a2.zero())
+    assert oracle_equal(e1 + e2, one)
 
 
 def test_tight(ring_a1, ring_a2):
@@ -343,6 +344,43 @@ def test_form_is_sigma_invariant(ring_a2, ring_a1xa1, ring_cycle3, data):
     for route in (pair_monomials, pair_recursive):
         assert (route(ring, reverse(theta), reverse(theta2))
                 == route(ring, theta, theta2)), (route, theta, theta2)
+
+
+def _k0_vector(draw, seq):
+    """A sum of 1-3 divided reorderings of seq with Laurent coefficients."""
+    coeff = st.dictionaries(st.integers(-3, 3),
+                            st.integers(-2, 2).filter(bool),
+                            min_size=1, max_size=2).map(LaurentPoly)
+    u = None
+    for _ in range(draw(st.integers(1, 3))):
+        theta = _divided(draw, draw(st.permutations(seq)))
+        term = K0Vector.monomial(theta, draw(coeff))
+        u = term if u is None else u + term
+    return u, coeff
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_k0(ring_a2, ring_a1xa1, ring_cycle3, data):
+    """pair_k0 is Z[q, 1/q]-linear in u, is pair_monomials on a single
+    symbol, sums pair_recursive to the same value, and is sigma-invariant."""
+    ring = data.draw(st.sampled_from([ring_a2, ring_a1xa1, ring_cycle3]))
+    seq = data.draw(st.lists(st.sampled_from(ring.graph.vertices),
+                             min_size=1, max_size=5))
+    theta = _divided(data.draw, data.draw(st.permutations(seq)))
+    u, coeff = _k0_vector(data.draw, seq)
+    v, _ = _k0_vector(data.draw, seq)
+    a, b = data.draw(coeff), data.draw(coeff)
+    pu, pv = pair_k0(ring, u, theta), pair_k0(ring, v, theta)
+    assert pair_k0(ring, u.scale(a) + v.scale(b), theta) == pu * a + pv * b
+    sym = _divided(data.draw, data.draw(st.permutations(seq)))
+    assert (pair_k0(ring, K0Vector.monomial(sym), theta)
+            == pair_monomials(ring, sym, theta))
+    recursive = GradedDim.zero()
+    for key, c in u.coeffs.items():
+        recursive = recursive + pair_recursive(ring, key, theta) * c
+    assert pu == recursive
+    assert pair_k0(ring, sigma_k0(u), reverse(theta)) == pu
 
 
 @settings(max_examples=100, deadline=None)

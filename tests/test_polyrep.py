@@ -1,4 +1,6 @@
 import random
+from itertools import product
+from math import factorial, prod
 from operator import add
 
 import pytest
@@ -17,9 +19,9 @@ from klr import (
     reversed_orientation,
 )
 from klr.permutations import apply_perm_to_seq, canonical_word
-from klr.polyrep import divided_difference, monomials_up_to, poly_mul_var
+from klr.polyrep import artin_basis, divided_difference, poly_mul_var
 
-from klr.verify import label_seqs, random_word
+from klr.verify import label_seqs, oracle, random_word
 
 
 def poly_add(p, q, scalar=1):
@@ -139,7 +141,7 @@ def basis_keys(draw, ring, seq=None):
 
 
 def _monomials(seq):
-    return [{mono: 1} for mono in monomials_up_to(len(seq), 1)]
+    return [{mono: 1} for mono in artin_basis(seq)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -392,7 +394,16 @@ def test_double_crossing_action_both_orientations(ring_a2):
 
 
 def test_defining_relations_numerically(ring_a1, ring_a2, ring_a1xa1):
-    """Generator-composition identities on monomials of degree <= 4."""
+    """Generator-composition identities on monomials of degree <= 4.
+
+    This checks polyrep's own operators, so it cannot lean on the Artin
+    basis: that argument assumes the operators are Sym(nu)-linear.  It
+    samples every monomial up to a degree instead.
+    """
+    def monomials_up_to(m, degree_bound):
+        return [e for e in product(range(degree_bound + 1), repeat=m)
+                if sum(e) <= degree_bound]
+
     for ring in (ring_a1, ring_a2, ring_a1xa1):
         g = ring.graph
         ori = default_orientation(g)
@@ -435,7 +446,7 @@ def test_action_matches_kernel(ring_a1, ring_a2, ring_a1xa1):
                 seq = rng.choice(seqs)
                 tokens = random_word(rng, 3, 5)
                 elem = ring.evaluate_word(seq, tokens)
-                for mono in monomials_up_to(3, 2):
+                for mono in artin_basis(seq):
                     ws, wp = act_word(g, orient, seq, tokens, {mono: 1})
                     want = {ws: wp} if wp else {}
                     assert act(orient, elem, seq, {mono: 1}) == want
@@ -452,7 +463,7 @@ def test_homomorphism_property(ring_a2):
         same_weight = [s for s in seqs if sorted(s) == sorted(seq)]
         x = ring_a2.evaluate_word(rng.choice(same_weight),
                                   random_word(rng, 3, 4))
-        for mono in monomials_up_to(3, 2):
+        for mono in artin_basis(seq):
             inner = act(ori, y, seq, {mono: 1})
             composed = {}
             for s2, p2 in inner.items():
@@ -464,11 +475,11 @@ def test_homomorphism_property(ring_a2):
 
 def test_oracle_equal(ring_a1):
     e = ring_a1.idempotent(("i", "i"))
-    assert oracle_equal(e, e, 0)
+    assert oracle_equal(e, e)
     cc = ring_a1.evaluate_word(("i", "i"), [("C", 1), ("C", 1)])
-    assert oracle_equal(cc, ring_a1.zero(), 3)
+    assert oracle_equal(cc, ring_a1.zero())
     x1 = ring_a1.generator(("D", 1), ("i",))
-    assert not oracle_equal(x1, x1 + ring_a1.idempotent(("i",)), 3)
+    assert not oracle_equal(x1, x1 + ring_a1.idempotent(("i",)))
 
 
 def test_oracle_weight_mismatch(ring_a2):
@@ -478,6 +489,11 @@ def test_oracle_weight_mismatch(ring_a2):
     assert issubclass(WeightMismatchError, ValueError)
     assert oracle_equal(ring_a2.zero(), ring_a2.zero())
     assert not oracle_equal(ring_a2.zero(), y)
+    # e(empty) is the unit of R(0), not zero; its weight () is not "none"
+    empty = ring_a2.idempotent(())
+    assert not oracle_equal(empty, ring_a2.zero())
+    assert not oracle_equal(ring_a2.zero(), empty)
+    assert oracle_equal(empty, empty)
 
 
 def test_oracle_orientation_independent(ring_a2):
@@ -488,6 +504,80 @@ def test_oracle_orientation_independent(ring_a2):
         seq = rng.choice(seqs)
         x = ring_a2.evaluate_word(seq, random_word(rng, 3, 4))
         y = ring_a2.evaluate_word(seq, random_word(rng, 3, 4))
-        verdicts = {oracle_equal(x, y, 2, default_orientation(g)),
-                    oracle_equal(x, y, 2, reversed_orientation(g))}
+        verdicts = {oracle_equal(x, y, orientation=default_orientation(g)),
+                    oracle_equal(x, y, orientation=reversed_orientation(g))}
         assert len(verdicts) == 1
+
+
+def test_artin_basis_is_the_staircase():
+    assert artin_basis(()) == [()]
+    assert artin_basis(("i", "i", "i")) == [
+        (a, b, 0) for a in range(3) for b in range(2)]
+    # the staircase runs over the positions of each label, in order
+    assert sorted(artin_basis(("i", "j", "i", "j", "j"))) == sorted(
+        (a, b, 0, d, 0) for a in range(2) for b in range(3)
+        for d in range(2))
+    for seq in [("i",) * 5, ("i", "j", "i", "k", "i", "j")]:
+        basis = artin_basis(seq)
+        assert len(set(basis)) == len(basis) == prod(
+            factorial(seq.count(v)) for v in set(seq))
+
+
+def test_oracle_sees_the_longest_divided_difference(ring_a1, ring_a2):
+    # psi_{w0} e(i^m) kills every polynomial of degree below m(m-1)/2, so
+    # a degree-bounded sample calls it zero; the Artin basis holds x^rho
+    for m in (4, 5):
+        w0 = ring_a1.element({(("i",) * m, tuple(range(m - 1, -1, -1)),
+                               (0,) * m): 1})
+        assert not oracle_equal(w0, ring_a1.zero())
+    seq = ("i", "i", "i", "i", "j")
+    w0 = ring_a2.evaluate_word(
+        seq, [("C", k) for k in (1, 2, 1, 3, 2, 1)])
+    assert w0
+    assert not oracle_equal(w0, ring_a2.zero())
+    assert not oracle_equal(ring_a2.zero(), w0)
+
+
+def test_oracle_takes_no_bound(ring_a1):
+    e = ring_a1.idempotent(("i", "i"))
+    # the basis is worked out from the weight: no degree can be passed
+    with pytest.raises(TypeError):
+        oracle_equal(e, e, 3)
+    with pytest.raises(TypeError):
+        oracle(ring_a1, 3)
+
+
+@st.composite
+def same_weight_pairs(draw, rings):
+    """A ring, and elements x, y of one weight on 1-4 strands.
+
+    y is x rebuilt, x with one term added or changed, or an independent
+    draw, so both verdicts occur.
+    """
+    ring = draw(st.sampled_from(rings))
+    m = draw(st.integers(1, 4))
+    seq = tuple(draw(st.lists(st.sampled_from(ring.graph.vertices),
+                              min_size=m, max_size=m)))
+    key = st.permutations(seq).map(tuple).flatmap(
+        lambda s: basis_keys(ring, s))
+    coeff = st.integers(-3, 3).filter(bool)
+    terms = st.dictionaries(key, coeff, max_size=4)
+    xt = draw(terms)
+    how = draw(st.sampled_from(["same", "one term", "independent"]))
+    yt = draw(terms) if how == "independent" else dict(xt)
+    if how == "one term":
+        k = draw(key)
+        yt[k] = yt.get(k, 0) + draw(coeff)
+    # the zero element has no weight: pin it with the idempotent term
+    base = {(seq, tuple(range(m)), (0,) * m): 1}
+    return ring, ring.element({**base, **xt}), ring.element({**base, **yt})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_oracle_equal_decides_equality(ring_a1, ring_a2, ring_cycle3, data):
+    ring, x, y = data.draw(same_weight_pairs([ring_a1, ring_a2,
+                                              ring_cycle3]))
+    g = ring.graph
+    for orient in (default_orientation(g), reversed_orientation(g)):
+        assert oracle_equal(x, y, orientation=orient) == (x == y)
