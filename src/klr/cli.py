@@ -6,7 +6,9 @@ quotient.  Sequences are written as juxtaposed single-character vertices
 Generator words are "<seq>: C1 D2 ...", tokens applied bottom to top.
 ``main`` loads the graph, builds the ring, runs the subcommand and sets
 the exit code: 0 success, 1 a verification suite found a counterexample,
-2 bad usage or input (one ``error:`` line on stderr).
+2 bad usage or input (one ``error:`` line on stderr), 141 (128 + SIGPIPE,
+as a shell reports a process that SIGPIPE stopped) when the reader of
+stdout closed it early, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -32,6 +35,9 @@ from .sequences import expand, format_divided, format_seq, shuffles
 
 class CLIError(Exception):
     """Bad input; reported on stderr with exit code 2."""
+
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 # -- parsing ---------------------------------------------------------------
@@ -320,10 +326,17 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(KLRRing(load_graph(args.graph)), args) or 0
+        code = args.func(KLRRing(load_graph(args.graph)), args) or 0
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # send what is still buffered nowhere, so that the flush at exit
+        # cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

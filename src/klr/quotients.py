@@ -38,6 +38,21 @@ x^u, and psi_w g x^u R lies in psi_w g R.
 The quotient dimension is dim R(nu)_d minus the rank.  Ranks are exact,
 over Q or a prime field, by sparse row reduction that is fraction-free over
 Q: rows stay dicts of small integers.
+
+The two quotients built here have an exact top degree, known from a
+theorem and not from the engine, so no degree above it is computed:
+
+* R(nu) is free over its centre Sym(nu) on the psi_w x^u e(i), with u in
+  the Artin staircase of each color (KL I, section 2).  So R(nu)/Sym+ has
+  those elements as a basis, and its top degree is the highest diagram
+  degree of a psi_w e(i) plus sum_c n_c (n_c - 1), the top staircase;
+* R^lambda(beta) categorifies V(lambda) (Kang-Kashiwara, arXiv 1102.4677)
+  and is a symmetric algebra of degree d = 2 (lambda, beta) - (beta, beta)
+  (Shan-Varagnolo-Vasserot, 2011): its degree-k piece is dual to its
+  degree d - k piece.  So if d0 is its lowest nonzero degree, its top is
+  d - d0, and if every degree up to d // 2 is zero, it is zero.  Only d0
+  is read from the engine; every degree up to the top is computed, not
+  mirrored.
 """
 
 from __future__ import annotations
@@ -88,6 +103,8 @@ def _enumerate_basis(graph, weight, d):
 
 # (vertices, edges, weight, d) -> sorted tuple of basis keys
 _basis_cache = {}
+# (vertices, edges, weight) -> {top: [(j, v, degree)]}
+_right_cache = {}
 
 
 def graded_basis(graph, weight, d):
@@ -104,6 +121,26 @@ def graded_basis(graph, weight, d):
         graph.require_vertices(v for v, _ in weight)
         basis = _basis_cache[key] = _enumerate_basis(graph, weight, d)
     return list(basis)
+
+
+def _right_factors(graph, weight):
+    """The dot-free diagrams psi_v e(j) of R(nu), with their degrees, as
+    {top v.j: [(j, v, degree)]} over all sequences j of nu and all v.
+
+    Built once per graph and weight and shared by ``sym_plus_spec``, which
+    reads its top degree off them, and every ``_IdealSpan``: callers read
+    the table and never change it.
+    """
+    key = (graph.vertices, graph.edges, tuple(weight))
+    right = _right_cache.get(key)
+    if right is None:
+        right = _right_cache[key] = {}
+        perms = list(all_permutations(weight_size(weight)))
+        for j in seq_enumerate(weight):
+            for v in perms:
+                right.setdefault(apply_perm_to_seq(v, j), []).append(
+                    (j, v, diagram_degree(graph, j, v)))
+    return right
 
 
 def _is_central(g):
@@ -126,12 +163,18 @@ class IdealSpec:
 
     ``weight`` is kept as nu, sorted with zero counts dropped.  ``central``
     is derived, not asserted: it is true iff every generator is central.
+    ``top_rule`` says how the exact top degree of the quotient is known;
+    only ``sym_plus_spec`` and ``cyclotomic_spec`` set it, from a theorem
+    about the ideal they build (see the module docstring); it is never a
+    constructor argument, so a spec built as ``IdealSpec(weight,
+    generators)`` has none, and ``quotient_gdim`` computes its quotient
+    up to the cutoff.
     Raises ValueError for a bad weight (see ``check_weight``),
     InhomogeneousError for a generator that is not homogeneous and
     WeightMismatchError for one that is not in R(nu).
     """
 
-    __slots__ = ("weight", "generators", "central")
+    __slots__ = ("weight", "generators", "central", "_top_rule")
 
     def __init__(self, weight, generators):
         check_weight(weight)
@@ -144,12 +187,23 @@ class IdealSpec:
         self.weight = nu
         self.generators = list(generators)
         self.central = all(map(_is_central, self.generators))
+        self._top_rule = None
+
+    @property
+    def top_rule(self):
+        """None, ("top", t) for a quotient whose top degree is t, or
+        ("symmetric", d) for a symmetric algebra of degree d, whose top is
+        d - d0 for its lowest nonzero degree d0."""
+        return self._top_rule
 
 
 def cyclotomic_spec(ring, weight, lam):
     """Dots-to-the-power lambda on the leftmost strand of every sequence.
 
     lam maps vertices to nonnegative integers (missing vertices count 0).
+    The quotient R^lambda(beta) is a symmetric algebra of degree
+    d = 2 (lambda, beta) - (beta, beta) (Shan-Varagnolo-Vasserot), which
+    is the spec's top rule.
     """
     lam = dict(lam)
     ring.graph.require_vertices([v for v, _ in weight] + list(lam))
@@ -160,14 +214,23 @@ def cyclotomic_spec(ring, weight, lam):
         if seq:
             dots = [("D", 1)] * lam.get(seq[0], 0)
             gens.append(ring.evaluate_word(seq, dots))
-    return IdealSpec(weight, gens)
+    spec = IdealSpec(weight, gens)
+    beta = spec.weight
+    d = (2 * sum(lam.get(v, 0) * n for v, n in beta)
+         - sum(n * k * ring.graph.cartan(v, u)
+               for v, n in beta for u, k in beta))
+    spec._top_rule = ("symmetric", d)
+    return spec
 
 
 def sym_plus_spec(ring, weight):
     """Color-wise elementary symmetric dot polynomials, summed over sequences.
 
     These span the positive-degree part of the center, so the two-sided
-    ideal they generate needs only one-sided multipliers.
+    ideal they generate needs only one-sided multipliers.  The quotient
+    has the basis psi_w x^u e(i), u in the Artin staircase (KL I, section
+    2), so its top degree, the spec's top rule, is the highest degree of a
+    dot-free diagram plus sum_c n_c (n_c - 1).
     """
     ring.graph.require_vertices(v for v, _ in weight)
     seqs = seq_enumerate(weight)
@@ -182,7 +245,11 @@ def sym_plus_spec(ring, weight):
                     u = tuple(1 if a in subset else 0 for a in range(m))
                     terms[(seq, identity(m), u)] = 1
             gens.append(ring.element(terms))
-    return IdealSpec(weight, gens)
+    spec = IdealSpec(weight, gens)
+    top = max(dv for right in _right_factors(ring.graph, spec.weight).values()
+              for _, _, dv in right)
+    spec._top_rule = ("top", top + sum(n * (n - 1) for _, n in spec.weight))
+    return spec
 
 
 # -- exact rank ------------------------------------------------------------
@@ -315,11 +382,7 @@ class _IdealSpan:
         self.central = spec.central
         self.m = weight_size(spec.weight)
         # top of psi_v e(j) -> [(j, v, degree)] over all sequences j of nu
-        self.right = {}
-        for j in seq_enumerate(spec.weight):
-            for v in all_permutations(self.m):
-                self.right.setdefault(apply_perm_to_seq(v, j), []).append(
-                    (j, v, diagram_degree(ring.graph, j, v)))
+        self.right = _right_factors(ring.graph, spec.weight)
         # lowest degree of a left vector
         self.low = min(self.pieces, default=0) + (0 if spec.central
                                                   else self.lb)
@@ -444,12 +507,14 @@ def ideal_degree_dim(ring, spec, d, prime=None):
 
 
 class GradedDimReport:
-    __slots__ = ("degrees", "stabilized", "cutoff", "window", "field",
+    __slots__ = ("degrees", "top", "stabilized", "cutoff", "window", "field",
                  "stats")
 
     def __init__(self, degrees, stabilized, cutoff, window, field,
-                 stats=None):
-        self.degrees = degrees  # map degree -> dimension
+                 stats=None, top=None):
+        self.degrees = degrees  # map degree -> dimension, as computed
+        # every degree above top is zero by theorem; None when unknown
+        self.top = top
         self.stabilized = stabilized
         self.cutoff = cutoff
         self.window = window
@@ -462,6 +527,7 @@ class GradedDimReport:
 
     def to_json(self):
         return {"degrees": {str(d): n for d, n in sorted(self.degrees.items())},
+                "top": self.top,
                 "stabilized": self.stabilized,
                 "cutoff": self.cutoff,
                 "window": self.window,
@@ -480,19 +546,29 @@ class GradedDimReport:
 
 
 def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
-    """Per-degree dimensions of R(nu)/ideal up to the cutoff degree.
+    """Per-degree dimensions of R(nu)/ideal, from the degree lower bound
+    up to the cutoff or the exact top degree, whichever comes first.
+
+    A spec with a top rule (see the module docstring) is computed no
+    higher than its top: a fixed top for R(nu)/Sym+, and d - d0 for a
+    cyclotomic quotient, a symmetric algebra of degree d, once the scan
+    up from the lower bound meets its lowest nonzero degree d0; if every
+    degree up to d // 2 is zero, the quotient is zero and the scan stops
+    there.  Every degree above the top is zero by theorem, not by
+    computation.  ``degrees`` and ``stats`` hold exactly the computed
+    degrees, and ``top`` is the top degree (d // 2 for a zero cyclotomic
+    quotient), or None when the spec has no rule or the cutoff came
+    before the scan could decide.
 
     Stabilization means the last `window` consecutive degrees (including
-    both parities) of the quotient are zero.  Cyclotomic quotients are
-    finite-dimensional (they categorify V(lambda), Kang-Kashiwara), and so
-    is R(nu)/Sym+, since R(nu) is free of finite rank over its centre
-    Sym(nu) (KL I, section 2).  But zeros in a window do not prove that no
+    both parities) up to the cutoff are zero; degrees above the top count
+    as zero.  Without a top rule, zeros in a window do not prove that no
     higher degree is nonzero, so a failed window is reported rather than
-    an error.  Raises ValueError for a window below 1, which
-    would call any truncated answer stabilized, for a window reaching
-    below the degree lower bound, where there are no degrees to read, and
-    for a prime that is not a prime below 2^64, where ``is_prime`` is
-    exact: Z/n is not a field for composite n.
+    an error.  Raises ValueError for a window below 1, which would call
+    any truncated answer stabilized, for a window reaching below the
+    degree lower bound, where there are no degrees to read, and for a
+    prime that is not a prime below 2^64, where ``is_prime`` is exact:
+    Z/n is not a field for composite n.
     """
     if window < 1:
         raise ValueError(f"stabilization window {window} must be >= 1")
@@ -503,10 +579,23 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     if cutoff - window + 1 < lb:
         raise ValueError(f"window of {window} degrees up to cutoff {cutoff} "
                          f"reaches below the lowest degree {lb}")
+    rule, value = spec.top_rule or (None, None)
+    # a symmetric quotient that is zero up to d // 2 is zero: until d0
+    # shows, d // 2 is where the scan stops
+    top = value // 2 if rule == "symmetric" else value
     span = _IdealSpan(ring, spec, prime)
-    stats = {d: span.degree(d) for d in range(lb, cutoff + 1)}
-    degrees = {d: s["basis"] - s["rank"] for d, s in stats.items()}
-    tail = [degrees[d] for d in range(cutoff - window + 1, cutoff + 1)]
+    stats = {}
+    k = lb
+    while k <= cutoff and (top is None or k <= top):
+        stats[k] = s = span.degree(k)
+        if rule == "symmetric" and s["rank"] < s["basis"]:
+            rule, top = "top", value - k  # k is d0
+        k += 1
+    if rule == "symmetric" and top > cutoff:
+        top = None  # the cutoff came before d0 or d // 2
+    degrees = {k: s["basis"] - s["rank"] for k, s in stats.items()}
+    # the window's degrees from k on lie above the top: zeros
+    tail = [degrees[j] for j in range(cutoff - window + 1, k)]
     field = "Q" if prime is None else f"F_{prime}"
-    return GradedDimReport(degrees, all(n == 0 for n in tail),
-                           cutoff, window, field, stats)
+    return GradedDimReport(degrees, not any(tail), cutoff, window, field,
+                           stats, top)

@@ -9,6 +9,7 @@ import pytest
 import klr
 from klr import KLRRing, a2
 from klr.cli import (
+    EXIT_BROKEN_PIPE,
     build_parser,
     main,
     parse_divided,
@@ -267,6 +268,19 @@ def test_quotient_examples(capsys, graph_files):
     assert code == 0
     obj = json.loads(out)
     assert obj["field"] == "F_7" and obj["stabilized"]
+    assert obj["top"] == 2 and list(obj["degrees"]) == ["0", "1", "2"]
+
+    # no degree above the exact top is computed, so a cutoff of 10^9
+    # answers as the cutoff at top + 3 does
+    argv = ["quotient", "-g", graph_files["a1"], "--nu", "i:3", "--symplus",
+            "--window", "1"]
+    code, out, _ = run(capsys, argv + ["--cutoff", "1000000000"])
+    assert code == 0 and "total (q=1): 36\nstabilized\n" in out
+    assert run(capsys, argv + ["--cutoff", "9"]) == (0, out, "")
+    code, out, _ = run(capsys, argv + ["--cutoff", "1000000000", "--json"])
+    obj = json.loads(out)
+    assert obj["top"] == 6 and list(obj["degrees"]) == [
+        str(d) for d in range(-6, 7)]
 
 
 def test_quotient_json_stats(capsys, graph_files):
@@ -403,19 +417,23 @@ def test_is_prime_matches_trial_division():
     assert is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
 
 
+def _klr_env(**extra):
+    """The environment of a fresh interpreter that imports this klr."""
+    src = str(Path(klr.__file__).resolve().parent.parent)
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_check_output_does_not_depend_on_hash_seed(graph_files):
     # the suite walks the graph's edges, a frozenset whose order follows
     # the string hash; run in fresh interpreters with different seeds
-    src = str(Path(klr.__file__).resolve().parent.parent)
     outs = []
     for hash_seed in ("1", "2"):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "klr.cli", "check",
              "-g", graph_files["cycle3"], "idempotents"],
-            env=env, capture_output=True, check=True, timeout=120)
+            env=_klr_env(PYTHONHASHSEED=hash_seed), capture_output=True,
+            check=True, timeout=120)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert outs[0].decode().splitlines()[:2] == [
@@ -440,3 +458,24 @@ def test_argparse_errors_exit_2(graph_files):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_closed_stdout_exits_quietly(graph_files):
+    # a reader that closes stdout early, as `klr ... | head -c 20` does:
+    # no traceback and not exit 1, which means a counterexample.  The read
+    # end is closed before klr starts, so every write fails.
+    for argv in (["quotient", "-g", graph_files["a2"], "--nu", "i:2,j:2",
+                  "--symplus", "--json"],
+                 ["gdim", "-g", graph_files["a1"], "i", "i"],
+                 ["check", "-g", graph_files["a2"], "relations"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "klr.cli", *argv],
+                                  env=_klr_env(), stdout=write,
+                                  stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_BROKEN_PIPE, b""), argv
+    assert EXIT_BROKEN_PIPE not in (0, 1, 2)

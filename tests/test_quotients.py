@@ -203,7 +203,7 @@ def test_hand_built_cyclotomic_spec(ring_a2):
     assert rep.stabilized
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_centrality_matches_commutation(ring_a1, ring_a2, ring_a1xa1, data):
     """spec.central agrees with commuting with every dot and crossing, on
@@ -372,6 +372,8 @@ def test_report_json(ring_a1):
     assert obj["field"] == "Q"
     assert obj["degrees"]["0"] == 1
     assert obj["cutoff"] == 6 and obj["window"] == 3
+    # no degree above the top, 2, is computed
+    assert obj["top"] == 2 and list(obj["degrees"]) == ["0", "1", "2"]
 
 
 def _dense_rank(rows, prime=None):
@@ -534,3 +536,163 @@ def test_quotient_matches_brute_force(ring_a1, ring_a2, ring_a1xa1, data):
     for d in range(lb, cutoff + 1):
         assert rep.degrees[d] == _ideal_by_brute_force(ring, spec, d, prime), (
             d, [str(g) for g in spec.generators], prime)
+
+
+def test_top_rules(ring_a1, ring_a2, ring_cycle3):
+    """sym_plus_spec fixes the top degree; cyclotomic_spec gives the degree
+    d of the symmetric algebra; a hand-built spec has no rule, and no
+    caller can set one."""
+    for ring, weight, top in [
+            (ring_a1, (("i", 3),), 6),
+            (ring_a2, (("i", 1), ("j", 1)), 1),
+            (ring_a2, (("i", 2), ("j", 1)), 4),
+            (ring_a2, (("i", 2), ("j", 2)), 8),
+            (ring_cycle3, (("1", 1), ("2", 1), ("3", 1)), 3)]:
+        spec = sym_plus_spec(ring, weight)
+        assert spec.top_rule == ("top", top), weight
+        rep = quotient_gdim(ring, spec, cutoff=10 ** 9, window=1)
+        assert rep.top == top and rep.degrees[top] > 0, weight
+    # d = 2 (lambda, beta) - (beta, beta)
+    assert cyclotomic_spec(ring_a1, (("i", 3),), {"i": 2}).top_rule == (
+        "symmetric", -6)
+    assert cyclotomic_spec(ring_a2, (("i", 2), ("j", 2)),
+                           {"i": 1, "j": 1}).top_rule == ("symmetric", 0)
+    spec = IdealSpec((("i", 1),), [ring_a1.idempotent("i")])
+    assert spec.top_rule is None
+    with pytest.raises(AttributeError):
+        spec.top_rule = ("top", 0)
+    with pytest.raises(TypeError):
+        IdealSpec((("i", 1),), [], top_rule=("top", 0))
+
+
+def test_no_degree_above_the_top(ring_a1, ring_a2):
+    """degrees and stats hold exactly the degrees up to the top or the
+    cutoff; a cutoff of 10^9 answers as a cutoff at top + 3 does."""
+    cases = [(ring_a1, sym_plus_spec(ring_a1, (("i", 3),)), 6),
+             (ring_a2, cyclotomic_spec(ring_a2, (("i", 2), ("j", 2)),
+                                       {"i": 1, "j": 1}), 2),
+             # NH_3 with lambda = 2 is 0: d = -6, so zero up to d // 2
+             (ring_a1, cyclotomic_spec(ring_a1, (("i", 3),), {"i": 2}), -3)]
+    for ring, spec, top in cases:
+        lb = degree_lower_bound(spec.weight)
+        near = quotient_gdim(ring, spec, cutoff=top + 3, window=3)
+        far = quotient_gdim(ring, spec, cutoff=10 ** 9, window=3)
+        assert str(far) == str(near) and far.stabilized
+        for rep in (near, far):
+            assert rep.top == top
+            assert list(rep.degrees) == list(rep.stats) == list(
+                range(lb, top + 1))
+            assert rep.to_json()["top"] == top
+        # below the top the cutoff stops the scan, and the window reads
+        # computed degrees
+        cut = quotient_gdim(ring, spec, cutoff=top - 1, window=1)
+        assert list(cut.degrees) == list(range(lb, top))
+        assert cut.stabilized == (cut.degrees[top - 1] == 0)
+    # a cyclotomic scan cut before d // 2 and before any nonzero degree
+    # cannot know the top
+    spec = cyclotomic_spec(ring_a1, (("i", 3),), {"i": 2})
+    rep = quotient_gdim(ring_a1, spec, cutoff=-4, window=1)
+    assert rep.top is None and rep.stabilized
+    assert rep.degrees == {-6: 0, -5: 0, -4: 0}
+    assert rep.to_json()["top"] is None
+
+
+def _symmetric_degree(graph, weight, lam):
+    """d = 2 (lambda, beta) - (beta, beta), with (alpha_i, alpha_j) the
+    Cartan pairing and (Lambda_i, alpha_j) = delta_ij."""
+    pair = sum(n * k * graph.cartan(v, u) for v, n in weight
+               for u, k in weight)
+    return 2 * sum(lam.get(v, 0) * n for v, n in weight) - pair
+
+
+# (graph, nu, lambda) of every complete cyclotomic answer in the tests:
+# NH_n^lambda for n <= 3 and lambda <= 4, then a2 and cycle(3) cases
+PALINDROMIC_CASES = [
+    ("a1", (("i", n),), {"i": lam}) for n in (1, 2, 3) for lam in range(5)
+] + [
+    ("a2", (("i", 1), ("j", 1)), {"i": 1}),
+    ("a2", (("i", 2), ("j", 1)), {"i": 1}),
+    ("a2", (("i", 2), ("j", 1)), {"i": 2}),
+    ("a2", (("i", 1), ("j", 1)), {"i": 1, "j": 1}),
+    ("a2", (("i", 2), ("j", 1)), {"i": 1, "j": 1}),
+    ("a2", (("i", 1), ("j", 2)), {"i": 1, "j": 1}),
+    ("a2", (("i", 2), ("j", 2)), {"i": 1, "j": 1}),
+    ("a2", (("i", 1), ("j", 2)), {"i": 2, "j": 1}),
+    ("a2", (("i", 1), ("j", 1)), {"i": 2, "j": 1}),
+    ("a2", (("i", 1), ("j", 2)), {"i": 1, "j": 2}),
+    ("cycle3", (("1", 1), ("2", 1), ("3", 1)), {"1": 1}),
+    ("cycle3", (("1", 2), ("2", 1), ("3", 1)), {"1": 1, "2": 1}),
+]
+
+
+def test_cyclotomic_palindromy(ring_a1, ring_a2, ring_cycle3):
+    """R^lambda(beta) is a symmetric algebra of degree d (Shan-Varagnolo-
+    Vasserot), so its graded dimension is symmetric about d / 2.  The
+    engine computes every degree up to the top, each from its own basis
+    and rank; none is mirrored."""
+    rings = {"a1": ring_a1, "a2": ring_a2, "cycle3": ring_cycle3}
+    for name, weight, lam in PALINDROMIC_CASES:
+        ring = rings[name]
+        d = _symmetric_degree(ring.graph, weight, lam)
+        lb = degree_lower_bound(weight)
+        spec = cyclotomic_spec(ring, weight, lam)
+        for prime in (None, 2147483629):
+            rep = quotient_gdim(ring, spec, cutoff=10 ** 9, window=1,
+                                prime=prime)
+            case = (name, weight, lam, prime)
+            assert rep.stabilized and rep.top is not None, case
+            assert list(rep.stats) == list(range(lb, rep.top + 1)), case
+            got = {k: n for k, n in rep.degrees.items() if n}
+            assert got == {d - k: n for k, n in got.items()}, case
+            if got:
+                assert rep.top == max(got) == d - min(got), case
+            if name == "a1":
+                n, lam_i = weight[0][1], lam["i"]
+                want = LaurentPoly.zero()
+                if lam_i >= n:
+                    want = (qfact(n) * qfact(n) * qbinom(lam_i, n)
+                            * LaurentPoly.q_power(n * (lam_i - n)))
+                assert got == want.coeffs, case
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_top_rule_matches_engine(ring_a1, ring_a2, ring_a1xa1, ring_cycle3,
+                                 data):
+    """The top rules against the engine alone: the same generators with no
+    rule, computed past the top, agree degree by degree, and read zero in
+    every degree above the top."""
+    ring = data.draw(st.sampled_from([ring_a1, ring_a2, ring_a1xa1,
+                                      ring_cycle3]))
+    vertices = sorted(ring.graph.vertices)
+    counts = data.draw(st.lists(st.integers(0, 4), min_size=len(vertices),
+                                max_size=len(vertices)).filter(
+                                    lambda c: 1 <= sum(c) <= 4))
+    weight = tuple((v, n) for v, n in zip(vertices, counts) if n)
+    lb = degree_lower_bound(weight)
+    if data.draw(st.booleans()):
+        spec = sym_plus_spec(ring, weight)
+        highest = spec.top_rule[1]
+    else:
+        lam = {v: data.draw(st.integers(0, 2)) for v in vertices}
+        spec = cyclotomic_spec(ring, weight, lam)
+        d = _symmetric_degree(ring.graph, weight, lam)
+        assert spec.top_rule == ("symmetric", d)
+        highest = d - lb
+    # the 4-strand cases with the most degrees take seconds each
+    if highest - lb > 14:
+        return
+    prime = data.draw(st.sampled_from([None, 2, 3, 2147483629]))
+    rep = quotient_gdim(ring, spec, cutoff=10 ** 9, window=1, prime=prime)
+    assert rep.top is not None and rep.stabilized
+    assert list(rep.stats) == list(range(lb, rep.top + 1))
+    cutoff = max(rep.top, lb) + 2
+    plain = quotient_gdim(ring, IdealSpec(spec.weight, spec.generators),
+                          cutoff=cutoff, window=1, prime=prime)
+    case = (weight, [str(g) for g in spec.generators], prime)
+    for k in range(lb, cutoff + 1):
+        assert rep.degrees.get(k, 0) == plain.degrees[k], (k, case)
+        if k in rep.stats:
+            assert rep.stats[k] == plain.stats[k], (k, case)
+    if rep.total():
+        assert rep.degrees[rep.top] > 0, case
