@@ -103,8 +103,6 @@ def _enumerate_basis(graph, weight, d):
 
 # (vertices, edges, weight, d) -> sorted tuple of basis keys
 _basis_cache = {}
-# (vertices, edges, weight) -> {top: [(j, v, degree)]}
-_right_cache = {}
 
 
 def graded_basis(graph, weight, d):
@@ -121,26 +119,6 @@ def graded_basis(graph, weight, d):
         graph.require_vertices(v for v, _ in weight)
         basis = _basis_cache[key] = _enumerate_basis(graph, weight, d)
     return list(basis)
-
-
-def _right_factors(graph, weight):
-    """The dot-free diagrams psi_v e(j) of R(nu), with their degrees, as
-    {top v.j: [(j, v, degree)]} over all sequences j of nu and all v.
-
-    Built once per graph and weight and shared by ``sym_plus_spec``, which
-    reads its top degree off them, and every ``_IdealSpan``: callers read
-    the table and never change it.
-    """
-    key = (graph.vertices, graph.edges, tuple(weight))
-    right = _right_cache.get(key)
-    if right is None:
-        right = _right_cache[key] = {}
-        perms = list(all_permutations(weight_size(weight)))
-        for j in seq_enumerate(weight):
-            for v in perms:
-                right.setdefault(apply_perm_to_seq(v, j), []).append(
-                    (j, v, diagram_degree(graph, j, v)))
-    return right
 
 
 def _is_central(g):
@@ -230,7 +208,8 @@ def sym_plus_spec(ring, weight):
     ideal they generate needs only one-sided multipliers.  The quotient
     has the basis psi_w x^u e(i), u in the Artin staircase (KL I, section
     2), so its top degree, the spec's top rule, is the highest degree of a
-    dot-free diagram plus sum_c n_c (n_c - 1).
+    dot-free diagram, the sum over edges {c, c'} of n_c n_c', plus
+    sum_c n_c (n_c - 1).
     """
     ring.graph.require_vertices(v for v, _ in weight)
     seqs = seq_enumerate(weight)
@@ -246,9 +225,14 @@ def sym_plus_spec(ring, weight):
                     terms[(seq, identity(m), u)] = 1
             gens.append(ring.element(terms))
     spec = IdealSpec(weight, gens)
-    top = max(dv for right in _right_factors(ring.graph, spec.weight).values()
-              for _, _, dv in right)
-    spec._top_rule = ("top", top + sum(n * (n - 1) for _, n in spec.weight))
+    # a crossing of two strands of colors c, c' has degree -(c . c'): -2
+    # for one color, 1 along an edge, 0 otherwise.  psi_w e(j) crosses each
+    # pair at most once, and the sorted j with its color blocks reversed
+    # crosses every pair of two colors and no pair of one color, so the
+    # highest diagram degree is the sum over edges of n_c n_c'
+    n = dict(spec.weight)
+    top = sum(n.get(a, 0) * n.get(b, 0) for a, b in ring.graph.edges)
+    spec._top_rule = ("top", top + sum(k * (k - 1) for k in n.values()))
     return spec
 
 
@@ -382,7 +366,11 @@ class _IdealSpan:
         self.central = spec.central
         self.m = weight_size(spec.weight)
         # top of psi_v e(j) -> [(j, v, degree)] over all sequences j of nu
-        self.right = _right_factors(ring.graph, spec.weight)
+        self.right = {}
+        for j in seq_enumerate(spec.weight):
+            for v in all_permutations(self.m):
+                self.right.setdefault(apply_perm_to_seq(v, j), []).append(
+                    (j, v, diagram_degree(ring.graph, j, v)))
         # lowest degree of a left vector
         self.low = min(self.pieces, default=0) + (0 if spec.central
                                                   else self.lb)

@@ -24,6 +24,7 @@ from klr import (
     weight_size,
 )
 from klr import cli
+from klr.elements import diagram_degree
 from klr.permutations import all_permutations, apply_perm_to_seq, identity
 from klr.quotients import _enumerate_basis, _rank
 
@@ -142,13 +143,18 @@ def test_ideal_degree_dim_examples(ring_a1):
 
 def test_ideal_degree_dim_matches_report(ring_a2):
     # ideal_degree_dim builds a span for one degree; it must agree with
-    # the counts of the span that quotient_gdim shares across degrees
+    # the counts of the span that quotient_gdim shares across degrees, in
+    # every degree up to the cutoff: the specs are rebuilt without a top
+    # rule, so no degree above the top is left out of the report
     weight = (("i", 2), ("j", 1))
-    for spec in (cyclotomic_spec(ring_a2, weight, {"i": 1, "j": 1}),
-                 sym_plus_spec(ring_a2, weight)):
+    for built in (cyclotomic_spec(ring_a2, weight, {"i": 1, "j": 1}),
+                  sym_plus_spec(ring_a2, weight)):
+        spec = IdealSpec(built.weight, built.generators)
         for prime in (None, 3):
             rep = quotient_gdim(ring_a2, spec, cutoff=5, window=1,
                                 prime=prime)
+            assert list(rep.stats) == list(
+                range(degree_lower_bound(weight), 6))
             for d, stats in rep.stats.items():
                 assert ideal_degree_dim(ring_a2, spec, d, prime) == (
                     stats["rank"]), (d, prime)
@@ -203,7 +209,7 @@ def test_hand_built_cyclotomic_spec(ring_a2):
     assert rep.stabilized
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_centrality_matches_commutation(ring_a1, ring_a2, ring_a1xa1, data):
     """spec.central agrees with commuting with every dot and crossing, on
@@ -550,6 +556,13 @@ def test_top_rules(ring_a1, ring_a2, ring_cycle3):
             (ring_cycle3, (("1", 1), ("2", 1), ("3", 1)), 3)]:
         spec = sym_plus_spec(ring, weight)
         assert spec.top_rule == ("top", top), weight
+        # the closed form is the highest degree of a dot-free diagram,
+        # plus the top of the Artin staircase
+        m = weight_size(weight)
+        highest = max(diagram_degree(ring.graph, j, w)
+                      for j in seq_enumerate(weight)
+                      for w in all_permutations(m))
+        assert top == highest + sum(n * (n - 1) for _, n in weight), weight
         rep = quotient_gdim(ring, spec, cutoff=10 ** 9, window=1)
         assert rep.top == top and rep.degrees[top] > 0, weight
     # d = 2 (lambda, beta) - (beta, beta)
