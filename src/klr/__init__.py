@@ -39,7 +39,6 @@ from .characters import (
     tight,
 )
 from .elements import (
-    GeneratorIndexError,
     InhomogeneousError,
     KLRElement,
     KLRRing,
@@ -48,9 +47,9 @@ from .elements import (
 )
 from .gdim import GradedDim
 from .laurent import DivisibilityError, LaurentPoly, qbinom, qfact, qint
+from .permutations import GeneratorIndexError
 from .polyrep import (
     act,
-    act_generator,
     act_word,
     default_orientation,
     oracle_equal,
@@ -82,7 +81,7 @@ __all__ = [
     "WeightMismatchError", "diagram_degree",
     "GradedDim", "DivisibilityError", "LaurentPoly", "qbinom", "qfact",
     "qint",
-    "act", "act_generator", "act_word", "default_orientation",
+    "act", "act_word", "default_orientation",
     "oracle_equal", "reversed_orientation",
     "GradedDimReport", "IdealSpec", "cyclotomic_spec", "degree_lower_bound",
     "graded_basis", "ideal_degree_dim", "quotient_gdim", "sym_plus_spec",

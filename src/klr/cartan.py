@@ -130,8 +130,10 @@ def weight_add(w1, w2):
     counts = dict(w1)
     for v, n in w2:
         counts[v] = counts.get(v, 0) + n
-    return tuple(sorted((v, n) for v, n in counts.items() if n))
+    return weight_from_dict(counts)
 
 
 def weight_from_dict(d):
+    """The weight of a {vertex: count} map, in the one normal form of a
+    weight: (vertex, count) pairs sorted by vertex, zero counts dropped."""
     return tuple(sorted((v, n) for v, n in d.items() if n))

@@ -21,7 +21,7 @@ import re
 import sys
 
 from . import verify
-from .cartan import CartanGraph
+from .cartan import CartanGraph, weight_from_dict
 from .characters import char_projective, comultiply, pair_monomials, tight
 from .elements import KLRRing
 from .laurent import LaurentPoly
@@ -97,7 +97,7 @@ def parse_weight(text):
         if v in out:
             raise CLIError(f"vertex {v!r} appears twice in {text!r}")
         out[v] = n
-    return tuple(sorted((v, n) for v, n in out.items() if n))
+    return weight_from_dict(out)
 
 
 def parse_field(text):

@@ -46,11 +46,11 @@ from .cartan import weight_of_seq
 from .gdim import GradedDim
 from .laurent import LaurentPoly, format_sum, qmultinomial
 from .permutations import (
-    GeneratorIndexError,
     apply_perm_to_seq,
     apply_word_to_seq,
     block_sum,
     canonical_word,
+    check_tokens,
     identity,
     inversions,
     longest_element,
@@ -265,26 +265,20 @@ class KLRRing:
     def evaluate_word(self, seq, tokens):
         """Stack generator tokens bottom-to-top over the idempotent of seq.
 
-        The tokens are checked first.  The word is then built top down: a
-        crossing is one right step, and a dot shifts the bottom dots.
+        The sequence and then every token are checked first: GraphError
+        for a label that is not a vertex, and from ``check_tokens``,
+        GeneratorIndexError for a dot or crossing outside the strands and
+        ValueError for an unknown token type.  The word is then built top
+        down from its top sequence: a crossing is one right step, and a
+        dot shifts the bottom dots.
         """
         seq = tuple(seq)
         self.graph.require_vertices(seq)
         m = len(seq)
-        top = list(seq)
-        for typ, k in tokens:
-            if typ == "D":
-                if not 1 <= k <= m:
-                    raise GeneratorIndexError(
-                        f"dot position {k} out of range for {m} strands")
-            elif typ == "C":
-                if not 1 <= k <= m - 1:
-                    raise GeneratorIndexError(
-                        f"crossing {k} out of range for {m} strands")
-                top[k - 1], top[k] = top[k], top[k - 1]
-            else:
-                raise ValueError(f"unknown token type {typ!r}")
-        acc = {(tuple(top), identity(m), (0,) * m): 1}
+        check_tokens(tokens, m)
+        top = apply_word_to_seq(
+            [k for typ, k in reversed(tokens) if typ == "C"], seq)
+        acc = {(top, identity(m), (0,) * m): 1}
         for typ, k in reversed(tokens):
             if typ == "C":
                 acc = self._right_word(acc, (k,))
@@ -418,8 +412,13 @@ class KLRRing:
         """The degree-0 primitive idempotent on m equal-label strands.
 
         In normal form this is the single key (longest element, staircase
-        dots (m-1, m-2, ..., 0)).
+        dots (m-1, m-2, ..., 0)); m = 0 gives e(empty).  Raises GraphError
+        for a vertex not in the graph, and ValueError for an m that is not
+        an integer >= 0.
         """
+        if type(m) is not int or m < 0:
+            raise ValueError(f"strand count {m!r} is not an integer >= 0")
+        self.graph.require_vertices((vertex,))
         seq = (vertex,) * m
         u = tuple(range(m - 1, -1, -1))
         return KLRElement(self, {(seq, longest_element(m), u): 1})

@@ -152,8 +152,16 @@ class GradedDim:
 
     @staticmethod
     def from_json(obj):
-        return GradedDim(LaurentPoly({int(e): c for e, c in obj["num"].items()}),
-                         obj["den"])
+        """Inverse of to_json.  Raises ValueError for an object that is not
+        a dict, or that lacks "num" or "den"."""
+        if not isinstance(obj, dict):
+            raise ValueError("a graded dimension is a JSON object with keys "
+                             "num and den")
+        try:
+            num, den = obj["num"], obj["den"]
+        except KeyError as exc:
+            raise ValueError(f"graded dimension is missing key {exc}") from None
+        return GradedDim(LaurentPoly({int(e): c for e, c in num.items()}), den)
 
     def __str__(self):
         num = str(self.num)

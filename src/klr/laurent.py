@@ -217,6 +217,8 @@ def qint(n):
 @lru_cache(maxsize=None)
 def qfact(n):
     """Quantum factorial [n]! = [n][n-1]...[1], memoized."""
+    if n < 0:
+        raise ValueError(f"quantum factorial [{n}]! needs n >= 0")
     out = LaurentPoly.one()
     for k in range(2, n + 1):
         out = out * qint(k)

@@ -25,6 +25,28 @@ class GeneratorIndexError(IndexError, ValueError):
     """A dot or crossing index outside the strands of its sequence."""
 
 
+def check_tokens(tokens, m):
+    """Check a generator word, ("D", k) for a dot on strand k and ("C", k)
+    for a crossing of strands k and k+1, over m strands.
+
+    Both routes, the rewriting kernel and the polynomial representation,
+    check their words here.  Raises GeneratorIndexError for a dot or
+    crossing outside the m strands, and ValueError for an unknown token
+    type.
+    """
+    for typ, k in tokens:
+        if typ == "D":
+            if not 1 <= k <= m:
+                raise GeneratorIndexError(
+                    f"dot position {k} out of range for {m} strands")
+        elif typ == "C":
+            if not 1 <= k <= m - 1:
+                raise GeneratorIndexError(
+                    f"crossing {k} out of range for {m} strands")
+        else:
+            raise ValueError(f"unknown token type {typ!r}")
+
+
 def identity(m):
     return tuple(range(m))
 

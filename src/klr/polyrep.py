@@ -8,17 +8,21 @@ multiplication by x_k + x_{k+1} (an edge oriented with the crossing).  The
 orientation of each edge is a choice; the ring itself does not depend on it.
 One loop, ``_cross_word``, crosses a run of letters: ``act`` hands it the
 whole canonical word of a term, and ``act_word``, the one loop over
-generator tokens, each crossing token (``act_generator`` is its one-token
-case).  Each call of ``act`` or ``act_word`` resolves the kind of a
-crossing once per label pair, in a small dict, and checks an edge's
-orientation then.  Each crossing is one pass over the polynomial: every
-monomial is written once, swapped and, for an oriented edge, multiplied in
-the same loop.  Once a polynomial is zero, the rest of its word only moves
-the labels and checks the edges it crosses.
+generator tokens, each crossing token.  Each call of ``act`` or
+``act_word`` resolves the kind of a crossing once per label pair, in a
+small dict, and checks an edge's orientation then.  Each crossing is one
+pass over the polynomial: every monomial is written once, swapped and, for
+an oriented edge, multiplied in the same loop.  Once a polynomial is zero,
+the rest of its word only moves the labels and checks the edges it
+crosses.
 
 This module deliberately shares no code with the rewriting kernel beyond
-the basis-key data: products are *not* normalized here, they are composed
-as operators, so agreement with the kernel is a genuine cross-check.
+the basis-key data and the input checks: products are *not* normalized
+here, they are composed as operators, so agreement with the kernel is a
+genuine cross-check.  ``act_word`` checks its tokens with
+``permutations.check_tokens``, as the kernel's ``evaluate_word`` does, so
+both routes accept the same generator words and reject the others with
+the same errors.
 
 The oracle is exact.  Sym(nu) is central in R(nu) (KL I, section 2), so
 every element acts Sym(nu)-linearly.  Each summand Z[x]e(i) is free over
@@ -36,7 +40,7 @@ from __future__ import annotations
 from itertools import product
 from operator import add
 
-from .permutations import GeneratorIndexError, canonical_word
+from .permutations import canonical_word, check_tokens
 from .sequences import seq_enumerate
 
 
@@ -174,36 +178,25 @@ def _cross_word(graph, orientation, kinds, labels, letters, poly):
 def act_word(graph, orientation, seq, tokens, poly):
     """Compose generator actions for a bottom-to-top token list.
 
-    Returns (top sequence, polynomial).  The input is checked once, also
-    for an empty word, and each token as it is applied.  Raises GraphError
+    Returns (top sequence, polynomial).  The input and every token are
+    checked before any token is applied, also for an empty word: GraphError
     for a label of seq that is not a vertex, ValueError for a monomial
-    without one variable per strand, an unknown token type or a crossed
-    edge that the orientation does not orient one of its two ways, and
-    GeneratorIndexError for a dot or crossing outside the strands of seq.
+    without one variable per strand, and from ``check_tokens``,
+    GeneratorIndexError for a dot or crossing outside the strands of seq
+    and ValueError for an unknown token type.  A crossed edge that the
+    orientation does not orient one of its two ways raises ValueError as
+    it is crossed.
     """
     _check_input(graph, seq, poly)
     labels = list(seq)
-    m = len(labels)
+    check_tokens(tokens, len(labels))
     kinds = {}
     for typ, k in tokens:
         if typ == "D":
-            if not 1 <= k <= m:
-                raise GeneratorIndexError(
-                    f"dot position {k} out of range for {m} strands")
             poly = poly_mul_var(poly, k)
-        elif typ == "C":
-            if not 1 <= k <= m - 1:
-                raise GeneratorIndexError(
-                    f"crossing {k} out of range for {m} strands")
-            poly = _cross_word(graph, orientation, kinds, labels, (k,), poly)
         else:
-            raise ValueError(f"unknown token type {typ!r}")
+            poly = _cross_word(graph, orientation, kinds, labels, (k,), poly)
     return tuple(labels), poly
-
-
-def act_generator(graph, orientation, token, seq, poly):
-    """Act by one generator: ``act_word`` on the one-token word."""
-    return act_word(graph, orientation, seq, [token], poly)
 
 
 def act(orientation, x, seq, poly):

@@ -62,7 +62,7 @@ from itertools import combinations
 from math import gcd
 from operator import add
 
-from .cartan import weight_of_seq, weight_size
+from .cartan import weight_from_dict, weight_size
 from .elements import WeightMismatchError, diagram_degree
 from .permutations import (
     all_permutations,
@@ -156,7 +156,7 @@ class IdealSpec:
 
     def __init__(self, weight, generators):
         check_weight(weight)
-        nu = weight_of_seq(v for v, n in weight for _ in range(n))
+        nu = weight_from_dict(dict(weight))
         for g in generators:
             g.degree()  # raises InhomogeneousError unless g is homogeneous
             if g.weight != nu:
@@ -315,20 +315,15 @@ def _sparse(items, prime=None):
     return {col: c % prime for col, c in items if c % prime}
 
 
-def _rank(rows, prime=None, echelon=None):
-    """Rank that rows of ints add to an echelon, over Q or F_prime.
+def _rank(rows, prime, echelon):
+    """Rank that sparse rows add to an echelon, over Q or F_prime.
 
-    A row is a dense list, or a sparse {column: value} dict with no zero
-    values, reduced modulo prime, which is consumed.  Each row is reduced
-    with ``_insert``.  ``echelon`` is extended in place; without one, the
-    result is the rank of the rows.
+    Each row is a {column: value} dict with no zero values, reduced modulo
+    prime (see ``_sparse``); ``_insert`` reduces it into ``echelon``, which
+    is extended in place, and consumes it.
     """
-    if echelon is None:
-        echelon = {}
     size = len(echelon)
     for row in rows:
-        if not isinstance(row, dict):
-            row = _sparse(enumerate(row), prime)
         _insert(echelon, row, prime)
     return len(echelon) - size
 
@@ -347,10 +342,17 @@ class _IdealSpan:
     ``left(e)`` keeps the left vectors of degree e, ``_product`` caches
     each left vector times each dot-free right factor, and ``degree(d)``
     ranks the shifted products of degree d block by block, and records the
-    dead products (see the module docstring).
+    dead products (see the module docstring).  Ranks are over Q, or over
+    F_prime for a prime below 2^64, where ``is_prime`` is exact; any other
+    prime raises ValueError, since Z/n is not a field for composite n.
+    Both ``quotient_gdim`` and ``ideal_degree_dim`` build their span here,
+    so this is the one check of the field.
     """
 
     def __init__(self, ring, spec, prime=None):
+        if prime is not None and not (prime < 2 ** 64 and is_prime(prime)):
+            raise ValueError(f"field characteristic {prime} is not a prime "
+                             f"below 2^64")
         self.ring = ring
         self.weight = spec.weight
         self.prime = prime
@@ -489,7 +491,8 @@ def ideal_degree_dim(ring, spec, d, prime=None):
     pieces, each left vector times each dot-free right factor psi_v e(j),
     shifted by the dots x^t, and the rank taken one (top, bottom) block at
     a time.  Left degrees run up to d minus the ring's degree lower bound,
-    which is exhaustive, since no right factor lies below it.
+    which is exhaustive, since no right factor lies below it.  Raises
+    ValueError for a prime that is not a prime below 2^64.
     """
     return _IdealSpan(ring, spec, prime).degree(d)["rank"]
 
@@ -553,17 +556,14 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     as zero.  Without a top rule, zeros in a window do not prove that no
     higher degree is nonzero, so a failed window is reported rather than
     an error.  Raises ValueError for a window below 1, which would call
-    any truncated answer stabilized, for a window reaching below the
-    degree lower bound, where there are no degrees to read, and for a
-    prime that is not a prime below 2^64, where ``is_prime`` is exact:
-    Z/n is not a field for composite n.
+    any truncated answer stabilized, for a prime that is not a prime below
+    2^64 (checked by ``_IdealSpan``), and for a window reaching below the
+    degree lower bound, where there are no degrees to read.
     """
     if window < 1:
         raise ValueError(f"stabilization window {window} must be >= 1")
-    if prime is not None and not (prime < 2 ** 64 and is_prime(prime)):
-        raise ValueError(f"field characteristic {prime} is not a prime "
-                         f"below 2^64")
-    lb = degree_lower_bound(spec.weight)
+    span = _IdealSpan(ring, spec, prime)
+    lb = span.lb
     if cutoff - window + 1 < lb:
         raise ValueError(f"window of {window} degrees up to cutoff {cutoff} "
                          f"reaches below the lowest degree {lb}")
@@ -571,7 +571,6 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     # a symmetric quotient that is zero up to d // 2 is zero: until d0
     # shows, d // 2 is where the scan stops
     top = value // 2 if rule == "symmetric" else value
-    span = _IdealSpan(ring, spec, prime)
     stats = {}
     k = lb
     while k <= cutoff and (top is None or k <= top):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klr import (
+    CharacterVector,
     GradedDim,
     GraphError,
     K0Vector,
@@ -241,6 +242,35 @@ def test_equal_in_f(ring_a1, ring_a2, ring_a1xa1):
     with pytest.raises(WeightMismatchError):
         (char_projective(ring_a2, (("i", 1),))
          + char_projective(ring_a2, (("j", 1),)))
+
+
+def test_character_and_k0_vector_arithmetic(ring_a2):
+    ij = char_projective(ring_a2, (("i", 1), ("j", 1)))
+    ji = char_projective(ring_a2, (("j", 1), ("i", 1)))
+    total = ij + ji
+    assert total.weight == ij.weight == (("i", 1), ("j", 1))
+    for seq in (("i", "j"), ("j", "i")):
+        assert total.value(seq) == ij.value(seq) + ji.value(seq)
+    assert str(total) == ("ij: (1 + q) / ((1-q^2)^2)\n"
+                          "ji: (1 + q) / ((1-q^2)^2)")
+    assert ij + CharacterVector(ij.weight, {}) == ij
+    q = LaurentPoly.q_power(1)
+    assert str(ij.scale(q)) == ("ij: q / ((1-q^2)^2)\n"
+                                "ji: q^2 / ((1-q^2)^2)")
+    assert total.scale(q) == ij.scale(q) + ji.scale(q)
+    zero = ij.scale(LaurentPoly.zero())
+    assert zero.values == {} and str(zero) == "0"
+    with pytest.raises(WeightMismatchError, match="weights differ"):
+        ij + char_projective(ring_a2, (("i", 2),))
+
+    u = (K0Vector.monomial((("i", 2), ("j", 1)))
+         + K0Vector.monomial((("j", 1), ("i", 2)), LaurentPoly({1: 1, -1: 2})))
+    assert u.to_json() == {"i^(2) j": {"0": 1},
+                           "j i^(2)": {"-1": 2, "1": 1}}
+    assert str(u) == "(1)*[P_i^(2) j] + (2*q^-1 + q)*[P_j i^(2)]"
+    assert (str(u.scale(-LaurentPoly.one()))
+            == "(-1)*[P_i^(2) j] + (-2*q^-1 - q)*[P_j i^(2)]")
+    assert (u - u).to_json() == {} and str(u - u) == "0"
 
 
 def test_bar_sigma_k0():

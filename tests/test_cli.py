@@ -358,6 +358,11 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
         # an unknown vertex on the pairing routes
         ["pair", "-g", graph_files["a2"], "i", "k"],
         ["comul", "-g", graph_files["a2"], "k"],
+        # parse errors of a divided sequence, a weight and a word
+        ["tight", "-g", graph_files["a2"], "i^x"],
+        ["quotient", "-g", graph_files["a1"], "--nu", "i", "--symplus"],
+        ["quotient", "-g", graph_files["a1"], "--nu", "i:x", "--symplus"],
+        ["multiply", "-g", graph_files["a2"], "--word", "ij C1"],
     ]
     for argv in cases:
         code, out, err = run(capsys, argv)
@@ -385,6 +390,20 @@ def test_bad_input_messages(capsys, graph_files, tmp_path):
         (["quotient", "-g", graph_files["a2"], "--nu", "i:-1,j:1",
           "--cyclotomic", "i:1"],
          "count of vertex 'i' is -1, not an integer >= 0"),
+        # the one token check, shared by the kernel and the oracle
+        (["multiply", "-g", graph_files["a2"], "--word", "ij: C2"],
+         "crossing 2 out of range for 2 strands"),
+        (["multiply", "-g", graph_files["a2"], "--word", "ij: D3"],
+         "dot position 3 out of range for 2 strands"),
+        # the parser's own errors
+        (["tight", "-g", graph_files["a2"], "i^x"],
+         "cannot parse divided-power block '^'"),
+        (["quotient", "-g", graph_files["a1"], "--nu", "i", "--symplus"],
+         "weight entry 'i' is not vertex:count"),
+        (["quotient", "-g", graph_files["a1"], "--nu", "i:x", "--symplus"],
+         "bad multiplicity in 'i:x'"),
+        (["multiply", "-g", graph_files["a2"], "--word", "ij C1"],
+         "word 'ij C1' must be '<seq>: <tokens>'"),
     ]
     for argv, message in cases:
         assert run(capsys, argv) == (2, "", f"error: {message}\n"), argv

@@ -66,6 +66,10 @@ def test_generator_range_errors(ring_a2):
         ring_a2.evaluate_word(("i", "j"), [("C", 1), ("C", 5)])
     with pytest.raises(ValueError):
         ring_a2.evaluate_word(("i", "j"), [("D", 0)])
+    with pytest.raises(ValueError, match="^unknown token type 'X'$"):
+        ring_a2.evaluate_word(("i", "j"), [("D", 1), ("X", 1)])
+    with pytest.raises(ValueError, match="^unknown token type 'X'$"):
+        ring_a2.generator(("X", 1), ("i", "j"))
     for make in (lambda: ring_a2.evaluate_word(("i", "k"), []),
                  lambda: ring_a2.generator(("C", 1), ("k", "i")),
                  lambda: ring_a2.idempotent(("k",))):
@@ -510,6 +514,21 @@ def test_nilhecke_em(ring_a1):
         em = ring_a1.nilhecke_em(m, "i")
         assert em * em == em
         assert em.degree() == 0
+
+
+def test_nilhecke_em_rejects_bad_input(ring_a1, ring_a2):
+    assert ring_a1.nilhecke_em(0, "i") == ring_a1.idempotent(())
+    assert ring_a2.nilhecke_em(2, "j").terms == {
+        (("j", "j"), (1, 0), (1, 0)): 1}
+    for ring in (ring_a1, ring_a2):
+        with pytest.raises(GraphError, match="unknown vertex 'zzz'"):
+            ring.nilhecke_em(2, "zzz")
+        with pytest.raises(GraphError, match="unknown vertex 'zzz'"):
+            ring.nilhecke_em(0, "zzz")
+    for m in (-1, -3, 1.0, "2", None, True):
+        with pytest.raises(ValueError, match="is not an integer >= 0") as exc:
+            ring_a1.nilhecke_em(m, "i")
+        assert not isinstance(exc.value, GraphError)
 
 
 def test_stats_count_right_crossing_terms():

@@ -89,6 +89,16 @@ def test_json_round_trip():
     assert GradedDim.from_json(gd.to_json()) == gd
 
 
+def test_from_json_rejects_bad_objects():
+    for obj, message in [({"num": {"0": 1}}, "missing key 'den'"),
+                         ({"den": [1]}, "missing key 'num'"),
+                         ({}, "missing key 'num'"),
+                         ([{"0": 1}, [1]], "JSON object with keys num and den"),
+                         ("1 / (1-q^2)", "JSON object with keys num and den")]:
+        with pytest.raises(ValueError, match=message):
+            GradedDim.from_json(obj)
+
+
 def test_bad_denominator_factor():
     # 1/(1-q^0) is 1/0, and a negative factor would expand to garbage
     for den in ((0,), (-1,), (2, 0, 1), (1.0,), (True,), ("1",),

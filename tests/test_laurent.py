@@ -1,7 +1,7 @@
 import pytest
 
 from klr import DivisibilityError, LaurentPoly, qbinom, qfact, qint
-from klr.laurent import format_sum
+from klr.laurent import format_sum, qmultinomial
 
 
 def test_basic_arithmetic():
@@ -71,6 +71,17 @@ def test_qbinom():
     assert qbinom(3, 0) == LaurentPoly.one()
     with pytest.raises(ValueError):
         qbinom(2, 3)
+
+
+def test_negative_factorial_is_rejected():
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match=f"\\[{n}\\]! needs n >= 0"):
+            qfact(n)
+    # the multinomial's own factorials raise before any division
+    with pytest.raises(ValueError) as exc:
+        qmultinomial((-1, 2))
+    assert not isinstance(exc.value, DivisibilityError)
+    assert qmultinomial((1, 2)) == qint(3)
 
 
 def test_to_json():

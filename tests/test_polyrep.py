@@ -12,13 +12,12 @@ from klr import (
     GraphError,
     WeightMismatchError,
     act,
-    act_generator,
     act_word,
     default_orientation,
     oracle_equal,
     reversed_orientation,
 )
-from klr.permutations import apply_perm_to_seq, canonical_word
+from klr.permutations import apply_perm_to_seq, canonical_word, check_tokens
 from klr.polyrep import artin_basis, divided_difference, poly_mul_var
 
 from klr.verify import label_seqs, oracle, random_word
@@ -227,7 +226,7 @@ def test_act_generator_matches_reference(ring_a1, ring_a2, ring_cycle3,
     k = token[1] if token[0] == "C" else None
     poly = data.draw(signed_polys(m, k))
     g = ring.graph
-    assert (act_generator(g, orient, token, seq, poly)
+    assert (act_word(g, orient, seq, [token], poly)
             == _act_generator_reference(g, orient, token, seq, poly))
 
 
@@ -250,8 +249,8 @@ def test_cancelling_terms_are_dropped(ring_a2):
     g = ring_a2.graph
     ori = default_orientation(g)
     # (x2 - x1)(x1 + x2) after the swap: the x1 x2 terms cancel
-    seq, p = act_generator(g, ori, ("C", 1), ("i", "j"),
-                           {(1, 0): 1, (0, 1): -1})
+    seq, p = act_word(g, ori, ("i", "j"), [("C", 1)],
+                      {(1, 0): 1, (0, 1): -1})
     assert seq == ("j", "i")
     assert p == {(0, 2): 1, (2, 0): -1}
     # (2 x1 - x2)(2 x1 + x2): the x1 x2 terms of the two products cancel
@@ -266,14 +265,43 @@ def test_generator_index_errors(ring_a2):
     ori = default_orientation(g)
     for token in [("C", 0), ("C", 2), ("D", 0), ("D", 3)]:
         with pytest.raises(GeneratorIndexError) as oracle:
-            act_generator(g, ori, token, ("i", "j"), {(1, 0): 1})
+            act_word(g, ori, ("i", "j"), [token], {(1, 0): 1})
         with pytest.raises(GeneratorIndexError) as kernel:
             ring_a2.evaluate_word(("i", "j"), [token])
         assert str(oracle.value) == str(kernel.value)
         with pytest.raises(GeneratorIndexError):
             act_word(g, ori, ("i", "j"), [("C", 1), token], {(1, 0): 1})
-    with pytest.raises(ValueError, match="unknown token type"):
-        act_generator(g, ori, ("X", 1), ("i", "j"), {(1, 0): 1})
+    for token in [("X", 1), ("c", 1)]:
+        with pytest.raises(ValueError) as oracle:
+            act_word(g, ori, ("i", "j"), [token], {(1, 0): 1})
+        with pytest.raises(ValueError) as kernel:
+            ring_a2.evaluate_word(("i", "j"), [("C", 1), token])
+        assert str(oracle.value) == str(kernel.value) == (
+            f"unknown token type {token[0]!r}")
+        assert not isinstance(kernel.value, GeneratorIndexError)
+    # both routes raise from the one check of the token format
+    with pytest.raises(GeneratorIndexError,
+                       match="^crossing 2 out of range for 2 strands$"):
+        check_tokens([("D", 2), ("C", 1), ("C", 2)], 2)
+    with pytest.raises(GeneratorIndexError,
+                       match="^dot position 1 out of range for 0 strands$"):
+        check_tokens([("D", 1)], 0)
+    check_tokens([("D", 1), ("D", 2), ("C", 1)], 2)
+    check_tokens([], 0)
+
+
+def test_tokens_are_checked_before_any_is_applied(ring_a2):
+    g = ring_a2.graph
+    one = {(0, 0): 1}
+    # the orientation {} orients no edge, so crossing i-j raises ValueError
+    # when it is applied; every token is checked before that
+    with pytest.raises(GeneratorIndexError,
+                       match="^crossing 2 out of range for 2 strands$"):
+        act_word(g, {}, ("i", "j"), [("C", 1), ("C", 2)], one)
+    with pytest.raises(ValueError, match="^unknown token type 'X'$"):
+        act_word(g, {}, ("i", "j"), [("C", 1), ("X", 1)], one)
+    with pytest.raises(ValueError, match="edge i-j"):
+        act_word(g, {}, ("i", "j"), [("C", 1), ("C", 1)], one)
 
 
 def test_polynomial_needs_one_variable_per_strand(ring_a2):
@@ -282,9 +310,9 @@ def test_polynomial_needs_one_variable_per_strand(ring_a2):
     x = ring_a2.idempotent(("i", "j"))
     for poly in ({(1,): 1}, {(1, 0, 0): 1}, {(0, 0): 1, (1,): 2}):
         with pytest.raises(ValueError, match="variables for 2 strands"):
-            act_generator(g, ori, ("C", 1), ("i", "j"), poly)
+            act_word(g, ori, ("i", "j"), [("C", 1)], poly)
         with pytest.raises(ValueError, match="variables for 2 strands"):
-            act_generator(g, ori, ("D", 1), ("i", "j"), poly)
+            act_word(g, ori, ("i", "j"), [("D", 1)], poly)
         with pytest.raises(ValueError, match="variables for 2 strands"):
             act(ori, x, ("i", "j"), poly)
 
@@ -309,7 +337,7 @@ def test_act_rejects_unknown_vertices(ring_a2):
     for token, seq in [(("C", 1), ("i", "k")), (("C", 1), ("k", "k")),
                        (("D", 2), ("i", "k"))]:
         with pytest.raises(GraphError, match="'k'"):
-            act_generator(g, ori, token, seq, {(0, 0): 1})
+            act_word(g, ori, seq, [token], {(0, 0): 1})
     with pytest.raises(GraphError, match="'k'"):
         act_word(g, ori, ("i", "k"), [("D", 1)], {(0, 0): 1})
 
@@ -325,7 +353,7 @@ def test_orientation_must_orient_each_crossed_edge(ring_a2):
         with pytest.raises(ValueError, match="edge i-j"):
             act(ori, x, ("i", "j"), one)
         with pytest.raises(ValueError, match="edge i-j"):
-            act_generator(g, ori, ("C", 1), ("i", "j"), one)
+            act_word(g, ori, ("i", "j"), [("C", 1)], one)
         with pytest.raises(ValueError, match="edge j-i"):
             act_word(g, ori, ("j", "i"), [("D", 1), ("C", 1)], one)
     # dots and equal labels cross no edge, so they need no orientation
@@ -371,15 +399,15 @@ def test_generator_cases(ring_a2):
     g = ring_a2.graph
     ori = default_orientation(g)
     # oriented edge i -> j (lex order): crossing over (i, j) multiplies
-    seq, p = act_generator(g, ori, ("C", 1), ("i", "j"), {(0, 0): 1})
+    seq, p = act_word(g, ori, ("i", "j"), [("C", 1)], {(0, 0): 1})
     assert seq == ("j", "i")
     assert p == {(1, 0): 1, (0, 1): 1}
     # against the orientation: plain swap
-    seq, p = act_generator(g, ori, ("C", 1), ("j", "i"), {(1, 0): 1})
+    seq, p = act_word(g, ori, ("j", "i"), [("C", 1)], {(1, 0): 1})
     assert seq == ("i", "j")
     assert p == {(0, 1): 1}
     # equal labels: divided difference
-    seq, p = act_generator(g, ori, ("C", 1), ("i", "i"), {(1, 0): 1})
+    seq, p = act_word(g, ori, ("i", "i"), [("C", 1)], {(1, 0): 1})
     assert seq == ("i", "i")
     assert p == {(0, 0): 1}
 

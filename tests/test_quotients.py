@@ -26,7 +26,7 @@ from klr import (
 from klr import cli
 from klr.elements import diagram_degree
 from klr.permutations import all_permutations, apply_perm_to_seq, identity
-from klr.quotients import _enumerate_basis, _rank
+from klr.quotients import _enumerate_basis, _rank, _sparse
 
 # Regression fixtures: graded dimensions of single-vertex cyclotomic
 # quotients, recorded from the first verified runs of this implementation
@@ -421,25 +421,35 @@ def int_matrices(draw):
     return draw(st.permutations(rows)) if rows else rows
 
 
+def _sparse_rank(rows, prime=None):
+    """``_rank`` of dense rows, each made sparse first, into a new echelon."""
+    return _rank([_sparse(enumerate(row), prime) for row in rows], prime, {})
+
+
 @settings(max_examples=300, deadline=None)
 @given(int_matrices(), st.sampled_from([None, 2, 3, 5]))
 def test_rank_matches_dense_reference(rows, prime):
-    assert _rank(rows, prime) == _dense_rank(rows, prime)
+    assert _sparse_rank(rows, prime) == _dense_rank(rows, prime)
 
 
 def test_rank_examples():
-    assert _rank([]) == 0
-    assert _rank([[0, 0, 0], [0, 0, 0]]) == 0
-    assert _rank([[1, 2], [1, 2], [2, 4]]) == 1
+    assert _sparse_rank([]) == 0
+    assert _sparse_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert _sparse_rank([[1, 2], [1, 2], [2, 4]]) == 1
     # the rank over F_p can drop below the rank over Q
-    assert _rank([[2, 0], [0, 1]]) == 2
-    assert _rank([[2, 0], [0, 1]], prime=2) == 1
-    assert _rank([[1, 1], [1, -1]], prime=3) == 2
-    assert _rank([[1, 1], [1, -1]], prime=2) == 1
+    assert _sparse_rank([[2, 0], [0, 1]]) == 2
+    assert _sparse_rank([[2, 0], [0, 1]], prime=2) == 1
+    assert _sparse_rank([[1, 1], [1, -1]], prime=3) == 2
+    assert _sparse_rank([[1, 1], [1, -1]], prime=2) == 1
     # a scaled Hilbert matrix: full rank, and far from small entries
     rows = [[720720 // (i + j + 1) for j in range(7)] for i in range(7)]
-    assert _rank(rows) == 7
-    assert _rank(rows, prime=5) == _dense_rank(rows, prime=5)
+    assert _sparse_rank(rows) == 7
+    assert _sparse_rank(rows, prime=5) == _dense_rank(rows, prime=5)
+    # rows added to an echelon count only the rank they add
+    echelon = {}
+    assert _rank([{0: 1, 1: 2}], None, echelon) == 1
+    assert _rank([{0: 2, 1: 4}, {1: 3}], None, echelon) == 1
+    assert len(echelon) == 2
 
 
 def test_cyclotomic_nilhecke_three_strands(ring_a1):
@@ -460,7 +470,7 @@ def test_cyclotomic_nilhecke_three_strands(ring_a1):
                            if d <= cutoff}, (lam, prime)
 
 
-def test_prime_must_be_a_prime_below_2_64(ring_a2):
+def test_prime_must_be_a_prime_below_2_64(ring_a1, ring_a2):
     # Z/4 and Z/6 are not fields, so a rank over them means nothing
     spec = cyclotomic_spec(ring_a2, (("i", 2), ("j", 2)), {"i": 1, "j": 1})
     for prime in (0, 1, 4, 6, 2 ** 61 - 3, 2 ** 64 + 13):
@@ -472,6 +482,19 @@ def test_prime_must_be_a_prime_below_2_64(ring_a2):
     # the engine is the one primality check: the CLI only parses Fp:<p>
     assert not hasattr(cli, "is_prime")
     assert cli.parse_field("Fp:4") == 4
+    # ideal_degree_dim builds the same span, so it makes the same check;
+    # unchecked, Z/1 gave rank 0 in every degree, and 0 a ZeroDivisionError
+    spec = sym_plus_spec(ring_a1, (("i", 2),))
+    for prime in (None, 2, 2 ** 61 - 1):
+        assert [ideal_degree_dim(ring_a1, spec, d, prime)
+                for d in (-2, 0, 2, 4)] == [0, 1, 4, 7]
+    for prime in (1, 0, 4, 9, -5):
+        for d in (-2, 0, 2, 4):
+            with pytest.raises(ValueError, match=f"characteristic {prime} "
+                               f"is not a prime below 2\\^64"):
+                ideal_degree_dim(ring_a1, spec, d, prime)
+        with pytest.raises(ValueError, match="not a prime"):
+            quotient_gdim(ring_a1, spec, cutoff=4, window=1, prime=prime)
 
 
 def _ideal_by_brute_force(ring, spec, d, prime):
