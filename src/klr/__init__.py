@@ -50,6 +50,7 @@ from .laurent import DivisibilityError, LaurentPoly, qbinom, qfact, qint
 from .permutations import GeneratorIndexError
 from .polyrep import (
     act,
+    act_many,
     act_word,
     default_orientation,
     oracle_equal,
@@ -81,7 +82,7 @@ __all__ = [
     "WeightMismatchError", "diagram_degree",
     "GradedDim", "DivisibilityError", "LaurentPoly", "qbinom", "qfact",
     "qint",
-    "act", "act_word", "default_orientation",
+    "act", "act_many", "act_word", "default_orientation",
     "oracle_equal", "reversed_orientation",
     "GradedDimReport", "IdealSpec", "cyclotomic_spec", "degree_lower_bound",
     "graded_basis", "ideal_degree_dim", "quotient_gdim", "sym_plus_spec",

@@ -153,7 +153,9 @@ class GradedDim:
     @staticmethod
     def from_json(obj):
         """Inverse of to_json.  Raises ValueError for an object that is not
-        a dict, or that lacks "num" or "den"."""
+        a dict, that lacks "num" or "den", whose "num" is not a dict from
+        exponents (ints or their strings) to int coefficients, or whose
+        "den" is not a list of ints >= 1."""
         if not isinstance(obj, dict):
             raise ValueError("a graded dimension is a JSON object with keys "
                              "num and den")
@@ -161,6 +163,15 @@ class GradedDim:
             num, den = obj["num"], obj["den"]
         except KeyError as exc:
             raise ValueError(f"graded dimension is missing key {exc}") from None
+        if not isinstance(num, dict):
+            raise ValueError(f"num must be an object, not {num!r}")
+        if not isinstance(den, list):
+            raise ValueError(f"den must be a list, not {den!r}")
+        for e, c in num.items():
+            if type(e) not in (int, str):
+                raise ValueError(f"exponent {e!r} must be an int or a string")
+            if type(c) is not int:
+                raise ValueError(f"coefficient {c!r} must be an int")
         return GradedDim(LaurentPoly({int(e): c for e, c in num.items()}), den)
 
     def __str__(self):

@@ -30,21 +30,22 @@ def check_tokens(tokens, m):
     for a crossing of strands k and k+1, over m strands.
 
     Both routes, the rewriting kernel and the polynomial representation,
-    check their words here.  Raises GeneratorIndexError for a dot or
-    crossing outside the m strands, and ValueError for an unknown token
-    type.
+    check their words here.  Raises ValueError for an unknown token type
+    or an index that is not an int (a bool is not one), and
+    GeneratorIndexError for a dot or crossing outside the m strands.
     """
     for typ, k in tokens:
         if typ == "D":
-            if not 1 <= k <= m:
-                raise GeneratorIndexError(
-                    f"dot position {k} out of range for {m} strands")
+            what, top = "dot position", m
         elif typ == "C":
-            if not 1 <= k <= m - 1:
-                raise GeneratorIndexError(
-                    f"crossing {k} out of range for {m} strands")
+            what, top = "crossing", m - 1
         else:
             raise ValueError(f"unknown token type {typ!r}")
+        if type(k) is not int:
+            raise ValueError(f"{what} {k!r} is not an int")
+        if not 1 <= k <= top:
+            raise GeneratorIndexError(
+                f"{what} {k} out of range for {m} strands")
 
 
 def identity(m):

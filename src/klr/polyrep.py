@@ -7,14 +7,23 @@ divided difference operator (equal labels), a plain variable swap (pairing
 multiplication by x_k + x_{k+1} (an edge oriented with the crossing).  The
 orientation of each edge is a choice; the ring itself does not depend on it.
 One loop, ``_cross_word``, crosses a run of letters: ``act`` hands it the
-whole canonical word of a term, and ``act_word``, the one loop over
-generator tokens, each crossing token.  Each call of ``act`` or
-``act_word`` resolves the kind of a crossing once per label pair, in a
-small dict, and checks an edge's orientation then.  Each crossing is one
-pass over the polynomial: every monomial is written once, swapped and, for
-an oriented edge, multiplied in the same loop.  Once a polynomial is zero,
-the rest of its word only moves the labels and checks the edges it
-crosses.
+whole canonical word of each permutation w of the element, and
+``act_word``, the one loop over generator tokens, each crossing token.
+psi_w acts linearly, so ``act`` first sums the shifted, scaled inputs
+c x^u poly of all terms (i, w, u) with one w, and crosses the word of w
+once per call.  Each call of ``act`` or ``act_word`` resolves the kind of
+a crossing once per label pair, in a small dict, and checks an edge's
+orientation then.  Each crossing is one pass over the polynomial: every
+monomial is written once, swapped and, for an oriented edge, multiplied
+in the same loop.  Once a polynomial is zero, the rest of its word only
+moves the labels and checks the edges it crosses.  Nothing is kept from
+one call to the next.
+
+``act_many`` acts on several polynomials in one call.  It tags each by its
+index in one extra exponent coordinate after the strands, which no dot or
+crossing reads, so the same passes carry all of them at no cost per
+letter.  ``oracle_equal`` and ``klr check oracle`` act on a whole Artin
+basis this way.
 
 This module deliberately shares no code with the rewriting kernel beyond
 the basis-key data and the input checks: products are *not* normalized
@@ -94,15 +103,17 @@ def divided_difference(p, k):
 
 # -- the action ------------------------------------------------------------
 
-def _check_input(graph, seq, poly):
+def _check_input(graph, seq, polys):
     """Raise GraphError for a label of seq that is not a vertex, and
-    ValueError for a monomial without one variable per strand."""
+    ValueError for a monomial of one of polys without one variable per
+    strand."""
     graph.require_vertices(seq)
     m = len(seq)
-    for e in poly:
-        if len(e) != m:
-            raise ValueError(f"monomial {e} has {len(e)} variables for "
-                             f"{m} strands")
+    for poly in polys:
+        for e in poly:
+            if len(e) != m:
+                raise ValueError(f"monomial {e} has {len(e)} variables for "
+                                 f"{m} strands")
 
 
 def _along(graph, orientation, a, b):
@@ -187,7 +198,7 @@ def act_word(graph, orientation, seq, tokens, poly):
     orientation does not orient one of its two ways raises ValueError as
     it is crossed.
     """
-    _check_input(graph, seq, poly)
+    _check_input(graph, seq, (poly,))
     labels = list(seq)
     check_tokens(tokens, len(labels))
     kinds = {}
@@ -199,41 +210,91 @@ def act_word(graph, orientation, seq, tokens, poly):
     return tuple(labels), poly
 
 
-def act(orientation, x, seq, poly):
-    """Act by a KLRElement; result is a map sequence -> polynomial.
+def _act(graph, orientation, x, seq, poly, tail):
+    """The action of x on a checked poly over seq, as ``act`` returns it.
 
-    A term (i, w, u) with i = seq shifts the exponents by u, then crosses
-    by the canonical word of w, bottom first.  Raises GraphError for a
-    label of seq that is not a vertex, and ValueError for a monomial
-    without one variable per strand or for a crossed edge that the
-    orientation does not orient one of its two ways.
+    The exponents of poly may carry ``len(tail)`` coordinates after the m
+    strands, which no dot or crossing reads; ``tail`` is that many zeros,
+    so that a shift by u keeps them.  psi_w acts linearly, so the terms
+    (seq, w, u) of one w are summed into one input, sum of c x^u poly, and
+    the word of w is crossed once.
     """
-    graph = x.ring.graph
-    _check_input(graph, seq, poly)
-    seq = tuple(seq)
-    out = {}
-    kinds = {}
+    inputs = {}
     for (i, w, u), c in x.terms.items():
         if i != seq:
             continue
-        p = poly
-        if any(u):
-            p = {tuple(map(add, e, u)): v for e, v in poly.items()}
-        labels = list(i)
+        p = inputs.get(w)
+        if p is None:
+            p = inputs[w] = {}
+        shift = any(u)
+        u += tail  # a shorter u would truncate the exponents
+        for e, v in poly.items():
+            if shift:
+                e = tuple(map(add, e, u))
+            v = p.get(e, 0) + c * v
+            if v:
+                p[e] = v
+            else:
+                p.pop(e, None)  # also drops a zero coefficient of poly
+    out = {}
+    kinds = {}
+    for w, p in inputs.items():
+        labels = list(seq)
         p = _cross_word(graph, orientation, kinds, labels,
                         reversed(canonical_word(w)), p)
+        if not p:
+            continue
         top = tuple(labels)
         target = out.get(top)
         if target is None:
-            out[top] = {e: c * v for e, v in p.items()}
+            out[top] = p
             continue
         for e, v in p.items():
-            v = target.get(e, 0) + c * v
+            v = target.get(e, 0) + v
             if v:
                 target[e] = v
             else:
                 del target[e]
-    return {s: p for s, p in out.items() if p}
+        if not target:
+            del out[top]
+    return out
+
+
+def act(orientation, x, seq, poly):
+    """Act by a KLRElement; result is a map sequence -> polynomial.
+
+    A term (i, w, u) with i = seq shifts the exponents by u, then crosses
+    by the canonical word of w, bottom first; the terms of one w share
+    that crossing.  Raises GraphError for a label of seq that is not a
+    vertex, and ValueError for a monomial without one variable per strand
+    or for a crossed edge that the orientation does not orient one of its
+    two ways.
+    """
+    graph = x.ring.graph
+    _check_input(graph, seq, (poly,))
+    return _act(graph, orientation, x, tuple(seq), poly, ())
+
+
+def act_many(orientation, x, seq, polys):
+    """Act by a KLRElement on each of several polynomials at once.
+
+    Returns one map sequence -> polynomial per polynomial, in order, each
+    equal to ``act(orientation, x, seq, poly)`` and raising its errors.
+    The polynomials are tagged by their index in one extra trailing
+    exponent coordinate, so a single pass crosses each word of x for all
+    of them.
+    """
+    graph = x.ring.graph
+    polys = list(polys)
+    _check_input(graph, seq, polys)
+    tagged = {e + (t,): v for t, poly in enumerate(polys)
+              for e, v in poly.items()}
+    results = [{} for _ in polys]
+    for top, p in _act(graph, orientation, x, tuple(seq), tagged,
+                       (0,)).items():
+        for e, v in p.items():
+            results[e[-1]].setdefault(top, {})[e[:-1]] = v
+    return results
 
 
 def artin_basis(seq):
@@ -255,8 +316,9 @@ def oracle_equal(x, y, *, orientation=None):
     Each summand Z[x]e(i) is free over Sym(nu) on ``artin_basis(i)``, and
     the polynomial representation is faithful (the proof of KL I, Thm
     2.5).  So x = y exactly when x - y kills the Artin basis of every
-    sequence of the weight: a proof, not a sample.  Raises
-    WeightMismatchError, from ``x - y``, if the weights differ.
+    sequence of the weight: a proof, not a sample.  Each sequence's basis
+    is acted on in one ``act_many`` call.  Raises WeightMismatchError, from
+    ``x - y``, if the weights differ.
     """
     if orientation is None:
         orientation = default_orientation(x.ring.graph)
@@ -265,7 +327,7 @@ def oracle_equal(x, y, *, orientation=None):
         return True
     diff = x - y
     for seq in seq_enumerate(weight):
-        for mono in artin_basis(seq):
-            if act(orientation, diff, seq, {mono: 1}):
-                return False
+        if any(act_many(orientation, diff, seq,
+                        [{mono: 1} for mono in artin_basis(seq)])):
+            return False
     return True

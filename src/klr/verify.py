@@ -23,7 +23,7 @@ from itertools import product
 
 from .characters import cycle_alpha, orthogonal_idempotents_check, serre_check
 from .polyrep import (
-    act,
+    act_many,
     act_word,
     artin_basis,
     default_orientation,
@@ -104,10 +104,12 @@ def oracle(ring):
 
     Each of ORACLE_WORDS random words on 2 to 4 strands (a fixed seed) is
     evaluated in the kernel, and its action on the Artin basis of its
-    source sequence is compared with the word applied generator by
-    generator, in both orientations.  Both sides act Sym(nu)-linearly (see
-    ``klr.polyrep``), so agreement on that basis is agreement as operators.
-    Returns the failures as (word, monomial) pairs.
+    source sequence, in one ``act_many`` call per orientation, is compared
+    with the word applied generator by generator to each basis monomial.
+    Both sides act Sym(nu)-linearly (see ``klr.polyrep``), so agreement on
+    that basis is agreement as operators.  Returns the failures as (word,
+    monomial) pairs, with the first failing monomial of each word and
+    orientation.
     """
     graph = ring.graph
     rng = random.Random(0)
@@ -118,11 +120,12 @@ def oracle(ring):
         seq = rng.choice(seqs)
         tokens = random_word(rng, len(seq))
         elem = ring.evaluate_word(seq, tokens)
+        basis = artin_basis(seq)
         for orient in orientations:
-            for mono in artin_basis(seq):
+            gots = act_many(orient, elem, seq, [{mono: 1} for mono in basis])
+            for mono, got in zip(basis, gots):
                 want_seq, want = act_word(graph, orient, seq, tokens,
                                           {mono: 1})
-                got = act(orient, elem, seq, {mono: 1})
                 want_map = {want_seq: want} if want else {}
                 if got != want_map:
                     failures.append((f"word {tokens} on {format_seq(seq)}",

@@ -99,6 +99,27 @@ def test_from_json_rejects_bad_objects():
             GradedDim.from_json(obj)
 
 
+def test_from_json_rejects_malformed_fields():
+    for obj, message in [({"num": {"0": "a"}, "den": [1]},
+                          "coefficient 'a' must be an int"),
+                         ({"num": {"0": 1.0}, "den": []},
+                          "coefficient 1.0 must be an int"),
+                         ({"num": {"0": True}, "den": []},
+                          "coefficient True must be an int"),
+                         ({"num": {1.5: 1}, "den": []},
+                          "exponent 1.5 must be an int or a string"),
+                         ({"num": {"x": 1}, "den": []}, "'x'"),
+                         ({"num": [1], "den": []}, "num must be an object"),
+                         ({"num": None, "den": []}, "num must be an object"),
+                         ({"num": {}, "den": 5}, "den must be a list"),
+                         ({"num": {}, "den": "12"}, "den must be a list"),
+                         ({"num": {}, "den": {1: 1}}, "den must be a list")]:
+        with pytest.raises(ValueError, match=message):
+            GradedDim.from_json(obj)
+    assert GradedDim.from_json({"num": {"-2": 3, 1: 1}, "den": [1]}) == (
+        GradedDim(LaurentPoly({-2: 3, 1: 1}), (1,)))
+
+
 def test_bad_denominator_factor():
     # 1/(1-q^0) is 1/0, and a negative factor would expand to garbage
     for den in ((0,), (-1,), (2, 0, 1), (1.0,), (True,), ("1",),

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from klr import (
     GeneratorIndexError,
     GraphError,
+    KLRRing,
     WeightMismatchError,
+    a2,
     act,
+    act_many,
     act_word,
     default_orientation,
     oracle_equal,
@@ -19,7 +22,7 @@ from klr import (
 )
 from klr.permutations import apply_perm_to_seq, canonical_word, check_tokens
 from klr.polyrep import artin_basis, divided_difference, poly_mul_var
-
+from klr.sequences import format_seq
 from klr.verify import label_seqs, oracle, random_word
 
 
@@ -245,6 +248,78 @@ def test_act_matches_reference(ring_a1, ring_a2, ring_cycle3, data):
     assert act(orient, x, seq, poly) == _act_reference(orient, x, seq, poly)
 
 
+def _act_by_words(g, orientation, x, seq, poly):
+    """Each term as its own generator word through ``act_word``: u[k] dots
+    on strand k + 1, then the canonical word of w, bottom first."""
+    out = {}
+    for (i, w, u), c in x.terms.items():
+        if i != tuple(seq):
+            continue
+        tokens = [("D", k + 1) for k, n in enumerate(u) for _ in range(n)]
+        tokens += [("C", k) for k in reversed(canonical_word(w))]
+        top, p = act_word(g, orientation, seq, tokens, poly)
+        out[top] = poly_add(out.get(top, {}), p, c)
+    return {s: p for s, p in out.items() if p}
+
+
+@st.composite
+def shared_crossing_elements(draw, ring, seq):
+    """An element over seq whose permutations each carry 1-3 dot vectors.
+
+    A term over a reordering of seq is added too, which acts by zero.
+    """
+    m = len(seq)
+    dots = st.tuples(*[st.integers(0, 2)] * m)
+    coeff = st.integers(-3, 3).filter(bool)
+    terms = {}
+    for w in draw(st.lists(st.permutations(range(m)).map(tuple),
+                           min_size=1, max_size=3, unique=True)):
+        for u in draw(st.lists(dots, min_size=1, max_size=3, unique=True)):
+            terms[seq, w, u] = draw(coeff)
+    other = tuple(draw(st.permutations(seq)))
+    terms[other, tuple(range(m)), (0,) * m] = draw(coeff)
+    return ring.element(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_act_shares_crossings_and_batches(ring_a1, ring_a2, ring_cycle3,
+                                         data):
+    ring, orient, seq = data.draw(
+        oracle_setups([ring_a1, ring_a2, ring_cycle3]))
+    x = data.draw(shared_crossing_elements(ring, seq))
+    polys = data.draw(st.lists(signed_polys(len(seq)), min_size=1,
+                               max_size=4))
+    g = ring.graph
+    singles = [act(orient, x, seq, poly) for poly in polys]
+    assert singles == [_act_by_words(g, orient, x, seq, poly)
+                       for poly in polys]
+    assert act_many(orient, x, seq, polys) == singles
+    assert act_many(orient, x, seq, []) == []
+
+
+def test_act_many_checks_every_polynomial(ring_a2):
+    g = ring_a2.graph
+    ori = default_orientation(g)
+    x = ring_a2.generator(("C", 1), ("i", "j"))
+    one = {(0, 0): 1}
+    assert act_many(ori, x, ("i", "j"), [one, {}, one]) == [
+        {("j", "i"): {(1, 0): 1, (0, 1): 1}}, {},
+        {("j", "i"): {(1, 0): 1, (0, 1): 1}}]
+    # x is 0 off its bottom sequence, and every result is its own dict
+    results = act_many(ori, x, ("j", "i"), [one, one])
+    assert results == [{}, {}] and results[0] is not results[1]
+    # a zero coefficient is dropped, not crossed
+    assert act(ori, x, ("i", "j"), {(0, 0): 0, (1, 0): 1}) == act(
+        ori, x, ("i", "j"), {(1, 0): 1})
+    with pytest.raises(ValueError, match="variables for 2 strands"):
+        act_many(ori, x, ("i", "j"), [one, {(1, 0, 0): 1}])
+    with pytest.raises(GraphError, match="'k'"):
+        act_many(ori, x, ("i", "k"), [one])
+    with pytest.raises(ValueError, match="edge i-j"):
+        act_many({}, x, ("i", "j"), [{}])
+
+
 def test_cancelling_terms_are_dropped(ring_a2):
     g = ring_a2.graph
     ori = default_orientation(g)
@@ -288,6 +363,21 @@ def test_generator_index_errors(ring_a2):
         check_tokens([("D", 1)], 0)
     check_tokens([("D", 1), ("D", 2), ("C", 1)], 2)
     check_tokens([], 0)
+
+
+def test_token_index_must_be_an_int(ring_a2):
+    g = ring_a2.graph
+    ori = default_orientation(g)
+    for token, message in [(("D", 1.0), "dot position 1.0 is not an int"),
+                           (("C", "1"), "crossing '1' is not an int"),
+                           (("C", True), "crossing True is not an int"),
+                           (("D", None), "dot position None is not an int")]:
+        with pytest.raises(ValueError) as oracle:
+            act_word(g, ori, ("i", "j"), [token], {(1, 0): 1})
+        with pytest.raises(ValueError) as kernel:
+            ring_a2.evaluate_word(("i", "j"), [("D", 1), token])
+        assert str(oracle.value) == str(kernel.value) == message
+        assert not isinstance(kernel.value, GeneratorIndexError)
 
 
 def test_tokens_are_checked_before_any_is_applied(ring_a2):
@@ -564,6 +654,39 @@ def test_oracle_sees_the_longest_divided_difference(ring_a1, ring_a2):
     assert w0
     assert not oracle_equal(w0, ring_a2.zero())
     assert not oracle_equal(ring_a2.zero(), w0)
+
+
+def test_oracle_names_the_failing_monomial(monkeypatch):
+    ring = KLRRing(a2())
+    g = ring.graph
+    words = []
+    evaluate_word = ring.evaluate_word
+
+    def faulty(seq, tokens):
+        # a kernel fault: psi_1 e(seq) is added to every word.  It kills
+        # the monomials symmetric in x_1, x_2 when the first two labels
+        # agree, so the first failing monomial is not always 1
+        words.append((f"word {tokens} on {format_seq(seq)}", seq, tokens))
+        return evaluate_word(seq, tokens) + evaluate_word(seq, [("C", 1)])
+
+    monkeypatch.setattr(ring, "evaluate_word", faulty)
+    failures = oracle(ring)
+    monkeypatch.undo()
+    expected = []
+    for name, seq, tokens in words:
+        good = ring.evaluate_word(seq, tokens)
+        bad = good + ring.evaluate_word(seq, [("C", 1)])
+        for ori in (default_orientation(g), reversed_orientation(g)):
+            for mono in artin_basis(seq):
+                if act(ori, bad, seq, {mono: 1}) != act(ori, good, seq,
+                                                        {mono: 1}):
+                    expected.append((name, mono))
+                    break
+    assert failures == expected
+    seqs = {name: seq for name, seq, _ in words}
+    for name, mono in failures:
+        assert mono in artin_basis(seqs[name])
+    assert any(mono != artin_basis(seqs[name])[0] for name, mono in failures)
 
 
 def test_oracle_takes_no_bound(ring_a1):
