@@ -196,11 +196,13 @@ def act_word(graph, orientation, seq, tokens, poly):
     GeneratorIndexError for a dot or crossing outside the strands of seq
     and ValueError for an unknown token type.  A crossed edge that the
     orientation does not orient one of its two ways raises ValueError as
-    it is crossed.
+    it is crossed.  Zero coefficients of poly are dropped first, as in
+    ``act``, so the result has none, also for an empty word.
     """
     _check_input(graph, seq, (poly,))
     labels = list(seq)
     check_tokens(tokens, len(labels))
+    poly = {e: c for e, c in poly.items() if c}
     kinds = {}
     for typ, k in tokens:
         if typ == "D":

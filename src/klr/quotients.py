@@ -1,8 +1,12 @@
 """Graded dimensions of quotients by two-sided ideals, degree by degree.
 
-The basis of R(nu) in each degree is enumerated directly from the normal
-form (sequence, permutation, dot exponents).  A two-sided ideal R G R given
-by homogeneous generators is spanned sector by sector, once per quotient,
+R(nu) has the basis psi_w x^u e(i) (KL I, Thm 2.5), of degree
+deg psi_w e(i) + 2|u|, so every graded piece is read off one diagram
+table: the degree of psi_w e(i) for each sequence i and permutation w.
+Each quotient builds that table once, and its bases, its multipliers and
+its right factors all read it; ``graded_basis`` builds a new one per call,
+and nothing is cached between calls.  A two-sided ideal R G R given by
+homogeneous generators is spanned sector by sector, once per quotient,
 and the span is shared across all degrees:
 
 * the generators are split into their sector pieces e(j) g e(i);
@@ -74,7 +78,9 @@ from .sequences import check_weight, seq_enumerate
 
 
 def degree_lower_bound(weight):
-    """No basis element has degree below -sum nu_i (nu_i - 1)."""
+    """No basis element has degree below -sum nu_i (nu_i - 1).  Raises
+    ValueError for a bad weight (see ``check_weight``)."""
+    check_weight(weight)
     return -sum(n * (n - 1) for _, n in weight)
 
 
@@ -87,38 +93,44 @@ def _compositions(total, parts):
                  for rest in _compositions(total - first, parts - 1))
 
 
-def _enumerate_basis(graph, weight, d):
-    m = weight_size(weight)
-    out = []
-    for seq in seq_enumerate(weight):
-        for w in all_permutations(m):
-            base = diagram_degree(graph, seq, w)
-            rem = d - base
-            if rem < 0 or rem % 2:
-                continue
-            for u in _compositions(rem // 2, m):
-                out.append((seq, w, u))
-    return tuple(sorted(out))
+def _diagrams(graph, weight):
+    """The diagram table of R(nu): {bottom j: [(v, deg psi_v e(j))]}.
+
+    The sequences j of nu and the permutations v both run in lexicographic
+    order.  Every graded piece of R(nu) is read off this table, since the
+    psi_v x^u e(j) are a basis (KL I, Thm 2.5) and x^u adds 2|u| to the
+    degree.  Raises GraphError for a vertex not in the graph and
+    ValueError for a bad weight (see ``check_weight``), before any
+    arithmetic.
+    """
+    graph.require_vertices(v for v, _ in weight)
+    seqs = seq_enumerate(weight)  # checks the weight
+    perms = list(all_permutations(weight_size(weight)))
+    return {j: [(v, diagram_degree(graph, j, v)) for v in perms]
+            for j in seqs}
 
 
-# (vertices, edges, weight, d) -> sorted tuple of basis keys
-_basis_cache = {}
+def _keys(diagrams, d, m):
+    """The basis keys (j, v, u) of degree d over the bottoms of a diagram
+    table, for m strands.  j, v and the dot vectors u each come in
+    lexicographic order, so the keys come sorted."""
+    for j, row in diagrams.items():
+        for v, dv in row:
+            rem = d - dv
+            if rem >= 0 and not rem % 2:
+                for u in _compositions(rem // 2, m):
+                    yield j, v, u
 
 
 def graded_basis(graph, weight, d):
     """All basis keys (sequence, permutation, dots) of degree d, sorted.
 
-    Each basis is enumerated once per graph, weight and degree; every call
-    returns a new list, so no caller can change the cached one.  Raises
-    GraphError for a vertex not in the graph and ValueError for a bad
-    weight, both checked only when the basis is first enumerated.
+    Each call reads a new diagram table and returns a new list; nothing
+    is kept between calls.  Raises GraphError for a vertex not in the
+    graph and ValueError for a bad weight (see ``check_weight``).
     """
-    key = (graph.vertices, graph.edges, tuple((v, n) for v, n in weight), d)
-    basis = _basis_cache.get(key)
-    if basis is None:
-        graph.require_vertices(v for v, _ in weight)
-        basis = _basis_cache[key] = _enumerate_basis(graph, weight, d)
-    return list(basis)
+    diagrams = _diagrams(graph, weight)
+    return list(_keys(diagrams, d, weight_size(weight)))
 
 
 def _is_central(g):
@@ -339,10 +351,13 @@ def _sector(key):
 class _IdealSpan:
     """The span of R G R for one quotient, shared across its degrees.
 
-    ``left(e)`` keeps the left vectors of degree e, ``_product`` caches
-    each left vector times each dot-free right factor, and ``degree(d)``
-    ranks the shifted products of degree d block by block, and records the
-    dead products (see the module docstring).  Ranks are over Q, or over
+    ``diagrams`` is the diagram table of R(nu) (see ``_diagrams``), built
+    once per span and read by all the rest: ``right`` is the table grouped
+    by the top of each psi_v e(j), ``left(e)`` keeps the left vectors of
+    degree e, ``_product`` caches each left vector times each dot-free
+    right factor, and ``degree(d)`` reads the basis of degree d off the
+    table, ranks the shifted products of degree d block by block, and
+    records the dead products (see the module docstring).  Ranks are over
     F_prime for a prime below 2^64, where ``is_prime`` is exact; any other
     prime raises ValueError, since Z/n is not a field for composite n.
     Both ``quotient_gdim`` and ``ideal_degree_dim`` build their span here,
@@ -354,7 +369,6 @@ class _IdealSpan:
             raise ValueError(f"field characteristic {prime} is not a prime "
                              f"below 2^64")
         self.ring = ring
-        self.weight = spec.weight
         self.prime = prime
         self.lb = degree_lower_bound(spec.weight)
         self.pieces = {}  # degree -> [(top, bottom, piece)]
@@ -367,12 +381,13 @@ class _IdealSpan:
                     (top, bottom, ring.element(terms)))
         self.central = spec.central
         self.m = weight_size(spec.weight)
+        self.diagrams = _diagrams(ring.graph, spec.weight)
         # top of psi_v e(j) -> [(j, v, degree)] over all sequences j of nu
         self.right = {}
-        for j in seq_enumerate(spec.weight):
-            for v in all_permutations(self.m):
+        for j, row in self.diagrams.items():
+            for v, dv in row:
                 self.right.setdefault(apply_perm_to_seq(v, j), []).append(
-                    (j, v, diagram_degree(ring.graph, j, v)))
+                    (j, v, dv))
         # lowest degree of a left vector
         self.low = min(self.pieces, default=0) + (0 if spec.central
                                                   else self.lb)
@@ -385,7 +400,9 @@ class _IdealSpan:
 
         These are the nonzero candidates as they come: the generator
         pieces of degree e if the spec is central, and otherwise each
-        multiplier of degree e - deg g times each piece g.  None is
+        multiplier of degree e - deg g times each piece g.  The multipliers
+        of a piece are the basis keys whose bottom is the piece's top, read
+        from that one row of the diagram table.  None is
         reduced against another: a redundant one only adds rows for
         ``degree`` to reduce (see the module docstring).
         """
@@ -400,14 +417,14 @@ class _IdealSpan:
         else:
             ident = identity(self.m)
             for dg, pieces in self.pieces.items():
-                multipliers = graded_basis(ring.graph, self.weight, e - dg)
                 for top, bottom, piece in pieces:
                     # a piece made of dots only commutes with the dots of
                     # a multiplier: psi_w x^u g = l x^u for l = psi_w g, and
                     # l x^u R lies in l R, so only dot-free ones count
                     dots_only = all(w == ident for _, w, _ in piece.terms)
-                    for akey in multipliers:
-                        if akey[0] != top or dots_only and any(akey[2]):
+                    for akey in _keys({top: self.diagrams[top]}, e - dg,
+                                      self.m):
+                        if dots_only and any(akey[2]):
                             continue
                         elem = ring.multiply(ring.element({akey: 1}), piece)
                         sectors.setdefault((_sector(akey)[0], bottom),
@@ -455,9 +472,8 @@ class _IdealSpan:
         degree d whose row adds no rank is dead, and its shifts are never
         built (see the module docstring).
         """
-        basis = graded_basis(self.ring.graph, self.weight, d)
         blocks = {}  # (top, bottom) -> {basis key: column}
-        for key in basis:
+        for key in _keys(self.diagrams, d, self.m):
             block = blocks.setdefault(_sector(key), {})
             block[key] = len(block)
         echelons = {sector: {} for sector in blocks}
@@ -479,8 +495,8 @@ class _IdealSpan:
                     added = _rank(new, self.prime, echelons[block])
             if not (added or size):
                 self._products[key] = {}  # dead
-        return {"basis": len(basis), "products": products, "rows": rows,
-                "rank": sum(map(len, echelons.values()))}
+        return {"basis": sum(map(len, blocks.values())), "products": products,
+                "rows": rows, "rank": sum(map(len, echelons.values()))}
 
 
 def ideal_degree_dim(ring, spec, d, prime=None):

@@ -320,6 +320,28 @@ def test_act_many_checks_every_polynomial(ring_a2):
         act_many({}, x, ("i", "j"), [{}])
 
 
+def test_act_word_drops_zero_coefficients(ring_a1, ring_a2):
+    # a zero coefficient is dropped once, before any token, as act does;
+    # it used to reach the edge loop, the divided difference or a dot
+    cases = [
+        (ring_a2, ("i", "j"), [("C", 1)], {(0, 0): 0}, {}),
+        (ring_a1, ("i", "i"), [("C", 1)], {(1, 0): 0, (2, 0): 1},
+         {(1, 0): 1, (0, 1): 1}),
+        (ring_a1, ("i", "i"), [("D", 1)], {(0, 0): 0}, {}),
+        (ring_a2, ("i", "j"), [], {(0, 0): 0, (0, 1): 3}, {(0, 1): 3}),
+        (ring_a2, ("i", "j"), [], {(0, 0): 0}, {}),
+    ]
+    for ring, seq, tokens, poly, want in cases:
+        g = ring.graph
+        ori = default_orientation(g)
+        before = dict(poly)
+        top, got = act_word(g, ori, seq, tokens, poly)
+        assert got == want, (seq, tokens)
+        assert poly == before
+        x = ring.evaluate_word(seq, tokens)
+        assert act(ori, x, seq, poly) == ({top: want} if want else {})
+
+
 def test_cancelling_terms_are_dropped(ring_a2):
     g = ring_a2.graph
     ori = default_orientation(g)

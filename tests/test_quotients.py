@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,6 @@ from klr import (
     IdealSpec,
     LaurentPoly,
     WeightMismatchError,
-    a1xa1,
-    a2,
     cyclotomic_spec,
     degree_lower_bound,
     graded_basis,
@@ -26,7 +25,7 @@ from klr import (
 from klr import cli
 from klr.elements import diagram_degree
 from klr.permutations import all_permutations, apply_perm_to_seq, identity
-from klr.quotients import _enumerate_basis, _rank, _sparse
+from klr.quotients import _rank, _sparse
 
 # Regression fixtures: graded dimensions of single-vertex cyclotomic
 # quotients, recorded from the first verified runs of this implementation
@@ -65,20 +64,76 @@ def test_sym_plus_rejects_repeated_vertex(ring_a2):
     assert {d: n for d, n in rep.degrees.items() if n} == {-2: 1, 0: 2, 2: 1}
 
 
-def test_graded_basis_cache(ring_a2):
-    g = ring_a2.graph
-    weight = (("i", 2), ("j", 1))
-    for d in range(degree_lower_bound(weight), 5):
-        fresh = list(_enumerate_basis(g, weight, d))
-        first = graded_basis(g, weight, d)
-        assert first == fresh
-        first.append("changed")
-        assert graded_basis(g, weight, d) == fresh
-    # equal graphs share a basis; another graph gets its own
-    assert graded_basis(a2(), weight, 0) == graded_basis(g, weight, 0)
-    other = graded_basis(a1xa1(), weight, 0)
-    assert other == list(_enumerate_basis(a1xa1(), weight, 0))
-    assert other != graded_basis(g, weight, 0)
+def _small_weights(vertices, size):
+    """Every weight on the vertices with 1 to size strands."""
+    out = []
+    for counts in product(range(size + 1), repeat=len(vertices)):
+        if 0 < sum(counts) <= size:
+            out.append(tuple((v, n) for v, n in zip(vertices, counts) if n))
+    return out
+
+
+def test_graded_basis_matches_brute_force(ring_a1, ring_a2, ring_a1xa1,
+                                          ring_cycle3):
+    for ring in (ring_a1, ring_a2, ring_a1xa1, ring_cycle3):
+        g = ring.graph
+        for weight in _small_weights(g.vertices, 3):
+            lb = degree_lower_bound(weight)
+            m = weight_size(weight)
+            # a diagram has degree >= lb, so a key of degree <= lb + 8 has
+            # |u| <= 4
+            by_degree = {}
+            for seq in seq_enumerate(weight):
+                for w in all_permutations(m):
+                    for u in product(range(5), repeat=m):
+                        if sum(u) <= 4:
+                            key = (seq, w, u)
+                            d = ring.element({key: 1}).degree()
+                            by_degree.setdefault(d, []).append(key)
+            for d in range(lb, lb + 9):
+                want = sorted(by_degree.get(d, []))
+                first = graded_basis(g, weight, d)
+                assert first == want, (g.vertices, weight, d)
+                first.append("changed")
+                first[:1] = []
+                assert graded_basis(g, weight, d) == want
+
+
+def test_diagram_table_is_built_once(monkeypatch, ring_a2, ring_cycle3):
+    import klr.quotients as quotients
+
+    calls = []
+
+    def counted(graph, seq, w):
+        calls.append((seq, w))
+        return diagram_degree(graph, seq, w)
+
+    monkeypatch.setattr(quotients, "diagram_degree", counted)
+    specs = [
+        (ring_a2, sym_plus_spec(ring_a2, (("i", 2), ("j", 1)))),
+        (ring_a2, cyclotomic_spec(ring_a2, (("i", 2), ("j", 1)), {"i": 2})),
+        (ring_cycle3, cyclotomic_spec(
+            ring_cycle3, (("1", 1), ("2", 1), ("3", 1)), {"1": 1, "2": 1})),
+    ]
+    for ring, spec in specs:
+        table = len(seq_enumerate(spec.weight)) * math.factorial(
+            weight_size(spec.weight))
+        plain = IdealSpec(spec.weight, spec.generators)
+        for s, cutoff in [(spec, 10), (plain, 2), (plain, 8)]:
+            calls.clear()
+            rep = quotient_gdim(ring, s, cutoff=cutoff, window=1)
+            assert len(rep.degrees) > 1
+            assert len(calls) == table, (spec.weight, cutoff)
+            assert len(set(calls)) == table
+
+
+def test_weight_errors_are_typed(ring_a1):
+    with pytest.raises(ValueError, match="not an integer"):
+        graded_basis(ring_a1.graph, (("i", "x"),), 0)
+    for weight in [(("i", 1.5),), (("i", "x"),), (("i", -1),),
+                   (("i", 1), ("i", 1))]:
+        with pytest.raises(ValueError):
+            degree_lower_bound(weight)
 
 
 def test_degree_lower_bound(ring_a1, ring_a2, ring_a1xa1):
