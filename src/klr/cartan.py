@@ -3,6 +3,11 @@
 The symmetric bilinear form on vertices is ``i.i = 2``, ``i.j = -1`` for an
 edge, ``0`` otherwise.  A weight records how many strands carry each vertex
 label.
+
+``check_int`` is the one decision of which values count as integers: every
+integer parameter of the package (counts, degrees, cutoffs, powers, strand
+and token indices) goes through it.  It lives here because this module
+imports no other ``klr`` module, so every layer can use it.
 """
 
 from __future__ import annotations
@@ -13,6 +18,17 @@ import json
 class GraphError(ValueError):
     """Malformed graph input (a vertex that is not a string, a loop, a
     duplicate edge, an unknown vertex)."""
+
+
+def check_int(n, what, low=None):
+    """Return n if it is an int (a bool is not one) and n >= low; raise
+    ValueError otherwise.  ``what`` names the parameter in the message,
+    which is only built when the check fails, so callers pass a constant.
+    """
+    if type(n) is int and (low is None or n >= low):
+        return n
+    bound = "" if low is None else f" >= {low}"
+    raise ValueError(f"{what} {n!r} is not an integer{bound}")
 
 
 class CartanGraph:
@@ -73,8 +89,15 @@ class CartanGraph:
 
     @staticmethod
     def from_json(obj):
+        """Inverse of to_json.  Raises GraphError unless obj has a list of
+        vertices and a list of edges, each a list of two vertices."""
         try:
-            return CartanGraph(obj["vertices"], [tuple(e) for e in obj["edges"]])
+            vertices, edges = obj["vertices"], obj["edges"]
+            if not (type(vertices) is type(edges) is list and all(
+                    type(e) is list and len(e) == 2 for e in edges)):
+                raise GraphError("malformed graph object: vertices and "
+                                 "edges must be lists, each edge [a, b]")
+            return CartanGraph(vertices, [tuple(e) for e in edges])
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph object: {exc}")
 
@@ -104,8 +127,9 @@ def a1xa1(i="i", j="j"):
 
 
 def cycle(n):
-    """The n-cycle with vertices '1'..'n'."""
-    if n < 3:
+    """The n-cycle with vertices '1'..'n'.  Raises ValueError for an n
+    that is not an int and GraphError for n < 3."""
+    if check_int(n, "cycle length") < 3:
         raise GraphError("cycle requires n >= 3")
     verts = [str(k) for k in range(1, n + 1)]
     edges = [(verts[k], verts[(k + 1) % n]) for k in range(n)]

@@ -42,7 +42,7 @@ from __future__ import annotations
 from itertools import groupby
 from operator import add, itemgetter
 
-from .cartan import weight_of_seq
+from .cartan import check_int, weight_of_seq
 from .gdim import GradedDim
 from .laurent import LaurentPoly, format_sum, qmultinomial
 from .permutations import (
@@ -60,14 +60,22 @@ from .sequences import check_divided, divided_weight, format_seq, plain
 
 
 class WeightMismatchError(ValueError):
-    """Operands live over different weights."""
+    """Operands live over different weights, or in rings over different
+    graphs."""
 
 
 class InhomogeneousError(ValueError):
     """Degree requested for a zero or inhomogeneous element."""
 
 
-def _check_weights(x, y):
+def _check_weights(graph, x, y):
+    """Raise WeightMismatchError unless x and y are elements of the ring
+    over graph, or over a graph with the same vertices and edges, and
+    have the same weight (the zero element has every weight)."""
+    for g in (x.ring.graph, y.ring.graph):
+        if g is not graph and (set(g.vertices), g.edges) != (
+                set(graph.vertices), graph.edges):
+            raise WeightMismatchError("elements of rings over other graphs")
     wx, wy = x.weight, y.weight
     if wx is not None and wy is not None and wx != wy:
         raise WeightMismatchError(f"weights differ: {wx} vs {wy}")
@@ -125,7 +133,7 @@ class KLRElement:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        _check_weights(self, other)
+        _check_weights(self.ring.graph, self, other)
         out = dict(self.terms)
         _acc(out, other.terms)
         return KLRElement(self.ring, out)
@@ -217,8 +225,10 @@ class KLRRing:
     def element_from_json(self, data):
         """Inverse of KLRElement.to_json.
 
-        Raises ValueError on malformed input: GraphError for a label that is
-        not a vertex, WeightMismatchError for terms of different weights.
+        Raises ValueError on malformed input, such as a permutation entry
+        that is not an int or a dot exponent that is not an int >= 0
+        (``cartan.check_int``): GraphError for a label that is not a vertex,
+        WeightMismatchError for terms of different weights.
         """
         if not (isinstance(data, list)
                 and all(isinstance(obj, dict) for obj in data)):
@@ -232,21 +242,16 @@ class KLRRing:
                 raise ValueError(f"term is missing key {exc}") from None
             if not all(isinstance(x, list) for x in (seq, perm, dots)):
                 raise ValueError("source, permutation and dots must be lists")
-            if not all(type(x) is int for x in perm + dots):
-                raise ValueError(f"permutation {perm} and dots {dots} must "
-                                 f"hold integers")
             seq = tuple(seq)
             self.graph.require_vertices(seq)
-            w = tuple(x - 1 for x in perm)
-            u = tuple(dots)
+            w = tuple(check_int(x, "permutation entry") - 1 for x in perm)
+            u = tuple(check_int(e, "dot exponent", 0) for e in dots)
             m = len(seq)
             if len(w) != m or len(u) != m:
                 raise ValueError(f"term over {m} strands has permutation "
                                  f"length {len(w)} and {len(u)} dots")
             if sorted(w) != list(range(m)):
                 raise ValueError(f"{perm} is not a permutation of 1..{m}")
-            if any(e < 0 for e in u):
-                raise ValueError(f"negative dot exponent in {list(u)}")
             key = (seq, w, u)
             # to_json writes a decimal string; via str, floats are rejected
             terms[key] = terms.get(key, 0) + int(str(coeff))
@@ -289,8 +294,10 @@ class KLRRing:
     # -- ring operations ---------------------------------------------------
 
     def multiply(self, x, y):
-        """x * y, with x stacked on top of y."""
-        _check_weights(x, y)
+        """x * y, with x stacked on top of y.  Raises WeightMismatchError
+        unless both are elements of this ring (or of one over an equal
+        graph) of the same weight."""
+        _check_weights(self.graph, x, y)
         return KLRElement(self, self.multiply_terms(x.terms, y.terms))
 
     def multiply_terms(self, xterms, yterms):
@@ -416,8 +423,7 @@ class KLRRing:
         for a vertex not in the graph, and ValueError for an m that is not
         an integer >= 0.
         """
-        if type(m) is not int or m < 0:
-            raise ValueError(f"strand count {m!r} is not an integer >= 0")
+        check_int(m, "strand count", 0)
         self.graph.require_vertices((vertex,))
         seq = (vertex,) * m
         u = tuple(range(m - 1, -1, -1))

@@ -11,6 +11,7 @@ attempted.  bar (q -> 1/q) rewrites each factor via
 
 from __future__ import annotations
 
+from .cartan import check_int
 from .laurent import LaurentPoly, DivisibilityError
 
 
@@ -53,9 +54,7 @@ class GradedDim:
     def __init__(self, num: LaurentPoly, den=()):
         den = tuple(den)
         for a in den:
-            if type(a) is not int or a < 1:
-                raise ValueError(f"denominator factor {a!r} must be an "
-                                 "int >= 1")
+            check_int(a, "denominator factor", 1)
         self.num = num
         self.den = tuple(sorted(den))
 
@@ -170,8 +169,7 @@ class GradedDim:
         for e, c in num.items():
             if type(e) not in (int, str):
                 raise ValueError(f"exponent {e!r} must be an int or a string")
-            if type(c) is not int:
-                raise ValueError(f"coefficient {c!r} must be an int")
+            check_int(c, "coefficient")
         return GradedDim(LaurentPoly({int(e): c for e, c in num.items()}), den)
 
     def __str__(self):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .cartan import check_int
+
 
 class LaurentPoly:
     """A Laurent polynomial in q with integer coefficients.
@@ -116,8 +118,9 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"exponent {n!r} is not a nonnegative integer")
+        """self^n for an int n >= 0; raises ValueError for any other n
+        (``cartan.check_int``)."""
+        check_int(n, "exponent", 0)
         out = LaurentPoly.one()
         base = self
         while n:
@@ -208,17 +211,18 @@ class DivisibilityError(ArithmeticError):
 
 
 def qint(n):
-    """Balanced quantum integer [n] = q^{n-1} + q^{n-3} + ... + q^{1-n}."""
-    if n < 0:
-        raise ValueError(f"quantum integer [{n}] needs n >= 0")
+    """Balanced quantum integer [n] = q^{n-1} + q^{n-3} + ... + q^{1-n}.
+    Raises ValueError unless n is an int >= 0 (``cartan.check_int``)."""
+    check_int(n, "quantum integer n", 0)
     return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def qfact(n):
-    """Quantum factorial [n]! = [n][n-1]...[1], memoized."""
-    if n < 0:
-        raise ValueError(f"quantum factorial [{n}]! needs n >= 0")
+    """Quantum factorial [n]! = [n][n-1]...[1], memoized.  Raises
+    ValueError unless n is an int >= 0 (``cartan.check_int``); the memo is
+    typed, so 2.0 and True never read the entries of 2 and 1."""
+    check_int(n, "quantum factorial n", 0)
     out = LaurentPoly.one()
     for k in range(2, n + 1):
         out = out * qint(k)
@@ -236,7 +240,7 @@ def qmultinomial(parts):
 
 
 def qbinom(n, k):
-    """Balanced quantum binomial [n choose k]."""
-    if not 0 <= k <= n:
-        raise ValueError(f"quantum binomial needs 0 <= {k} <= {n}")
+    """Balanced quantum binomial [n choose k].  Raises ValueError unless k
+    and n are ints with 0 <= k <= n (``cartan.check_int``)."""
+    check_int(n, "quantum binomial n", check_int(k, "quantum binomial k", 0))
     return qmultinomial((k, n - k))

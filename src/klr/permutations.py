@@ -20,6 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations as _permutations
 
+from .cartan import check_int
+
 
 class GeneratorIndexError(IndexError, ValueError):
     """A dot or crossing index outside the strands of its sequence."""
@@ -31,8 +33,9 @@ def check_tokens(tokens, m):
 
     Both routes, the rewriting kernel and the polynomial representation,
     check their words here.  Raises ValueError for an unknown token type
-    or an index that is not an int (a bool is not one), and
-    GeneratorIndexError for a dot or crossing outside the m strands.
+    or an index that is not an int (``cartan.check_int``; a bool is not
+    one), and GeneratorIndexError for a dot or crossing outside the m
+    strands.
     """
     for typ, k in tokens:
         if typ == "D":
@@ -41,9 +44,7 @@ def check_tokens(tokens, m):
             what, top = "crossing", m - 1
         else:
             raise ValueError(f"unknown token type {typ!r}")
-        if type(k) is not int:
-            raise ValueError(f"{what} {k!r} is not an int")
-        if not 1 <= k <= top:
+        if not 1 <= check_int(k, what) <= top:
             raise GeneratorIndexError(
                 f"{what} {k} out of range for {m} strands")
 

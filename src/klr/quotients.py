@@ -66,7 +66,7 @@ from itertools import combinations
 from math import gcd
 from operator import add
 
-from .cartan import weight_from_dict, weight_size
+from .cartan import check_int, weight_from_dict, weight_size
 from .elements import WeightMismatchError, diagram_degree
 from .permutations import (
     all_permutations,
@@ -126,11 +126,12 @@ def graded_basis(graph, weight, d):
     """All basis keys (sequence, permutation, dots) of degree d, sorted.
 
     Each call reads a new diagram table and returns a new list; nothing
-    is kept between calls.  Raises GraphError for a vertex not in the
-    graph and ValueError for a bad weight (see ``check_weight``).
+    is kept between calls.  Raises ValueError for a degree that is not an
+    int (``cartan.check_int``), GraphError for a vertex not in the graph
+    and ValueError for a bad weight (see ``check_weight``).
     """
     diagrams = _diagrams(graph, weight)
-    return list(_keys(diagrams, d, weight_size(weight)))
+    return list(_keys(diagrams, check_int(d, "degree"), weight_size(weight)))
 
 
 def _is_central(g):
@@ -190,15 +191,14 @@ class IdealSpec:
 def cyclotomic_spec(ring, weight, lam):
     """Dots-to-the-power lambda on the leftmost strand of every sequence.
 
-    lam maps vertices to nonnegative integers (missing vertices count 0).
-    The quotient R^lambda(beta) is a symmetric algebra of degree
+    lam maps vertices to nonnegative integers (missing vertices count 0);
+    any other value raises ValueError (``cartan.check_int``).  The
+    quotient R^lambda(beta) is a symmetric algebra of degree
     d = 2 (lambda, beta) - (beta, beta) (Shan-Varagnolo-Vasserot), which
     is the spec's top rule.
     """
-    lam = dict(lam)
+    lam = {v: check_int(n, "dot power", 0) for v, n in dict(lam).items()}
     ring.graph.require_vertices([v for v, _ in weight] + list(lam))
-    if any(n < 0 for n in lam.values()):
-        raise ValueError(f"negative dot power in {lam}")
     gens = []
     for seq in seq_enumerate(weight):
         if seq:
@@ -359,13 +359,15 @@ class _IdealSpan:
     table, ranks the shifted products of degree d block by block, and
     records the dead products (see the module docstring).  Ranks are over
     F_prime for a prime below 2^64, where ``is_prime`` is exact; any other
-    prime raises ValueError, since Z/n is not a field for composite n.
-    Both ``quotient_gdim`` and ``ideal_degree_dim`` build their span here,
-    so this is the one check of the field.
+    prime raises ValueError, since Z/n is not a field for composite n, and
+    so does a prime that is not an int (``cartan.check_int``).  Both
+    ``quotient_gdim`` and ``ideal_degree_dim`` build their span here, so
+    this is the one check of the field.
     """
 
     def __init__(self, ring, spec, prime=None):
-        if prime is not None and not (prime < 2 ** 64 and is_prime(prime)):
+        if prime is not None and not (check_int(prime, "prime") < 2 ** 64
+                                      and is_prime(prime)):
             raise ValueError(f"field characteristic {prime} is not a prime "
                              f"below 2^64")
         self.ring = ring
@@ -508,8 +510,10 @@ def ideal_degree_dim(ring, spec, d, prime=None):
     shifted by the dots x^t, and the rank taken one (top, bottom) block at
     a time.  Left degrees run up to d minus the ring's degree lower bound,
     which is exhaustive, since no right factor lies below it.  Raises
-    ValueError for a prime that is not a prime below 2^64.
+    ValueError for a degree that is not an int (``cartan.check_int``) and
+    for a prime that is not a prime below 2^64.
     """
+    check_int(d, "degree")
     return _IdealSpan(ring, spec, prime).degree(d)["rank"]
 
 
@@ -571,13 +575,14 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     both parities) up to the cutoff are zero; degrees above the top count
     as zero.  Without a top rule, zeros in a window do not prove that no
     higher degree is nonzero, so a failed window is reported rather than
-    an error.  Raises ValueError for a window below 1, which would call
-    any truncated answer stabilized, for a prime that is not a prime below
-    2^64 (checked by ``_IdealSpan``), and for a window reaching below the
-    degree lower bound, where there are no degrees to read.
+    an error.  Raises ValueError for a cutoff that is not an int and a
+    window that is not an int >= 1, which would call any truncated answer
+    stabilized (``cartan.check_int``), for a prime that is not a prime
+    below 2^64 (checked by ``_IdealSpan``), and for a window reaching
+    below the degree lower bound, where there are no degrees to read.
     """
-    if window < 1:
-        raise ValueError(f"stabilization window {window} must be >= 1")
+    check_int(cutoff, "cutoff")
+    check_int(window, "stabilization window", 1)
     span = _IdealSpan(ring, spec, prime)
     lb = span.lb
     if cutoff - window + 1 < lb:

@@ -8,18 +8,16 @@ written.
 
 from __future__ import annotations
 
-from .cartan import weight_of_seq
+from .cartan import check_int, weight_of_seq
 from .laurent import LaurentPoly, qfact
 
 
 def check_weight(weight):
     """Raise ValueError unless each entry is (vertex, n) with n an int >= 0
-    and no vertex is listed twice."""
+    (``cartan.check_int``) and no vertex is listed twice."""
     seen = set()
     for v, n in weight:
-        if type(n) is not int or n < 0:
-            raise ValueError(f"count of vertex {v!r} is {n!r}, not an "
-                             f"integer >= 0")
+        check_int(n, "vertex count", 0)
         if v in seen:
             raise ValueError(f"vertex {v!r} appears twice in weight {weight}")
         seen.add(v)
@@ -52,12 +50,13 @@ def seq_enumerate(weight):
 # -- divided sequences -----------------------------------------------------
 
 def check_divided(divided):
-    """Raise ValueError unless every block is (vertex, n) with n an int >= 1."""
+    """Raise ValueError unless every block is (vertex, n) with n an int >= 1
+    (``cartan.check_int``)."""
     for block in divided:
-        if not (isinstance(block, tuple) and len(block) == 2
-                and type(block[1]) is int and block[1] >= 1):
+        if not (isinstance(block, tuple) and len(block) == 2):
             raise ValueError(f"divided-power block {block!r} is not "
-                             f"(vertex, n) with n an integer >= 1")
+                             f"(vertex, n)")
+        check_int(block[1], "divided-power block size", 1)
 
 
 def expand(divided):

@@ -42,6 +42,7 @@ def graph_files(tmp_path):
         "cycle4": cycle(4).to_json(),
         "empty": {"vertices": [], "edges": []},
         "ints": {"vertices": [1, 2], "edges": [[1, 2]]},
+        "string": {"vertices": "ij", "edges": []},
     }
     for name, obj in specs.items():
         path = tmp_path / f"{name}.json"

@@ -98,6 +98,24 @@ def test_json_round_trip(tmp_path):
     assert g2.edges == g.edges
 
 
+def test_from_json_requires_lists():
+    """A string of vertices is not a list of them, and an edge is a list
+    of two vertices; every malformed object is a GraphError."""
+    for obj in ({"vertices": "ij", "edges": []},
+                {"vertices": ("i", "j"), "edges": []},
+                {"vertices": ["i", "j"], "edges": "ij"},
+                {"vertices": ["i", "j"], "edges": [["i", "j", "k"]]},
+                {"vertices": ["i", "j"], "edges": [["i"]]},
+                {"vertices": ["i", "j"], "edges": ["ij"]},
+                {"vertices": ["i", "j"], "edges": [("i", "j")]},
+                {"vertices": ["i", "j"], "edges": [[["i"], "j"]]},
+                {"vertices": ["i", "j"]}, ["i", "j"], None):
+        with pytest.raises(GraphError, match="^malformed graph object: "):
+            CartanGraph.from_json(obj)
+    g = CartanGraph.from_json({"vertices": ["i", "j"], "edges": [["j", "i"]]})
+    assert (g.vertices, g.edges) == (a2().vertices, a2().edges)
+
+
 def test_cycle_structure():
     with pytest.raises(GraphError):
         cycle(2)

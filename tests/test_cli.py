@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -383,13 +384,17 @@ def test_bad_input_messages(capsys, graph_files, tmp_path):
         (["check", "-g", graph_files["ints"], "relations"],
          f"cannot load graph {graph_files['ints']}: vertex 1 is not a "
          f"string"),
+        # a string of vertices is not a list of them
+        (["gdim", "-g", graph_files["string"], "i", "i"],
+         f"cannot load graph {graph_files['string']}: malformed graph "
+         f"object: vertices and edges must be lists, each edge [a, b]"),
         (["multiply", "-g", graph_files["a2"], "--elem", str(nokey)],
          f"cannot load element {nokey}: term is missing key 'source'"),
         (["quotient", "-g", graph_files["a2"], "--nu", "i:-1", "--symplus"],
-         "count of vertex 'i' is -1, not an integer >= 0"),
+         "vertex count -1 is not an integer >= 0"),
         (["quotient", "-g", graph_files["a2"], "--nu", "i:-1,j:1",
           "--cyclotomic", "i:1"],
-         "count of vertex 'i' is -1, not an integer >= 0"),
+         "vertex count -1 is not an integer >= 0"),
         # the one token check, shared by the kernel and the oracle
         (["multiply", "-g", graph_files["a2"], "--word", "ij: C2"],
          "crossing 2 out of range for 2 strands"),
@@ -498,3 +503,94 @@ def test_closed_stdout_exits_quietly(graph_files):
         assert (proc.returncode, proc.stderr) == (
             EXIT_BROKEN_PIPE, b""), argv
     assert EXIT_BROKEN_PIPE not in (0, 1, 2)
+
+
+
+_FUZZ_VERTICES = {"a1": "i", "a2": "ij", "a1xa1": "ij", "cycle3": "123",
+                  "cycle4": "1234", "empty": "", "ints": "12", "string": "ij"}
+
+
+def _fuzz_argv(rng, graph_files):
+    """One random command line that argparse accepts, over small inputs:
+    at most four strands, divided powers up to 3 and weights of at most
+    four strands.  Labels are mostly vertices of the graph, and indices
+    mostly in range; a label that is not a vertex, an index out of range,
+    a zero power and a malformed field are mixed in."""
+    name = rng.choice(["a1", "a2", "a1xa1", "cycle3", "cycle4"] * 5
+                      + ["empty", "ints", "string"])
+    labels = list(_FUZZ_VERTICES[name]) * 12 + ["k"]
+
+    def seq():
+        return [rng.choice(labels) for _ in range(rng.randint(0, 4))]
+
+    def text(s):
+        return " ".join(s) if rng.random() < 0.3 else "".join(s)
+
+    def divided():
+        return " ".join(rng.choice(labels) + rng.choice(
+            ["", "", "", "", "^(2)", "^(2)", "^(3)", "^(0)", "^(x)"])
+            for _ in range(rng.randint(0, 3)))
+
+    def weight():
+        return ",".join(f"{v}:{rng.choice([0, 1, 1, 2, 2, -1])}" for v in
+                        dict.fromkeys(rng.choice(labels)
+                                      for _ in range(rng.randint(0, 2))))
+
+    def word(s):
+        tokens = [f"C{rng.randint(1, len(s) - 1)}" if len(s) > 1
+                  and rng.random() < 0.6 else f"D{rng.randint(1, len(s) or 1)}"
+                  for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.1:
+            tokens.append(rng.choice(["Z1", f"C{len(s)}", f"D{len(s) + 1}"]))
+        return f"{text(s)}: {' '.join(tokens)}"
+
+    graph = ["-g", graph_files[name]]
+    json_flag = ["--json"] if rng.random() < 0.3 else []
+    expand = ["--expand", str(rng.randint(0, 4))] if rng.random() < 0.3 else []
+    command = rng.choice(["multiply", "gdim", "pair", "char", "shuffle",
+                          "comul", "tight", "check", "quotient"])
+    if command == "multiply":
+        s = seq()
+        words = [a for _ in range(rng.choice([0, 1, 2, 2, 3, 3]))
+                 for a in ("--word", word(rng.sample(s, len(s))))]
+        return [command, *graph, *json_flag, *words]
+    if command == "gdim":
+        source = seq()
+        target = rng.sample(source, len(source))
+        if rng.random() < 0.2:
+            target = seq()
+        return [command, *graph, *json_flag, *expand, text(target),
+                text(source)]
+    if command == "pair":
+        return [command, *graph, *json_flag, *expand, divided(), divided()]
+    if command == "shuffle":
+        return [command, *graph, *json_flag, divided(), divided()]
+    if command in ("char", "comul", "tight"):
+        return [command, *graph, *json_flag, divided()]
+    if command == "check":
+        suite = rng.choice(["relations", "serre", "idempotents", "oracle",
+                            "cycle:3", "cycle:4", "cycle:2", "cycle:x",
+                            "nonsense"])
+        return [command, *graph, suite]
+    kind = (["--symplus"] if rng.random() < 0.5
+            else ["--cyclotomic", weight()])
+    return [command, *graph, *json_flag, "--nu", weight(), *kind,
+            "--cutoff", str(rng.randint(-4, 6)),
+            "--window", str(rng.choice([0, 1, 1, 2, 3])),
+            "--field", rng.choice(["Q", "Q", "Fp:2", "Fp:3", "Fp:4", "F"])]
+
+
+def test_random_command_lines_keep_the_exit_contract(capsys, graph_files):
+    """Random command lines, run in process: every one exits 0, 1 or 2,
+    and every exit 2 writes exactly one line, an error: line, to stderr."""
+    rng = random.Random(2601)
+    codes = set()
+    for _ in range(400):
+        argv = _fuzz_argv(rng, graph_files)
+        code, out, err = run(capsys, argv)
+        codes.add(code)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "" and err.startswith("error: "), argv
+            assert len(err.splitlines()) == 1, argv
+    assert codes == {0, 2}

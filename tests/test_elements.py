@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klr import (
+    CartanGraph,
     GeneratorIndexError,
     GradedDim,
     GraphError,
@@ -18,6 +19,7 @@ from klr import (
     diagram_degree,
     expand,
     factorial_poly,
+    oracle_equal,
     pair_recursive,
     qfact,
     seq_enumerate,
@@ -116,6 +118,33 @@ def test_weight_mismatch(ring_a1):
     with pytest.raises(WeightMismatchError):
         y - x
     assert x + ring_a1.zero() == x
+
+
+def test_elements_of_one_ring_only(ring_a2, ring_a1xa1):
+    """Elements of rings over graphs with other vertices or edges never
+    mix, whichever ring comes first; a ring over an equal graph, even one
+    listing its vertices in another order, is the same ring."""
+    for rx, ry in ((ring_a2, ring_a1xa1), (ring_a1xa1, ring_a2)):
+        x = rx.generator(("C", 1), ("j", "i"))
+        y = ry.generator(("C", 1), ("i", "j"))
+        z = ry.generator(("C", 1), ("j", "i"))
+        for op in (lambda: x * y, lambda: y * x, lambda: x + z,
+                   lambda: z + x, lambda: x - z, lambda: rx.zero() + z,
+                   lambda: rx.multiply(y, y), lambda: rx.multiply(x, y),
+                   lambda: ry.multiply(x, y), lambda: oracle_equal(x, z),
+                   lambda: oracle_equal(z, x)):
+            with pytest.raises(WeightMismatchError, match="other graphs"):
+                op()
+    for graph in (a2(), CartanGraph(["j", "i"], [("j", "i")])):
+        ring = KLRRing(graph)
+        x = ring.generator(("C", 1), ("j", "i"))
+        y = ring_a2.generator(("C", 1), ("i", "j"))
+        assert (x * y).terms == (ring_a2.generator(("C", 1), ("j", "i"))
+                                 * y).terms
+        assert ring_a2.multiply(x, y).terms == ring.multiply(x, y).terms
+        assert str(x * y) == "x1[ij] + x2[ij]"
+        assert oracle_equal(x + x,
+                            2 * ring_a2.generator(("C", 1), ("j", "i")))
 
 
 def test_double_crossings(ring_a1, ring_a2, ring_a1xa1):

@@ -101,11 +101,11 @@ def test_from_json_rejects_bad_objects():
 
 def test_from_json_rejects_malformed_fields():
     for obj, message in [({"num": {"0": "a"}, "den": [1]},
-                          "coefficient 'a' must be an int"),
+                          "coefficient 'a' is not an integer"),
                          ({"num": {"0": 1.0}, "den": []},
-                          "coefficient 1.0 must be an int"),
+                          "coefficient 1.0 is not an integer"),
                          ({"num": {"0": True}, "den": []},
-                          "coefficient True must be an int"),
+                          "coefficient True is not an integer"),
                          ({"num": {1.5: 1}, "den": []},
                           "exponent 1.5 must be an int or a string"),
                          ({"num": {"x": 1}, "den": []}, "'x'"),

@@ -390,10 +390,11 @@ def test_generator_index_errors(ring_a2):
 def test_token_index_must_be_an_int(ring_a2):
     g = ring_a2.graph
     ori = default_orientation(g)
-    for token, message in [(("D", 1.0), "dot position 1.0 is not an int"),
-                           (("C", "1"), "crossing '1' is not an int"),
-                           (("C", True), "crossing True is not an int"),
-                           (("D", None), "dot position None is not an int")]:
+    for token, message in [
+            (("D", 1.0), "dot position 1.0 is not an integer"),
+            (("C", "1"), "crossing '1' is not an integer"),
+            (("C", True), "crossing True is not an integer"),
+            (("D", None), "dot position None is not an integer")]:
         with pytest.raises(ValueError) as oracle:
             act_word(g, ori, ("i", "j"), [token], {(1, 0): 1})
         with pytest.raises(ValueError) as kernel:

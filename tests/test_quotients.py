@@ -608,7 +608,8 @@ def random_ideals(draw, rings):
     return ring, IdealSpec(weight, gens)
 
 
-@settings(max_examples=60, deadline=None)
+# derandomized, so that its draws, and its time, are the same on every run
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_quotient_matches_brute_force(ring_a1, ring_a2, ring_a1xa1, data):
     ring, spec = data.draw(random_ideals([ring_a1, ring_a2, ring_a1xa1]))
