@@ -2,7 +2,7 @@
 
 The symmetric bilinear form on vertices is ``i.i = 2``, ``i.j = -1`` for an
 edge, ``0`` otherwise.  A weight records how many strands carry each vertex
-label.
+label; ``CartanGraph.weight_pairing`` extends the form to two weights.
 
 ``check_int`` is the one decision of which values count as integers: every
 integer parameter of the package (counts, degrees, cutoffs, powers, strand
@@ -76,6 +76,12 @@ class CartanGraph:
         unknown = " or ".join(repr(v) for v in dict.fromkeys((i, j))
                               if v not in self.vertices)
         raise GraphError(f"unknown vertex {unknown}")
+
+    def weight_pairing(self, w1, w2):
+        """The pairing of two weights, sum n n' (v.v') over their entries
+        (v, n) and (v', n')."""
+        return sum(n1 * n2 * self.cartan(v1, v2)
+                   for v1, n1 in w1 for v2, n2 in w2)
 
     def require_vertices(self, labels):
         """Raise GraphError unless every label is a vertex."""

@@ -200,11 +200,6 @@ def shuffle_product(graph, f: CharacterVector, g: CharacterVector):
 
 # -- coproduct -------------------------------------------------------------
 
-def _bilinear(graph, w1, w2):
-    return sum(n1 * n2 * graph.cartan(v1, v2)
-               for v1, n1 in w1 for v2, n2 in w2)
-
-
 def comultiply(graph, theta):
     """Coproduct terms (left, right, coeff) of a divided monomial.
 
@@ -222,10 +217,8 @@ def comultiply(graph, theta):
         for left, right, rw, coeff in terms:
             for a in range(n + 1):
                 b = n - a
-                c = coeff * LaurentPoly.q_power(-a * b)
-                if a:
-                    twist = -_bilinear(graph, rw, ((v, a),))
-                    c = c * LaurentPoly.q_power(twist)
+                c = coeff * LaurentPoly.q_power(
+                    -a * b - graph.weight_pairing(rw, ((v, a),)))
                 nl = left + ((v, a),) if a else left
                 nr = right + ((v, b),) if b else right
                 nrw = weight_add(rw, ((v, b),)) if b else rw

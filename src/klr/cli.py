@@ -30,7 +30,8 @@ from .quotients import (
     quotient_gdim,
     sym_plus_spec,
 )
-from .sequences import expand, format_divided, format_seq, shuffles
+from .sequences import (check_divided, expand, format_divided, format_seq,
+                        shuffles)
 
 
 class CLIError(Exception):
@@ -45,8 +46,6 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 def parse_seq(text):
     """A plain sequence: juxtaposed characters, or whitespace-separated."""
     text = text.strip()
-    if not text:
-        return ()
     if " " in text or "\t" in text:
         return tuple(text.split())
     return tuple(text)
@@ -56,26 +55,21 @@ _BLOCK = re.compile(r"^(?P<v>[^^\s]+)(?:\^\((?P<n>\d+)\))?$")
 
 
 def parse_divided(text):
-    """A divided sequence: blocks like i, j^(2), space-separated or joined."""
+    """A divided sequence: blocks like i, j^(2), space-separated or joined.
+    ``sequences.check_divided`` checks the powers."""
     text = text.strip()
-    if not text:
-        return ()
     if " " in text or "\t" in text:
         parts = text.split()
-    elif "^" in text:
-        # single-character vertices with inline powers: i^(2)ji^(3)
-        parts = re.findall(r".\^\(\d+\)|.", text)
     else:
-        parts = list(text)
+        # single-character vertices, each with an optional power: i^(2)ji
+        parts = re.findall(r"(?s).(?:\^\(\d+\))?", text)
     out = []
     for part in parts:
         m = _BLOCK.match(part)
         if not m:
             raise CLIError(f"cannot parse divided-power block {part!r}")
-        n = int(m.group("n")) if m.group("n") else 1
-        if n < 1:
-            raise CLIError(f"divided power must be >= 1 in {part!r}")
-        out.append((m.group("v"), n))
+        out.append((m.group("v"), int(m.group("n") or 1)))
+    check_divided(out)
     return tuple(out)
 
 

@@ -194,6 +194,7 @@ class KLRRing:
 
     def __init__(self, graph):
         self.graph = graph
+        self._vertices = frozenset(graph.vertices)  # for ``element``
         # (c, i, w) -> normal form of psi_w e(i) with crossing c below it
         self._cross_cache = {}
         # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
@@ -217,18 +218,44 @@ class KLRRing:
     # -- constructors ------------------------------------------------------
 
     def element(self, terms):
+        """The element sum c psi_w x^u e(i) over the items ((i, w, u), c)
+        of terms, each key checked once.  i, w and u are tuples of one
+        length m, i holds vertices (GraphError), w is a permutation of
+        range(m), u holds ints >= 0 and c is an int (``cartan.check_int``,
+        so a bool is not one); terms of different weights raise
+        WeightMismatchError.  Every error is a ValueError.
+        ``KLRElement(ring, terms)`` is the raw constructor, for keys
+        already known to be valid.
+        """
+        for (i, w, u), c in terms.items():
+            if not (type(i) is type(w) is type(u) is tuple
+                    and len(w) == len(u) == len(i)):
+                raise ValueError(f"basis key {(i, w, u)!r} is not three "
+                                 f"tuples of one length")
+            if not self._vertices.issuperset(i):  # one test in C
+                self.graph.require_vertices(i)
+            check_int(c, "coefficient")
+            for x, e in zip(w, u):
+                check_int(x, "permutation entry")
+                check_int(e, "dot exponent", 0)
+            if sorted(w) != list(range(len(w))):
+                raise ValueError(f"{w} is not a permutation")
+        if len(terms) > 1 and len({tuple(sorted(i)) for i, _, _ in terms}) > 1:
+            raise WeightMismatchError("terms have different weights")
         return KLRElement(self, terms)
 
     def zero(self):
         return KLRElement(self, {})
 
     def element_from_json(self, data):
-        """Inverse of KLRElement.to_json.
+        """Inverse of KLRElement.to_json: reads the JSON shape, converts
+        the 1-based permutation and the decimal coefficient, and leaves
+        every check of the keys to ``element``.
 
-        Raises ValueError on malformed input, such as a permutation entry
-        that is not an int or a dot exponent that is not an int >= 0
-        (``cartan.check_int``): GraphError for a label that is not a vertex,
-        WeightMismatchError for terms of different weights.
+        Raises ValueError on malformed input: data that is not a list of
+        term objects with the keys source, permutation, dots and coeff,
+        list values holding no list or object, a permutation entry that is
+        not an int, or a coefficient that is not a decimal integer.
         """
         if not (isinstance(data, list)
                 and all(isinstance(obj, dict) for obj in data)):
@@ -240,25 +267,15 @@ class KLRRing:
                                           obj["dots"], obj["coeff"])
             except KeyError as exc:
                 raise ValueError(f"term is missing key {exc}") from None
-            if not all(isinstance(x, list) for x in (seq, perm, dots)):
-                raise ValueError("source, permutation and dots must be lists")
-            seq = tuple(seq)
-            self.graph.require_vertices(seq)
-            w = tuple(check_int(x, "permutation entry") - 1 for x in perm)
-            u = tuple(check_int(e, "dot exponent", 0) for e in dots)
-            m = len(seq)
-            if len(w) != m or len(u) != m:
-                raise ValueError(f"term over {m} strands has permutation "
-                                 f"length {len(w)} and {len(u)} dots")
-            if sorted(w) != list(range(m)):
-                raise ValueError(f"{perm} is not a permutation of 1..{m}")
-            key = (seq, w, u)
+            if not all(isinstance(x, list) for x in (seq, perm, dots)) or any(
+                    isinstance(x, (list, dict)) for x in seq + dots):
+                raise ValueError("source, permutation and dots must be lists "
+                                 "holding no lists or objects")
+            key = (tuple(seq), tuple(check_int(x, "permutation entry") - 1
+                                     for x in perm), tuple(dots))
             # to_json writes a decimal string; via str, floats are rejected
             terms[key] = terms.get(key, 0) + int(str(coeff))
-        elem = KLRElement(self, terms)
-        if len({weight_of_seq(i) for i, _, _ in elem.terms}) > 1:
-            raise WeightMismatchError("terms have different weights")
-        return elem
+        return self.element(terms)
 
     def idempotent(self, seq):
         return self.evaluate_word(seq, [])

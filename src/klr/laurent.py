@@ -229,10 +229,18 @@ def qfact(n):
     return out
 
 
-@lru_cache(maxsize=None)
 def qmultinomial(parts):
     """Balanced quantum multinomial [sum parts]! / prod [n]! over the tuple
-    parts; exact Laurent division, memoized."""
+    parts; exact Laurent division, memoized.  Raises ValueError unless
+    every part is an int >= 0 (``cartan.check_int``).  The memo is keyed
+    on the checked tuple, so (1.0, 2) raises even once (1, 2) is cached."""
+    for n in parts:
+        check_int(n, "qmultinomial part", 0)
+    return _qmultinomial(tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def _qmultinomial(parts):
     den = LaurentPoly.one()
     for n in parts:
         den = den * qfact(n)

@@ -67,7 +67,7 @@ from math import gcd
 from operator import add
 
 from .cartan import check_int, weight_from_dict, weight_size
-from .elements import WeightMismatchError, diagram_degree
+from .elements import KLRElement, WeightMismatchError, diagram_degree
 from .permutations import (
     all_permutations,
     apply_perm_to_seq,
@@ -207,8 +207,7 @@ def cyclotomic_spec(ring, weight, lam):
     spec = IdealSpec(weight, gens)
     beta = spec.weight
     d = (2 * sum(lam.get(v, 0) * n for v, n in beta)
-         - sum(n * k * ring.graph.cartan(v, u)
-               for v, n in beta for u, k in beta))
+         - ring.graph.weight_pairing(beta, beta))
     spec._top_rule = ("symmetric", d)
     return spec
 
@@ -235,7 +234,7 @@ def sym_plus_spec(ring, weight):
                 for subset in combinations(positions, t):
                     u = tuple(1 if a in subset else 0 for a in range(m))
                     terms[(seq, identity(m), u)] = 1
-            gens.append(ring.element(terms))
+            gens.append(KLRElement(ring, terms))
     spec = IdealSpec(weight, gens)
     # a crossing of two strands of colors c, c' has degree -(c . c'): -2
     # for one color, 1 along an edge, 0 otherwise.  psi_w e(j) crosses each
@@ -380,7 +379,7 @@ class _IdealSpan:
                 split.setdefault(_sector(key), {})[key] = c
             for (top, bottom), terms in split.items():
                 self.pieces.setdefault(g.degree(), []).append(
-                    (top, bottom, ring.element(terms)))
+                    (top, bottom, KLRElement(ring, terms)))
         self.central = spec.central
         self.m = weight_size(spec.weight)
         self.diagrams = _diagrams(ring.graph, spec.weight)
@@ -428,9 +427,9 @@ class _IdealSpan:
                                       self.m):
                         if dots_only and any(akey[2]):
                             continue
-                        elem = ring.multiply(ring.element({akey: 1}), piece)
+                        ag = ring.multiply(KLRElement(ring, {akey: 1}), piece)
                         sectors.setdefault((_sector(akey)[0], bottom),
-                                           []).append(elem.terms)
+                                           []).append(ag.terms)
         out = []
         for sector, candidates in sectors.items():
             for terms in candidates:

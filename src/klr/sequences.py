@@ -60,7 +60,8 @@ def check_divided(divided):
 
 
 def expand(divided):
-    """The plain sequence obtained by repeating each block's vertex."""
+    """The plain sequence obtained by repeating each block's vertex; the
+    blocks are not checked (see ``check_divided``)."""
     out = []
     for v, n in divided:
         out.extend([v] * n)

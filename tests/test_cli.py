@@ -37,6 +37,7 @@ def test_parse_divided():
     assert parse_divided("i^(2)j") == (("i", 2), ("j", 1))
     assert parse_divided("i^(2) j i^(3)") == (("i", 2), ("j", 1), ("i", 3))
     assert parse_divided("iji") == (("i", 1), ("j", 1), ("i", 1))
+    assert parse_divided("") == parse_divided("  ") == ()
 
 
 def test_parse_weight():
@@ -361,6 +362,7 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
         ["comul", "-g", graph_files["a2"], "k"],
         # parse errors of a divided sequence, a weight and a word
         ["tight", "-g", graph_files["a2"], "i^x"],
+        ["shuffle", "-g", graph_files["a2"], "i^(0)", "j"],
         ["quotient", "-g", graph_files["a1"], "--nu", "i", "--symplus"],
         ["quotient", "-g", graph_files["a1"], "--nu", "i:x", "--symplus"],
         ["multiply", "-g", graph_files["a2"], "--word", "ij C1"],
@@ -400,6 +402,10 @@ def test_bad_input_messages(capsys, graph_files, tmp_path):
          "crossing 2 out of range for 2 strands"),
         (["multiply", "-g", graph_files["a2"], "--word", "ij: D3"],
          "dot position 3 out of range for 2 strands"),
+        # the one check of divided powers, also for shuffle, which expands
+        # its sequences without checking them
+        (["shuffle", "-g", graph_files["a2"], "i^(0)", "j"],
+         "divided-power block size 0 is not an integer >= 1"),
         # the parser's own errors
         (["tight", "-g", graph_files["a2"], "i^x"],
          "cannot parse divided-power block '^'"),

@@ -79,17 +79,44 @@ def test_generator_range_errors(ring_a2):
             make()
 
 
+def _basis_key(term):
+    """The 0-based basis key of a JSON term: its lists read as tuples and
+    its int permutation entries lowered by one, everything else as is."""
+    seq, perm, dots = (tuple(v) if isinstance(v, list) else v
+                       for v in (term["source"], term["permutation"],
+                                 term["dots"]))
+    if isinstance(perm, tuple):
+        perm = tuple(x - 1 if type(x) is int else x for x in perm)
+    return seq, perm, dots
+
+
 def test_element_from_json_rejects_bad_vectors(ring_a2):
+    """Every bad term is rejected by element_from_json and, as a 0-based
+    basis key, by ring.element, the one check of basis keys."""
     good = {"source": ["i", "j"], "permutation": [2, 1], "dots": [0, 1],
             "coeff": 1}
+    ii = {"source": ["i", "i"], "permutation": [1, 2], "dots": [0, 0],
+          "coeff": 1}
     assert ring_a2.element_from_json([good]) == ring_a2.element(
         {(("i", "j"), (1, 0), (0, 1)): 1})
-    for bad in ({"permutation": [1]}, {"permutation": [1, 2, 3]},
-                {"dots": [0, 0, 0]}, {"dots": [0]}, {"permutation": [1, 1]},
-                {"permutation": [0, 1]}, {"dots": [0, -1]},
-                {"permutation": ["a", "b"]}, {"dots": [0.5, 0]},
-                {"dots": "01"}, {"coeff": 1.5}, {"coeff": None},
-                {"source": ["i", "k"]}):
+    assert ring_a2.element({}) == ring_a2.zero()
+    assert ring_a2.element({((), (), ()): 1}) == ring_a2.idempotent(())
+    bad_terms = [[{**good, **bad}] for bad in (
+        {"permutation": [1]}, {"permutation": [1, 2, 3]},
+        {"dots": [0, 0, 0]}, {"dots": [0]}, {"permutation": [1, 1]},
+        {"permutation": [0, 1]}, {"dots": [0, -1]},
+        {"permutation": ["a", "b"]}, {"dots": [0.5, 0]},
+        {"dots": "01"}, {"coeff": 1.5}, {"coeff": None},
+        {"source": ["i", "k"]}, {"source": "ij"}, {"coeff": True},
+        {"coeff": 0.5})] + [[good, ii]]
+    for terms in bad_terms:
+        with pytest.raises(ValueError):
+            ring_a2.element_from_json(terms)
+        with pytest.raises(ValueError):
+            ring_a2.element({_basis_key(t): t["coeff"] for t in terms})
+    # a list inside the source or the dots cannot be part of a dict key,
+    # so it only reaches the JSON reader
+    for bad in ({"source": [["i"], "j"]}, {"dots": [[0], 1]}):
         with pytest.raises(ValueError):
             ring_a2.element_from_json([{**good, **bad}])
     for data in (good, "ij", [good, 1]):
@@ -102,10 +129,10 @@ def test_element_from_json_rejects_bad_vectors(ring_a2):
         rest = {k: v for k, v in good.items() if k != key}
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
             ring_a2.element_from_json([rest])
-    ii = {"source": ["i", "i"], "permutation": [1, 2], "dots": [0, 0],
-          "coeff": "1"}
     with pytest.raises(WeightMismatchError):
         ring_a2.element_from_json([good, ii])
+    with pytest.raises(WeightMismatchError):
+        ring_a2.element({_basis_key(t): 1 for t in (good, ii)})
 
 
 def test_weight_mismatch(ring_a1):

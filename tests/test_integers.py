@@ -28,6 +28,7 @@ from klr import (
     single_vertex,
     sym_plus_spec,
 )
+from klr.laurent import qmultinomial
 
 NOT_INTS = (1.5, 2.0, True, False, "2", None)
 
@@ -39,6 +40,14 @@ SYM = sym_plus_spec(A1, (("i", 2),))  # lowest degree -2, top 2
 def _element(perm, dots):
     return A1.element_from_json([{"source": ["i"], "permutation": perm,
                                   "dots": dots, "coeff": "1"}])
+
+
+def _qmultinomial(n):
+    # warm the memo with the ints that 2.0, True and False equal, so a
+    # part that skips the check would read a cached answer
+    for k in (0, 1, 2):
+        qmultinomial((k, 2))
+    return qmultinomial((n, 2))
 
 
 def _act(k):
@@ -75,6 +84,7 @@ PARAMETERS = {
         lambda n: LaurentPoly({1: 1}) ** n, -1, 0, LaurentPoly.one()),
     "qint": (qint, -1, 0, LaurentPoly.zero()),
     "qfact": (qfact, -1, 0, LaurentPoly.one()),
+    "qmultinomial part": (_qmultinomial, -1, 0, LaurentPoly.one()),
     "qbinom n": (lambda n: qbinom(n, 0), -1, 0, LaurentPoly.one()),
     "qbinom k": (lambda k: qbinom(3, k), -1, 0, LaurentPoly.one()),
     "cyclotomic dot power": (

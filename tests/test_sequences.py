@@ -2,7 +2,21 @@ from math import comb, factorial
 
 import pytest
 
-from klr import GraphError, a1xa1, a2, seq_enumerate
+from klr import (
+    GraphError,
+    KLRRing,
+    a1xa1,
+    a2,
+    act_word,
+    char_projective,
+    comultiply,
+    default_orientation,
+    pair_monomials,
+    pair_recursive,
+    seq_enumerate,
+    tight,
+)
+from klr.characters import K0Vector
 from klr.laurent import LaurentPoly, qfact
 from klr.sequences import (
     divided_weight,
@@ -72,6 +86,29 @@ def test_shuffles_reject_unknown_vertex():
                          (("k", "i"), ("j",))):
         with pytest.raises(GraphError, match="unknown vertex 'k'"):
             shuffles(g, seq_i, seq_j)
+
+
+def test_non_sequences_raise_type_error():
+    """The contract for arguments: a value of the right type that is out
+    of range raises a ValueError subclass, and an argument of the wrong
+    Python type, here an int where a sequence goes, raises TypeError."""
+    g = a2()
+    ring = KLRRing(g)
+    orient = default_orientation(g)
+    calls = (lambda: shuffles(g, ("i",), 3), lambda: shuffles(g, 3, ("i",)),
+             lambda: seq_enumerate(3), lambda: char_projective(ring, 3),
+             lambda: pair_monomials(ring, 3, 3),
+             lambda: pair_recursive(ring, 3, 3),
+             lambda: ring.gdim_hom(3, 3), lambda: comultiply(g, 3),
+             lambda: ring.evaluate_word(3, []),
+             lambda: ring.evaluate_word(("i",), 3),
+             lambda: act_word(g, orient, 3, [], {(): 1}),
+             lambda: K0Vector.monomial(3), lambda: tight(ring, 3))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(ValueError):
+        shuffles(g, ("i",), ("k",))
 
 
 def test_shuffles_cardinality():
