@@ -3,6 +3,9 @@
 The symmetric bilinear form on vertices is ``i.i = 2``, ``i.j = -1`` for an
 edge, ``0`` otherwise.  A weight records how many strands carry each vertex
 label; ``CartanGraph.weight_pairing`` extends the form to two weights.
+``CartanGraph`` answers every graph question the other modules ask: the
+pairing, equality of graphs (their pairing tables are equal) and whether
+labels are vertices (one frozenset of them).
 
 ``check_int`` is the one decision of which values count as integers: every
 integer parameter of the package (counts, degrees, cutoffs, powers, strand
@@ -38,16 +41,16 @@ class CartanGraph:
     unordered pairs of distinct vertices.
     """
 
-    __slots__ = ("vertices", "edges", "_pairing")
+    __slots__ = ("vertices", "edges", "_vertex_set", "_pairing")
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         for v in self.vertices:
             if not isinstance(v, str):
                 raise GraphError(f"vertex {v!r} is not a string")
-        if len(set(self.vertices)) != len(self.vertices):
+        vset = self._vertex_set = frozenset(self.vertices)
+        if len(vset) != len(self.vertices):
             raise GraphError("duplicate vertex")
-        vset = set(self.vertices)
         seen = set()
         for a, b in edges:
             if a == b:
@@ -59,23 +62,33 @@ class CartanGraph:
                 raise GraphError(f"duplicate edge {a!r}-{b!r}")
             seen.add(key)
         self.edges = frozenset(seen)
-        # the nonzero pairings only, so the table grows with the edges
+        # the nonzero pairings only, so the table grows with the edges; it
+        # holds every vertex and every edge, and is what equality compares
         self._pairing = {(v, v): 2 for v in self.vertices}
         for a, b in self.edges:
             self._pairing[a, b] = self._pairing[b, a] = -1
 
+    def __eq__(self, other):
+        """Equal graphs have equal pairing tables: the same vertices and
+        the same edges, listed in any order."""
+        return (isinstance(other, CartanGraph)
+                and self._pairing == other._pairing)
+
+    def __hash__(self):
+        return hash(frozenset(self._pairing.items()))
+
     def cartan(self, i, j):
         """The pairing i.j in {2, -1, 0}, read from the table of nonzero
-        pairs; two vertices missing from it pair to 0."""
-        pairing = self._pairing
-        value = pairing.get((i, j))
-        if value is not None:
-            return value
-        if (i, i) in pairing and (j, j) in pairing:
+        pairs; two vertices missing from it pair to 0, and a label that is
+        not a vertex raises GraphError (``require_vertices``)."""
+        try:
+            value = self._pairing.get((i, j))
+        except TypeError:  # an unhashable label
+            value = None
+        if value is None:
+            self.require_vertices((i, j))
             return 0
-        unknown = " or ".join(repr(v) for v in dict.fromkeys((i, j))
-                              if v not in self.vertices)
-        raise GraphError(f"unknown vertex {unknown}")
+        return value
 
     def weight_pairing(self, w1, w2):
         """The pairing of two weights, sum n n' (v.v') over their entries
@@ -84,10 +97,19 @@ class CartanGraph:
                    for v1, n1 in w1 for v2, n2 in w2)
 
     def require_vertices(self, labels):
-        """Raise GraphError unless every label is a vertex."""
-        for v in labels:
-            if v not in self.vertices:
-                raise GraphError(f"unknown vertex {v!r}")
+        """Raise GraphError unless every label is a vertex, naming each
+        label that is not one: a label that is not a string, hashable or
+        not, is not a vertex."""
+        labels = tuple(labels)
+        try:
+            if self._vertex_set.issuperset(labels):  # one test in C
+                return
+        except TypeError:  # an unhashable label
+            pass
+        unknown = (v for v in labels
+                   if not (isinstance(v, str) and v in self._vertex_set))
+        raise GraphError("unknown vertex "
+                         + " or ".join(dict.fromkeys(map(repr, unknown))))
 
     def to_json(self):
         return {"vertices": list(self.vertices),

@@ -229,12 +229,19 @@ def comultiply(graph, theta):
 
 # -- the bilinear form -----------------------------------------------------
 
+def _same_weight(ring, theta, theta2):
+    """Whether two divided sequences have one weight, where the form may
+    be nonzero.  The one input check of both pairing routes: ValueError on
+    a bad block, GraphError on a label that is not a vertex."""
+    check_divided(theta + theta2)
+    ring.graph.require_vertices(v for v, _ in theta + theta2)
+    return divided_weight(theta) == divided_weight(theta2)
+
+
 def pair_monomials(ring, theta, theta2) -> GradedDim:
     """(theta, theta') via the hom-space graded dimension."""
     theta, theta2 = tuple(theta), tuple(theta2)
-    check_divided(theta + theta2)
-    ring.graph.require_vertices(v for v, _ in theta + theta2)
-    if divided_weight(theta) != divided_weight(theta2):
+    if not _same_weight(ring, theta, theta2):
         return GradedDim.zero()
     # the upside-down flip preserves degree: the (theta, theta') sector has
     # the graded dimension of the (theta', theta) one
@@ -251,9 +258,7 @@ def pair_recursive(ring, theta, theta2) -> GradedDim:
     theta'! [P_theta'].
     """
     theta, theta2 = tuple(theta), tuple(theta2)
-    check_divided(theta + theta2)
-    ring.graph.require_vertices(v for v, _ in theta + theta2)
-    if divided_weight(theta) != divided_weight(theta2):
+    if not _same_weight(ring, theta, theta2):
         return GradedDim.zero()
     plain_seq = expand(theta2)
     raw = GradedDim(_pair_plain(ring, theta, plain_seq), (1,) * len(plain_seq))
@@ -418,13 +423,13 @@ def cycle_alpha(ring, n):
     1 2 ... n 1 2 ... n; its defining properties (degree 0, endomorphism of
     the sequence, the degree-0 sector being two-dimensional) are asserted.
     Raises GraphError unless the vertices '1'..'n' of the ring's graph
-    induce an n-cycle.
+    induce an n-cycle, that is, pair as they do in ``cycle(n)``.
     """
     target = cycle(n)
     verts = target.vertices
-    vset = set(verts)
-    induced = {e for e in ring.graph.edges if e <= vset}
-    if not vset <= set(ring.graph.vertices) or induced != target.edges:
+    ring.graph.require_vertices(verts)
+    if any(ring.graph.cartan(a, b) != target.cartan(a, b)
+           for a in verts for b in verts):
         raise GraphError("ring is not over the n-cycle")
     seq = verts + verts
     w = tuple((a + n) % (2 * n) for a in range(2 * n))

@@ -30,12 +30,8 @@ from .quotients import (
     quotient_gdim,
     sym_plus_spec,
 )
-from .sequences import (check_divided, expand, format_divided, format_seq,
-                        shuffles)
-
-
-class CLIError(Exception):
-    """Bad input; reported on stderr with exit code 2."""
+from .sequences import (check_divided, check_weight, expand, format_divided,
+                        format_seq, shuffles)
 
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
@@ -67,31 +63,28 @@ def parse_divided(text):
     for part in parts:
         m = _BLOCK.match(part)
         if not m:
-            raise CLIError(f"cannot parse divided-power block {part!r}")
+            raise ValueError(f"cannot parse divided-power block {part!r}")
         out.append((m.group("v"), int(m.group("n") or 1)))
     check_divided(out)
     return tuple(out)
 
 
 def parse_weight(text):
-    """A weight like "i:2,j:1"; each vertex may appear once."""
-    out = {}
+    """A weight like "i:2,j:1", checked by ``sequences.check_weight``."""
+    out = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         if ":" not in piece:
-            raise CLIError(f"weight entry {piece!r} is not vertex:count")
+            raise ValueError(f"weight entry {piece!r} is not vertex:count")
         v, _, n = piece.partition(":")
         try:
-            n = int(n)
+            out.append((v.strip(), int(n)))
         except ValueError:
-            raise CLIError(f"bad multiplicity in {piece!r}")
-        v = v.strip()
-        if v in out:
-            raise CLIError(f"vertex {v!r} appears twice in {text!r}")
-        out[v] = n
-    return weight_from_dict(out)
+            raise ValueError(f"bad multiplicity in {piece!r}") from None
+    check_weight(out)
+    return weight_from_dict(dict(out))
 
 
 def parse_field(text):
@@ -101,7 +94,7 @@ def parse_field(text):
         return None
     m = re.match(r"^Fp:(\d+)$", text)
     if not m:
-        raise CLIError("--field must be Q or Fp:<p>")
+        raise ValueError("--field must be Q or Fp:<p>")
     return int(m.group(1))
 
 
@@ -111,14 +104,14 @@ _TOKEN = re.compile(r"^([CD])(\d+)$")
 def parse_word(text):
     """A generator word "seq: C1 D2"; returns (sequence, token list)."""
     if ":" not in text:
-        raise CLIError(f"word {text!r} must be '<seq>: <tokens>'")
+        raise ValueError(f"word {text!r} must be '<seq>: <tokens>'")
     head, _, tail = text.partition(":")
     seq = parse_seq(head)
     tokens = []
     for piece in tail.split():
         m = _TOKEN.match(piece)
         if not m:
-            raise CLIError(f"bad token {piece!r} (expected C<k> or D<k>)")
+            raise ValueError(f"bad token {piece!r} (expected C<k> or D<k>)")
         tokens.append((m.group(1), int(m.group(2))))
     return seq, tokens
 
@@ -127,7 +120,7 @@ def load_graph(path):
     try:
         return CartanGraph.load(path)
     except (OSError, ValueError) as exc:
-        raise CLIError(f"cannot load graph {path}: {exc}")
+        raise ValueError(f"cannot load graph {path}: {exc}")
 
 
 def _print(obj, args):
@@ -159,9 +152,9 @@ def cmd_multiply(ring, args):
             with open(path) as fh:
                 factors.append(ring.element_from_json(json.load(fh)))
         except (OSError, ValueError) as exc:
-            raise CLIError(f"cannot load element {path}: {exc}")
+            raise ValueError(f"cannot load element {path}: {exc}")
     if not factors:
-        raise CLIError("need at least one --word or --elem")
+        raise ValueError("need at least one --word or --elem")
     out = factors[0]
     for f in factors[1:]:
         out = out * f
@@ -216,7 +209,7 @@ def cmd_tight(ring, args):
 def cmd_quotient(ring, args):
     weight = parse_weight(args.nu)
     if (args.cyclotomic is None) == (not args.symplus):
-        raise CLIError("specify exactly one of --cyclotomic or --symplus")
+        raise ValueError("specify exactly one of --cyclotomic or --symplus")
     if args.symplus:
         spec = sym_plus_spec(ring, weight)
     else:
@@ -323,7 +316,7 @@ def main(argv=None):
         code = args.func(KLRRing(load_graph(args.graph)), args) or 0
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
-    except (CLIError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -68,14 +68,19 @@ class InhomogeneousError(ValueError):
     """Degree requested for a zero or inhomogeneous element."""
 
 
+def _check_rings(graph, *elements):
+    """Raise WeightMismatchError unless every element is in the ring over
+    graph, or over an equal graph (``CartanGraph.__eq__``)."""
+    for x in elements:
+        if x.ring.graph is not graph and x.ring.graph != graph:
+            raise WeightMismatchError("elements of rings over other graphs")
+
+
 def _check_weights(graph, x, y):
     """Raise WeightMismatchError unless x and y are elements of the ring
-    over graph, or over a graph with the same vertices and edges, and
-    have the same weight (the zero element has every weight)."""
-    for g in (x.ring.graph, y.ring.graph):
-        if g is not graph and (set(g.vertices), g.edges) != (
-                set(graph.vertices), graph.edges):
-            raise WeightMismatchError("elements of rings over other graphs")
+    over graph (see ``_check_rings``) and have the same weight (the zero
+    element has every weight)."""
+    _check_rings(graph, x, y)
     wx, wy = x.weight, y.weight
     if wx is not None and wy is not None and wx != wy:
         raise WeightMismatchError(f"weights differ: {wx} vs {wy}")
@@ -127,7 +132,8 @@ class KLRElement:
             return not self.terms
         if not isinstance(other, KLRElement):
             return NotImplemented
-        return self.terms == other.terms
+        # elements of rings over unequal graphs are never equal
+        return self.terms == other.terms and self.ring.graph == other.ring.graph
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -194,7 +200,6 @@ class KLRRing:
 
     def __init__(self, graph):
         self.graph = graph
-        self._vertices = frozenset(graph.vertices)  # for ``element``
         # (c, i, w) -> normal form of psi_w e(i) with crossing c below it
         self._cross_cache = {}
         # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
@@ -232,8 +237,7 @@ class KLRRing:
                     and len(w) == len(u) == len(i)):
                 raise ValueError(f"basis key {(i, w, u)!r} is not three "
                                  f"tuples of one length")
-            if not self._vertices.issuperset(i):  # one test in C
-                self.graph.require_vertices(i)
+            self.graph.require_vertices(i)
             check_int(c, "coefficient")
             for x, e in zip(w, u):
                 check_int(x, "permutation entry")
@@ -335,7 +339,10 @@ class KLRRing:
         return out
 
     def psi(self, x):
-        """Horizontal flip: antiautomorphism fixing idempotents and dots."""
+        """Horizontal flip: antiautomorphism fixing idempotents and dots.
+        Raises WeightMismatchError for an element of a ring over another
+        graph, as every operation on elements does."""
+        _check_rings(self.graph, x)
         out = {}
         for (i, w, u), c in x.terms.items():
             start = {(i, identity(len(i)), u): c}
@@ -343,7 +350,10 @@ class KLRRing:
         return KLRElement(self, out)
 
     def sigma(self, x):
-        """Vertical flip with sign (-1)^(number of equal-label crossings)."""
+        """Vertical flip with sign (-1)^(number of equal-label crossings).
+        Raises WeightMismatchError for an element of a ring over another
+        graph."""
+        _check_rings(self.graph, x)
         out = {}
         for (i, w, u), c in x.terms.items():
             m = len(i)
@@ -357,7 +367,10 @@ class KLRRing:
         return KLRElement(self, out)
 
     def juxtapose(self, x, y):
-        """Place diagrams side by side (the non-unital inclusion)."""
+        """Place diagrams side by side (the non-unital inclusion).  Raises
+        WeightMismatchError for an element of a ring over another graph;
+        the weights may differ."""
+        _check_rings(self.graph, x, y)
         out = {}
         for (i1, w1, u1), c1 in x.terms.items():
             for (i2, w2, u2), c2 in y.terms.items():

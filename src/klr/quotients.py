@@ -219,8 +219,7 @@ def sym_plus_spec(ring, weight):
     ideal they generate needs only one-sided multipliers.  The quotient
     has the basis psi_w x^u e(i), u in the Artin staircase (KL I, section
     2), so its top degree, the spec's top rule, is the highest degree of a
-    dot-free diagram, the sum over edges {c, c'} of n_c n_c', plus
-    sum_c n_c (n_c - 1).
+    dot-free diagram, sum_c n_c^2 - (nu, nu) / 2, plus sum_c n_c (n_c - 1).
     """
     ring.graph.require_vertices(v for v, _ in weight)
     seqs = seq_enumerate(weight)
@@ -240,10 +239,11 @@ def sym_plus_spec(ring, weight):
     # for one color, 1 along an edge, 0 otherwise.  psi_w e(j) crosses each
     # pair at most once, and the sorted j with its color blocks reversed
     # crosses every pair of two colors and no pair of one color, so the
-    # highest diagram degree is the sum over edges of n_c n_c'
-    n = dict(spec.weight)
-    top = sum(n.get(a, 0) * n.get(b, 0) for a, b in ring.graph.edges)
-    spec._top_rule = ("top", top + sum(k * (k - 1) for k in n.values()))
+    # highest diagram degree is sum_{c < c'} n_c n_c' (-c . c'), which is
+    # sum_c n_c^2 - (nu, nu) / 2; the top staircase adds sum_c n_c (n_c - 1)
+    nu = spec.weight
+    spec._top_rule = ("top", sum(n * (2 * n - 1) for _, n in nu)
+                      - ring.graph.weight_pairing(nu, nu) // 2)
     return spec
 
 
@@ -361,7 +361,9 @@ class _IdealSpan:
     prime raises ValueError, since Z/n is not a field for composite n, and
     so does a prime that is not an int (``cartan.check_int``).  Both
     ``quotient_gdim`` and ``ideal_degree_dim`` build their span here, so
-    this is the one check of the field.
+    this is the one check of the field, and of the generators' ring: a
+    generator of a ring over another graph (``CartanGraph.__eq__``) raises
+    WeightMismatchError, as its keys would be read as other elements.
     """
 
     def __init__(self, ring, spec, prime=None):
@@ -374,6 +376,8 @@ class _IdealSpan:
         self.lb = degree_lower_bound(spec.weight)
         self.pieces = {}  # degree -> [(top, bottom, piece)]
         for g in spec.generators:
+            if g.ring.graph != ring.graph:  # its keys mean another ring
+                raise WeightMismatchError("elements of rings over other graphs")
             split = {}
             for key, c in g.terms.items():
                 split.setdefault(_sector(key), {})[key] = c
@@ -411,11 +415,12 @@ class _IdealSpan:
         if hit is not None:
             return hit
         ring, prime = self.ring, self.prime
-        sectors = {}  # (top, bottom) -> candidate terms
         if self.central:
-            for top, bottom, piece in self.pieces.get(e, ()):
-                sectors.setdefault((top, bottom), []).append(piece.terms)
+            out = [(top, bottom, terms)
+                   for top, bottom, piece in self.pieces.get(e, ())
+                   if (terms := _sparse(piece.terms.items(), prime))]
         else:
+            out = []
             ident = identity(self.m)
             for dg, pieces in self.pieces.items():
                 for top, bottom, piece in pieces:
@@ -428,14 +433,9 @@ class _IdealSpan:
                         if dots_only and any(akey[2]):
                             continue
                         ag = ring.multiply(KLRElement(ring, {akey: 1}), piece)
-                        sectors.setdefault((_sector(akey)[0], bottom),
-                                           []).append(ag.terms)
-        out = []
-        for sector, candidates in sectors.items():
-            for terms in candidates:
-                terms = _sparse(terms.items(), prime)
-                if terms:
-                    out.append(sector + (terms,))
+                        terms = _sparse(ag.terms.items(), prime)
+                        if terms:
+                            out.append((_sector(akey)[0], bottom, terms))
         self._left[e] = out
         return out
 

@@ -63,6 +63,32 @@ def test_unknown_vertex():
     a2().require_vertices("iji")
     with pytest.raises(GraphError):
         a2().require_vertices("ijz")
+    # every label that is not a vertex is named, once each and in order,
+    # and a generator of labels is read once
+    with pytest.raises(GraphError) as err:
+        a2().require_vertices(("k", "i", 0, "k", ("k",)))
+    assert str(err.value) == "unknown vertex 'k' or 0 or ('k',)"
+    a2().require_vertices(v for v in "jij")
+    with pytest.raises(GraphError, match="^unknown vertex 'k'$"):
+        a2().require_vertices(v for v in "ijk")
+
+
+def test_graph_equality():
+    """Graphs are equal when they have the same vertices and the same
+    edges, whatever the order or orientation they were listed in, and equal
+    graphs hash alike."""
+    same = (a2(), CartanGraph(["j", "i"], [("j", "i")]),
+            CartanGraph.from_json({"vertices": ["j", "i"],
+                                   "edges": [["i", "j"]]}))
+    for g in same:
+        assert g == a2() and not g != a2() and hash(g) == hash(a2())
+    assert cycle(3) == CartanGraph(["3", "1", "2"],
+                                   [("1", "3"), ("3", "2"), ("2", "1")])
+    for g in (a1xa1(), single_vertex(), a2("i", "k"), cycle(3),
+              CartanGraph([], []), CartanGraph(["i", "j", "k"], [("i", "j")])):
+        assert g != a2() and not g == a2()
+    assert len({*same, a1xa1(), a1xa1()}) == 2
+    assert a2() != a2().to_json() and a2() != "a2"
 
 
 def test_loop_rejected():

@@ -397,6 +397,21 @@ def test_bad_input_messages(capsys, graph_files, tmp_path):
         (["quotient", "-g", graph_files["a2"], "--nu", "i:-1,j:1",
           "--cyclotomic", "i:1"],
          "vertex count -1 is not an integer >= 0"),
+        # the one weight check, for --nu and --cyclotomic alike
+        (["quotient", "-g", graph_files["a2"], "--nu", "i:1,i:2",
+          "--symplus"],
+         "vertex 'i' appears twice in weight [('i', 1), ('i', 2)]"),
+        (["quotient", "-g", graph_files["a2"], "--nu", "i:1,j:1",
+          "--cyclotomic", "i:-1"],
+         "vertex count -1 is not an integer >= 0"),
+        # the graph's one vertex check names every unknown label
+        (["quotient", "-g", graph_files["a2"], "--nu", "k:1,l:1",
+          "--symplus"],
+         "unknown vertex 'k' or 'l'"),
+        (["check", "-g", graph_files["cycle3"], "cycle:4"],
+         "unknown vertex '4'"),
+        (["check", "-g", graph_files["cycle4"], "cycle:3"],
+         "ring is not over the n-cycle"),
         # the one token check, shared by the kernel and the oracle
         (["multiply", "-g", graph_files["a2"], "--word", "ij: C2"],
          "crossing 2 out of range for 2 strands"),

@@ -155,13 +155,22 @@ def test_elements_of_one_ring_only(ring_a2, ring_a1xa1):
         x = rx.generator(("C", 1), ("j", "i"))
         y = ry.generator(("C", 1), ("i", "j"))
         z = ry.generator(("C", 1), ("j", "i"))
+        # psi_w e(iiji) for w = (0, 3, 2, 1): a1xa1 flips it to a single
+        # key, a2 to two, so a flip in the wrong ring answers wrong
+        w = ry.element({(("i", "i", "j", "i"), (0, 3, 2, 1), (0,) * 4): 1})
         for op in (lambda: x * y, lambda: y * x, lambda: x + z,
                    lambda: z + x, lambda: x - z, lambda: rx.zero() + z,
                    lambda: rx.multiply(y, y), lambda: rx.multiply(x, y),
                    lambda: ry.multiply(x, y), lambda: oracle_equal(x, z),
-                   lambda: oracle_equal(z, x)):
+                   lambda: oracle_equal(z, x), lambda: rx.sigma(w),
+                   lambda: rx.psi(w), lambda: rx.sigma(y), lambda: rx.psi(y),
+                   lambda: rx.juxtapose(x, y), lambda: rx.juxtapose(y, x),
+                   lambda: ry.juxtapose(x, y)):
             with pytest.raises(WeightMismatchError, match="other graphs"):
                 op()
+        # equal terms in rings over other graphs are different elements
+        assert rx.generator(("C", 1), ("i", "j")) != y
+        assert x != z and rx.zero() != ry.zero()
     for graph in (a2(), CartanGraph(["j", "i"], [("j", "i")])):
         ring = KLRRing(graph)
         x = ring.generator(("C", 1), ("j", "i"))
@@ -172,6 +181,39 @@ def test_elements_of_one_ring_only(ring_a2, ring_a1xa1):
         assert str(x * y) == "x1[ij] + x2[ij]"
         assert oracle_equal(x + x,
                             2 * ring_a2.generator(("C", 1), ("j", "i")))
+        assert x == ring_a2.generator(("C", 1), ("j", "i"))
+        for op in ("psi", "sigma"):
+            assert (getattr(ring_a2, op)(x).terms
+                    == getattr(ring, op)(x).terms)
+        assert ring_a2.juxtapose(x, y) == ring.juxtapose(x, y)
+
+
+def test_unhashable_label_is_not_a_vertex(ring_a2):
+    """A label that cannot be hashed is an unknown vertex like any other:
+    every check that reads the graph's vertex set raises GraphError."""
+
+    class Pairs:
+        """The items of a mapping, which may hold an unhashable key."""
+
+        def __init__(self, items):
+            self._items = items
+
+        def items(self):
+            return self._items
+
+    graph = ring_a2.graph
+    for op, label in (
+            (lambda: graph.require_vertices([["i"]]), ["i"]),
+            (lambda: graph.require_vertices(("i", ["j"])), ["j"]),
+            (lambda: graph.cartan(["i"], "j"), ["i"]),
+            (lambda: graph.cartan("i", {"j"}), {"j"}),
+            (lambda: ring_a2.element(Pairs([(((["i"],), (0,), (0,)), 1)])),
+             ["i"]),
+            (lambda: ring_a2.evaluate_word([["i"]], []), ["i"]),
+            (lambda: ring_a2.nilhecke_em(1, ["i"]), ["i"])):
+        with pytest.raises(GraphError) as err:
+            op()
+        assert str(err.value) == f"unknown vertex {label!r}"
 
 
 def test_double_crossings(ring_a1, ring_a2, ring_a1xa1):

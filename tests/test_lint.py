@@ -119,3 +119,43 @@ def test_no_function_local_imports():
     found = {path.name: local_imports(path.read_text())
              for path in sorted(Path(klr.__file__).parent.glob("*.py"))}
     assert {name: where for name, where in found.items() if where} == {}
+
+
+def attribute_readers(source, attr):
+    """The functions that read the attribute ``attr``, by name, sorted;
+    "<module>" stands for code outside every function."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == attr
+                    and isinstance(child.ctx, ast.Load)):
+                found.add(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_attribute_readers_detected():
+    source = ("def f(g):\n    return g.edges\n\n\n"
+              "def h(g):\n    def inner():\n        return g.edges\n"
+              "    g.edges = 1\n    return inner, g.vertices\n\n\n"
+              "X = G.edges\n")
+    assert attribute_readers(source, "edges") == ["<module>", "f", "inner"]
+
+
+def test_edge_set_read_only_where_allowed():
+    """The graph answers graph questions (equality, membership, pairing)
+    itself, so outside cartan.py the edge set is read only to orient the
+    edges for the polynomial representation and to list the edges that
+    the idempotents suite checks."""
+    found = {(path.stem, name)
+             for path in sorted(Path(klr.__file__).parent.glob("*.py"))
+             if path.stem != "cartan"
+             for name in attribute_readers(path.read_text(), "edges")}
+    assert found <= {("polyrep", "default_orientation"),
+                     ("polyrep", "reversed_orientation"), ("verify", "run")}

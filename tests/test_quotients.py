@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klr import (
+    CartanGraph,
     GraphError,
     IdealSpec,
+    KLRRing,
     LaurentPoly,
     WeightMismatchError,
     cyclotomic_spec,
@@ -392,6 +394,27 @@ def test_ideal_spec_rejects_other_weights(ring_a2):
         IdealSpec((("i", 1), ("i", 1)), [ring_a2.idempotent("ii")])
     rep = quotient_gdim(ring_a2, spec, cutoff=4, window=1)
     assert rep.degrees == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
+
+
+def test_spec_of_another_ring_raises(ring_a2, ring_a1xa1):
+    """A spec built in a ring over another graph is rejected by the span:
+    its keys mean other elements, and its top rule is the other graph's.
+    A ring over an equal graph shares its specs."""
+    ij = (("i", 1), ("j", 1))
+    want = {"symplus": {0: 2, 1: 2}, "cyclotomic": {0: 1}}
+    for name, make in (("symplus", lambda r: sym_plus_spec(r, ij)),
+                       ("cyclotomic",
+                        lambda r: cyclotomic_spec(r, ij, {"i": 1}))):
+        for op in (lambda: quotient_gdim(ring_a2, make(ring_a1xa1),
+                                         cutoff=20),
+                   lambda: ideal_degree_dim(ring_a2, make(ring_a1xa1), 1),
+                   lambda: quotient_gdim(ring_a1xa1, make(ring_a2),
+                                         cutoff=20)):
+            with pytest.raises(WeightMismatchError, match="other graphs"):
+                op()
+        for ring in (ring_a2, KLRRing(CartanGraph(["j", "i"], [("j", "i")]))):
+            rep = quotient_gdim(ring_a2, make(ring), cutoff=20)
+            assert {d: n for d, n in rep.degrees.items() if n} == want[name]
 
 
 def test_zero_ideal_reproduces_ring(ring_a1):
