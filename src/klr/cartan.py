@@ -19,8 +19,8 @@ import json
 
 
 class GraphError(ValueError):
-    """Malformed graph input (a vertex that is not a string, a loop, a
-    duplicate edge, an unknown vertex)."""
+    """Malformed graph input (a vertex that is not a string, an edge that
+    is not two vertices, a loop, a duplicate edge, an unknown vertex)."""
 
 
 def check_int(n, what, low=None):
@@ -44,6 +44,9 @@ class CartanGraph:
     __slots__ = ("vertices", "edges", "_vertex_set", "_pairing")
 
     def __init__(self, vertices, edges):
+        """Raises GraphError for a vertex that is not a string, a repeated
+        vertex, an edge that is not a list or tuple of two vertices, a
+        loop, or a repeated edge."""
         self.vertices = tuple(vertices)
         for v in self.vertices:
             if not isinstance(v, str):
@@ -52,11 +55,14 @@ class CartanGraph:
         if len(vset) != len(self.vertices):
             raise GraphError("duplicate vertex")
         seen = set()
-        for a, b in edges:
+        for e in edges:
+            if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(
+                    isinstance(v, str) and v in vset for v in e)):
+                raise GraphError(f"malformed graph object: edge {e!r} is "
+                                 f"not a list or tuple of two vertices")
+            a, b = e
             if a == b:
                 raise GraphError(f"loop at vertex {a!r}")
-            if a not in vset or b not in vset:
-                raise GraphError(f"edge endpoint {a!r},{b!r} not a vertex")
             key = frozenset((a, b))
             if key in seen:
                 raise GraphError(f"duplicate edge {a!r}-{b!r}")
@@ -118,14 +124,16 @@ class CartanGraph:
     @staticmethod
     def from_json(obj):
         """Inverse of to_json.  Raises GraphError unless obj has a list of
-        vertices and a list of edges, each a list of two vertices."""
+        vertices and a list of edges, each a list (a JSON array, as to_json
+        writes it); the constructor checks that each edge is two
+        vertices."""
         try:
             vertices, edges = obj["vertices"], obj["edges"]
-            if not (type(vertices) is type(edges) is list and all(
-                    type(e) is list and len(e) == 2 for e in edges)):
+            if not (type(vertices) is type(edges) is list
+                    and all(type(e) is list for e in edges)):
                 raise GraphError("malformed graph object: vertices and "
                                  "edges must be lists, each edge [a, b]")
-            return CartanGraph(vertices, [tuple(e) for e in edges])
+            return CartanGraph(vertices, edges)
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed graph object: {exc}")
 

@@ -22,19 +22,20 @@ equal labels), so the crossings above stay on top and a term they kill
 dies at once.  ``multiply``, ``psi``, ``evaluate_word`` and a crossing word
 over a sequence (``_word_elem``) are all built this way, and a dot at the
 bottom (``_dot``) only shifts the dot vector.  The dot-free part
-psi_w psi_c is cached per (letter, sequence, permutation) by ``_cross``;
-dots at the bottom commute with everything below them, so the cache
-ignores the dot vector and the shift is applied afterwards.
+psi_w psi_c is computed by ``_cross``; dots at the bottom commute with
+everything below them, so it ignores the dot vector and the shift is
+applied afterwards.
 
 Canonicalization also works from the bottom.  Canonical words are closed
 under prefixes (see ``permutations``), so a right step that keeps the
-canonical word of w plus c canonical is a single key.  Otherwise
-``_bring_to_back`` moves a chosen right descent to the bottom of a reduced
-word by commutation and braid moves, collecting correction words, and
-``_reduced_word_elem`` takes one right step from the canonical prefix.
-When a right step shortens the permutation, ``_bring_to_back`` exposes the
-double crossing psi_c psi_c at the bottom: 0, the identity, or a dot on
-strand c plus one on strand c+1.
+canonical word of w plus c canonical is a single key, built directly and
+not cached.  Only the steps that need rewriting are cached, per (letter,
+sequence, permutation): ``_bring_to_back`` moves a chosen right descent to
+the bottom of a reduced word by commutation and braid moves, collecting
+correction words, and ``_reduced_word_elem`` takes one right step from the
+canonical prefix.  When a right step shortens the permutation,
+``_bring_to_back`` exposes the double crossing psi_c psi_c at the bottom:
+0, the identity, or a dot on strand c plus one on strand c+1.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .permutations import (
     identity,
     inversions,
     longest_element,
+    right_mult_letter,
     word_to_perm,
 )
 from .sequences import check_divided, divided_weight, format_seq, plain
@@ -200,24 +202,33 @@ class KLRRing:
 
     def __init__(self, graph):
         self.graph = graph
-        # (c, i, w) -> normal form of psi_w e(i) with crossing c below it
+        # (c, i, w) -> normal form of psi_w e(i) with crossing c below it,
+        # for the right steps that need rewriting (see ``_cross``)
         self._cross_cache = {}
         # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
         self._pair_cache = {}
         self._cross_hits = self._pair_hits = 0  # reads that found an entry
+        self._direct_steps = 0  # right steps that are one key, not cached
         self._terms_read = 0  # terms read by the right-crossing steps
 
     def stats(self):
-        """Work done so far: the size of each cache, its ``hits`` (a miss
-        adds one entry, so misses equal the size), and ``terms_read``, the
-        number of terms read by every right-crossing step, whether of
-        ``multiply``, ``psi``, ``evaluate_word`` or the kernel's own
-        canonicalization."""
+        """Work done so far: the size of each cache, its ``hits`` (reads
+        that found an entry), ``direct_steps`` and ``terms_read``.
+
+        A right step that keeps the canonical word is one key: ``_cross``
+        builds it directly, reads and writes no cache, and counts it in
+        ``direct_steps``.  Only the other steps, which need rewriting,
+        reach the cross cache, and a miss adds one entry, so every
+        ``_cross`` call is a hit, a new entry or a direct step.
+        ``terms_read`` is the number of terms read by every right-crossing
+        step, whether of ``multiply``, ``psi``, ``evaluate_word`` or the
+        kernel's own canonicalization."""
         caches = {name[1:-len("_cache")]: len(value)
                   for name, value in vars(self).items()
                   if name.endswith("_cache")}
         hits = {"cross": self._cross_hits, "pair": self._pair_hits}
         return {"caches": caches, "hits": hits,
+                "direct_steps": self._direct_steps,
                 "terms_read": self._terms_read}
 
     # -- constructors ------------------------------------------------------
@@ -498,7 +509,19 @@ class KLRRing:
         return terms
 
     def _cross(self, c, i, w):
-        """Normal form of psi_w e(i) . psi_c, over the sequence s_c i."""
+        """Normal form of psi_w e(i) . psi_c, over the sequence s_c i.
+
+        When the length goes up and canonical(w s_c) ends in c, prefix
+        closure (see ``permutations``) makes it canonical(w) + c, so the
+        product is the one key (s_c i, w s_c, no dots): a direct step,
+        counted and not cached.  Every other step (a braid move or a
+        double crossing) is rewritten once and cached per (c, i, w).
+        """
+        if w[c - 1] < w[c]:
+            v = right_mult_letter(w, c)
+            if canonical_word(v)[-1] == c:
+                self._direct_steps += 1
+                return {(apply_word_to_seq((c,), i), v, (0,) * len(w)): 1}
         key = (c, i, w)
         hit = self._cross_cache.get(key)
         if hit is not None:

@@ -115,6 +115,18 @@ def test_dangling_edge_rejected():
         CartanGraph(["a"], [("a", "b")])
 
 
+def test_edge_is_two_vertices():
+    """The constructor is the one check of an edge: a list or tuple of two
+    vertices, or GraphError."""
+    for edge in ((["i"], "j"), ("i",), ("i", "j", "k"), "ij"):
+        with pytest.raises(GraphError, match=(
+                "^malformed graph object: edge .* is not a list or tuple "
+                "of two vertices$")):
+            CartanGraph(["i", "j"], [edge])
+    for edge in (("i", "j"), ["j", "i"]):
+        assert CartanGraph(["i", "j"], [edge]) == a2()
+
+
 def test_json_round_trip(tmp_path):
     g = cycle(4)
     path = tmp_path / "g.json"

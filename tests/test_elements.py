@@ -634,6 +634,7 @@ def test_stats_count_right_crossing_terms():
     assert ring.stats() == {
         "caches": {"cross": 0, "pair": 0},
         "hits": {"cross": 0, "pair": 0},
+        "direct_steps": 0,
         "terms_read": 0}
     dots = []
     dot = ring._dot
@@ -697,7 +698,9 @@ def test_str_format(ring_a2):
 
 
 def test_stats_count_cache_hits():
-    """A repeated call reads only the cache: it adds hits and no entries."""
+    """A repeated call reads only the cache: it adds hits and no entries.
+    A right step that keeps the canonical word is a direct step: it reads
+    and writes no cache."""
     ring = KLRRing(a2())
     theta = (("i", 1), ("j", 2), ("i", 1))
     theta2 = (("j", 1), ("i", 2), ("j", 1))
@@ -707,11 +710,51 @@ def test_stats_count_cache_hits():
     pair_recursive(ring, theta, theta2)
     assert ring.stats()["caches"]["pair"] == 5
     assert ring.stats()["hits"] == {"cross": 0, "pair": 2}
+    iji = ("i", "j", "i")
+    # s1*s2*s1 is canonical: three direct steps, no entry and no hit
     word = [("C", 1), ("C", 2), ("C", 1)]
-    ring.evaluate_word(("i", "j", "i"), word)
-    assert ring.stats()["caches"]["cross"] == 3
-    assert ring.stats()["hits"] == {"cross": 0, "pair": 2}
-    ring.evaluate_word(("i", "j", "i"), word)
-    assert ring.stats() == {"caches": {"cross": 3, "pair": 5},
-                            "hits": {"cross": 3, "pair": 2},
-                            "terms_read": 6}
+    for n in (1, 2):
+        assert str(ring.evaluate_word(iji, word)) == "s1*s2*s1[iji]"
+        assert ring.stats() == {"caches": {"cross": 0, "pair": 5},
+                                "hits": {"cross": 0, "pair": 2},
+                                "direct_steps": 3 * n,
+                                "terms_read": 3 * n}
+    # s2*s1*s2 takes a braid move: one entry, read once when repeated
+    word = [("C", 2), ("C", 1), ("C", 2)]
+    assert str(ring.evaluate_word(iji, word)) == "-1[iji] + s1*s2*s1[iji]"
+    assert ring.stats() == {"caches": {"cross": 1, "pair": 5},
+                            "hits": {"cross": 0, "pair": 2},
+                            "direct_steps": 9,
+                            "terms_read": 10}
+    assert str(ring.evaluate_word(iji, word)) == "-1[iji] + s1*s2*s1[iji]"
+    assert ring.stats() == {"caches": {"cross": 1, "pair": 5},
+                            "hits": {"cross": 1, "pair": 2},
+                            "direct_steps": 11,
+                            "terms_read": 13}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stats_account_for_every_right_step(ring_a1, ring_a2, ring_cycle3,
+                                            data):
+    """Every ``_cross`` call is a cache hit, a new cache entry or a direct
+    step, and the direct steps are exactly the calls whose letter c extends
+    the canonical word: canonical(w s_c) = canonical(w) + (c,)."""
+    _, x, y = _draw_pair(data, [ring_a1, ring_a2, ring_cycle3], (2, 5))
+    ring = KLRRing(x.ring.graph)
+    calls = extending = 0
+    cross = ring._cross
+
+    def counted(c, i, w):
+        nonlocal calls, extending
+        calls += 1
+        v = w[:c - 1] + (w[c], w[c - 1]) + w[c + 1:]
+        extending += canonical_word(v) == canonical_word(w) + (c,)
+        return cross(c, i, w)
+
+    ring._cross = counted
+    ring.multiply(ring.element(x.terms), ring.element(y.terms))
+    stats = ring.stats()
+    assert stats["direct_steps"] == extending
+    assert calls == (stats["hits"]["cross"] + stats["caches"]["cross"]
+                     + stats["direct_steps"])
