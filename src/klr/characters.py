@@ -169,13 +169,9 @@ def char_projective(ring, theta):
     check_divided(theta)
     hat = expand(theta)
     weight = weight_of_seq(hat)
-    values = {}
-    for seq in seq_enumerate(weight):
-        gd = ring.gdim_hom(seq, hat)
-        if gd.is_zero():
-            continue
-        values[seq] = _divide_factorial(gd, theta)
-    return CharacterVector(weight, values)
+    return CharacterVector(weight, {
+        seq: _divide_factorial(ring.gdim_hom(seq, hat), theta)
+        for seq in seq_enumerate(weight)})
 
 
 def char_at_divided(cv: CharacterVector, theta):

@@ -19,23 +19,22 @@ multiplied on the right by crossings, top to bottom (``_right_word``), and
 dots below them are shifted in.  One right step slides the dots of a key
 down through the new crossing in closed form (a divided difference on
 equal labels), so the crossings above stay on top and a term they kill
-dies at once.  ``multiply``, ``psi``, ``evaluate_word`` and a crossing word
-over a sequence (``_word_elem``) are all built this way, and a dot at the
-bottom (``_dot``) only shifts the dot vector.  The dot-free part
-psi_w psi_c is computed by ``_cross``; dots at the bottom commute with
-everything below them, so it ignores the dot vector and the shift is
-applied afterwards.
+dies at once.  ``multiply``, ``psi`` and ``evaluate_word`` are all built
+this way, and a dot at the bottom (``_dot``) only shifts the dot vector.
+The dot-free part psi_w psi_c is computed by ``_cross``; dots at the bottom
+commute with everything below them, so it ignores the dot vector and the
+shift is applied afterwards.
 
 Canonicalization also works from the bottom.  Canonical words are closed
 under prefixes (see ``permutations``), so a right step that keeps the
 canonical word of w plus c canonical is a single key, built directly and
 not cached.  Only the steps that need rewriting are cached, per (letter,
 sequence, permutation): ``_bring_to_back`` moves a chosen right descent to
-the bottom of a reduced word by commutation and braid moves, collecting
-correction words, and ``_reduced_word_elem`` takes one right step from the
-canonical prefix.  When a right step shortens the permutation,
-``_bring_to_back`` exposes the double crossing psi_c psi_c at the bottom:
-0, the identity, or a dot on strand c plus one on strand c+1.
+the bottom of a reduced word by commutation and braid moves and returns
+their corrections as normal-form terms; ``_reduced_word_elem`` takes one
+right step from the canonical prefix.  When a right step shortens the
+permutation, ``_bring_to_back`` exposes the double crossing psi_c psi_c at
+the bottom: 0, the identity, or a dot on strand c plus one on strand c+1.
 """
 
 from __future__ import annotations
@@ -362,8 +361,13 @@ class KLRRing:
 
     def sigma(self, x):
         """Vertical flip with sign (-1)^(number of equal-label crossings).
-        Raises WeightMismatchError for an element of a ring over another
-        graph."""
+
+        psi_w x^u e(i) goes to the mirrored canonical word of w (letter l
+        becomes m - l) over the reversed sequence, with the reversed dots
+        at the bottom.  Mirroring is conjugation by the longest element,
+        so the word is reduced and ``_reduced_word_elem`` canonicalizes
+        it.  Raises WeightMismatchError for an element of a ring over
+        another graph."""
         _check_rings(self.graph, x)
         out = {}
         for (i, w, u), c in x.terms.items():
@@ -374,7 +378,8 @@ class KLRRing:
                     sign = -sign
             i2 = tuple(reversed(i))
             word2 = tuple(m - l for l in canonical_word(w))
-            _acc(out, self._word_elem(i2, word2), sign * c, tuple(reversed(u)))
+            _acc(out, self._reduced_word_elem(i2, word2), sign * c,
+                 tuple(reversed(u)))
         return KLRElement(self, out)
 
     def juxtapose(self, x, y):
@@ -382,16 +387,11 @@ class KLRRing:
         WeightMismatchError for an element of a ring over another graph;
         the weights may differ."""
         _check_rings(self.graph, x, y)
-        out = {}
-        for (i1, w1, u1), c1 in x.terms.items():
-            for (i2, w2, u2), c2 in y.terms.items():
-                key = (i1 + i2, block_sum(w1, w2), u1 + u2)
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return KLRElement(self, out)
+        # distinct pairs of keys give distinct keys, so nothing collects
+        return KLRElement(self, {
+            (i1 + i2, block_sum(w1, w2), u1 + u2): c1 * c2
+            for (i1, w1, u1), c1 in x.terms.items()
+            for (i2, w2, u2), c2 in y.terms.items()})
 
     def gdim_hom(self, seq_j, seq_i):
         """Graded dimension of the (j, i) sector, a GradedDim: the plain
@@ -515,7 +515,10 @@ class KLRRing:
         closure (see ``permutations``) makes it canonical(w) + c, so the
         product is the one key (s_c i, w s_c, no dots): a direct step,
         counted and not cached.  Every other step (a braid move or a
-        double crossing) is rewritten once and cached per (c, i, w).
+        double crossing) is rewritten once and cached per (c, i, w).  A
+        step that shortens w brings c to the bottom of canonical(w); the
+        braid corrections of that move, right-multiplied by psi_c, are
+        added to the double crossing.
         """
         if w[c - 1] < w[c]:
             v = right_mult_letter(w, c)
@@ -544,8 +547,7 @@ class KLRRing:
                 else:
                     _acc(out, self._dot(c, inner))
                     _acc(out, self._dot(c + 1, inner))
-            for sign, cword in corrs:
-                _acc(out, self._word_elem(below, cword + (c,)), sign)
+            _acc(out, self._right_word(corrs, (c,)))
         self._cross_cache[key] = out
         return out
 
@@ -558,14 +560,12 @@ class KLRRing:
             out[(i, w, tuple(u))] = c
         return out
 
-    def _word_elem(self, i, word):
-        """Normal form of an arbitrary crossing word (top-to-bottom) over i."""
-        m = len(i)
-        top = apply_word_to_seq(word, i)
-        return self._right_word({(top, identity(m), (0,) * m): 1}, word)
-
     def _reduced_word_elem(self, i, word):
-        """Normal form of a reduced word over i, via canonicalization."""
+        """Normal form of a reduced word (top-to-bottom) over the bottom
+        sequence i, via canonicalization: the last letter d of the
+        canonical word is brought to the bottom, the rest is canonicalized
+        over s_d i and multiplied by psi_d, and the braid corrections of
+        the move are added."""
         m = len(i)
         v = word_to_perm(word, m)
         cv = canonical_word(v)
@@ -577,31 +577,35 @@ class KLRRing:
         w1, corrs = self._bring_to_back(d, word, i)
         above = apply_word_to_seq((d,), i)
         out = self._right_word(self._reduced_word_elem(above, w1[:-1]), (d,))
-        for sign, cword in corrs:
-            _acc(out, self._word_elem(i, cword), sign)
+        _acc(out, corrs)
         return out
 
     def _bring_to_back(self, c, word, i):
         """Rewrite a reduced word over i to end with the right descent c.
 
-        Returns (new_word, corrections) where each correction is (sign,
-        word-with-three-fewer-letters) over the same bottom sequence i, so
-        that  word == new_word + sum sign * correction  as diagrams.
+        Returns (new_word, corrections) with corrections a normal-form
+        term dict over the bottom sequence i, so that  word == new_word +
+        corrections  as diagrams.  A braid move whose outer strands carry
+        equal labels adjacent to the middle label adds +/- its word with
+        the three crossings deleted, a prefix of a reduced word and so
+        reduced; corrections from deeper in the word are right-multiplied
+        by the letters moved past them.
         """
         a = word[-1]
         if a == c:
-            return word, []
+            return word, {}
         above = apply_word_to_seq((a,), i)
         w1, sub = self._bring_to_back(c, word[:-1], above)
-        corrs = [(s, cw + (a,)) for s, cw in sub]
+        corrs = self._right_word(sub, (a,))
         if abs(a - c) >= 2:
             return w1[:-1] + (a, c), corrs
         w2, sub2 = self._bring_to_back(
             a, w1[:-1], apply_word_to_seq((c,), above))
-        corrs += [(s, cw + (c, a)) for s, cw in sub2]
+        _acc(corrs, self._right_word(sub2, (c, a)))
         rest = w2[:-1]
         mpos = min(a, c)
         if (i[mpos - 1] == i[mpos + 1]
                 and self.graph.cartan(i[mpos - 1], i[mpos]) == -1):
-            corrs.append((1 if a == mpos else -1, rest))
+            _acc(corrs, self._reduced_word_elem(i, rest),
+                 1 if a == mpos else -1)
         return rest + (c, a, c), corrs

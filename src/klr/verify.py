@@ -6,8 +6,9 @@ should compute:
 * ``relations``: the defining local relations of KL I (arXiv 0803.4121) on
   every labeling of 2 and 3 strands;
 * ``oracle``: the rewriting kernel against the faithful polynomial
-  representation, on random generator words acting on the Artin basis
-  over Sym(nu), in both orientations;
+  representation, on random generator words and on every reduced word of
+  the longest element of S_4, acting on the Artin basis over Sym(nu), in
+  both orientations;
 * ``serre``, ``idempotents``, ``cycle:<n>``: the Serre identities in K0, the
   splitting of 1_iji into orthogonal idempotents, and the cycle phenomenon,
   through the checks in ``klr.characters``.
@@ -22,6 +23,7 @@ import random
 from itertools import product
 
 from .characters import cycle_alpha, orthogonal_idempotents_check, serre_check
+from .permutations import longest_element, word_to_perm
 from .polyrep import (
     act_many,
     act_word,
@@ -102,23 +104,34 @@ ORACLE_WORDS = 200
 def oracle(ring):
     """Kernel products against the polynomial representation.
 
-    Each of ORACLE_WORDS random words on 2 to 4 strands (a fixed seed) is
-    evaluated in the kernel, and its action on the Artin basis of its
-    source sequence, in one ``act_many`` call per orientation, is compared
-    with the word applied generator by generator to each basis monomial.
-    Both sides act Sym(nu)-linearly (see ``klr.polyrep``), so agreement on
-    that basis is agreement as operators.  Returns the failures as (word,
-    monomial) pairs, with the first failing monomial of each word and
-    orientation.
+    Two sets of words are checked: ORACLE_WORDS random words on 2 to 4
+    strands (a fixed seed), and every reduced word of the longest element
+    of S_4 over every 4-strand sequence.  Every cover w < w s_c of the weak
+    order lies on a maximal chain, so the second set takes every
+    length-raising right step of the kernel on 4 strands, on every
+    labeling.  Each word is evaluated in the kernel, and its action on the
+    Artin basis of its source sequence, in one ``act_many`` call per
+    orientation, is compared with the word applied generator by generator
+    to each basis monomial.  Both sides act Sym(nu)-linearly (see
+    ``klr.polyrep``), so agreement on that basis is agreement as
+    operators.  Returns the failures as (word, monomial) pairs, with the
+    first failing monomial of each word and orientation.
     """
     graph = ring.graph
     rng = random.Random(0)
     failures = []
     orientations = [default_orientation(graph), reversed_orientation(graph)]
     seqs = [s for m in (2, 3, 4) for s in label_seqs(graph, m)]
+    cases = []
     for _ in range(ORACLE_WORDS):
         seq = rng.choice(seqs)
-        tokens = random_word(rng, len(seq))
+        cases.append((seq, random_word(rng, len(seq))))
+    # the 16 reduced words of the longest element of S_4: its length-6 words
+    cases += [(seq, [("C", k) for k in word])
+              for word in product((1, 2, 3), repeat=6)
+              if word_to_perm(word, 4) == longest_element(4)
+              for seq in label_seqs(graph, 4)]
+    for seq, tokens in cases:
         elem = ring.evaluate_word(seq, tokens)
         basis = artin_basis(seq)
         for orient in orientations:
@@ -155,7 +168,8 @@ def run(ring, suite):
                 failures)
     if suite == "oracle":
         failures = oracle(ring)
-        return ([f"oracle agreement ({ORACLE_WORDS} random words on the "
+        return ([f"oracle agreement ({ORACLE_WORDS} random words and every "
+                 f"reduced word of the longest element on 4 strands, on the "
                  f"Artin basis, both orientations): "
                  f"{_verdict(not failures)}"], failures)
     lines, failures = [], []

@@ -32,8 +32,11 @@ from klr.permutations import (
     apply_word_to_seq,
     canonical_word,
     inverse,
+    inversions,
     longest_element,
+    word_to_perm,
 )
+from klr.polyrep import act_many, act_word, artin_basis, default_orientation
 
 from klr.verify import label_seqs, random_word
 
@@ -434,6 +437,39 @@ def test_psi_sigma_on_generators(ring_a1, ring_a2):
     cii = ring_a1.generator(("C", 1), ("i", "i"))
     assert ring_a1.sigma(cii) == -cii
     assert ring_a2.sigma(d) == ring_a2.generator(("C", 1), ("j", "i"))
+
+
+def test_sigma_is_the_mirrored_canonical_word(ring_a2, ring_cycle3):
+    """sigma(psi_w e(i)) is (-1)^(equal-label inversions of w) times the
+    mirrored canonical word of w (letter l becomes m - l) over reversed(i),
+    for every dot-free basis key on 2 to 4 strands.  ``evaluate_word``
+    builds the word one right step per letter, and the polynomial action
+    of the word, generator by generator, is a third statement of it."""
+    rewritten = 0
+    for ring in (ring_a2, ring_cycle3):
+        graph = ring.graph
+        orient = default_orientation(graph)
+        for m in (2, 3, 4):
+            for i in label_seqs(graph, m):
+                i2 = i[::-1]
+                basis = artin_basis(i2)
+                for w in all_permutations(m):
+                    word = tuple(m - l for l in canonical_word(w))
+                    rewritten += word != canonical_word(word_to_perm(word, m))
+                    sign = (-1) ** sum(i[a] == i[b] for a, b in inversions(w))
+                    tokens = [("C", l) for l in reversed(word)]
+                    got = ring.sigma(ring.element({(i, w, (0,) * m): 1}))
+                    want = ring.evaluate_word(i2, tokens)
+                    assert got == sign * want
+                    assert oracle_equal(got, sign * want)
+                    acts = act_many(orient, got, i2,
+                                    [{mono: 1} for mono in basis])
+                    for mono, act in zip(basis, acts):
+                        top, p = act_word(graph, orient, i2, tokens,
+                                          {mono: sign})
+                        assert act == ({top: p} if p else {})
+    # the mirrored words that are not canonical go through canonicalization
+    assert rewritten > 0
 
 
 def test_juxtapose(ring_a2):
