@@ -19,8 +19,9 @@ import json
 
 
 class GraphError(ValueError):
-    """Malformed graph input (a vertex that is not a string, an edge that
-    is not two vertices, a loop, a duplicate edge, an unknown vertex)."""
+    """Malformed graph input (a vertex that is not a string, a repeated
+    vertex, an edge that is not two vertices, a loop, a duplicate edge, an
+    unknown vertex)."""
 
 
 def check_int(n, what, low=None):
@@ -53,7 +54,8 @@ class CartanGraph:
                 raise GraphError(f"vertex {v!r} is not a string")
         vset = self._vertex_set = frozenset(self.vertices)
         if len(vset) != len(self.vertices):
-            raise GraphError("duplicate vertex")
+            dup = next(v for v in self.vertices if self.vertices.count(v) > 1)
+            raise GraphError(f"duplicate vertex {dup!r}")
         seen = set()
         for e in edges:
             if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(

@@ -29,12 +29,14 @@ Canonicalization also works from the bottom.  Canonical words are closed
 under prefixes (see ``permutations``), so a right step that keeps the
 canonical word of w plus c canonical is a single key, built directly and
 not cached.  Only the steps that need rewriting are cached, per (letter,
-sequence, permutation): ``_bring_to_back`` moves a chosen right descent to
-the bottom of a reduced word by commutation and braid moves and returns
-their corrections as normal-form terms; ``_reduced_word_elem`` takes one
-right step from the canonical prefix.  When a right step shortens the
-permutation, ``_bring_to_back`` exposes the double crossing psi_c psi_c at
-the bottom: 0, the identity, or a dot on strand c plus one on strand c+1.
+sequence, permutation), and the entries share one copy of each sequence,
+permutation and dot vector they hold.  ``_bring_to_back`` moves a chosen
+right descent to the bottom of a reduced word by commutation and braid
+moves and returns their corrections as normal-form terms;
+``_reduced_word_elem`` takes one right step from the canonical prefix.
+When a right step shortens the permutation, ``_bring_to_back`` exposes the
+double crossing psi_c psi_c at the bottom: 0, the identity, or a dot on
+strand c plus one on strand c+1.
 """
 
 from __future__ import annotations
@@ -202,8 +204,11 @@ class KLRRing:
     def __init__(self, graph):
         self.graph = graph
         # (c, i, w) -> normal form of psi_w e(i) with crossing c below it,
-        # for the right steps that need rewriting (see ``_cross``)
+        # for the right steps that need rewriting (see ``_cross``); its
+        # keys and terms share one copy of each sequence, permutation and
+        # dot vector, the one that ``_parts`` maps it to
         self._cross_cache = {}
+        self._parts = {}
         # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
         self._pair_cache = {}
         self._cross_hits = self._pair_hits = 0  # reads that found an entry
@@ -515,10 +520,11 @@ class KLRRing:
         closure (see ``permutations``) makes it canonical(w) + c, so the
         product is the one key (s_c i, w s_c, no dots): a direct step,
         counted and not cached.  Every other step (a braid move or a
-        double crossing) is rewritten once and cached per (c, i, w).  A
-        step that shortens w brings c to the bottom of canonical(w); the
-        braid corrections of that move, right-multiplied by psi_c, are
-        added to the double crossing.
+        double crossing) is rewritten once and cached per (c, i, w), with
+        each sequence, permutation and dot vector of the entry replaced by
+        the ring's one copy of it.  A step that shortens w brings c to the
+        bottom of canonical(w); the braid corrections of that move,
+        right-multiplied by psi_c, are added to the double crossing.
         """
         if w[c - 1] < w[c]:
             v = right_mult_letter(w, c)
@@ -548,7 +554,10 @@ class KLRRing:
                     _acc(out, self._dot(c, inner))
                     _acc(out, self._dot(c + 1, inner))
             _acc(out, self._right_word(corrs, (c,)))
-        self._cross_cache[key] = out
+        share = self._parts.setdefault
+        out = {(share(j, j), share(v, v), share(u, u)): k
+               for (j, v, u), k in out.items()}
+        self._cross_cache[(c, share(i, i), share(w, w))] = out
         return out
 
     def _dot(self, k, terms):

@@ -43,6 +43,7 @@ def graph_files(tmp_path):
         "empty": {"vertices": [], "edges": []},
         "ints": {"vertices": [1, 2], "edges": [[1, 2]]},
         "string": {"vertices": "ij", "edges": []},
+        "twice": {"vertices": ["i", "i"], "edges": []},
     }
     for name, obj in specs.items():
         path = tmp_path / f"{name}.json"

@@ -99,6 +99,11 @@ def test_loop_rejected():
 def test_duplicate_edge_rejected():
     with pytest.raises(GraphError):
         CartanGraph(["a", "b"], [("a", "b"), ("b", "a")])
+    # a repeated vertex is named, as a loop and a repeated edge are
+    for vertices in (["i", "i"], ["a", "i", "b", "i", "b"]):
+        with pytest.raises(GraphError) as err:
+            CartanGraph(vertices, [])
+        assert str(err.value) == "duplicate vertex 'i'"
 
 
 def test_non_string_vertex_rejected():

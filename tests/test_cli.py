@@ -357,6 +357,8 @@ def test_exit_code_2_on_bad_usage(capsys, graph_files, tmp_path):
         ["check", "-g", graph_files["empty"], "relations"],
         # a vertex must be a string
         ["check", "-g", graph_files["ints"], "relations"],
+        # a vertex listed twice
+        ["check", "-g", graph_files["twice"], "relations"],
         # an unknown vertex on the pairing routes
         ["pair", "-g", graph_files["a2"], "i", "k"],
         ["comul", "-g", graph_files["a2"], "k"],
@@ -386,6 +388,8 @@ def test_bad_input_messages(capsys, graph_files, tmp_path):
         (["check", "-g", graph_files["ints"], "relations"],
          f"cannot load graph {graph_files['ints']}: vertex 1 is not a "
          f"string"),
+        (["check", "-g", graph_files["twice"], "relations"],
+         f"cannot load graph {graph_files['twice']}: duplicate vertex 'i'"),
         # a string of vertices is not a list of them
         (["gdim", "-g", graph_files["string"], "i", "i"],
          f"cannot load graph {graph_files['string']}: malformed graph "
@@ -490,6 +494,28 @@ def test_exit_code_1_on_failed_check(capsys, graph_files, monkeypatch):
     monkeypatch.setattr(verify, "serre_check", lambda *a: False)
     code, out, _ = run(capsys, ["check", "-g", graph_files["a2"], "serre"])
     assert code == 1 and "FAIL" in out
+
+    def nonzero_square(ring, n):
+        x = ring.idempotent(ring.graph.vertices[:1])
+        return x, x
+
+    # a zero idempotent breaks the a2 braid relation on iji and the dot
+    # slides on equal labels; a failed idempotent check and a nonzero
+    # alpha^2 fail their suites
+    faults = [
+        (KLRRing, "idempotent", lambda self, seq: self.zero(), "a2",
+         "relations"),
+        (verify, "orthogonal_idempotents_check", lambda *a: False, "a2",
+         "idempotents"),
+        (verify, "cycle_alpha", nonzero_square, "cycle3", "cycle:3"),
+    ]
+    for target, name, fault, graph, suite in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fault)
+            code, out, err = run(capsys, ["check", "-g", graph_files[graph],
+                                          suite])
+        assert code == 1 and "FAIL" in out, suite
+        assert "counterexample:" in err, suite
 
 
 def test_argparse_errors_exit_2(graph_files):

@@ -794,3 +794,30 @@ def test_stats_account_for_every_right_step(ring_a1, ring_a2, ring_cycle3,
     assert stats["direct_steps"] == extending
     assert calls == (stats["hits"]["cross"] + stats["caches"]["cross"]
                      + stats["direct_steps"])
+
+
+def test_cross_cache_shares_key_parts(ring_a2, ring_cycle3):
+    """The cross cache holds one object per distinct sequence, permutation
+    and dot vector, across its keys and the terms it stores."""
+    rng = random.Random(31)
+    for graph in (ring_a2.graph, ring_cycle3.graph):
+        ring = KLRRing(graph)
+        for _ in range(60):
+            seq = tuple(rng.choice(graph.vertices)
+                        for _ in range(rng.randint(3, 5)))
+            below = random_word(rng, len(seq), 8)
+            top = apply_word_to_seq(
+                tuple(k for kind, k in below if kind == "C"), seq)
+            ring.multiply(ring.evaluate_word(top, random_word(rng, len(seq))),
+                          ring.evaluate_word(seq, below))
+        seqs, perms, dots = [], [], []
+        for (_, i, w), terms in ring._cross_cache.items():
+            seqs.append(i)
+            perms.append(w)
+            for j, v, u in terms:
+                seqs.append(j)
+                perms.append(v)
+                dots.append(u)
+        assert len(ring._cross_cache) > 50
+        for parts in (seqs, perms, dots):
+            assert len(set(map(id, parts))) == len(set(parts)) > 1

@@ -42,6 +42,12 @@ def test_exact_div():
     assert p.exact_div(qint(2)) == qint(3)
     with pytest.raises(DivisibilityError):
         (qint(2) + LaurentPoly.one()).exact_div(qint(2))
+    # a leading coefficient that does not divide over the integers
+    with pytest.raises(DivisibilityError):
+        LaurentPoly.one().exact_div(LaurentPoly.const(2))
+    with pytest.raises(ZeroDivisionError):
+        p.exact_div(LaurentPoly.zero())
+    assert LaurentPoly.zero().exact_div(qint(2)) == LaurentPoly.zero()
 
 
 def test_truncate_and_accessors():
