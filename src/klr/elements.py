@@ -216,8 +216,9 @@ class KLRRing:
         self._terms_read = 0  # terms read by the right-crossing steps
 
     def stats(self):
-        """Work done so far: the size of each cache, its ``hits`` (reads
-        that found an entry), ``direct_steps`` and ``terms_read``.
+        """Work done so far: the sizes of the cross and pair caches, their
+        ``hits`` (reads that found an entry), ``direct_steps`` and
+        ``terms_read``.
 
         A right step that keeps the canonical word is one key: ``_cross``
         builds it directly, reads and writes no cache, and counts it in
@@ -227,9 +228,8 @@ class KLRRing:
         ``terms_read`` is the number of terms read by every right-crossing
         step, whether of ``multiply``, ``psi``, ``evaluate_word`` or the
         kernel's own canonicalization."""
-        caches = {name[1:-len("_cache")]: len(value)
-                  for name, value in vars(self).items()
-                  if name.endswith("_cache")}
+        caches = {"cross": len(self._cross_cache),
+                  "pair": len(self._pair_cache)}
         hits = {"cross": self._cross_hits, "pair": self._pair_hits}
         return {"caches": caches, "hits": hits,
                 "direct_steps": self._direct_steps,

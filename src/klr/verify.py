@@ -6,9 +6,8 @@ should compute:
 * ``relations``: the defining local relations of KL I (arXiv 0803.4121) on
   every labeling of 2 and 3 strands;
 * ``oracle``: the rewriting kernel against the faithful polynomial
-  representation, on random generator words and on every reduced word of
-  the longest element of S_4, acting on the Artin basis over Sym(nu), in
-  both orientations;
+  representation, on every right step and every dot slide of at most 4
+  strands, acting on the Artin basis over Sym(nu), in both orientations;
 * ``serre``, ``idempotents``, ``cycle:<n>``: the Serre identities in K0, the
   splitting of 1_iji into orthogonal idempotents, and the cycle phenomenon,
   through the checks in ``klr.characters``.
@@ -19,11 +18,10 @@ module; the command-line tool and the tests do.
 
 from __future__ import annotations
 
-import random
 from itertools import product
 
 from .characters import cycle_alpha, orthogonal_idempotents_check, serre_check
-from .permutations import longest_element, word_to_perm
+from .permutations import all_permutations, canonical_word
 from .polyrep import (
     act_many,
     act_word,
@@ -37,17 +35,6 @@ from .sequences import format_seq
 def label_seqs(graph, m):
     """Every sequence of m vertices of the graph."""
     return list(product(graph.vertices, repeat=m))
-
-
-def random_word(rng, m, max_tokens=6):
-    """A random generator word on m strands, about 60% crossings."""
-    tokens = []
-    for _ in range(rng.randint(0, max_tokens)):
-        if rng.random() < 0.6 and m > 1:
-            tokens.append(("C", rng.randint(1, m - 1)))
-        else:
-            tokens.append(("D", rng.randint(1, m)))
-    return tokens
 
 
 def relations(ring):
@@ -98,39 +85,38 @@ def relations(ring):
     return failures
 
 
-ORACLE_WORDS = 200
-
-
 def oracle(ring):
     """Kernel products against the polynomial representation.
 
-    Two sets of words are checked: ORACLE_WORDS random words on 2 to 4
-    strands (a fixed seed), and every reduced word of the longest element
-    of S_4 over every 4-strand sequence.  Every cover w < w s_c of the weak
-    order lies on a maximal chain, so the second set takes every
-    length-raising right step of the kernel on 4 strands, on every
-    labeling.  Each word is evaluated in the kernel, and its action on the
-    Artin basis of its source sequence, in one ``act_many`` call per
+    The kernel builds every product from right steps psi_w e(i) . psi_c,
+    one table entry per (c, i, w), and from the closed-form dot slide of
+    ``KLRRing._right_word``.  For m = 2 to 4 strands, every letter c and
+    every sequence, two kinds of word are checked, tokens bottom to top:
+    the step word, canonical(w) with psi_c below it, for every permutation
+    w (its letters above psi_c are direct steps, so the word reads the
+    entry (c, i, w)); and the dot word, x_c^a x_{c+1}^b over psi_c, with
+    a, b <= 2.  Each word is evaluated in the kernel, and its action on
+    the Artin basis of its source sequence, in one ``act_many`` call per
     orientation, is compared with the word applied generator by generator
     to each basis monomial.  Both sides act Sym(nu)-linearly (see
     ``klr.polyrep``), so agreement on that basis is agreement as
-    operators.  Returns the failures as (word, monomial) pairs, with the
-    first failing monomial of each word and orientation.
+    operators; the representation is faithful, so agreement proves each
+    table entry on at most 4 strands.  Returns the failures as (word,
+    monomial) pairs, with the first failing monomial of each word and
+    orientation.
     """
     graph = ring.graph
-    rng = random.Random(0)
     failures = []
     orientations = [default_orientation(graph), reversed_orientation(graph)]
-    seqs = [s for m in (2, 3, 4) for s in label_seqs(graph, m)]
     cases = []
-    for _ in range(ORACLE_WORDS):
-        seq = rng.choice(seqs)
-        cases.append((seq, random_word(rng, len(seq))))
-    # the 16 reduced words of the longest element of S_4: its length-6 words
-    cases += [(seq, [("C", k) for k in word])
-              for word in product((1, 2, 3), repeat=6)
-              if word_to_perm(word, 4) == longest_element(4)
-              for seq in label_seqs(graph, 4)]
+    for m in (2, 3, 4):
+        steps = [[("C", k) for k in reversed(canonical_word(w))]
+                 for w in all_permutations(m)]
+        for c in range(1, m):
+            dots = [[("D", c)] * a + [("D", c + 1)] * b
+                    for a in range(3) for b in range(3)]
+            cases += [(seq, [("C", c)] + word)
+                      for seq in label_seqs(graph, m) for word in steps + dots]
     for seq, tokens in cases:
         elem = ring.evaluate_word(seq, tokens)
         basis = artin_basis(seq)
@@ -168,9 +154,8 @@ def run(ring, suite):
                 failures)
     if suite == "oracle":
         failures = oracle(ring)
-        return ([f"oracle agreement ({ORACLE_WORDS} random words and every "
-                 f"reduced word of the longest element on 4 strands, on the "
-                 f"Artin basis, both orientations): "
+        return ([f"oracle agreement (every right step and dot slide on 2 to "
+                 f"4 strands, on the Artin basis, both orientations): "
                  f"{_verdict(not failures)}"], failures)
     lines, failures = [], []
     if suite == "serre":

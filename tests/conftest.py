@@ -5,6 +5,17 @@ import pytest
 from klr import KLRRing, a1xa1, a2, cycle, single_vertex
 
 
+def random_word(rng, m, max_tokens=6):
+    """A random generator word on m strands, about 60% crossings."""
+    tokens = []
+    for _ in range(rng.randint(0, max_tokens)):
+        if rng.random() < 0.6 and m > 1:
+            tokens.append(("C", rng.randint(1, m - 1)))
+        else:
+            tokens.append(("D", rng.randint(1, m)))
+    return tokens
+
+
 @pytest.fixture(scope="session")
 def ring_a1():
     return KLRRing(single_vertex())

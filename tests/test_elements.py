@@ -38,7 +38,9 @@ from klr.permutations import (
 )
 from klr.polyrep import act_many, act_word, artin_basis, default_orientation
 
-from klr.verify import label_seqs, random_word
+from klr.verify import label_seqs
+
+from conftest import random_word
 
 
 def test_idempotents(ring_a2):

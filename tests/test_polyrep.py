@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 from math import factorial, prod
 from operator import add
 
@@ -23,7 +23,9 @@ from klr import (
 from klr.permutations import apply_perm_to_seq, canonical_word, check_tokens
 from klr.polyrep import artin_basis, divided_difference, poly_mul_var
 from klr.sequences import format_seq
-from klr.verify import label_seqs, oracle, random_word
+from klr.verify import label_seqs, oracle
+
+from conftest import random_word
 
 
 def poly_add(p, q, scalar=1):
@@ -710,6 +712,41 @@ def test_oracle_names_the_failing_monomial(monkeypatch):
     for name, mono in failures:
         assert mono in artin_basis(seqs[name])
     assert any(mono != artin_basis(seqs[name])[0] for name, mono in failures)
+
+
+def test_oracle_reaches_every_right_step(monkeypatch):
+    # the kernel's products are built from the right steps (c, i, w), one
+    # table entry each; the suite reads every one of them on 2 to 4 strands
+    ring = KLRRing(a2())
+    cross = ring._cross
+    reached = set()
+
+    def spy(c, i, w):
+        reached.add((c, i, w))
+        return cross(c, i, w)
+
+    monkeypatch.setattr(ring, "_cross", spy)
+    assert oracle(ring) == []
+    steps = {(c, i, w) for m in (2, 3, 4) for c in range(1, m)
+             for i in label_seqs(ring.graph, m)
+             for w in permutations(range(m))}
+    assert len(steps) == 1256
+    assert reached == steps
+
+    # a fault in one length-lowering step, a braid move on iji: the step
+    # word canonical(w) = 1 2 1 over psi_1, from jii, names it
+    ring = KLRRing(a2())
+    cross = ring._cross
+    bad = (1, ("i", "j", "i"), (2, 1, 0))
+
+    def faulty(c, i, w):
+        out = cross(c, i, w)
+        return {k: -v for k, v in out.items()} if (c, i, w) == bad else out
+
+    assert cross(*bad)
+    monkeypatch.setattr(ring, "_cross", faulty)
+    names = {name for name, _ in oracle(ring)}
+    assert "word [('C', 1), ('C', 1), ('C', 2), ('C', 1)] on jii" in names
 
 
 def test_oracle_takes_no_bound(ring_a1):
