@@ -108,11 +108,9 @@ class K0Vector:
         self.weight = weight
 
     @staticmethod
-    def monomial(theta, coeff=None):
-        theta = tuple(theta)
-        check_divided(theta)
-        return K0Vector(divided_weight(theta),
-                        {theta: coeff if coeff is not None else LaurentPoly.one()})
+    def monomial(theta):
+        theta = check_divided(theta)
+        return K0Vector(divided_weight(theta), {theta: LaurentPoly.one()})
 
     def __add__(self, other):
         if self.weight != other.weight:
@@ -165,8 +163,7 @@ def _divide_factorial(gd: GradedDim, divided) -> GradedDim:
 
 def char_projective(ring, theta):
     """Character of the monomial projective: gdim_hom(k, expand) / theta!."""
-    theta = tuple(theta)
-    check_divided(theta)
+    theta = check_divided(theta)
     hat = expand(theta)
     weight = weight_of_seq(hat)
     return CharacterVector(weight, {
@@ -176,8 +173,7 @@ def char_projective(ring, theta):
 
 def char_at_divided(cv: CharacterVector, theta):
     """Evaluate a character at a divided sequence: value at expansion / theta!."""
-    theta = tuple(theta)
-    check_divided(theta)
+    theta = check_divided(theta)
     return cv.value(expand(theta)).divide_poly(factorial_poly(theta))
 
 
@@ -205,7 +201,7 @@ def comultiply(graph, theta):
     Blocks are kept unmerged in the output.  Raises ValueError on a bad
     block and GraphError on a label that is not a vertex.
     """
-    check_divided(theta)
+    theta = check_divided(theta)
     graph.require_vertices(v for v, _ in theta)
     terms = [((), (), (), LaurentPoly.one())]  # (left, right, right weight, coeff)
     for v, n in theta:

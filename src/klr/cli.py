@@ -65,8 +65,7 @@ def parse_divided(text):
         if not m:
             raise ValueError(f"cannot parse divided-power block {part!r}")
         out.append((m.group("v"), int(m.group("n") or 1)))
-    check_divided(out)
-    return tuple(out)
+    return check_divided(out)
 
 
 def parse_weight(text):
@@ -83,8 +82,7 @@ def parse_weight(text):
             out.append((v.strip(), int(n)))
         except ValueError:
             raise ValueError(f"bad multiplicity in {piece!r}") from None
-    check_weight(out)
-    return weight_from_dict(dict(out))
+    return weight_from_dict(dict(check_weight(out)))
 
 
 def parse_field(text):
@@ -292,8 +290,7 @@ def build_parser():
 
     p = sub.add_parser("check", parents=[graph],
                        help="run a verification suite")
-    p.add_argument("suite",
-                   help="relations | serre | idempotents | cycle:<n> | oracle")
+    p.add_argument("suite", help=" | ".join(verify.SUITES))
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("quotient", parents=[out],

@@ -139,7 +139,8 @@ class KLRElement:
         return self.terms == other.terms and self.ring.graph == other.ring.graph
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # the zero element equals, so hashes as, 0
+        return hash(frozenset(self.terms.items())) if self.terms else 0
 
     def __add__(self, other):
         _check_weights(self.ring.graph, self, other)
@@ -316,7 +317,7 @@ class KLRRing:
         seq = tuple(seq)
         self.graph.require_vertices(seq)
         m = len(seq)
-        check_tokens(tokens, m)
+        tokens = check_tokens(tokens, m)
         top = apply_word_to_seq(
             [k for typ, k in reversed(tokens) if typ == "C"], seq)
         acc = {(top, identity(m), (0,) * m): 1}
@@ -431,8 +432,7 @@ class KLRRing:
         so the cost is O(prod (r+1) m^2) at worst.  Raises ValueError on a
         bad block and WeightMismatchError when the weights differ.
         """
-        seq_j, theta = tuple(seq_j), tuple(theta)
-        check_divided(theta)
+        seq_j, theta = tuple(seq_j), check_divided(theta)
         if weight_of_seq(seq_j) != divided_weight(theta):
             raise WeightMismatchError("sequences have different weights")
         blocks = [(v, tuple(n for _, n in g))

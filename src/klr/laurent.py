@@ -60,6 +60,9 @@ class LaurentPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals, so hashes as, its int
+        if self.coeffs.keys() <= {0}:
+            return hash(self[0])
         return hash(frozenset(self.coeffs.items()))
 
     def min_exp(self):

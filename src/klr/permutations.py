@@ -35,8 +35,9 @@ def check_tokens(tokens, m):
     check their words here.  Raises ValueError for an unknown token type
     or an index that is not an int (``cartan.check_int``; a bool is not
     one), and GeneratorIndexError for a dot or crossing outside the m
-    strands.
+    strands.  Returns the word as a tuple, read once.
     """
+    tokens = tuple(tokens)
     for typ, k in tokens:
         if typ == "D":
             what, top = "dot position", m
@@ -47,6 +48,7 @@ def check_tokens(tokens, m):
         if not 1 <= check_int(k, what) <= top:
             raise GeneratorIndexError(
                 f"{what} {k} out of range for {m} strands")
+    return tokens
 
 
 def identity(m):

@@ -201,7 +201,7 @@ def act_word(graph, orientation, seq, tokens, poly):
     """
     _check_input(graph, seq, (poly,))
     labels = list(seq)
-    check_tokens(tokens, len(labels))
+    tokens = check_tokens(tokens, len(labels))
     poly = {e: c for e, c in poly.items() if c}
     kinds = {}
     for typ, k in tokens:

@@ -80,8 +80,7 @@ from .sequences import check_weight, seq_enumerate
 def degree_lower_bound(weight):
     """No basis element has degree below -sum nu_i (nu_i - 1).  Raises
     ValueError for a bad weight (see ``check_weight``)."""
-    check_weight(weight)
-    return -sum(n * (n - 1) for _, n in weight)
+    return -sum(n * (n - 1) for _, n in check_weight(weight))
 
 
 @lru_cache(maxsize=None)
@@ -130,6 +129,7 @@ def graded_basis(graph, weight, d):
     int (``cartan.check_int``), GraphError for a vertex not in the graph
     and ValueError for a bad weight (see ``check_weight``).
     """
+    weight = tuple(weight)
     diagrams = _diagrams(graph, weight)
     return list(_keys(diagrams, check_int(d, "degree"), weight_size(weight)))
 
@@ -168,8 +168,7 @@ class IdealSpec:
     __slots__ = ("weight", "generators", "central", "_top_rule")
 
     def __init__(self, weight, generators):
-        check_weight(weight)
-        nu = weight_from_dict(dict(weight))
+        nu = weight_from_dict(dict(check_weight(weight)))
         for g in generators:
             g.degree()  # raises InhomogeneousError unless g is homogeneous
             if g.weight != nu:
@@ -197,6 +196,7 @@ def cyclotomic_spec(ring, weight, lam):
     d = 2 (lambda, beta) - (beta, beta) (Shan-Varagnolo-Vasserot), which
     is the spec's top rule.
     """
+    weight = tuple(weight)
     lam = {v: check_int(n, "dot power", 0) for v, n in dict(lam).items()}
     ring.graph.require_vertices([v for v, _ in weight] + list(lam))
     gens = []
@@ -221,6 +221,7 @@ def sym_plus_spec(ring, weight):
     2), so its top degree, the spec's top rule, is the highest degree of a
     dot-free diagram, sum_c n_c^2 - (nu, nu) / 2, plus sum_c n_c (n_c - 1).
     """
+    weight = tuple(weight)
     ring.graph.require_vertices(v for v, _ in weight)
     seqs = seq_enumerate(weight)
     gens = []

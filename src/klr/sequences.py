@@ -14,13 +14,16 @@ from .laurent import LaurentPoly, qfact
 
 def check_weight(weight):
     """Raise ValueError unless each entry is (vertex, n) with n an int >= 0
-    (``cartan.check_int``) and no vertex is listed twice."""
+    (``cartan.check_int``) and no vertex is listed twice.  Returns the
+    entries as a tuple, read once."""
+    entries = tuple(weight)
     seen = set()
-    for v, n in weight:
+    for v, n in entries:
         check_int(n, "vertex count", 0)
         if v in seen:
             raise ValueError(f"vertex {v!r} appears twice in weight {weight}")
         seen.add(v)
+    return entries
 
 
 def seq_enumerate(weight):
@@ -28,9 +31,8 @@ def seq_enumerate(weight):
 
     Raises ValueError for a bad weight (see ``check_weight``).
     """
-    check_weight(weight)
     letters = []
-    for v, n in weight:
+    for v, n in check_weight(weight):
         letters.extend([v] * n)
     out = []
 
@@ -51,12 +53,14 @@ def seq_enumerate(weight):
 
 def check_divided(divided):
     """Raise ValueError unless every block is (vertex, n) with n an int >= 1
-    (``cartan.check_int``)."""
+    (``cartan.check_int``).  Returns the blocks as a tuple, read once."""
+    divided = tuple(divided)
     for block in divided:
         if not (isinstance(block, tuple) and len(block) == 2):
             raise ValueError(f"divided-power block {block!r} is not "
                              f"(vertex, n)")
         check_int(block[1], "divided-power block size", 1)
+    return divided
 
 
 def expand(divided):

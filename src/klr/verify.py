@@ -12,7 +12,9 @@ should compute:
   splitting of 1_iji into orthogonal idempotents, and the cycle phenomenon,
   through the checks in ``klr.characters``.
 
-``run`` dispatches on the suite name.  ``import klr`` does not load this
+``SUITES`` is the one table of them, keyed by the names that ``klr check``
+takes; ``run`` looks a suite up there, and the command-line help and the
+unknown-suite error list its keys.  ``import klr`` does not load this
 module; the command-line tool and the tests do.
 """
 
@@ -53,14 +55,13 @@ def relations(ring):
         a, b = seq
         dd = ring.evaluate_word(seq, [("C", 1), ("C", 1)])
         if a == b:
-            expect(f"double crossing {format_seq(seq)}", dd, ring.zero())
+            want = ring.zero()
         elif graph.cartan(a, b) == 0:
-            expect(f"double crossing {format_seq(seq)}", dd,
-                   ring.idempotent(seq))
+            want = ring.idempotent(seq)
         else:
             want = (ring.generator(("D", 1), seq)
                     + ring.generator(("D", 2), seq))
-            expect(f"double crossing {format_seq(seq)}", dd, want)
+        expect(f"double crossing {format_seq(seq)}", dd, want)
         for k, k2 in ((1, 2), (2, 1)):
             lhs = ring.evaluate_word(seq, [("D", k), ("C", 1)])
             rhs = ring.evaluate_word(seq, [("C", 1), ("D", k2)])
@@ -74,10 +75,9 @@ def relations(ring):
         a, b, c = seq
         L = ring.evaluate_word(seq, [("C", 1), ("C", 2), ("C", 1)])
         R = ring.evaluate_word(seq, [("C", 2), ("C", 1), ("C", 2)])
-        if a == c and graph.cartan(a, b) == -1:
-            expect(f"braid {format_seq(seq)}", L - R, ring.idempotent(seq))
-        else:
-            expect(f"braid {format_seq(seq)}", L - R, ring.zero())
+        braid = a == c and graph.cartan(a, b) == -1
+        expect(f"braid {format_seq(seq)}", L - R,
+               ring.idempotent(seq) if braid else ring.zero())
         # distant dots commute with crossings
         lhs = ring.evaluate_word(seq, [("D", 3), ("C", 1)])
         rhs = ring.evaluate_word(seq, [("C", 1), ("D", 3)])
@@ -133,67 +133,85 @@ def oracle(ring):
     return failures
 
 
-def _verdict(ok):
-    return "PASS" if ok else "FAIL"
+def _whole(check, verdict):
+    """The suite that runs check(ring), which returns a list of failures,
+    on a graph with a vertex, under one verdict line."""
+    def suite(ring, _arg):
+        if not ring.graph.vertices:
+            raise ValueError(f"graph has no vertices; {check.__name__} "
+                             f"suite needs one")
+        failures = check(ring)
+        return [f"{verdict}: {'FAIL' if failures else 'PASS'}"], failures
+    return suite
+
+
+def _verdicts(cases):
+    """One verdict line per (line, counterexample name, ok) case, and the
+    failures."""
+    lines, failures = [], []
+    for line, name, ok in cases:
+        lines.append(f"{line}: {'PASS' if ok else 'FAIL'}")
+        if not ok:
+            failures.append((name, None))
+    return lines, failures
+
+
+def _serre(ring, _arg):
+    vertices = ring.graph.vertices
+    if len(vertices) < 2:
+        raise ValueError("graph has fewer than two vertices; serre suite "
+                         "needs two")
+    return _verdicts((f"serre {i},{j}", f"serre {i},{j}",
+                      serre_check(ring, i, j))
+                     for i, j in product(vertices, repeat=2) if i < j)
+
+
+def _idempotents(ring, _arg):
+    if not ring.graph.edges:
+        raise ValueError("graph has no edges; idempotent suite needs one")
+    return _verdicts((f"idempotents on {x}{y}{x}", f"idempotents {x}{y}{x}",
+                      orthogonal_idempotents_check(ring, x, y))
+                     for i, j in sorted(map(sorted, ring.graph.edges))
+                     for x, y in ((i, j), (j, i)))
+
+
+def _cycle(ring, arg):
+    try:
+        n = int(arg)
+    except ValueError:
+        raise ValueError(f"bad cycle suite {'cycle:' + arg!r}") from None
+    alpha, sq = cycle_alpha(ring, n)
+    want, text = (0, "0") if n % 2 else (-2 * alpha, "-2*alpha")
+    failures = [] if sq == want else [(f"cycle:{n}", str(sq))]
+    return [f"alpha^2 = {text} {'FAIL' if failures else 'PASS'}"], failures
+
+
+# Each suite maps (ring, arg) to (verdict lines, failures), under the name
+# that ``klr check`` takes; arg is the text after the first colon of a
+# name "<suite>:<arg>", and empty for a name without a colon.
+SUITES = {
+    "relations": _whole(relations, "relations on 2 and 3 strands"),
+    "serre": _serre,
+    "idempotents": _idempotents,
+    "cycle:<n>": _cycle,
+    "oracle": _whole(oracle, "oracle agreement (every right step and dot "
+                     "slide on 2 to 4 strands, on the Artin basis, both "
+                     "orientations)"),
+}
 
 
 def run(ring, suite):
-    """Run the named suite; returns (verdict lines, failures).
+    """Run a suite of ``SUITES``; returns (verdict lines, failures).
 
-    suite is relations, serre, idempotents, cycle:<n> or oracle.  failures
+    The suite is split at its first colon, once, into a name and an
+    argument, and runs the table entry whose key splits into the same name
+    (and colon, if any): "cycle:3" runs "cycle:<n>" with n = 3.  failures
     lists the counterexamples as (name, detail or None) pairs and is empty
-    when the suite passes.  Raises ValueError for an unknown suite and for
-    a graph the suite does not apply to.
+    when the suite passes.  Raises ValueError for an unknown suite, naming
+    the table's keys, and for a graph the suite does not apply to.
     """
-    graph = ring.graph
-    if suite in ("relations", "oracle") and not graph.vertices:
-        raise ValueError(f"graph has no vertices; {suite} suite needs one")
-    if suite == "relations":
-        failures = relations(ring)
-        return ([f"relations on 2 and 3 strands: {_verdict(not failures)}"],
-                failures)
-    if suite == "oracle":
-        failures = oracle(ring)
-        return ([f"oracle agreement (every right step and dot slide on 2 to "
-                 f"4 strands, on the Artin basis, both orientations): "
-                 f"{_verdict(not failures)}"], failures)
-    lines, failures = [], []
-    if suite == "serre":
-        if len(graph.vertices) < 2:
-            raise ValueError("graph has fewer than two vertices; serre "
-                             "suite needs two")
-        for i in graph.vertices:
-            for j in graph.vertices:
-                if i >= j:
-                    continue
-                ok = serre_check(ring, i, j)
-                lines.append(f"serre {i},{j}: {_verdict(ok)}")
-                if not ok:
-                    failures.append((f"serre {i},{j}", None))
-    elif suite == "idempotents":
-        if not graph.edges:
-            raise ValueError("graph has no edges; idempotent suite needs one")
-        for i, j in sorted(map(sorted, graph.edges)):
-            for x, y in ((i, j), (j, i)):
-                ok = orthogonal_idempotents_check(ring, x, y)
-                lines.append(f"idempotents on {x}{y}{x}: {_verdict(ok)}")
-                if not ok:
-                    failures.append((f"idempotents {x}{y}{x}", None))
-    elif suite.startswith("cycle:"):
-        try:
-            n = int(suite.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad cycle suite {suite!r}") from None
-        alpha, sq = cycle_alpha(ring, n)
-        if n % 2:
-            ok = sq.is_zero()
-            lines.append(f"alpha^2 = 0 {_verdict(ok)}")
-        else:
-            ok = sq == -2 * alpha
-            lines.append(f"alpha^2 = -2*alpha {_verdict(ok)}")
-        if not ok:
-            failures.append((f"cycle:{n}", str(sq)))
-    else:
-        raise ValueError(f"unknown suite {suite!r} (relations, serre, "
-                         f"idempotents, cycle:<n>, oracle)")
-    return lines, failures
+    name, colon, arg = suite.partition(":")
+    for key, check in SUITES.items():
+        if key.partition(":")[:2] == (name, colon):
+            return check(ring, arg)
+    raise ValueError(f"unknown suite {suite!r} ({', '.join(SUITES)})")

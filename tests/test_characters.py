@@ -244,6 +244,19 @@ def test_equal_in_f(ring_a1, ring_a2, ring_a1xa1):
          + char_projective(ring_a2, (("j", 1),)))
 
 
+
+def test_comparisons_with_other_types(ring_a2):
+    """Vectors of two weights are not equal in f, and no vector, element
+    or graded dimension equals an int or a string it is not; the zero
+    element equals, so hashes as, 0."""
+    assert not equal_in_f(ring_a2, K0Vector.monomial((("i", 1),)),
+                          K0Vector.monomial((("j", 1),)))
+    zero, x = ring_a2.zero(), ring_a2.generator(("C", 1), ("i", "j"))
+    assert zero == 0 and not x == 0 and not x == "x"
+    assert len({zero, 0}) == 1
+    assert not char_projective(ring_a2, (("i", 1),)) == 1
+    assert not GradedDim.one() == "x"
+
 def test_character_and_k0_vector_arithmetic(ring_a2):
     ij = char_projective(ring_a2, (("i", 1), ("j", 1)))
     ji = char_projective(ring_a2, (("j", 1), ("i", 1)))
@@ -264,7 +277,8 @@ def test_character_and_k0_vector_arithmetic(ring_a2):
         ij + char_projective(ring_a2, (("i", 2),))
 
     u = (K0Vector.monomial((("i", 2), ("j", 1)))
-         + K0Vector.monomial((("j", 1), ("i", 2)), LaurentPoly({1: 1, -1: 2})))
+         + K0Vector.monomial((("j", 1), ("i", 2))).scale(
+             LaurentPoly({1: 1, -1: 2})))
     assert u.to_json() == {"i^(2) j": {"0": 1},
                            "j i^(2)": {"-1": 2, "1": 1}}
     assert str(u) == "(1)*[P_i^(2) j] + (2*q^-1 + q)*[P_j i^(2)]"
@@ -274,7 +288,7 @@ def test_character_and_k0_vector_arithmetic(ring_a2):
 
 
 def test_bar_sigma_k0():
-    u = K0Vector.monomial((("i", 2), ("j", 1)), LaurentPoly.q_power(1))
+    u = K0Vector.monomial((("i", 2), ("j", 1))).scale(LaurentPoly.q_power(1))
     b = bar_k0(u)
     assert b.coeffs == {(("i", 2), ("j", 1)): LaurentPoly.q_power(-1)}
     assert bar_k0(b).coeffs == u.coeffs
@@ -384,7 +398,7 @@ def _k0_vector(draw, seq):
     u = None
     for _ in range(draw(st.integers(1, 3))):
         theta = _divided(draw, draw(st.permutations(seq)))
-        term = K0Vector.monomial(theta, draw(coeff))
+        term = K0Vector.monomial(theta).scale(draw(coeff))
         u = term if u is None else u + term
     return u, coeff
 

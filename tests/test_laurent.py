@@ -95,3 +95,17 @@ def test_to_json():
     p = LaurentPoly({2: 3, -1: 1, 0: -2})
     assert list(p.to_json().items()) == [("-1", 1), ("0", -2), ("2", 3)]
     assert LaurentPoly.zero().to_json() == {}
+
+
+def test_int_operands():
+    """An int operand is the constant polynomial, on either side; so a
+    constant, zero included, hashes as the int it equals."""
+    p = LaurentPoly({-1: 1, 0: 2})
+    assert LaurentPoly.const(1) == 1 and not p == 1 and p != 2
+    assert (p + 1).coeffs == {-1: 1, 0: 3}
+    assert (1 + p).coeffs == {-1: 1, 0: 3}
+    assert (p - 1).coeffs == {-1: 1, 0: 1}
+    assert (1 - p).coeffs == {-1: -1, 0: -1}
+    assert len({LaurentPoly.const(5), 5}) == 1
+    assert len({LaurentPoly.zero(), 0}) == 1
+    assert len({LaurentPoly.q_power(1), LaurentPoly.q_power(1, 1)}) == 1

@@ -158,4 +158,5 @@ def test_edge_set_read_only_where_allowed():
              if path.stem != "cartan"
              for name in attribute_readers(path.read_text(), "edges")}
     assert found <= {("polyrep", "default_orientation"),
-                     ("polyrep", "reversed_orientation"), ("verify", "run")}
+                     ("polyrep", "reversed_orientation"),
+                     ("verify", "_idempotents")}

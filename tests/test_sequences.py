@@ -4,16 +4,22 @@ import pytest
 
 from klr import (
     GraphError,
+    IdealSpec,
     KLRRing,
     a1xa1,
     a2,
     act_word,
     char_projective,
     comultiply,
+    cyclotomic_spec,
     default_orientation,
+    degree_lower_bound,
+    graded_basis,
     pair_monomials,
     pair_recursive,
+    quotient_gdim,
     seq_enumerate,
+    sym_plus_spec,
     tight,
 )
 from klr.characters import K0Vector
@@ -110,6 +116,31 @@ def test_non_sequences_raise_type_error():
     with pytest.raises(ValueError):
         shuffles(g, ("i",), ("k",))
 
+
+
+def test_one_shot_iterators_give_the_tuple_answers():
+    """Each entry point reads a sequence, word or weight argument once, so
+    an iterator gives the answer of the tuple it yields, not the answer of
+    an empty argument read after the check."""
+    g = a2()
+    ring = KLRRing(g)
+    calls = {
+        "act_word": (lambda x: act_word(g, default_orientation(g), ("i", "j"),
+                                        x, {(0, 0): 1}), [("C", 1)]),
+        "evaluate_word": (lambda x: ring.evaluate_word(("i", "j"), x),
+                          [("C", 1)]),
+        "comultiply": (lambda x: comultiply(g, x), [("i", 1), ("j", 1)]),
+        "seq_enumerate": (seq_enumerate, [("i", 2)]),
+        "degree_lower_bound": (degree_lower_bound, [("i", 2)]),
+        "graded_basis": (lambda x: graded_basis(g, x, 2), [("i", 1)]),
+        "IdealSpec": (lambda x: IdealSpec(x, []).weight, [("i", 2)]),
+        "sym_plus_spec": (lambda x: quotient_gdim(
+            ring, sym_plus_spec(ring, x)).total(), [("i", 2)]),
+        "cyclotomic_spec": (lambda x: quotient_gdim(
+            ring, cyclotomic_spec(ring, x, {"i": 2})).total(), [("i", 2)]),
+    }
+    for name, (call, arg) in calls.items():
+        assert call(iter(arg)) == call(tuple(arg)), name
 
 def test_shuffles_cardinality():
     g = a2()
