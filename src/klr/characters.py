@@ -156,7 +156,8 @@ def _divide_factorial(gd: GradedDim, divided) -> GradedDim:
         for _ in range(n - 1):
             den.remove(1)
         den.extend(range(2, n + 1))
-    return GradedDim(gd.num * LaurentPoly.q_power(s), den)
+    den.sort()
+    return GradedDim._of(gd.num.shifted(s), tuple(den))
 
 
 # -- characters ------------------------------------------------------------
@@ -209,7 +210,7 @@ def comultiply(graph, theta):
         for left, right, rw, coeff in terms:
             for a in range(n + 1):
                 b = n - a
-                c = coeff * LaurentPoly.q_power(
+                c = coeff.shifted(
                     -a * b - graph.weight_pairing(rw, ((v, a),)))
                 nl = left + ((v, a),) if a else left
                 nr = right + ((v, b),) if b else right
@@ -236,8 +237,9 @@ def pair_monomials(ring, theta, theta2) -> GradedDim:
     if not _same_weight(ring, theta, theta2):
         return GradedDim.zero()
     # the upside-down flip preserves degree: the (theta, theta') sector has
-    # the graded dimension of the (theta', theta) one
-    gd = ring.gdim_hom_divided(expand(theta), theta2)
+    # the graded dimension of the (theta', theta) one.  _same_weight has
+    # checked the input, so the DP is called without gdim_hom_divided's checks
+    gd = ring._gdim_hom(expand(theta), theta2)
     return _divide_factorial(gd, theta)
 
 
@@ -253,7 +255,8 @@ def pair_recursive(ring, theta, theta2) -> GradedDim:
     if not _same_weight(ring, theta, theta2):
         return GradedDim.zero()
     plain_seq = expand(theta2)
-    raw = GradedDim(_pair_plain(ring, theta, plain_seq), (1,) * len(plain_seq))
+    raw = GradedDim._of(_pair_plain(ring, theta, plain_seq),
+                        (1,) * len(plain_seq))
     return _divide_factorial(raw, theta2)
 
 
@@ -269,9 +272,9 @@ def _pair_plain(ring, theta, plain_seq) -> LaurentPoly:
     block pays for crossing the letter already on the right.
 
     Each peeled letter contributes exactly one factor 1/(1-q^2), so the
-    recursion sums numerators and never forms a common denominator.  The
-    numerators are memoized per ring in ``ring._pair_cache``, keyed by
-    (theta, plain_seq).
+    recursion sums the shifted numerators in one dict and never forms a
+    common denominator.  The numerators are memoized per ring in
+    ``ring._pair_cache``, keyed by (theta, plain_seq).
     """
     key = (theta, plain_seq)
     hit = ring._pair_cache.get(key)
@@ -282,18 +285,22 @@ def _pair_plain(ring, theta, plain_seq) -> LaurentPoly:
         return LaurentPoly.zero() if theta else LaurentPoly.one()
     v, rest = plain_seq[-1], plain_seq[:-1]
     cartan = ring.graph.cartan
-    out = LaurentPoly.zero()
+    num = {}
     twist = 0  # sum over the blocks right of p of n_r (v_r . v)
     for p in range(len(theta) - 1, -1, -1):
         vp, n = theta[p]
         if vp == v:
             left = (theta[:p] + ((v, n - 1),) + theta[p + 1:] if n > 1
                     else theta[:p] + theta[p + 1:])
-            sub = _pair_plain(ring, left, rest)
-            if not sub.is_zero():
-                out = out + sub * LaurentPoly.q_power(-(n - 1) - twist)
+            k = -(n - 1) - twist
+            for e, c in _pair_plain(ring, left, rest).coeffs.items():
+                c += num.get(e + k, 0)
+                if c:
+                    num[e + k] = c
+                else:
+                    del num[e + k]
         twist += n * cartan(vp, v)
-    ring._pair_cache[key] = out
+    out = ring._pair_cache[key] = LaurentPoly._of(num)
     return out
 
 

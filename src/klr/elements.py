@@ -435,6 +435,10 @@ class KLRRing:
         seq_j, theta = tuple(seq_j), check_divided(theta)
         if weight_of_seq(seq_j) != divided_weight(theta):
             raise WeightMismatchError("sequences have different weights")
+        return self._gdim_hom(seq_j, theta)
+
+    def _gdim_hom(self, seq_j, theta):
+        """The DP of ``gdim_hom_divided`` on checked tuples of one weight."""
         blocks = [(v, tuple(n for _, n in g))
                   for v, g in groupby(theta, key=itemgetter(0))]
         runs = [(v, sum(ns)) for v, ns in blocks]
@@ -455,11 +459,12 @@ class KLRRing:
                     for e, c in counts.items():
                         out[e + shift] = out.get(e + shift, 0) + c
             layer = nxt
-        num = LaurentPoly(layer.get(tuple(n for _, n in runs), {}))
+        # every count is positive, so the dict holds no zero
+        num = LaurentPoly._of(layer.get(tuple(n for _, n in runs), {}))
         for _, ns in blocks:
             if len(ns) > 1:
                 num = num * qmultinomial(ns)
-        return GradedDim(num, (1,) * len(seq_j))
+        return GradedDim._of(num, (1,) * len(seq_j))
 
     def nilhecke_em(self, m, vertex):
         """The degree-0 primitive idempotent on m equal-label strands.

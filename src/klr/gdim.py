@@ -7,20 +7,31 @@ exactly, since each 1 - q^{2a} is nonzero.  Addition uses the same
 differences to reach the multiset maximum.  No factorization is ever
 attempted.  bar (q -> 1/q) rewrites each factor via
 1/(1 - q^{-2a}) = -q^{2a}/(1 - q^{2a}).
+
+``GradedDim(num, den)`` is the checked constructor, the path for outside
+input: every factor must be an int >= 1 (``cartan.check_int``), and the
+factors are sorted.  ``GradedDim._of(num, den)`` is the raw constructor,
+for a denominator already known to be a sorted tuple of ints >= 1, as the
+arithmetic here and the form layer build it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .cartan import check_int
 from .laurent import LaurentPoly, DivisibilityError
 
+_new = object.__new__
+
 
 def _factor_poly(a):
-    return LaurentPoly({0: 1, 2 * a: -1})
+    return LaurentPoly._of({0: 1, 2 * a: -1})
 
 
 def _den_minus(den, other):
-    """The multiset difference den - other of two sorted factor tuples."""
+    """The multiset difference den - other of two sorted factor tuples,
+    as a sorted tuple."""
     out, t = [], 0
     for a in den:
         while t < len(other) and other[t] < a:
@@ -29,10 +40,12 @@ def _den_minus(den, other):
             t += 1
         else:
             out.append(a)
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _den_poly(factors):
+    """The product of the factors 1 - q^{2a} of a sorted tuple, memoized."""
     out = LaurentPoly.one()
     for a in factors:
         out = out * _factor_poly(a)
@@ -42,9 +55,9 @@ def _den_poly(factors):
 def _lift(other):
     """An int or LaurentPoly as a GradedDim with no denominator."""
     if isinstance(other, int):
-        other = LaurentPoly.const(other)
+        other = LaurentPoly._of({0: other} if other else {})
     if isinstance(other, LaurentPoly):
-        other = GradedDim(other)
+        other = GradedDim._of(other, ())
     return other
 
 
@@ -52,6 +65,8 @@ class GradedDim:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den=()):
+        """Raises ValueError unless every factor of den is an int >= 1
+        (``cartan.check_int``)."""
         den = tuple(den)
         for a in den:
             check_int(a, "denominator factor", 1)
@@ -59,12 +74,20 @@ class GradedDim:
         self.den = tuple(sorted(den))
 
     @staticmethod
+    def _of(num, den):
+        """The raw constructor: den is a sorted tuple of ints >= 1."""
+        g = _new(GradedDim)
+        g.num = num
+        g.den = den
+        return g
+
+    @staticmethod
     def zero():
-        return GradedDim(LaurentPoly.zero())
+        return GradedDim._of(LaurentPoly.zero(), ())
 
     @staticmethod
     def one():
-        return GradedDim(LaurentPoly.one())
+        return GradedDim._of(LaurentPoly.one(), ())
 
     def is_zero(self):
         return self.num.is_zero()
@@ -77,46 +100,46 @@ class GradedDim:
         extra = _den_minus(other.den, self.den)
         n1 = self.num * _den_poly(extra)
         n2 = other.num * _den_poly(_den_minus(self.den, other.den))
-        return GradedDim(n1 + n2, self.den + tuple(extra))
+        den = tuple(sorted(self.den + extra)) if extra else self.den
+        return GradedDim._of(n1 + n2, den)
 
     def __neg__(self):
-        return GradedDim(-self.num, self.den)
+        return GradedDim._of(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-_lift(other))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GradedDim(self.num * other, self.den)
+            return GradedDim._of(self.num * other, self.den)
         if isinstance(other, LaurentPoly):
-            return GradedDim(self.num * other, self.den).reduced()
-        return GradedDim(self.num * other.num, self.den + other.den).reduced()
+            return GradedDim._of(self.num * other, self.den).reduced()
+        return GradedDim._of(self.num * other.num,
+                             tuple(sorted(self.den + other.den))).reduced()
 
     __rmul__ = __mul__
 
     def reduced(self):
         """Cancel denominator factors that divide the numerator exactly."""
-        num, den = self.num, list(self.den)
+        num = self.num
         if num.is_zero():
-            return GradedDim(num)
+            return GradedDim._of(num, ())
         out = []
-        for a in den:
+        for a in self.den:
             try:
                 num = num.exact_div(_factor_poly(a))
             except DivisibilityError:
                 out.append(a)
-        return GradedDim(num, out)
+        return GradedDim._of(num, tuple(out))
 
     def divide_poly(self, p: LaurentPoly) -> "GradedDim":
         """Exact division of the numerator; raises DivisibilityError."""
-        return GradedDim(self.num.exact_div(p), self.den)
+        return GradedDim._of(self.num.exact_div(p), self.den)
 
     def bar(self):
         """q -> q^{-1}; each factor contributes a unit -q^{2a}."""
-        num = self.num.bar()
-        for a in self.den:
-            num = num * LaurentPoly.q_power(2 * a, -1)
-        return GradedDim(num, self.den)
+        num = self.num.bar().shifted(2 * sum(self.den))
+        return GradedDim._of(-num if len(self.den) % 2 else num, self.den)
 
     # -- comparison and expansion -----------------------------------------
 
@@ -141,7 +164,7 @@ class GradedDim:
         for a in self.den:
             # expand 1/(1 - q^{2a}) = sum q^{2at}, truncated
             terms = {2 * a * t: 1 for t in range((cutoff - low) // (2 * a) + 1)}
-            out = (out * LaurentPoly(terms)).truncate(cutoff)
+            out = (out * LaurentPoly._of(terms)).truncate(cutoff)
         return out.truncate(cutoff)
 
     # -- io ----------------------------------------------------------------
@@ -169,7 +192,6 @@ class GradedDim:
         for e, c in num.items():
             if type(e) not in (int, str):
                 raise ValueError(f"exponent {e!r} must be an int or a string")
-            check_int(c, "coefficient")
         return GradedDim(LaurentPoly({int(e): c for e, c in num.items()}), den)
 
     def __str__(self):

@@ -3,6 +3,13 @@
 Coefficients are arbitrary-precision ints stored in a dict exponent -> coeff
 with no zero values.  Includes the balanced quantum integers [n], factorials
 [n]! and binomials used throughout.
+
+``LaurentPoly(coeffs)`` is the checked constructor, the path for outside
+input: every exponent and coefficient must be an int (``cartan.check_int``),
+and zero coefficients are dropped.  ``LaurentPoly._of(coeffs)`` is the raw
+constructor, for a dict already known to be valid, as the arithmetic here
+and the form layer (``gdim``, ``characters``, ``elements``) build it: it
+takes the dict as it is, without a copy or a check.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cartan import check_int
+
+_new = object.__new__
 
 
 class LaurentPoly:
@@ -22,27 +31,47 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        if coeffs is None:
-            coeffs = {}
-        self.coeffs = {e: c for e, c in coeffs.items() if c != 0}
+        """Raises ValueError unless every exponent and coefficient of the
+        dict coeffs is an int (``cartan.check_int``); drops zeros."""
+        out = {}
+        if coeffs:
+            for e, c in coeffs.items():
+                check_int(e, "exponent")
+                if check_int(c, "coefficient"):
+                    out[e] = c
+        self.coeffs = out
+
+    @staticmethod
+    def _of(coeffs):
+        """The raw constructor: coeffs is a dict from ints to nonzero ints,
+        kept as the new polynomial's own, so the caller must not change it
+        afterwards."""
+        p = _new(LaurentPoly)
+        p.coeffs = coeffs
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero():
-        return LaurentPoly()
+        return LaurentPoly._of({})
 
     @staticmethod
     def one():
-        return LaurentPoly({0: 1})
+        return LaurentPoly._of({0: 1})
 
     @staticmethod
     def const(n):
-        return LaurentPoly({0: n})
+        """The constant n; raises ValueError unless n is an int."""
+        check_int(n, "coefficient")
+        return LaurentPoly._of({0: n} if n else {})
 
     @staticmethod
     def q_power(e, c=1):
-        return LaurentPoly({e: c})
+        """c q^e; raises ValueError unless e and c are ints."""
+        check_int(e, "exponent")
+        check_int(c, "coefficient")
+        return LaurentPoly._of({e: c} if c else {})
 
     # -- structure ---------------------------------------------------------
 
@@ -54,8 +83,8 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
+            other = _const(other)
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
@@ -79,7 +108,9 @@ class LaurentPoly:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly.const(other)
+            other = _const(other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             v = out.get(e, 0) + c
@@ -87,24 +118,26 @@ class LaurentPoly:
                 out[e] = v
             else:
                 out.pop(e, None)
-        return LaurentPoly(out)
+        return LaurentPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly.const(other)
+            other = _const(other)
         return self + (-other)
 
     def __rsub__(self, other):
-        return LaurentPoly.const(other) + (-self)
+        if not isinstance(other, int):
+            return NotImplemented
+        return _const(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = LaurentPoly.const(other)
+            other = _const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = {}
@@ -116,7 +149,7 @@ class LaurentPoly:
                     out[e] = v
                 else:
                     del out[e]
-        return LaurentPoly(out)
+        return LaurentPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -135,7 +168,12 @@ class LaurentPoly:
 
     def bar(self):
         """Substitute q -> q^{-1}."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({-e: c for e, c in self.coeffs.items()})
+
+    def shifted(self, k):
+        """self * q^k; raises ValueError unless k is an int."""
+        check_int(k, "exponent")
+        return LaurentPoly._of({e + k: c for e, c in self.coeffs.items()})
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ``DivisibilityError`` on a remainder.
@@ -169,11 +207,12 @@ class LaurentPoly:
                     num[e + qe] = v
                 else:
                     num.pop(e + qe, None)
-        return LaurentPoly({e + shift: c for e, c in quot.items()})
+        return LaurentPoly._of({e + shift: c for e, c in quot.items()})
 
     def truncate(self, cutoff):
         """Drop all terms with exponent > cutoff."""
-        return LaurentPoly({e: c for e, c in self.coeffs.items() if e <= cutoff})
+        return LaurentPoly._of({e: c for e, c in self.coeffs.items()
+                                if e <= cutoff})
 
     # -- formatting --------------------------------------------------------
 
@@ -184,6 +223,11 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.coeffs!r})"
+
+
+def _const(n):
+    """An int operand of the arithmetic as a constant, unchecked."""
+    return LaurentPoly._of({0: n} if n else {})
 
 
 def format_sum(terms):
@@ -217,7 +261,7 @@ def qint(n):
     """Balanced quantum integer [n] = q^{n-1} + q^{n-3} + ... + q^{1-n}.
     Raises ValueError unless n is an int >= 0 (``cartan.check_int``)."""
     check_int(n, "quantum integer n", 0)
-    return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
+    return LaurentPoly._of({n - 1 - 2 * k: 1 for k in range(n)})
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -106,7 +106,8 @@ def divided_difference(p, k):
 def _check_input(graph, seq, polys):
     """Raise GraphError for a label of seq that is not a vertex, and
     ValueError for a monomial of one of polys without one variable per
-    strand."""
+    strand.  Returns seq as a tuple, read once."""
+    seq = tuple(seq)
     graph.require_vertices(seq)
     m = len(seq)
     for poly in polys:
@@ -114,6 +115,7 @@ def _check_input(graph, seq, polys):
             if len(e) != m:
                 raise ValueError(f"monomial {e} has {len(e)} variables for "
                                  f"{m} strands")
+    return seq
 
 
 def _along(graph, orientation, a, b):
@@ -199,8 +201,7 @@ def act_word(graph, orientation, seq, tokens, poly):
     it is crossed.  Zero coefficients of poly are dropped first, as in
     ``act``, so the result has none, also for an empty word.
     """
-    _check_input(graph, seq, (poly,))
-    labels = list(seq)
+    labels = list(_check_input(graph, seq, (poly,)))
     tokens = check_tokens(tokens, len(labels))
     poly = {e: c for e, c in poly.items() if c}
     kinds = {}
@@ -273,8 +274,8 @@ def act(orientation, x, seq, poly):
     two ways.
     """
     graph = x.ring.graph
-    _check_input(graph, seq, (poly,))
-    return _act(graph, orientation, x, tuple(seq), poly, ())
+    seq = _check_input(graph, seq, (poly,))
+    return _act(graph, orientation, x, seq, poly, ())
 
 
 def act_many(orientation, x, seq, polys):
@@ -288,12 +289,11 @@ def act_many(orientation, x, seq, polys):
     """
     graph = x.ring.graph
     polys = list(polys)
-    _check_input(graph, seq, polys)
+    seq = _check_input(graph, seq, polys)
     tagged = {e + (t,): v for t, poly in enumerate(polys)
               for e, v in poly.items()}
     results = [{} for _ in polys]
-    for top, p in _act(graph, orientation, x, tuple(seq), tagged,
-                       (0,)).items():
+    for top, p in _act(graph, orientation, x, seq, tagged, (0,)).items():
         for e, v in p.items():
             results[e[-1]].setdefault(top, {})[e[:-1]] = v
     return results

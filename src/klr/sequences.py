@@ -8,7 +8,7 @@ written.
 
 from __future__ import annotations
 
-from .cartan import check_int, weight_of_seq
+from .cartan import check_int, weight_from_dict
 from .laurent import LaurentPoly, qfact
 
 
@@ -21,7 +21,8 @@ def check_weight(weight):
     for v, n in entries:
         check_int(n, "vertex count", 0)
         if v in seen:
-            raise ValueError(f"vertex {v!r} appears twice in weight {weight}")
+            raise ValueError(f"vertex {v!r} appears twice in weight "
+                             f"{list(entries)}")
         seen.add(v)
     return entries
 
@@ -73,7 +74,11 @@ def expand(divided):
 
 
 def divided_weight(divided):
-    return weight_of_seq(expand(divided))
+    """The weight of the expansion, from the block sizes."""
+    counts = {}
+    for v, n in divided:
+        counts[v] = counts.get(v, 0) + n
+    return weight_from_dict(counts)
 
 
 def shift(divided):
@@ -116,10 +121,12 @@ def shuffles(graph, seq_i, seq_j):
 
     Returns (sequence, degree) pairs; the degree is minus the sum of the
     Cartan pairings over crossing pairs, where a crossing pair is an entry
-    of ``seq_j`` placed to the left of an entry of ``seq_i``.  Raises
-    GraphError for a label that is not a vertex, crossed or not.
+    of ``seq_j`` placed to the left of an entry of ``seq_i``.  Each
+    sequence is read once.  Raises GraphError for a label that is not a
+    vertex, crossed or not.
     """
-    graph.require_vertices((*seq_i, *seq_j))
+    seq_i, seq_j = tuple(seq_i), tuple(seq_j)
+    graph.require_vertices(seq_i + seq_j)
     m, n = len(seq_i), len(seq_j)
     out = []
 

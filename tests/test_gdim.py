@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klr import GradedDim, LaurentPoly
+from klr import GradedDim, KLRRing, LaurentPoly, a2
+from klr.characters import pair_monomials, pair_recursive
 from klr.laurent import qint
 
 
@@ -182,3 +183,33 @@ def test_equality_cancels_shared_factors(num, den, extra, data):
                         den + extra)
     assert not (gd == changed) and not (changed == gd)
     assert gd.bar().bar() == gd and wide.bar().bar() == gd
+
+
+def _valid(gd):
+    """A sorted tuple of ints >= 1 as denominator, over a numerator with
+    no zero coefficient: what the checked constructors would build."""
+    assert type(gd.den) is tuple and list(gd.den) == sorted(gd.den), gd
+    assert all(type(a) is int and a >= 1 for a in gd.den), gd
+    assert 0 not in gd.num.coeffs.values() and gd.num == LaurentPoly(
+        gd.num.coeffs), gd
+    return gd
+
+
+_A2 = KLRRing(a2())
+_monomials = st.lists(st.tuples(st.sampled_from("ij"), st.integers(1, 3)),
+                      min_size=1, max_size=3).filter(
+    lambda t: sum(n for _, n in t) <= 6).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nums, _dens, _nums, _dens, st.integers(-3, 3), _monomials, st.data())
+def test_results_have_sorted_denominators(n1, d1, n2, d2, c, t1, data):
+    """The arithmetic and both pairing routes build their results unchecked
+    (``GradedDim._of``), so each must hold a valid sorted denominator."""
+    x, y = GradedDim(n1, d1), GradedDim(n2, d2)
+    t2 = tuple(data.draw(st.permutations(t1)))  # the weight of t1
+    for result in (x + y, y + x, x - y, -x, x * y, x * c, x * n2, x + c,
+                   x.bar(), x.reduced(), GradedDim(n1 * n2, d1).divide_poly(n2),
+                   GradedDim.zero(), GradedDim.one(),
+                   pair_monomials(_A2, t1, t2), pair_recursive(_A2, t1, t2)):
+        _valid(result)

@@ -82,6 +82,17 @@ PARAMETERS = {
         None, 0, "0"),
     "LaurentPoly exponent": (
         lambda n: LaurentPoly({1: 1}) ** n, -1, 0, LaurentPoly.one()),
+    "LaurentPoly key (constructor)": (
+        lambda e: LaurentPoly({e: 1}), None, 0, LaurentPoly.one()),
+    "LaurentPoly coefficient (constructor)": (
+        lambda c: LaurentPoly({1: c}), None, 0, LaurentPoly.zero()),
+    "LaurentPoly.const": (LaurentPoly.const, None, 0, LaurentPoly.zero()),
+    "LaurentPoly.q_power exponent": (
+        LaurentPoly.q_power, None, 0, LaurentPoly.one()),
+    "LaurentPoly.shifted": (
+        lambda k: LaurentPoly.one().shifted(k), None, 0, LaurentPoly.one()),
+    "LaurentPoly.q_power coefficient": (
+        lambda c: LaurentPoly.q_power(1, c), None, 0, LaurentPoly.zero()),
     "qint": (qint, -1, 0, LaurentPoly.zero()),
     "qfact": (qfact, -1, 0, LaurentPoly.one()),
     "qmultinomial part": (_qmultinomial, -1, 0, LaurentPoly.one()),

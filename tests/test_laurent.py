@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klr import DivisibilityError, LaurentPoly, qbinom, qfact, qint
 from klr.laurent import format_sum, qmultinomial
@@ -109,3 +111,48 @@ def test_int_operands():
     assert len({LaurentPoly.const(5), 5}) == 1
     assert len({LaurentPoly.zero(), 0}) == 1
     assert len({LaurentPoly.q_power(1), LaurentPoly.q_power(1, 1)}) == 1
+
+
+def test_constructor_checks_outside_input():
+    """The public constructor is where outside input enters: every exponent
+    and coefficient is an int (a bool is not one), and zeros are dropped."""
+    for coeffs, message in [({0.5: 1}, "exponent 0.5 is not an integer"),
+                            ({True: 1}, "exponent True is not an integer"),
+                            ({"1": 1}, "exponent '1' is not an integer"),
+                            ({0: 1.5}, "coefficient 1.5 is not an integer"),
+                            ({0: False}, "coefficient False is not an integer"),
+                            ({2: None}, "coefficient None is not an integer")]:
+        with pytest.raises(ValueError, match=message):
+            LaurentPoly(coeffs)
+    assert LaurentPoly({-1: 2, 0: 0, 3: -1}).coeffs == {-1: 2, 3: -1}
+    assert LaurentPoly().coeffs == LaurentPoly({}).coeffs == {}
+    assert LaurentPoly.const(0).coeffs == LaurentPoly.q_power(3, 0).coeffs == {}
+
+
+_polys = st.dictionaries(st.integers(-5, 5), st.integers(-3, 3),
+                         max_size=5).map(LaurentPoly)
+
+
+def _valid(p):
+    """No zero coefficient, ints only, and the checked constructor builds
+    the same polynomial from the same dict."""
+    assert 0 not in p.coeffs.values(), p
+    assert p == LaurentPoly(p.coeffs)
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys, _polys, st.integers(-4, 4), st.integers(-3, 3))
+def test_arithmetic_results_are_valid(p, r, k, n):
+    """The arithmetic builds its results unchecked (``LaurentPoly._of``),
+    so each must already be what the checked constructor would build."""
+    for result in (p + r, p - r, p * r, p + (-p), r - r, -p, p.bar(),
+                   p.truncate(k), p.shifted(k), p + n, n + p, p - n, n - p,
+                   p * n, n * p, p ** 2, qint(abs(k)), qfact(abs(k)),
+                   LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.const(n),
+                   LaurentPoly.q_power(k, n)):
+        _valid(result)
+    if r:
+        _valid((p * r).exact_div(r))
+        assert (p * r).exact_div(r) == p
+    assert p.shifted(k) == p * LaurentPoly.q_power(k)

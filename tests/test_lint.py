@@ -160,3 +160,14 @@ def test_edge_set_read_only_where_allowed():
     assert found <= {("polyrep", "default_orientation"),
                      ("polyrep", "reversed_orientation"),
                      ("verify", "_idempotents")}
+
+
+def test_raw_constructors_called_only_where_allowed():
+    """``LaurentPoly._of`` and ``GradedDim._of`` skip the constructor
+    checks, so only the arithmetic (laurent, gdim) and the form layer
+    (characters, elements) build with them; the CLI, the JSON readers and
+    the quotient engine go through the checked constructors."""
+    found = {path.stem
+             for path in sorted(Path(klr.__file__).parent.glob("*.py"))
+             if attribute_readers(path.read_text(), "_of")}
+    assert found <= {"laurent", "gdim", "characters", "elements"}

@@ -8,6 +8,8 @@ from klr import (
     KLRRing,
     a1xa1,
     a2,
+    act,
+    act_many,
     act_word,
     char_projective,
     comultiply,
@@ -141,6 +143,38 @@ def test_one_shot_iterators_give_the_tuple_answers():
     }
     for name, (call, arg) in calls.items():
         assert call(iter(arg)) == call(tuple(arg)), name
+
+
+def test_plain_sequence_iterators_give_the_tuple_answers():
+    """A plain sequence is read once, as a tuple, before its checks, so an
+    iterator neither raises nor reads as empty."""
+    g = a2()
+    ring = KLRRing(g)
+    orient = default_orientation(g)
+    x = ring.evaluate_word(("i", "j"), [("C", 1), ("D", 1)])
+    polys = [{(0, 0): 1}, {(1, 0): 2}]
+    calls = {
+        "shuffles": lambda s: shuffles(g, s, ("j",)),
+        "shuffles (second)": lambda s: shuffles(g, ("j",), s),
+        "act": lambda s: act(orient, x, s, polys[0]),
+        "act_word": lambda s: act_word(g, orient, s, [("C", 1)], polys[1]),
+        "act_many": lambda s: act_many(orient, x, s, polys),
+    }
+    for name, call in calls.items():
+        assert call(iter(["i", "j"])) == call(("i", "j")), name
+    with pytest.raises(GraphError):
+        act(orient, x, iter(["i", "k"]), polys[0])
+
+
+def test_repeated_vertex_names_the_entries_read():
+    """A weight with a repeated vertex is named by its entries, in list
+    form, also when it was given as an iterator."""
+    message = "vertex 'i' appears twice in weight [('i', 1), ('i', 2)]"
+    for weight in ([("i", 1), ("i", 2)], (("i", 1), ("i", 2)),
+                   iter([("i", 1), ("i", 2)])):
+        with pytest.raises(ValueError) as info:
+            seq_enumerate(weight)
+        assert str(info.value) == message
 
 def test_shuffles_cardinality():
     g = a2()
