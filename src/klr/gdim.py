@@ -65,8 +65,10 @@ class GradedDim:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den=()):
-        """Raises ValueError unless every factor of den is an int >= 1
-        (``cartan.check_int``)."""
+        """Raises TypeError unless num is a LaurentPoly, and ValueError
+        unless every factor of den is an int >= 1 (``cartan.check_int``)."""
+        if not isinstance(num, LaurentPoly):
+            raise TypeError(f"numerator must be a LaurentPoly, not {num!r}")
         den = tuple(den)
         for a in den:
             check_int(a, "denominator factor", 1)

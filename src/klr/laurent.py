@@ -31,8 +31,11 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        """Raises ValueError unless every exponent and coefficient of the
-        dict coeffs is an int (``cartan.check_int``); drops zeros."""
+        """Raises TypeError unless coeffs is a dict or None, and ValueError
+        unless every exponent and coefficient is an int
+        (``cartan.check_int``); drops zeros."""
+        if coeffs is not None and not isinstance(coeffs, dict):
+            raise TypeError(f"coefficients must be a dict, not {coeffs!r}")
         out = {}
         if coeffs:
             for e, c in coeffs.items():

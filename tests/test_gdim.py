@@ -130,6 +130,9 @@ def test_bad_denominator_factor():
         with pytest.raises(ValueError):
             GradedDim.from_json({"num": {"0": 1}, "den": list(den)})
     assert GradedDim(LaurentPoly.one(), (2, 1)).den == (1, 2)
+    for num in (1, {0: 1}, None):
+        with pytest.raises(TypeError, match="must be a LaurentPoly"):
+            GradedDim(num, (1,))
 
 
 def test_compare_with_laurent_poly():

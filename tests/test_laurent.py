@@ -124,6 +124,9 @@ def test_constructor_checks_outside_input():
                             ({2: None}, "coefficient None is not an integer")]:
         with pytest.raises(ValueError, match=message):
             LaurentPoly(coeffs)
+    for coeffs in ([(0, 1)], 1, "q"):
+        with pytest.raises(TypeError, match="must be a dict"):
+            LaurentPoly(coeffs)
     assert LaurentPoly({-1: 2, 0: 0, 3: -1}).coeffs == {-1: 2, 3: -1}
     assert LaurentPoly().coeffs == LaurentPoly({}).coeffs == {}
     assert LaurentPoly.const(0).coeffs == LaurentPoly.q_power(3, 0).coeffs == {}
