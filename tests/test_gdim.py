@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klr import GradedDim, KLRRing, LaurentPoly, a2
-from klr.characters import pair_monomials, pair_recursive
+from klr import (
+    GradedDim,
+    KLRRing,
+    LaurentPoly,
+    a2,
+    pair_monomials,
+    pair_recursive,
+)
 from klr.laurent import qint
 
 
