@@ -65,6 +65,8 @@ class CharacterVector:
         return self.values.get(tuple(seq), GradedDim.zero())
 
     def __add__(self, other):
+        if not isinstance(other, CharacterVector):
+            return NotImplemented
         if self.weight != other.weight:
             raise WeightMismatchError(
                 f"weights differ: {self.weight} vs {other.weight}")
@@ -113,6 +115,8 @@ class K0Vector:
         return K0Vector(divided_weight(theta), {theta: LaurentPoly.one()})
 
     def __add__(self, other):
+        if not isinstance(other, K0Vector):
+            return NotImplemented
         if self.weight != other.weight:
             raise WeightMismatchError(
                 f"weights differ: {self.weight} vs {other.weight}")
@@ -125,6 +129,8 @@ class K0Vector:
         return K0Vector(self.weight, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, K0Vector):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, p: LaurentPoly):
@@ -186,7 +192,7 @@ def shuffle_product(graph, f: CharacterVector, g: CharacterVector):
         for sj, vj in g.values.items():
             prod = vi * vj
             for seq, deg in shuffles(graph, si, sj):
-                contrib = prod * LaurentPoly.q_power(deg)
+                contrib = GradedDim._of(prod.num.shifted(deg), prod.den)
                 values[seq] = values[seq] + contrib if seq in values else contrib
     return CharacterVector(weight, values)
 

@@ -129,12 +129,12 @@ def _print(obj, args):
 def _print_gdim(gd, args):
     if args.json:
         obj = gd.to_json()
-        if args.expand:
+        if args.expand is not None:
             obj["series"] = gd.series(args.expand).to_json()
         print(json.dumps(obj))
         return
     print(gd)
-    if args.expand:
+    if args.expand is not None:
         print(f"series up to q^{args.expand}: {gd.series(args.expand)}")
 
 
@@ -246,7 +246,7 @@ def build_parser():
     out.add_argument("--json", action="store_true",
                      help="machine-readable output")
     graded = argparse.ArgumentParser(add_help=False, parents=[out])
-    graded.add_argument("--expand", type=int, default=0, metavar="N",
+    graded.add_argument("--expand", type=int, metavar="N",
                         help="also print series expansion up to q^N")
 
     p = sub.add_parser("multiply", parents=[out],
@@ -254,7 +254,9 @@ def build_parser():
     p.add_argument("--word", action="append", metavar="'seq: C1 D2'",
                    help="generator word (repeatable, left factor first)")
     p.add_argument("--elem", action="append", metavar="FILE",
-                   help="element JSON file (repeatable)")
+                   help="element JSON file (repeatable); every --word "
+                        "factor comes before every --elem factor, whatever "
+                        "their order on the command line")
     p.set_defaults(func=cmd_multiply)
 
     p = sub.add_parser("gdim", parents=[graded],

@@ -110,13 +110,19 @@ def _acc(target, terms, scalar=1, u=()):
 
 
 class KLRElement:
-    """An element of R(nu) in normal form (immutable by convention)."""
+    """An element of R(nu) in normal form (immutable by convention).
+
+    ``KLRElement(ring, terms)`` is the raw constructor: terms is a dict
+    from valid basis keys to nonzero ints, kept as the element's own, so
+    the caller must not change it afterwards.  ``KLRRing.element`` is the
+    checked path for outside input.
+    """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = {k: c for k, c in terms.items() if c != 0}
+        self.terms = terms
 
     @property
     def weight(self):
@@ -143,6 +149,8 @@ class KLRElement:
         return hash(frozenset(self.terms.items())) if self.terms else 0
 
     def __add__(self, other):
+        if not isinstance(other, KLRElement):
+            return NotImplemented
         _check_weights(self.ring.graph, self, other)
         out = dict(self.terms)
         _acc(out, other.terms)
@@ -152,6 +160,8 @@ class KLRElement:
         return KLRElement(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, KLRElement):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -162,6 +172,8 @@ class KLRElement:
     def __rmul__(self, other):
         if not isinstance(other, int):
             return NotImplemented
+        if not other:
+            return KLRElement(self.ring, {})
         return KLRElement(self.ring, {k: c * other for k, c in self.terms.items()})
 
     def degree(self):
@@ -244,7 +256,8 @@ class KLRRing:
         length m, i holds vertices (GraphError), w is a permutation of
         range(m), u holds ints >= 0 and c is an int (``cartan.check_int``,
         so a bool is not one); terms of different weights raise
-        WeightMismatchError.  Every error is a ValueError.
+        WeightMismatchError.  Every error is a ValueError.  A zero
+        coefficient is dropped, and the element keeps a copy of terms.
         ``KLRElement(ring, terms)`` is the raw constructor, for keys
         already known to be valid.
         """
@@ -262,7 +275,7 @@ class KLRRing:
                 raise ValueError(f"{w} is not a permutation")
         if len(terms) > 1 and len({tuple(sorted(i)) for i, _, _ in terms}) > 1:
             raise WeightMismatchError("terms have different weights")
-        return KLRElement(self, terms)
+        return KLRElement(self, {k: c for k, c in terms.items() if c})
 
     def zero(self):
         return KLRElement(self, {})

@@ -13,6 +13,12 @@ input: every factor must be an int >= 1 (``cartan.check_int``), and the
 factors are sorted.  ``GradedDim._of(num, den)`` is the raw constructor,
 for a denominator already known to be a sorted tuple of ints >= 1, as the
 arithmetic here and the form layer build it.
+
+One operand rule serves ``+``, ``-``, ``*`` and ``==`` (``_lift``): an int
+or a LaurentPoly is a GradedDim with no denominator, and any other type
+gives NotImplemented, so Python raises TypeError.  A product multiplies the
+numerators over the merged denominator and cancels nothing; ``reduced()``
+cancels the factors that divide the numerator, and only when called.
 """
 
 from __future__ import annotations
@@ -53,12 +59,16 @@ def _den_poly(factors):
 
 
 def _lift(other):
-    """An int or LaurentPoly as a GradedDim with no denominator."""
+    """An operand of the arithmetic as a GradedDim: a GradedDim as it is,
+    an int or a LaurentPoly with no denominator, and NotImplemented for
+    any other type."""
+    if isinstance(other, GradedDim):
+        return other
     if isinstance(other, int):
         other = LaurentPoly._of({0: other} if other else {})
     if isinstance(other, LaurentPoly):
-        other = GradedDim._of(other, ())
-    return other
+        return GradedDim._of(other, ())
+    return NotImplemented
 
 
 class GradedDim:
@@ -98,6 +108,8 @@ class GradedDim:
 
     def __add__(self, other):
         other = _lift(other)
+        if other is NotImplemented:
+            return other
         # common denominator: the multiset maximum of the two
         extra = _den_minus(other.den, self.den)
         n1 = self.num * _den_poly(extra)
@@ -109,20 +121,28 @@ class GradedDim:
         return GradedDim._of(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-_lift(other))
+        other = _lift(other)
+        if other is NotImplemented:
+            return other
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return GradedDim._of(self.num * other, self.den)
-        if isinstance(other, LaurentPoly):
-            return GradedDim._of(self.num * other, self.den).reduced()
+        """The numerators multiplied over the merged denominator, with no
+        factor cancelled."""
+        other = _lift(other)
+        if other is NotImplemented:
+            return other
         return GradedDim._of(self.num * other.num,
-                             tuple(sorted(self.den + other.den))).reduced()
+                             tuple(sorted(self.den + other.den)))
 
     __rmul__ = __mul__
 
     def reduced(self):
-        """Cancel denominator factors that divide the numerator exactly."""
+        """Cancel denominator factors that divide the numerator exactly,
+        one trial division per factor.  Explicit only: no product calls
+        it.  A character or pairing value has no factor to cancel: its
+        numerator has nonnegative coefficients, so it is nonzero at q = 1,
+        where every factor 1 - q^{2a} vanishes."""
         num = self.num
         if num.is_zero():
             return GradedDim._of(num, ())
@@ -147,8 +167,8 @@ class GradedDim:
 
     def __eq__(self, other):
         other = _lift(other)
-        if not isinstance(other, GradedDim):
-            return NotImplemented
+        if other is NotImplemented:
+            return other
         if self.den == other.den:
             return self.num == other.num
         return (self.num * _den_poly(_den_minus(other.den, self.den))
@@ -158,7 +178,9 @@ class GradedDim:
         raise TypeError("GradedDim is unhashable (equality is cross-multiplication)")
 
     def series(self, cutoff) -> LaurentPoly:
-        """Coefficients of the geometric-series expansion up to q^cutoff."""
+        """Coefficients of the geometric-series expansion up to q^cutoff.
+        Raises ValueError unless cutoff is an int (``cartan.check_int``)."""
+        check_int(cutoff, "series cutoff")
         out = self.num
         if out.is_zero():
             return out

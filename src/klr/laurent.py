@@ -213,7 +213,9 @@ class LaurentPoly:
         return LaurentPoly._of({e + shift: c for e, c in quot.items()})
 
     def truncate(self, cutoff):
-        """Drop all terms with exponent > cutoff."""
+        """Drop all terms with exponent > cutoff.  Raises ValueError
+        unless cutoff is an int (``cartan.check_int``)."""
+        check_int(cutoff, "truncation cutoff")
         return LaurentPoly._of({e: c for e, c in self.coeffs.items()
                                 if e <= cutoff})
 

@@ -257,6 +257,48 @@ def test_comparisons_with_other_types(ring_a2):
     assert not char_projective(ring_a2, (("i", 1),)) == 1
     assert not GradedDim.one() == "x"
 
+# each operator of a value type given an operand of another type
+FOREIGN_OPERANDS = {
+    "gd + 'x'": lambda v: v["gd"] + "x",
+    "gd * 'x'": lambda v: v["gd"] * "x",
+    "'x' * gd": lambda v: "x" * v["gd"],
+    "cv.scale('x')": lambda v: v["cv"].scale("x"),
+    "cv + 1": lambda v: v["cv"] + 1,
+    "k0 + 1": lambda v: v["k0"] + 1,
+    "k0 - 1": lambda v: v["k0"] - 1,
+    "elem + 1": lambda v: v["elem"] + 1,
+    "elem - 1": lambda v: v["elem"] - 1,
+    "elem + 'x'": lambda v: v["elem"] + "x",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_OPERANDS))
+def test_foreign_operand_raises_type_error(ring_a2, case):
+    values = {"gd": GradedDim.one(),
+              "cv": char_projective(ring_a2, (("i", 1),)),
+              "k0": K0Vector.monomial((("i", 1),)),
+              "elem": ring_a2.generator(("C", 1), ("i", "j"))}
+    with pytest.raises(TypeError):
+        FOREIGN_OPERANDS[case](values)
+
+
+def test_shuffle_product_divides_nothing(ring_a2, monkeypatch):
+    """A shuffle multiplies two values and shifts the numerator by q^deg:
+    on a2, the characters of i^(2)j and ji shuffle with no exact division,
+    to the character of the concatenation."""
+    f = char_projective(ring_a2, (("i", 2), ("j", 1)))
+    g = char_projective(ring_a2, (("j", 1), ("i", 1)))
+    divisions = []
+    exact_div = LaurentPoly.exact_div
+    monkeypatch.setattr(LaurentPoly, "exact_div",
+                        lambda p, d: divisions.append(d) or exact_div(p, d))
+    prod = shuffle_product(ring_a2.graph, f, g)
+    assert divisions == []
+    assert sum(len(v.den) for v in prod.values.values()) == 50
+    assert prod == char_projective(
+        ring_a2, (("i", 2), ("j", 1), ("j", 1), ("i", 1)))
+
+
 def test_character_and_k0_vector_arithmetic(ring_a2):
     ij = char_projective(ring_a2, (("i", 1), ("j", 1)))
     ji = char_projective(ring_a2, (("j", 1), ("i", 1)))

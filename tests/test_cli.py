@@ -86,6 +86,19 @@ def test_gdim(capsys, graph_files):
     assert "series up to q^4" in out
 
 
+def test_expand_zero_appends_the_series(capsys, graph_files):
+    # --expand 0 is a cutoff like any other, not the absent option
+    g = graph_files["a1"]
+    code, out, _ = run(capsys, ["gdim", "-g", g, "--expand", "0", "i", "i"])
+    assert code == 0 and out == "1 / (1-q^2)\nseries up to q^0: 1\n"
+    code, out, _ = run(capsys, ["gdim", "-g", g, "--json", "--expand", "0",
+                                "i", "i"])
+    assert code == 0 and json.loads(out) == {
+        "num": {"0": 1}, "den": [1], "series": {"0": 1}}
+    code, out, _ = run(capsys, ["gdim", "-g", g, "--json", "i", "i"])
+    assert code == 0 and "series" not in json.loads(out)
+
+
 def test_pair_examples(capsys, graph_files):
     code, out, _ = run(capsys, ["pair", "-g", graph_files["a1"], "i", "i"])
     assert code == 0 and out.strip() == "1 / (1-q^2)"

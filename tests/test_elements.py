@@ -140,6 +140,26 @@ def test_element_from_json_rejects_bad_vectors(ring_a2):
         ring_a2.element({_basis_key(t): 1 for t in (good, ii)})
 
 
+def test_element_drops_zeros_and_keeps_no_outside_dict(ring_a2):
+    """ring.element and element_from_json drop a zero coefficient, a zero
+    scalar gives the zero element, and the element does not share the
+    dict it was given."""
+    key = (("i", "j"), (1, 0), (0, 1))
+    zero_key = (("i", "j"), (1, 0), (0, 0))
+    terms = {key: 2, zero_key: 0}
+    x = ring_a2.element(terms)
+    assert x.terms == {key: 2}
+    terms[key] = 5
+    terms[zero_key] = 3
+    assert x.terms == {key: 2}
+    assert ring_a2.element_from_json([
+        {"source": ["i", "j"], "permutation": [2, 1], "dots": [0, 0],
+         "coeff": "0"}]).terms == {}
+    for zero in (0 * x, x * 0):
+        assert zero.terms == {} and zero == 0 and zero == ring_a2.zero()
+        assert zero.weight is None
+
+
 def test_weight_mismatch(ring_a1):
     x = ring_a1.idempotent(("i",))
     y = ring_a1.idempotent(("i", "i"))

@@ -57,6 +57,19 @@ def test_mul_and_reduced():
     assert (a * a) == geom(1, 1)
 
 
+def test_products_cancel_nothing():
+    """A product keeps every denominator factor, even one that divides its
+    numerator; reduced() cancels it, and only when called."""
+    p = LaurentPoly({0: 1, 2: -1})  # = 1 - q^2
+    for prod in (geom(1) * p, p * geom(1),
+                 geom(1) * GradedDim(p, ()), geom(1) * GradedDim(p, (2,))):
+        assert 1 in prod.den and prod.num == p
+    assert str(geom(1) * p) == "(1 - q^2) / (1-q^2)"
+    assert geom(1) * p == 1
+    assert (geom(1) * p).reduced().den == ()
+    assert str((geom(1) * p).reduced()) == "1"
+
+
 def test_bar():
     a = geom(1)
     # bar(1/(1-q^2)) = -q^2/(1-q^2)

@@ -93,6 +93,12 @@ PARAMETERS = {
         lambda k: LaurentPoly.one().shifted(k), None, 0, LaurentPoly.one()),
     "LaurentPoly.q_power coefficient": (
         lambda c: LaurentPoly.q_power(1, c), None, 0, LaurentPoly.zero()),
+    "LaurentPoly.truncate cutoff": (
+        lambda c: LaurentPoly({0: 1, 1: 1}).truncate(c), None, 0,
+        LaurentPoly.one()),
+    "GradedDim.series cutoff": (
+        lambda c: GradedDim(LaurentPoly.one(), (1,)).series(c), None, 0,
+        LaurentPoly.one()),
     "qint": (qint, -1, 0, LaurentPoly.zero()),
     "qfact": (qfact, -1, 0, LaurentPoly.one()),
     "qmultinomial part": (_qmultinomial, -1, 0, LaurentPoly.one()),
