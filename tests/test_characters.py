@@ -257,6 +257,7 @@ def test_comparisons_with_other_types(ring_a2):
     assert not char_projective(ring_a2, (("i", 1),)) == 1
     assert not GradedDim.one() == "x"
 
+
 # each operator of a value type given an operand of another type
 FOREIGN_OPERANDS = {
     "gd + 'x'": lambda v: v["gd"] + "x",
