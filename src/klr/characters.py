@@ -11,8 +11,9 @@ computed two independent ways, which share no code:
   anti-involution that flips diagrams upside down preserves degree, so this
   (theta, theta') sector has the graded dimension of the (theta', theta)
   one.  The DP takes theta' as a divided source (gdim_hom_divided) and
-  divides by theta'! in closed form, one quantum multinomial per run; the
-  division by theta! is _divide_factorial's;
+  divides by theta'! in closed form, one quantum multinomial per run, and
+  its numerator is memoized per ring; the division by theta! is
+  _divide_factorial's;
 * pair_recursive: the coproduct recursion (x, y i) = (r(x), y tensor i),
   peeling one letter of expand(theta') at a time.  Only the terms of r(x)
   whose right factor is that single letter survive, and they are written
@@ -38,6 +39,7 @@ from .gdim import GradedDim
 from .laurent import LaurentPoly
 from .permutations import apply_perm_to_seq
 from .sequences import (
+    check_block,
     check_divided,
     divided_weight,
     expand,
@@ -230,11 +232,28 @@ def comultiply(graph, theta):
 
 def _same_weight(ring, theta, theta2):
     """Whether two divided sequences have one weight, where the form may
-    be nonzero.  The one input check of both pairing routes: ValueError on
-    a bad block, GraphError on a label that is not a vertex."""
-    check_divided(theta + theta2)
-    ring.graph.require_vertices(v for v, _ in theta + theta2)
-    return divided_weight(theta) == divided_weight(theta2)
+    be nonzero.  The one input check of both pairing routes, in one pass
+    over the blocks of theta and then theta': each block is checked
+    (``check_block``, ValueError), and its size is added to a per-vertex
+    count for theta and subtracted for theta', so the weights agree iff
+    every count is 0.  The count's labels are then checked once each
+    (GraphError), so a bad block anywhere is reported first.
+
+    An unhashable label, or a label that is not a vertex, runs the checks
+    again block by block and label by label: they name every bad label as
+    written, in first-seen order (1 and 1.0 share a count, not a repr)."""
+    counts = {}
+    try:
+        for blocks, sign in ((theta, 1), (theta2, -1)):
+            for block in blocks:
+                v, n = check_block(block)
+                counts[v] = counts.get(v, 0) + sign * n
+        ring.graph.require_vertices(counts)
+    except (TypeError, GraphError):
+        check_divided(theta + theta2)
+        ring.graph.require_vertices(v for v, _ in theta + theta2)
+        raise
+    return not any(counts.values())
 
 
 def pair_monomials(ring, theta, theta2) -> GradedDim:

@@ -72,9 +72,12 @@ class InhomogeneousError(ValueError):
 
 
 def _check_rings(graph, *elements):
-    """Raise WeightMismatchError unless every element is in the ring over
-    graph, or over an equal graph (``CartanGraph.__eq__``)."""
+    """Raise TypeError for an argument that is not a KLRElement, and
+    WeightMismatchError unless every element is in the ring over graph, or
+    over an equal graph (``CartanGraph.__eq__``)."""
     for x in elements:
+        if not isinstance(x, KLRElement):
+            raise TypeError(f"{x!r} is not a KLRElement")
         if x.ring.graph is not graph and x.ring.graph != graph:
             raise WeightMismatchError("elements of rings over other graphs")
 
@@ -170,7 +173,7 @@ class KLRElement:
         return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if not isinstance(other, int):
+        if type(other) is not int:  # a bool is not an int (check_int)
             return NotImplemented
         if not other:
             return KLRElement(self.ring, {})
@@ -224,13 +227,16 @@ class KLRRing:
         self._parts = {}
         # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
         self._pair_cache = {}
-        self._cross_hits = self._pair_hits = 0  # reads that found an entry
+        # (seq_j, theta) -> numerator of the hom DP; see _gdim_hom
+        self._hom_cache = {}
+        # reads that found an entry
+        self._cross_hits = self._pair_hits = self._hom_hits = 0
         self._direct_steps = 0  # right steps that are one key, not cached
         self._terms_read = 0  # terms read by the right-crossing steps
 
     def stats(self):
-        """Work done so far: the sizes of the cross and pair caches, their
-        ``hits`` (reads that found an entry), ``direct_steps`` and
+        """Work done so far: the sizes of the cross, pair and hom caches,
+        their ``hits`` (reads that found an entry), ``direct_steps`` and
         ``terms_read``.
 
         A right step that keeps the canonical word is one key: ``_cross``
@@ -242,8 +248,10 @@ class KLRRing:
         step, whether of ``multiply``, ``psi``, ``evaluate_word`` or the
         kernel's own canonicalization."""
         caches = {"cross": len(self._cross_cache),
-                  "pair": len(self._pair_cache)}
-        hits = {"cross": self._cross_hits, "pair": self._pair_hits}
+                  "pair": len(self._pair_cache),
+                  "hom": len(self._hom_cache)}
+        hits = {"cross": self._cross_hits, "pair": self._pair_hits,
+                "hom": self._hom_hits}
         return {"caches": caches, "hits": hits,
                 "direct_steps": self._direct_steps,
                 "terms_read": self._terms_read}
@@ -256,12 +264,17 @@ class KLRRing:
         length m, i holds vertices (GraphError), w is a permutation of
         range(m), u holds ints >= 0 and c is an int (``cartan.check_int``,
         so a bool is not one); terms of different weights raise
-        WeightMismatchError.  Every error is a ValueError.  A zero
-        coefficient is dropped, and the element keeps a copy of terms.
+        WeightMismatchError.  Every error is a ValueError, except the
+        TypeError for terms that have no ``items()``.  The items are read
+        once; a zero coefficient is dropped, and the element keeps a copy.
         ``KLRElement(ring, terms)`` is the raw constructor, for keys
         already known to be valid.
         """
-        for (i, w, u), c in terms.items():
+        try:
+            items = tuple(terms.items())
+        except AttributeError:
+            raise TypeError(f"terms must be a mapping, not {terms!r}") from None
+        for (i, w, u), c in items:
             if not (type(i) is type(w) is type(u) is tuple
                     and len(w) == len(u) == len(i)):
                 raise ValueError(f"basis key {(i, w, u)!r} is not three "
@@ -273,9 +286,9 @@ class KLRRing:
                 check_int(e, "dot exponent", 0)
             if sorted(w) != list(range(len(w))):
                 raise ValueError(f"{w} is not a permutation")
-        if len(terms) > 1 and len({tuple(sorted(i)) for i, _, _ in terms}) > 1:
+        if len({tuple(sorted(i)) for (i, _, _), _ in items}) > 1:
             raise WeightMismatchError("terms have different weights")
-        return KLRElement(self, {k: c for k, c in terms.items() if c})
+        return KLRElement(self, {k: c for k, c in items if c})
 
     def zero(self):
         return KLRElement(self, {})
@@ -344,9 +357,9 @@ class KLRRing:
     # -- ring operations ---------------------------------------------------
 
     def multiply(self, x, y):
-        """x * y, with x stacked on top of y.  Raises WeightMismatchError
-        unless both are elements of this ring (or of one over an equal
-        graph) of the same weight."""
+        """x * y, with x stacked on top of y.  Raises TypeError unless both
+        are KLRElements, and WeightMismatchError unless both are elements
+        of this ring (or of one over an equal graph) of the same weight."""
         _check_weights(self.graph, x, y)
         return KLRElement(self, self.multiply_terms(x.terms, y.terms))
 
@@ -451,7 +464,15 @@ class KLRRing:
         return self._gdim_hom(seq_j, theta)
 
     def _gdim_hom(self, seq_j, theta):
-        """The DP of ``gdim_hom_divided`` on checked tuples of one weight."""
+        """The DP of ``gdim_hom_divided`` on checked tuples of one weight.
+
+        The numerator is memoized per ring in ``_hom_cache``, keyed by
+        (seq_j, theta); each call returns a new GradedDim over it."""
+        memo = (seq_j, theta)
+        num = self._hom_cache.get(memo)
+        if num is not None:
+            self._hom_hits += 1
+            return GradedDim._of(num, (1,) * len(seq_j))
         blocks = [(v, tuple(n for _, n in g))
                   for v, g in groupby(theta, key=itemgetter(0))]
         runs = [(v, sum(ns)) for v, ns in blocks]
@@ -477,6 +498,7 @@ class KLRRing:
         for _, ns in blocks:
             if len(ns) > 1:
                 num = num * qmultinomial(ns)
+        self._hom_cache[memo] = num
         return GradedDim._of(num, (1,) * len(seq_j))
 
     def nilhecke_em(self, m, vertex):

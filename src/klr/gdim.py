@@ -14,9 +14,10 @@ factors are sorted.  ``GradedDim._of(num, den)`` is the raw constructor,
 for a denominator already known to be a sorted tuple of ints >= 1, as the
 arithmetic here and the form layer build it.
 
-One operand rule serves ``+``, ``-``, ``*`` and ``==`` (``_lift``): an int
-or a LaurentPoly is a GradedDim with no denominator, and any other type
-gives NotImplemented, so Python raises TypeError.  A product multiplies the
+One operand rule serves ``+``, ``-``, ``*`` and ``==``, from either side
+(``_lift``): an int or a LaurentPoly is a GradedDim with no denominator,
+and any other type, a bool included (``cartan.check_int``), gives
+NotImplemented, so Python raises TypeError.  A product multiplies the
 numerators over the merged denominator and cancels nothing; ``reduced()``
 cancels the factors that divide the numerator, and only when called.
 """
@@ -61,10 +62,10 @@ def _den_poly(factors):
 def _lift(other):
     """An operand of the arithmetic as a GradedDim: a GradedDim as it is,
     an int or a LaurentPoly with no denominator, and NotImplemented for
-    any other type."""
+    any other type, a bool included."""
     if isinstance(other, GradedDim):
         return other
-    if isinstance(other, int):
+    if type(other) is int:
         other = LaurentPoly._of({0: other} if other else {})
     if isinstance(other, LaurentPoly):
         return GradedDim._of(other, ())
@@ -117,6 +118,8 @@ class GradedDim:
         den = tuple(sorted(self.den + extra)) if extra else self.den
         return GradedDim._of(n1 + n2, den)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return GradedDim._of(-self.num, self.den)
 
@@ -125,6 +128,12 @@ class GradedDim:
         if other is NotImplemented:
             return other
         return self + (-other)
+
+    def __rsub__(self, other):
+        other = _lift(other)
+        if other is NotImplemented:
+            return other
+        return other + (-self)
 
     def __mul__(self, other):
         """The numerators multiplied over the merged denominator, with no

@@ -10,6 +10,10 @@ and zero coefficients are dropped.  ``LaurentPoly._of(coeffs)`` is the raw
 constructor, for a dict already known to be valid, as the arithmetic here
 and the form layer (``gdim``, ``characters``, ``elements``) build it: it
 takes the dict as it is, without a copy or a check.
+
+The arithmetic takes an int or a LaurentPoly operand; any other type, a
+bool included (``cartan.check_int``), gives NotImplemented, so Python
+raises TypeError.  A LaurentPoly is not iterable.
 """
 
 from __future__ import annotations
@@ -103,6 +107,10 @@ class LaurentPoly:
     def __getitem__(self, e):
         return self.coeffs.get(e, 0)
 
+    # not iterable: without this, iter() would call __getitem__(0), (1), ...
+    # and never stop
+    __iter__ = None
+
     def to_json(self):
         """{str(exponent): coefficient}, by increasing exponent."""
         return {str(e): c for e, c in sorted(self.coeffs.items())}
@@ -110,9 +118,9 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:  # a bool is not an int (check_int)
             other = _const(other)
-        if not isinstance(other, LaurentPoly):
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -129,19 +137,21 @@ class LaurentPoly:
         return LaurentPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = _const(other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        if not isinstance(other, int):
+        if type(other) is not int:
             return NotImplemented
         return _const(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = _const(other)
-        if not isinstance(other, LaurentPoly):
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
         out = {}
         for e1, c1 in self.coeffs.items():

@@ -52,15 +52,22 @@ def seq_enumerate(weight):
 
 # -- divided sequences -----------------------------------------------------
 
+def check_block(block):
+    """Raise ValueError unless block is (vertex, n) with n an int >= 1
+    (``cartan.check_int``).  Returns the block."""
+    if not (isinstance(block, tuple) and len(block) == 2):
+        raise ValueError(f"divided-power block {block!r} is not "
+                         f"(vertex, n)")
+    check_int(block[1], "divided-power block size", 1)
+    return block
+
+
 def check_divided(divided):
-    """Raise ValueError unless every block is (vertex, n) with n an int >= 1
-    (``cartan.check_int``).  Returns the blocks as a tuple, read once."""
+    """Raise ValueError unless every block passes ``check_block``.
+    Returns the blocks as a tuple, read once."""
     divided = tuple(divided)
     for block in divided:
-        if not (isinstance(block, tuple) and len(block) == 2):
-            raise ValueError(f"divided-power block {block!r} is not "
-                             f"(vertex, n)")
-        check_int(block[1], "divided-power block size", 1)
+        check_block(block)
     return divided
 
 

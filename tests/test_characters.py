@@ -106,6 +106,61 @@ def test_bad_divided_powers_raise_value_error(ring_a2):
             K0Vector.monomial(bad)
 
 
+# (theta, theta') -> the error both pairing routes raise: a bad block
+# anywhere is reported before any unknown vertex, and the unknown vertices
+# are named as written, in first-seen order
+BAD_PAIRINGS = {
+    "bad block in theta', unknown vertex in theta": (
+        (("z", 1),), (("i", 0),),
+        ValueError, "divided-power block size 0 is not an integer >= 1"),
+    "n = 0": ((("i", 0),), (("i", 1),),
+              ValueError, "divided-power block size 0 is not an integer >= 1"),
+    "n = True": ((("i", 1),), (("i", True),), ValueError,
+                 "divided-power block size True is not an integer >= 1"),
+    "n = 1.5": ((("i", 1.5),), (("i", 1),), ValueError,
+                "divided-power block size 1.5 is not an integer >= 1"),
+    "block not a tuple": ((["i", 1],), (("i", 1),), ValueError,
+                          "divided-power block ['i', 1] is not (vertex, n)"),
+    "unhashable label": (((["i"], 1),), (("i", 1),),
+                         GraphError, "unknown vertex ['i']"),
+    "unhashable label, bad block after it": (
+        ((["i"], 1),), (("i", 0),),
+        ValueError, "divided-power block size 0 is not an integer >= 1"),
+    "unknown vertices on both sides": (
+        (("z", 1), ("i", 1)), (("y", 1), ("z", 2)),
+        GraphError, "unknown vertex 'z' or 'y'"),
+    "equal labels of two reprs": (((1, 1),), ((1.0, 1),),
+                                  GraphError, "unknown vertex 1 or 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAIRINGS))
+def test_pair_routes_raise_one_error(ring_a2, case):
+    theta, theta2, kind, message = BAD_PAIRINGS[case]
+    for route in (pair_monomials, pair_recursive):
+        with pytest.raises(ValueError) as err:
+            route(ring_a2, theta, theta2)
+        assert (type(err.value), str(err.value)) == (kind, message), route
+
+
+def test_pair_monomials_memo_reads_a_repeat():
+    """A repeated hom-route pairing reads the ring's hom cache: one hit, no
+    new entry, and an equal value in a GradedDim of its own."""
+    ring = KLRRing(a2())
+    theta, theta2 = (("i", 2), ("j", 1)), (("i", 1), ("j", 1), ("i", 1))
+    first = pair_monomials(ring, theta, theta2)
+    before = ring.stats()
+    second = pair_monomials(ring, theta, theta2)
+    after = ring.stats()
+    assert after["caches"] == before["caches"]
+    assert after["caches"]["hom"] == 1
+    assert after["hits"] == {**before["hits"],
+                             "hom": before["hits"]["hom"] + 1}
+    assert second is not first
+    assert (second.num, second.den) == (first.num, first.den)
+    assert second == pair_recursive(KLRRing(a2()), theta, theta2)
+
+
 def test_pair_recursive_memo_is_transparent():
     """A warm numerator memo gives the same pairings as a cold one."""
     monos = monomials_of_weight(["i", "j"], 4)
@@ -258,9 +313,25 @@ def test_comparisons_with_other_types(ring_a2):
     assert not GradedDim.one() == "x"
 
 
-# each operator of a value type given an operand of another type
+# each operator of a value type, or ring operation, given an operand of
+# another type; a bool is not an int operand (check_int)
 FOREIGN_OPERANDS = {
     "gd + 'x'": lambda v: v["gd"] + "x",
+    "gd * True": lambda v: v["gd"] * True,
+    "True * gd": lambda v: True * v["gd"],
+    "gd + True": lambda v: v["gd"] + True,
+    "True - gd": lambda v: True - v["gd"],
+    "lp + True": lambda v: v["lp"] + True,
+    "lp - True": lambda v: v["lp"] - True,
+    "True - lp": lambda v: True - v["lp"],
+    "lp * True": lambda v: v["lp"] * True,
+    "elem * True": lambda v: v["elem"] * True,
+    "True * elem": lambda v: True * v["elem"],
+    "ring.element([1])": lambda v: v["elem"].ring.element([1]),
+    "ring.element(None)": lambda v: v["elem"].ring.element(None),
+    "ring.multiply(elem, 1)": lambda v: v["elem"].ring.multiply(v["elem"], 1),
+    "ring.multiply(1, elem)": lambda v: v["elem"].ring.multiply(1, v["elem"]),
+    "ring.psi(1)": lambda v: v["elem"].ring.psi(1),
     "gd * 'x'": lambda v: v["gd"] * "x",
     "'x' * gd": lambda v: "x" * v["gd"],
     "cv.scale('x')": lambda v: v["cv"].scale("x"),
@@ -275,7 +346,7 @@ FOREIGN_OPERANDS = {
 
 @pytest.mark.parametrize("case", sorted(FOREIGN_OPERANDS))
 def test_foreign_operand_raises_type_error(ring_a2, case):
-    values = {"gd": GradedDim.one(),
+    values = {"gd": GradedDim.one(), "lp": LaurentPoly.one(),
               "cv": char_projective(ring_a2, (("i", 1),)),
               "k0": K0Vector.monomial((("i", 1),)),
               "elem": ring_a2.generator(("C", 1), ("i", "j"))}

@@ -690,8 +690,8 @@ def test_nilhecke_em_rejects_bad_input(ring_a1, ring_a2):
 def test_stats_count_right_crossing_terms():
     ring = KLRRing(single_vertex())
     assert ring.stats() == {
-        "caches": {"cross": 0, "pair": 0},
-        "hits": {"cross": 0, "pair": 0},
+        "caches": {"cross": 0, "pair": 0, "hom": 0},
+        "hits": {"cross": 0, "pair": 0, "hom": 0},
         "direct_steps": 0,
         "terms_read": 0}
     dots = []
@@ -764,29 +764,29 @@ def test_stats_count_cache_hits():
     theta2 = (("j", 1), ("i", 2), ("j", 1))
     pair_recursive(ring, theta, theta2)
     assert ring.stats()["caches"]["pair"] == 5
-    assert ring.stats()["hits"] == {"cross": 0, "pair": 1}
+    assert ring.stats()["hits"] == {"cross": 0, "pair": 1, "hom": 0}
     pair_recursive(ring, theta, theta2)
     assert ring.stats()["caches"]["pair"] == 5
-    assert ring.stats()["hits"] == {"cross": 0, "pair": 2}
+    assert ring.stats()["hits"] == {"cross": 0, "pair": 2, "hom": 0}
     iji = ("i", "j", "i")
     # s1*s2*s1 is canonical: three direct steps, no entry and no hit
     word = [("C", 1), ("C", 2), ("C", 1)]
     for n in (1, 2):
         assert str(ring.evaluate_word(iji, word)) == "s1*s2*s1[iji]"
-        assert ring.stats() == {"caches": {"cross": 0, "pair": 5},
-                                "hits": {"cross": 0, "pair": 2},
+        assert ring.stats() == {"caches": {"cross": 0, "pair": 5, "hom": 0},
+                                "hits": {"cross": 0, "pair": 2, "hom": 0},
                                 "direct_steps": 3 * n,
                                 "terms_read": 3 * n}
     # s2*s1*s2 takes a braid move: one entry, read once when repeated
     word = [("C", 2), ("C", 1), ("C", 2)]
     assert str(ring.evaluate_word(iji, word)) == "-1[iji] + s1*s2*s1[iji]"
-    assert ring.stats() == {"caches": {"cross": 1, "pair": 5},
-                            "hits": {"cross": 0, "pair": 2},
+    assert ring.stats() == {"caches": {"cross": 1, "pair": 5, "hom": 0},
+                            "hits": {"cross": 0, "pair": 2, "hom": 0},
                             "direct_steps": 9,
                             "terms_read": 10}
     assert str(ring.evaluate_word(iji, word)) == "-1[iji] + s1*s2*s1[iji]"
-    assert ring.stats() == {"caches": {"cross": 1, "pair": 5},
-                            "hits": {"cross": 1, "pair": 2},
+    assert ring.stats() == {"caches": {"cross": 1, "pair": 5, "hom": 0},
+                            "hits": {"cross": 1, "pair": 2, "hom": 0},
                             "direct_steps": 11,
                             "terms_read": 13}
 

@@ -165,6 +165,15 @@ def test_compare_with_laurent_poly():
         LaurentPoly({2: 1}), (1,))
 
 
+def test_operands_on_either_side():
+    """An int or a LaurentPoly answers on either side of + - *: 1 + gd is
+    gd + 1, and 1 - gd is -(gd - 1)."""
+    gd, p = geom(1), LaurentPoly({1: 1})
+    assert 1 + gd == gd + 1 == GradedDim(LaurentPoly({0: 2, 2: -1}), (1,))
+    assert 1 - gd == -(gd - 1) == GradedDim(LaurentPoly({2: -1}), (1,))
+    assert p + gd == gd + p and p - gd == -(gd - p) and p * gd == gd * p
+
+
 def test_distributivity_random():
     rng = random.Random(7)
 

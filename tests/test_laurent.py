@@ -113,6 +113,16 @@ def test_int_operands():
     assert len({LaurentPoly.q_power(1), LaurentPoly.q_power(1, 1)}) == 1
 
 
+def test_not_iterable():
+    """A LaurentPoly is not a sequence of its coefficients: iteration and
+    membership raise TypeError, where the item protocol would read p[0],
+    p[1], ... without end."""
+    p = LaurentPoly({1: 1})
+    for op in (iter, list, lambda p: 0 in p):
+        with pytest.raises(TypeError):
+            op(p)
+
+
 def test_constructor_checks_outside_input():
     """The public constructor is where outside input enters: every exponent
     and coefficient is an int (a bool is not one), and zeros are dropped."""
