@@ -54,12 +54,22 @@ from .sequences import (
 )
 
 
+def _check_type(cls, *values):
+    """Raise TypeError for a value that is not a cls."""
+    for x in values:
+        if not isinstance(x, cls):
+            raise TypeError(f"{x!r} is not a {cls.__name__}")
+
+
 class CharacterVector:
     """A map from sequences of a fixed weight to graded dimensions."""
 
     __slots__ = ("weight", "values")
 
     def __init__(self, weight, values):
+        """Raises TypeError unless values is a dict."""
+        if not isinstance(values, dict):
+            raise TypeError(f"character values must be a dict, not {values!r}")
         self.weight = weight
         self.values = {k: v for k, v in values.items() if not v.is_zero()}
 
@@ -187,7 +197,9 @@ def char_at_divided(cv: CharacterVector, theta):
 
 
 def shuffle_product(graph, f: CharacterVector, g: CharacterVector):
-    """Quantum shuffle product of character vectors."""
+    """Quantum shuffle product of character vectors.  Raises TypeError
+    for an operand that is not a CharacterVector."""
+    _check_type(CharacterVector, f, g)
     weight = weight_add(f.weight, g.weight)
     values = {}
     for si, vi in f.values.items():
@@ -330,7 +342,9 @@ def _pair_plain(ring, theta, plain_seq) -> LaurentPoly:
 
 
 def pair_k0(ring, u: K0Vector, theta) -> GradedDim:
-    """Pair a K0 vector against a single monomial."""
+    """Pair a K0 vector against a single monomial.  Raises TypeError
+    unless u is a K0Vector."""
+    _check_type(K0Vector, u)
     out = GradedDim.zero()
     for sym, c in u.coeffs.items():
         p = pair_monomials(ring, sym, theta)
@@ -343,8 +357,10 @@ def equal_in_f(ring, u: K0Vector, v: K0Vector) -> bool:
     """True iff u - v pairs to zero against every plain monomial.
 
     Plain monomials span the weight space and the form is non-degenerate,
-    so this decides equality of the underlying classes.
+    so this decides equality of the underlying classes.  Raises TypeError
+    unless u and v are K0Vectors.
     """
+    _check_type(K0Vector, u, v)
     if u.weight != v.weight:
         return False
     diff = u - v

@@ -164,7 +164,8 @@ class GradedDim:
         return GradedDim._of(num, tuple(out))
 
     def divide_poly(self, p: LaurentPoly) -> "GradedDim":
-        """Exact division of the numerator; raises DivisibilityError."""
+        """Exact division of the numerator; raises DivisibilityError, and
+        TypeError unless p is a LaurentPoly (``LaurentPoly.exact_div``)."""
         return GradedDim._of(self.num.exact_div(p), self.den)
 
     def bar(self):

@@ -189,11 +189,14 @@ class LaurentPoly:
         return LaurentPoly._of({e + k: c for e, c in self.coeffs.items()})
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ``DivisibilityError`` on a remainder.
+        """Exact division; raises ``DivisibilityError`` on a remainder and
+        TypeError unless the divisor is a LaurentPoly.
 
         Both operands are shifted to honest polynomials first, then ordinary
         univariate division by leading terms is performed over the integers.
         """
+        if not isinstance(divisor, LaurentPoly):
+            raise TypeError(f"divisor must be a LaurentPoly, not {divisor!r}")
         if divisor.is_zero():
             raise ZeroDivisionError("division of LaurentPoly by zero")
         if self.is_zero():

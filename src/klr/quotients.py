@@ -4,10 +4,14 @@ R(nu) has the basis psi_w x^u e(i) (KL I, Thm 2.5), of degree
 deg psi_w e(i) + 2|u|, so every graded piece is read off one diagram
 table: the degree of psi_w e(i) for each sequence i and permutation w.
 Each quotient builds that table once, and its bases, its multipliers and
-its right factors all read it; ``graded_basis`` builds a new one per call,
-and nothing is cached between calls.  A two-sided ideal R G R given by
-homogeneous generators is spanned sector by sector, once per quotient,
-and the span is shared across all degrees:
+its right factors all read it; the top sequence of each psi_v e(j) is
+computed once, when the right factors are grouped by top, and each basis
+block is read off that grouping.  ``graded_basis`` builds a new table per
+call.  Nothing is kept between calls but two memos of pure functions of
+ints: ``_compositions``, the dot vectors of each size, and ``is_prime``,
+so a field is tested once per process, not once per quotient.  A
+two-sided ideal R G R given by homogeneous generators is spanned sector
+by sector, once per quotient, and the span is shared across all degrees:
 
 * the generators are split into their sector pieces e(j) g e(i);
 * the left ideal L = R G is spanned by the basis elements times the
@@ -34,6 +38,13 @@ for any left vectors that span L, so L needs no reduction of its own: a
 redundant left vector adds rows to reduce, never a wrong rank.  To let
 more products die, the shifts of lower products are reduced before the
 products of degree d0.
+
+A dead product costs one byte: each left vector keeps a bytearray of dead
+marks, one per right factor psi_v e(j) with its bottom as top, and only
+the live nonzero products are cached.  A product that is zero is dead as
+soon as it is built, since so are its shifts.  A dead product's shifts are
+still counted among a degree's spanning products, so the per-degree
+counts do not depend on how many products have died.
 
 A generator piece made of dots only needs only the dot-free multipliers
 psi_w in the left ideal: it commutes with dots, so psi_w x^u g = psi_w g
@@ -253,8 +264,11 @@ def sym_plus_spec(ring, weight):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=None, typed=True)
 def is_prime(n):
-    """Deterministic Miller-Rabin, exact for n < 2^64 with these bases."""
+    """Deterministic Miller-Rabin, exact for n < 2^64 with these bases.
+    Memoized, so each span's check of one prime costs a lookup after the
+    first."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -354,10 +368,11 @@ class _IdealSpan:
     ``diagrams`` is the diagram table of R(nu) (see ``_diagrams``), built
     once per span and read by all the rest: ``right`` is the table grouped
     by the top of each psi_v e(j), ``left(e)`` keeps the left vectors of
-    degree e, ``_product`` caches each left vector times each dot-free
-    right factor, and ``degree(d)`` reads the basis of degree d off the
-    table, ranks the shifted products of degree d block by block, and
-    records the dead products (see the module docstring).  Ranks are over
+    degree e with their dead marks, ``_product`` caches each live nonzero
+    product of a left vector and a dot-free right factor, and
+    ``degree(d)`` reads the basis of degree d off ``right``, ranks the
+    shifted products of degree d block by block, and marks the dead
+    products (see the module docstring).  Ranks are over
     F_prime for a prime below 2^64, where ``is_prime`` is exact; any other
     prime raises ValueError, since Z/n is not a field for composite n, and
     so does a prime that is not an int (``cartan.check_int``).  Both
@@ -388,7 +403,8 @@ class _IdealSpan:
         self.central = spec.central
         self.m = weight_size(spec.weight)
         self.diagrams = _diagrams(ring.graph, spec.weight)
-        # top of psi_v e(j) -> [(j, v, degree)] over all sequences j of nu
+        # top of psi_v e(j) -> [(j, v, degree)] over all sequences j of nu:
+        # the record of each right factor's top, which the bases read too
         self.right = {}
         for j, row in self.diagrams.items():
             for v, dv in row:
@@ -401,8 +417,9 @@ class _IdealSpan:
         self._products = {}
 
     def left(self, e):
-        """Left vectors of degree e, as [(top, bottom, terms)] with the
-        terms reduced modulo the prime.
+        """Left vectors of degree e, as [(top, bottom, terms, dead)] with
+        the terms reduced modulo the prime and ``dead`` the vector's dead
+        marks, one byte per right factor in ``right[bottom]``.
 
         These are the nonzero candidates as they come: the generator
         pieces of degree e if the spec is central, and otherwise each
@@ -437,52 +454,78 @@ class _IdealSpan:
                         terms = _sparse(ag.terms.items(), prime)
                         if terms:
                             out.append((_sector(akey)[0], bottom, terms))
-        self._left[e] = out
+        out = self._left[e] = [
+            (top, bottom, terms, bytearray(len(self.right[bottom])))
+            for top, bottom, terms in out]
         return out
 
     def _product(self, key, left):
-        """Terms of a left vector times psi_v e(j), for key (e, index, j,
-        v), reduced modulo the prime; cached, and {} once the product is
-        dead."""
+        """Terms of a left vector times psi_v e(j), reduced modulo the
+        prime, for key (e, index, position of psi_v e(j) in
+        ``right[bottom]``).  A nonzero product is cached until it dies; a
+        zero one is marked dead at once, since so are all its shifts."""
         terms = self._products.get(key)
         if terms is None:
-            _, _, j, v = key
-            terms = self.ring.multiply_terms(left, {(j, v, (0,) * self.m): 1})
+            _, bottom, lterms, dead = left
+            j, v, _ = self.right[bottom][key[2]]
+            terms = self.ring.multiply_terms(lterms,
+                                             {(j, v, (0,) * self.m): 1})
             if self.prime is not None:
                 terms = _sparse(terms.items(), self.prime)
-            self._products[key] = terms
+            if terms:
+                self._products[key] = terms
+            else:
+                dead[key[2]] = 1
         return terms
 
     def _spanning(self, d):
-        """(product key, left terms, block, |t|) for each product whose
-        shifts by x^t reach degree d; the block is (top, bottom) of the
-        product."""
+        """The products whose shifts by x^t reach degree d: a list of
+        (product key, left vector, block, |t|) for each live one, the block
+        being (top, bottom) of the product, and the number of shifts of the
+        dead ones, which are skipped without a key."""
+        live, dead_shifts = [], 0
         for e in range(self.low, d - self.lb + 1):
-            for index, (top, bottom, left) in enumerate(self.left(e)):
-                for j, v, dv in self.right[bottom]:
-                    rem = d - e - dv
+            rest = d - e
+            for index, left in enumerate(self.left(e)):
+                top, bottom, _, dead = left
+                for pos, (j, _, dv) in enumerate(self.right[bottom]):
+                    rem = rest - dv
                     if rem >= 0 and not rem % 2:
-                        yield (e, index, j, v), left, (top, j), rem // 2
+                        if dead[pos]:
+                            dead_shifts += len(_compositions(rem // 2,
+                                                             self.m))
+                        else:
+                            live.append(((e, index, pos), left, (top, j),
+                                         rem // 2))
+        return live, dead_shifts
 
     def degree(self, d):
         """Counts for degree d: basis size, spanning products, rows
         reduced, and the rank of those rows.
 
-        Each (top, bottom) block of the basis keeps one echelon, and each
-        row goes into it as soon as it is built: first the shifts of lower
-        products, then the products of degree d itself.  A product of
-        degree d whose row adds no rank is dead, and its shifts are never
-        built (see the module docstring).
+        The basis is read off ``right``, block by (top, bottom) block,
+        with no key's top computed again.  Each block keeps one echelon,
+        and each row goes into it as soon as it is built: first the shifts
+        of lower products, then the products of degree d itself.  A
+        product of degree d whose row adds no rank is dead: its mark is
+        set, its cached terms dropped, and its shifts are never built,
+        though they still count as spanning products (see the module
+        docstring).
         """
         blocks = {}  # (top, bottom) -> {basis key: column}
-        for key in _keys(self.diagrams, d, self.m):
-            block = blocks.setdefault(_sector(key), {})
-            block[key] = len(block)
+        for top, factors in self.right.items():
+            for j, v, dv in factors:
+                rem = d - dv
+                if rem >= 0 and not rem % 2:
+                    block = blocks.setdefault((top, j), {})
+                    for u in _compositions(rem // 2, self.m):
+                        block[j, v, u] = len(block)
         echelons = {sector: {} for sector in blocks}
-        products = rows = 0
+        live, products = self._spanning(d)
+        rows = 0
         # a stable sort: products of degree d (|t| = 0) go last
-        for key, left, block, size in sorted(self._spanning(d),
-                                             key=lambda p: not p[3]):
+        live.sort(key=lambda p: not p[3])
+        for key, left, block, size in live:
             shifts = _compositions(size, self.m)
             products += len(shifts)
             columns = blocks.get(block)
@@ -496,7 +539,8 @@ class _IdealSpan:
                     rows += len(new)
                     added = _rank(new, self.prime, echelons[block])
             if not (added or size):
-                self._products[key] = {}  # dead
+                left[3][key[2]] = 1
+                self._products.pop(key, None)
         return {"basis": sum(map(len, blocks.values())), "products": products,
                 "rows": rows, "rank": sum(map(len, echelons.values()))}
 

@@ -341,6 +341,14 @@ FOREIGN_OPERANDS = {
     "elem + 1": lambda v: v["elem"] + 1,
     "elem - 1": lambda v: v["elem"] - 1,
     "elem + 'x'": lambda v: v["elem"] + "x",
+    "CharacterVector(w, [])": lambda v: CharacterVector(v["cv"].weight, []),
+    "shuffle_product(g, cv, 1)": lambda v: shuffle_product(
+        v["elem"].ring.graph, v["cv"], 1),
+    "pair_k0(ring, 1, theta)": lambda v: pair_k0(v["elem"].ring, 1,
+                                                 (("i", 1),)),
+    "equal_in_f(ring, 1, 1)": lambda v: equal_in_f(v["elem"].ring, 1, 1),
+    "lp.exact_div(1)": lambda v: v["lp"].exact_div(1),
+    "gd.divide_poly(1)": lambda v: v["gd"].divide_poly(1),
 }
 
 

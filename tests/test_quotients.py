@@ -27,7 +27,7 @@ from klr import (
 from klr import cli
 from klr.elements import diagram_degree
 from klr.permutations import all_permutations, apply_perm_to_seq, identity
-from klr.quotients import _rank, _sparse
+from klr.quotients import _IdealSpan, _rank, _sparse
 
 # Regression fixtures: graded dimensions of single-vertex cyclotomic
 # quotients, recorded from the first verified runs of this implementation
@@ -217,6 +217,56 @@ def test_ideal_degree_dim_matches_report(ring_a2):
                     stats["rank"]), (d, prime)
                 assert stats["basis"] == len(
                     graded_basis(ring_a2.graph, weight, d))
+
+
+# Per-degree (basis, products, rows, rank) of two spans, the same over Q
+# and F_2147483629, recorded from the engine that kept an empty dict for
+# each dead product: a cyclotomic quotient, where most products die, and
+# a central one
+SPAN_CASES = {
+    "a2 2i+2j, lambda = L_i+L_j": {
+        -4: (2, 28, 2, 2), -3: (4, 48, 4, 4), -2: (26, 230, 30, 22),
+        -1: (44, 368, 74, 36), 0: (132, 1212, 272, 120),
+        1: (180, 1732, 408, 172), 2: (398, 4290, 649, 394)},
+    "a1 Sym+ on 3i": {
+        -6: (1, 0, 0, 0), -5: (0, 0, 0, 0), -4: (5, 1, 1, 1),
+        -3: (0, 0, 0, 0), -2: (14, 6, 6, 6), -1: (0, 0, 0, 0),
+        0: (29, 20, 20, 19), 1: (0, 0, 0, 0), 2: (50, 48, 48, 42),
+        3: (0, 0, 0, 0), 4: (77, 93, 93, 73), 5: (0, 0, 0, 0),
+        6: (110, 156, 156, 109)},
+}
+
+
+def _span_cases(ring_a1, ring_a2):
+    return {"a2 2i+2j, lambda = L_i+L_j": (ring_a2, cyclotomic_spec(
+                ring_a2, (("i", 2), ("j", 2)), {"i": 1, "j": 1})),
+            "a1 Sym+ on 3i": (ring_a1, sym_plus_spec(ring_a1, (("i", 3),)))}
+
+
+def test_span_counts_are_pinned(ring_a1, ring_a2):
+    """Dead products are skipped, not dropped from the count: every shift
+    still counts as a spanning product, and the rows, ranks, top and
+    answer are those of the recorded engine."""
+    for name, (ring, spec) in _span_cases(ring_a1, ring_a2).items():
+        for prime in (None, 2147483629):
+            rep = quotient_gdim(ring, spec, cutoff=10, window=3, prime=prime)
+            got = {d: (s["basis"], s["products"], s["rows"], s["rank"])
+                   for d, s in rep.stats.items()}
+            assert got == SPAN_CASES[name], (name, prime)
+            assert (rep.top, rep.stabilized, rep.total()) == (
+                max(got), True, 36), (name, prime)
+
+
+def test_product_table_keeps_live_products(ring_a1, ring_a2):
+    """A dead product is one byte in its left vector's marks; the table
+    holds only the products that are live and nonzero."""
+    for name, (ring, spec) in _span_cases(ring_a1, ring_a2).items():
+        for prime in (None, 2147483629):
+            span = _IdealSpan(ring, spec, prime)
+            for d in SPAN_CASES[name]:
+                span.degree(d)
+            assert span._products, (name, prime)
+            assert all(span._products.values()), (name, prime)
 
 
 def test_sym_plus_generators_central(ring_a2):
