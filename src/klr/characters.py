@@ -49,7 +49,6 @@ from .sequences import (
     plain,
     reverse,
     seq_enumerate,
-    shift,
     shuffles,
 )
 
@@ -67,9 +66,10 @@ class CharacterVector:
     __slots__ = ("weight", "values")
 
     def __init__(self, weight, values):
-        """Raises TypeError unless values is a dict."""
+        """Raises TypeError unless values is a dict of GradedDims."""
         if not isinstance(values, dict):
             raise TypeError(f"character values must be a dict, not {values!r}")
+        _check_type(GradedDim, *values.values())
         self.weight = weight
         self.values = {k: v for k, v in values.items() if not v.is_zero()}
 
@@ -118,6 +118,10 @@ class K0Vector:
     __slots__ = ("weight", "coeffs")
 
     def __init__(self, weight, coeffs):
+        """Raises TypeError unless coeffs is a dict of LaurentPolys."""
+        if not isinstance(coeffs, dict):
+            raise TypeError(f"K0 coefficients must be a dict, not {coeffs!r}")
+        _check_type(LaurentPoly, *coeffs.values())
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
         self.weight = weight
 
@@ -165,17 +169,27 @@ def _divide_factorial(gd: GradedDim, divided) -> GradedDim:
     Uses the denominator identity (1-q^2)^n [n]! q^{n(n-1)/2} =
     prod_{a<=n} (1-q^{2a}): each block i^(n) trades n - 1 of the factors
     1-q^2 that the (1-q^2)^m denominator of every caller holds for a = 2..n.
+    The new denominator is built by counting: the traded factors 1 are
+    dropped from the front of the sorted tuple, and only the added factors
+    are sorted, since every kept one is 1.  Raises ValueError when the
+    denominator is not (1-q^2)^m with enough factors to trade.
     """
-    s = shift(divided)
+    s = drop = 0
+    added = []
+    for _, n in divided:
+        if n > 1:
+            s += n * (n - 1) // 2
+            drop += n - 1
+            added.extend(range(2, n + 1))
     if not s:
         return gd
-    den = list(gd.den)
-    for _, n in divided:
-        for _ in range(n - 1):
-            den.remove(1)
-        den.extend(range(2, n + 1))
-    den.sort()
-    return GradedDim._of(gd.num.shifted(s), tuple(den))
+    den = gd.den
+    if len(den) < drop or den[-1] != 1:
+        raise ValueError(f"cannot divide by the factorial of "
+                         f"{format_divided(divided)}: the denominator "
+                         f"{den} is not (1-q^2)^m with m >= {drop}")
+    added.sort()
+    return GradedDim._of(gd.num.shifted(s), den[drop:] + tuple(added))
 
 
 # -- characters ------------------------------------------------------------
@@ -191,7 +205,9 @@ def char_projective(ring, theta):
 
 
 def char_at_divided(cv: CharacterVector, theta):
-    """Evaluate a character at a divided sequence: value at expansion / theta!."""
+    """Evaluate a character at a divided sequence: value at expansion / theta!.
+    Raises TypeError unless cv is a CharacterVector."""
+    _check_type(CharacterVector, cv)
     theta = check_divided(theta)
     return cv.value(expand(theta)).divide_poly(factorial_poly(theta))
 
@@ -371,12 +387,16 @@ def equal_in_f(ring, u: K0Vector, v: K0Vector) -> bool:
 
 
 def bar_k0(u: K0Vector) -> K0Vector:
-    """q -> 1/q on coefficients; monomial symbols are bar-invariant."""
+    """q -> 1/q on coefficients; monomial symbols are bar-invariant.
+    Raises TypeError unless u is a K0Vector."""
+    _check_type(K0Vector, u)
     return K0Vector(u.weight, {k: c.bar() for k, c in u.coeffs.items()})
 
 
 def sigma_k0(u: K0Vector) -> K0Vector:
-    """Reverse every divided sequence; coefficients unchanged."""
+    """Reverse every divided sequence; coefficients unchanged.  Raises
+    TypeError unless u is a K0Vector."""
+    _check_type(K0Vector, u)
     return K0Vector(u.weight, {reverse(k): c for k, c in u.coeffs.items()})
 
 

@@ -227,7 +227,8 @@ class KLRRing:
         self._parts = {}
         # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
         self._pair_cache = {}
-        # (seq_j, theta) -> numerator of the hom DP; see _gdim_hom
+        # (seq_j, runs of the source) -> numerator of the hom DP before
+        # the multinomials of its block split; see _gdim_hom
         self._hom_cache = {}
         # reads that found an entry
         self._cross_hits = self._pair_hits = self._hom_hits = 0
@@ -455,8 +456,12 @@ class KLRRing:
         and the state is how many sources of each run are used.  Placing a
         source crosses the used sources to its right once each, which adds
         -(i_a . i_b) to the exponent.  There are at most prod (r+1) states,
-        so the cost is O(prod (r+1) m^2) at worst.  Raises ValueError on a
-        bad block and WeightMismatchError when the weights differ.
+        so the cost is O(prod (r+1) m^2) at worst.  The DP sees only the
+        runs, so its numerator is memoized per ring by (j, runs of theta),
+        and the multinomials of theta's own split are applied after the
+        memo: sources with the same runs, as ``i i j`` and ``i^(2) j``, share
+        one DP (see ``_gdim_hom``).  Raises ValueError on a bad block and
+        WeightMismatchError when the weights differ.
         """
         seq_j, theta = tuple(seq_j), check_divided(theta)
         if weight_of_seq(seq_j) != divided_weight(theta):
@@ -466,39 +471,45 @@ class KLRRing:
     def _gdim_hom(self, seq_j, theta):
         """The DP of ``gdim_hom_divided`` on checked tuples of one weight.
 
-        The numerator is memoized per ring in ``_hom_cache``, keyed by
-        (seq_j, theta); each call returns a new GradedDim over it."""
-        memo = (seq_j, theta)
+        The DP reads nothing of theta but its runs, as (label, length)
+        pairs: how a run splits into blocks enters only through the run's
+        quantum multinomial.  So the numerator before those factors is
+        memoized per ring in ``_hom_cache``, keyed by (seq_j, runs), and
+        every call, hit or miss, multiplies in the factors of its own
+        split; ``i i j`` and ``i^(2) j`` share an entry.  Each call returns
+        a new GradedDim."""
+        blocks = [(v, tuple(n for _, n in g))
+                  for v, g in groupby(theta, key=itemgetter(0))]
+        runs = tuple((v, sum(ns)) for v, ns in blocks)
+        memo = (seq_j, runs)
         num = self._hom_cache.get(memo)
         if num is not None:
             self._hom_hits += 1
-            return GradedDim._of(num, (1,) * len(seq_j))
-        blocks = [(v, tuple(n for _, n in g))
-                  for v, g in groupby(theta, key=itemgetter(0))]
-        runs = [(v, sum(ns)) for v, ns in blocks]
-        k = len(runs)
-        cartan = [[self.graph.cartan(x, y) for y, _ in runs] for x, _ in runs]
-        # sources used per run -> exponent -> count; q^{-r(r-1)/2} per run
-        layer = {(0,) * k: {-sum(n * (n - 1) // 2 for _, n in runs): 1}}
-        for label in seq_j:
-            nxt = {}
-            for used, counts in layer.items():
-                for r, (v, n) in enumerate(runs):
-                    if v != label or used[r] == n:
-                        continue
-                    shift = -sum(cartan[r][t] * used[t]
-                                 for t in range(r + 1, k))
-                    key = used[:r] + (used[r] + 1,) + used[r + 1:]
-                    out = nxt.setdefault(key, {})
-                    for e, c in counts.items():
-                        out[e + shift] = out.get(e + shift, 0) + c
-            layer = nxt
-        # every count is positive, so the dict holds no zero
-        num = LaurentPoly._of(layer.get(tuple(n for _, n in runs), {}))
+        else:
+            k = len(runs)
+            cartan = [[self.graph.cartan(x, y) for y, _ in runs]
+                      for x, _ in runs]
+            # sources used per run -> exponent -> count; q^{-r(r-1)/2} per run
+            layer = {(0,) * k: {-sum(n * (n - 1) // 2 for _, n in runs): 1}}
+            for label in seq_j:
+                nxt = {}
+                for used, counts in layer.items():
+                    for r, (v, n) in enumerate(runs):
+                        if v != label or used[r] == n:
+                            continue
+                        shift = -sum(cartan[r][t] * used[t]
+                                     for t in range(r + 1, k))
+                        key = used[:r] + (used[r] + 1,) + used[r + 1:]
+                        out = nxt.setdefault(key, {})
+                        for e, c in counts.items():
+                            out[e + shift] = out.get(e + shift, 0) + c
+                layer = nxt
+            # every count is positive, so the dict holds no zero
+            num = self._hom_cache[memo] = LaurentPoly._of(
+                layer.get(tuple(n for _, n in runs), {}))
         for _, ns in blocks:
             if len(ns) > 1:
                 num = num * qmultinomial(ns)
-        self._hom_cache[memo] = num
         return GradedDim._of(num, (1,) * len(seq_j))
 
     def nilhecke_em(self, m, vertex):

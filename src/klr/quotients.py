@@ -415,11 +415,17 @@ class _IdealSpan:
                                                   else self.lb)
         self._left = {}
         self._products = {}
+        # bottom of a left vector -> degree left to the right factor and
+        # its shifts -> [(position in right[bottom], j, |t|)]; see _spanning
+        self._reach = {}
 
     def left(self, e):
-        """Left vectors of degree e, as [(top, bottom, terms, dead)] with
-        the terms reduced modulo the prime and ``dead`` the vector's dead
-        marks, one byte per right factor in ``right[bottom]``.
+        """Left vectors of degree e, as [(top, bottom, terms, dead, reach)]
+        with the terms reduced modulo the prime, ``dead`` the vector's dead
+        marks, one byte per right factor in ``right[bottom]``, and
+        ``reach`` the span's record of the right factors that its bottom
+        reaches (see ``_spanning``), shared by every vector with that
+        bottom.
 
         These are the nonzero candidates as they come: the generator
         pieces of degree e if the spec is central, and otherwise each
@@ -454,8 +460,10 @@ class _IdealSpan:
                         terms = _sparse(ag.terms.items(), prime)
                         if terms:
                             out.append((_sector(akey)[0], bottom, terms))
+        reach = self._reach
         out = self._left[e] = [
-            (top, bottom, terms, bytearray(len(self.right[bottom])))
+            (top, bottom, terms, bytearray(len(self.right[bottom])),
+             reach.setdefault(bottom, {}))
             for top, bottom, terms in out]
         return out
 
@@ -466,7 +474,7 @@ class _IdealSpan:
         zero one is marked dead at once, since so are all its shifts."""
         terms = self._products.get(key)
         if terms is None:
-            _, bottom, lterms, dead = left
+            _, bottom, lterms, dead, _ = left
             j, v, _ = self.right[bottom][key[2]]
             terms = self.ring.multiply_terms(lterms,
                                              {(j, v, (0,) * self.m): 1})
@@ -482,21 +490,31 @@ class _IdealSpan:
         """The products whose shifts by x^t reach degree d: a list of
         (product key, left vector, block, |t|) for each live one, the block
         being (top, bottom) of the product, and the number of shifts of the
-        dead ones, which are skipped without a key."""
+        dead ones, which are skipped without a key.
+
+        Every left vector of degree e with a given bottom reaches the same
+        right factors, those of degree d - e - 2|t|, and every later degree
+        asks again, so the parity and size of the shift are tested once
+        per (bottom, d - e) in the span's ``_reach`` record, in position
+        order, and a left vector only reads its dead marks.  The products
+        come in the order (degree, left vector, position), on which the
+        ranks' row counts depend."""
         live, dead_shifts = [], 0
         for e in range(self.low, d - self.lb + 1):
             rest = d - e
             for index, left in enumerate(self.left(e)):
-                top, bottom, _, dead = left
-                for pos, (j, _, dv) in enumerate(self.right[bottom]):
-                    rem = rest - dv
-                    if rem >= 0 and not rem % 2:
-                        if dead[pos]:
-                            dead_shifts += len(_compositions(rem // 2,
-                                                             self.m))
-                        else:
-                            live.append(((e, index, pos), left, (top, j),
-                                         rem // 2))
+                top, bottom, _, dead, reach = left
+                factors = reach.get(rest)
+                if factors is None:
+                    factors = reach[rest] = [
+                        (pos, j, rem // 2)
+                        for pos, (j, _, dv) in enumerate(self.right[bottom])
+                        if (rem := rest - dv) >= 0 and not rem % 2]
+                for pos, j, size in factors:
+                    if dead[pos]:
+                        dead_shifts += len(_compositions(size, self.m))
+                    else:
+                        live.append(((e, index, pos), left, (top, j), size))
         return live, dead_shifts
 
     def degree(self, d):

@@ -53,12 +53,16 @@ def seq_enumerate(weight):
 # -- divided sequences -----------------------------------------------------
 
 def check_block(block):
-    """Raise ValueError unless block is (vertex, n) with n an int >= 1
-    (``cartan.check_int``).  Returns the block."""
+    """Raise ValueError unless block is (vertex, n) with n an int >= 1.
+    Returns the block.  ``cartan.check_int`` is called only for a size
+    that fails the test, to build its message: the pairing routes check
+    every block of both sides on each call."""
     if not (isinstance(block, tuple) and len(block) == 2):
         raise ValueError(f"divided-power block {block!r} is not "
                          f"(vertex, n)")
-    check_int(block[1], "divided-power block size", 1)
+    n = block[1]
+    if type(n) is not int or n < 1:
+        check_int(n, "divided-power block size", 1)
     return block
 
 

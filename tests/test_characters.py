@@ -161,6 +161,29 @@ def test_pair_monomials_memo_reads_a_repeat():
     assert second == pair_recursive(KLRRing(a2()), theta, theta2)
 
 
+def test_hom_memo_is_keyed_by_the_runs_of_the_source():
+    """The hom DP reads only the runs of theta': i i j and i^(2) j share
+    one entry, and each call applies the multinomials of its own block
+    split after the memo."""
+    ring = KLRRing(a2())
+    theta = (("i", 1), ("j", 1), ("i", 1))
+    plain_src, divided_src = (("i", 1), ("i", 1), ("j", 1)), (("i", 2), ("j", 1))
+    first = pair_monomials(ring, theta, plain_src)
+    before = ring.stats()
+    second = pair_monomials(ring, theta, divided_src)
+    after = ring.stats()
+    assert after["caches"] == before["caches"]
+    assert after["caches"]["hom"] == 1
+    assert after["hits"] == {**before["hits"],
+                             "hom": before["hits"]["hom"] + 1}
+    assert first == pair_recursive(KLRRing(a2()), theta, plain_src)
+    assert second == pair_recursive(KLRRing(a2()), theta, divided_src)
+    seq_j = expand(theta)
+    for src in (plain_src, divided_src):
+        assert ring.gdim_hom_divided(seq_j, src) == ring.gdim_hom(
+            seq_j, expand(src)).divide_poly(factorial_poly(src)), src
+
+
 def test_pair_recursive_memo_is_transparent():
     """A warm numerator memo gives the same pairings as a cold one."""
     monos = monomials_of_weight(["i", "j"], 4)
@@ -349,6 +372,14 @@ FOREIGN_OPERANDS = {
     "equal_in_f(ring, 1, 1)": lambda v: equal_in_f(v["elem"].ring, 1, 1),
     "lp.exact_div(1)": lambda v: v["lp"].exact_div(1),
     "gd.divide_poly(1)": lambda v: v["gd"].divide_poly(1),
+    "K0Vector(w, [])": lambda v: K0Vector(v["k0"].weight, []),
+    "CharacterVector(w, {seq: 1})": lambda v: CharacterVector(
+        v["cv"].weight, {("i",): 1}),
+    "K0Vector(w, {theta: 1})": lambda v: K0Vector(v["k0"].weight,
+                                                  {(("i", 1),): 1}),
+    "bar_k0(1)": lambda v: bar_k0(1),
+    "sigma_k0(1)": lambda v: sigma_k0(1),
+    "char_at_divided(1, theta)": lambda v: char_at_divided(1, (("i", 1),)),
 }
 
 
