@@ -5,7 +5,18 @@ edge, ``0`` otherwise.  A weight records how many strands carry each vertex
 label; ``CartanGraph.weight_pairing`` extends the form to two weights.
 ``CartanGraph`` answers every graph question the other modules ask: the
 pairing, equality of graphs (their pairing tables are equal) and whether
-labels are vertices (one frozenset of them).
+labels are vertices (one frozenset of them).  It also answers the two
+relations of KL I (arXiv 0803.4121) that depend on a pair of labels, so
+no other module compares a pairing with its simply-laced values:
+
+* ``double_crossing(a, b)``, Q_ab with psi^2 e(ab) = Q_ab(x_c, x_{c+1})
+  e(ab): 0 for a = b, 1 for a.b = 0 and x_c + x_{c+1} on an edge;
+* ``braid_correction(a, b)``, psi_1 psi_2 psi_1 - psi_2 psi_1 psi_2 on
+  e(aba): the divided difference (Q_ab(x_1, x_2) - Q_ab(x_3, x_2)) /
+  (x_1 - x_3), which is 1 on an edge and 0 otherwise.
+
+Both are sums of monomials with coefficient 1, given as their exponent
+vectors on the strands they touch.
 
 ``check_int`` is the one decision of which values count as integers: every
 integer parameter of the package (counts, degrees, cutoffs, powers, strand
@@ -42,7 +53,8 @@ class CartanGraph:
     unordered pairs of distinct vertices.
     """
 
-    __slots__ = ("vertices", "edges", "_vertex_set", "_pairing")
+    __slots__ = ("vertices", "edges", "_vertex_set", "_pairing", "_double",
+                 "_braid")
 
     def __init__(self, vertices, edges):
         """Raises GraphError for a vertex that is not a string, a repeated
@@ -75,6 +87,16 @@ class CartanGraph:
         self._pairing = {(v, v): 2 for v in self.vertices}
         for a, b in self.edges:
             self._pairing[a, b] = self._pairing[b, a] = -1
+        # Q_ab of each pair in the pairing table (0 on one label, x_c +
+        # x_{c+1} on an edge), and the braid correction derived from it,
+        # (Q_ab(x_1, x_2) - Q_ab(x_3, x_2)) / (x_1 - x_3): a monomial
+        # x_1^p x_2^t of Q_ab gives x_1^s x_2^t x_3^(p-1-s) for s < p.  A
+        # pair missing from the table has Q_ab = 1 and no correction.
+        self._double = {(a, b): () if a == b else ((1, 0), (0, 1))
+                        for a, b in self._pairing}
+        self._braid = {pair: tuple((s, t, p - 1 - s) for p, t in q
+                                   for s in range(p))
+                       for pair, q in self._double.items()}
 
     def __eq__(self, other):
         """Equal graphs have equal pairing tables: the same vertices and
@@ -97,6 +119,23 @@ class CartanGraph:
             self.require_vertices((i, j))
             return 0
         return value
+
+    def double_crossing(self, a, b):
+        """Q_ab, with psi^2 e(ab) = Q_ab(x_c, x_{c+1}) e(ab) (KL I), as the
+        exponent pairs (on strands c, c+1) of its monomials, each with
+        coefficient 1: () for a = b, ((0, 0),) for a.b = 0 and ((1, 0),
+        (0, 1)) on an edge.  Raises GraphError for a label that is not a
+        vertex."""
+        return self._double[a, b] if self.cartan(a, b) else ((0, 0),)
+
+    def braid_correction(self, a, b):
+        """psi_1 psi_2 psi_1 - psi_2 psi_1 psi_2 on e(aba), as the exponent
+        triples (on strands 1, 2, 3) of its monomials, each with
+        coefficient 1: ((0, 0, 0),) on an edge and () otherwise.  It is
+        the divided difference (Q_ab(x_1, x_2) - Q_ab(x_3, x_2)) / (x_1 -
+        x_3) of ``double_crossing``.  Raises GraphError for a label that is
+        not a vertex."""
+        return self._braid[a, b] if self.cartan(a, b) else ()
 
     def weight_pairing(self, w1, w2):
         """The pairing of two weights, sum n n' (v.v') over their entries

@@ -6,13 +6,15 @@ reduced word, and a monomial of dots x^u at the bottom, i.e. the KL I basis
 psi_w x^u e(i).  Diagrams are rewritten into this basis with the local
 relations:
 
-* a double crossing is 0 (equal labels), the identity (pairing 0), or a sum
-  of two single dots (pairing -1);
+* a double crossing on labels a, b is Q_ab(x_c, x_{c+1}), as the graph
+  answers it (``CartanGraph.double_crossing``): 0 (equal labels), the
+  identity (pairing 0), or a sum of two single dots (an edge);
 * dots slide freely through distinct-label crossings, and through an
   equal-label crossing by the one dot slide x_c psi_c = psi_c x_{c+1} + 1;
 * two reduced words of the same permutation differ by braid moves, and a
-  braid move whose outer strands carry equal labels adjacent to the middle
-  label costs +/- the diagram with the three crossings deleted.
+  braid move on outer labels a and middle label b costs +/- the diagram
+  with the three crossings deleted, times the graph's braid correction
+  (``CartanGraph.braid_correction``): 1 on an edge, 0 otherwise.
 
 Every product is built from the outside in, as a right word: keys are
 multiplied on the right by crossings, top to bottom (``_right_word``), and
@@ -35,8 +37,8 @@ right descent to the bottom of a reduced word by commutation and braid
 moves and returns their corrections as normal-form terms;
 ``_reduced_word_elem`` takes one right step from the canonical prefix.
 When a right step shortens the permutation, ``_bring_to_back`` exposes the
-double crossing psi_c psi_c at the bottom: 0, the identity, or a dot on
-strand c plus one on strand c+1.
+double crossing psi_c psi_c at the bottom, which the graph's Q_ab turns
+into dots on strands c and c+1.
 """
 
 from __future__ import annotations
@@ -93,8 +95,17 @@ def _check_weights(graph, x, y):
 
 
 def diagram_degree(graph, seq, w):
-    """Sum of -(i_a . i_b) over the inversions of w on the labeled strands."""
+    """Sum of -(i_a . i_b) over the inversions of w on the labeled strands.
+    Raises ValueError unless w is a tuple that permutes range(len(seq)),
+    and GraphError for a crossed label that is not a vertex."""
+    if type(w) is not tuple or sorted(w) != list(range(len(seq))):
+        raise ValueError(f"{w!r} is not a permutation of {len(seq)} strands")
     return -sum(graph.cartan(seq[a], seq[b]) for a, b in inversions(w))
+
+
+def _placed(u, k, m):
+    """The dot vector on m strands that is u on strands k, k+1, ..."""
+    return (0,) * (k - 1) + u + (0,) * (m - k + 1 - len(u))
 
 
 def _acc(target, terms, scalar=1, u=()):
@@ -595,15 +606,12 @@ class KLRRing:
         else:
             # length goes down: expose the double crossing at the bottom
             w1, corrs = self._bring_to_back(c, cw, i)
-            la, lb = i[c - 1], i[c]
             out = {}
-            if la != lb:  # a double crossing of equal labels is zero
+            double = self.graph.double_crossing(i[c - 1], i[c])
+            if double:  # () on equal labels: the double crossing is zero
                 inner = self._reduced_word_elem(below, w1[:-1])
-                if self.graph.cartan(la, lb) == 0:
-                    _acc(out, inner)
-                else:
-                    _acc(out, self._dot(c, inner))
-                    _acc(out, self._dot(c + 1, inner))
+                for u in double:
+                    _acc(out, inner, 1, _placed(u, c, len(i)))
             _acc(out, self._right_word(corrs, (c,)))
         share = self._parts.setdefault
         out = {(share(j, j), share(v, v), share(u, u)): k
@@ -646,10 +654,10 @@ class KLRRing:
         Returns (new_word, corrections) with corrections a normal-form
         term dict over the bottom sequence i, so that  word == new_word +
         corrections  as diagrams.  A braid move whose outer strands carry
-        equal labels adjacent to the middle label adds +/- its word with
-        the three crossings deleted, a prefix of a reduced word and so
-        reduced; corrections from deeper in the word are right-multiplied
-        by the letters moved past them.
+        equal labels adds +/- its word with the three crossings deleted, a
+        prefix of a reduced word and so reduced, times the graph's braid
+        correction, whose dots sit at the bottom; corrections from deeper
+        in the word are right-multiplied by the letters moved past them.
         """
         a = word[-1]
         if a == c:
@@ -664,8 +672,8 @@ class KLRRing:
         _acc(corrs, self._right_word(sub2, (c, a)))
         rest = w2[:-1]
         mpos = min(a, c)
-        if (i[mpos - 1] == i[mpos + 1]
-                and self.graph.cartan(i[mpos - 1], i[mpos]) == -1):
-            _acc(corrs, self._reduced_word_elem(i, rest),
-                 1 if a == mpos else -1)
+        if i[mpos - 1] == i[mpos + 1]:
+            for u in self.graph.braid_correction(i[mpos - 1], i[mpos]):
+                _acc(corrs, self._reduced_word_elem(i, rest),
+                     1 if a == mpos else -1, _placed(u, mpos, len(i)))
         return rest + (c, a, c), corrs

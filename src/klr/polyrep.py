@@ -1,10 +1,13 @@
 """The faithful polynomial representation, used as an independent oracle.
 
 R(nu) acts on the direct sum over sequences i of polynomial rings
-Z[x_1, ..., x_m].  A dot multiplies by its variable.  A crossing acts by the
-divided difference operator (equal labels), a plain variable swap (pairing
-0, or an edge oriented against the crossing), or swap followed by
-multiplication by x_k + x_{k+1} (an edge oriented with the crossing).  The
+Z[x_1, ..., x_m].  A dot multiplies by its variable.  A crossing of labels
+a, b acts by the divided difference operator (equal labels), a plain
+variable swap (Q_ab = 1, or an edge oriented against the crossing), or
+swap followed by multiplication by Q_ab(x_k, x_{k+1}) (an edge oriented
+with the crossing), where Q_ab is the graph's double crossing
+(``CartanGraph.double_crossing``), x_k + x_{k+1} on an edge.  So the two
+orientations of a crossing compose to Q_ab, as psi^2 e(ab) does.  The
 orientation of each edge is a choice; the ring itself does not depend on it.
 One loop, ``_cross_word``, crosses a run of letters: ``act`` hands it the
 whole canonical word of each permutation w of the element, and
@@ -14,10 +17,10 @@ c x^u poly of all terms (i, w, u) with one w, and crosses the word of w
 once per call.  Each call of ``act`` or ``act_word`` resolves the kind of
 a crossing once per label pair, in a small dict, and checks an edge's
 orientation then.  Each crossing is one pass over the polynomial: every
-monomial is written once, swapped and, for an oriented edge, multiplied
-in the same loop.  Once a polynomial is zero, the rest of its word only
-moves the labels and checks the edges it crosses.  Nothing is kept from
-one call to the next.
+monomial is swapped and, for an oriented edge, multiplied by each
+monomial of Q_ab in the same loop.  Once a polynomial is zero, the rest
+of its word only moves the labels and checks the edges it crosses.
+Nothing is kept from one call to the next.
 
 ``act_many`` acts on several polynomials in one call.  It tags each by its
 index in one extra exponent coordinate after the strands, which no dot or
@@ -104,13 +107,16 @@ def divided_difference(p, k):
 # -- the action ------------------------------------------------------------
 
 def _check_input(graph, seq, polys):
-    """Raise GraphError for a label of seq that is not a vertex, and
-    ValueError for a monomial of one of polys without one variable per
-    strand.  Returns seq as a tuple, read once."""
+    """Raise GraphError for a label of seq that is not a vertex, TypeError
+    for one of polys that is not a dict, and ValueError for a monomial of
+    one of polys without one variable per strand.  Returns seq as a tuple,
+    read once."""
     seq = tuple(seq)
     graph.require_vertices(seq)
     m = len(seq)
     for poly in polys:
+        if not isinstance(poly, dict):
+            raise TypeError(f"polynomial {poly!r} is not a dict")
         for e in poly:
             if len(e) != m:
                 raise ValueError(f"monomial {e} has {len(e)} variables for "
@@ -119,17 +125,20 @@ def _check_input(graph, seq, polys):
 
 
 def _along(graph, orientation, a, b):
-    """Whether a crossing of distinct labels a, b, bottom left to right,
-    multiplies by x_k + x_{k+1}: true for an edge oriented from a to b,
-    false for labels that pair to 0 or an edge oriented from b to a.
-    Raises ValueError if the edge is not oriented one of its two ways.
+    """The factor of a crossing of distinct labels a, b, bottom left to
+    right, after its swap: the graph's Q_ab (``double_crossing``) as
+    exponent pairs on (x_k, x_{k+1}) for an edge oriented from a to b,
+    and False, a plain swap, for an edge oriented from b to a or labels
+    with Q_ab = 1.  Raises ValueError for a pair with Q_ab != 1 whose edge
+    is not oriented one of its two ways.
     """
-    if not graph.cartan(a, b):
-        return False
     head = orientation.get(frozenset((a, b)))
-    if head == (a, b):
-        return True
     if head == (b, a):
+        return False
+    double = graph.double_crossing(a, b)
+    if head == (a, b):
+        return double
+    if double == ((0, 0),):
         return False
     raise ValueError(f"edge {a}-{b} is oriented as {head!r}, not as "
                      f"{(a, b)!r} or {(b, a)!r}")
@@ -141,11 +150,12 @@ def _cross_word(graph, orientation, kinds, labels, letters, poly):
     ``labels`` is the bottom sequence as a list; it is swapped in place to
     the top sequence.  Equal labels act by the divided difference.  Other
     labels swap x_k and x_{k+1} in every monomial, and an edge oriented
-    along the crossing also multiplies by x_k + x_{k+1} in the same pass.
-    ``kinds`` maps a pair of distinct labels to ``_along``, filled the
-    first time the pair is crossed, so the caller checks each edge's
-    orientation once per call.  Once poly is zero, the rest of the word
-    only moves the labels and checks the edges it crosses.
+    along the crossing also multiplies by Q_ab(x_k, x_{k+1}) in the same
+    pass, one monomial of Q_ab at a time.  ``kinds`` maps a pair of
+    distinct labels to its factor from ``_along``, filled the first time
+    the pair is crossed, so the caller checks each edge's orientation once
+    per call.  Once poly is zero, the rest of the word only moves the
+    labels and checks the edges it crosses.
     """
     for k in letters:
         j = k - 1
@@ -154,14 +164,14 @@ def _cross_word(graph, orientation, kinds, labels, letters, poly):
             if poly:
                 poly = divided_difference(poly, k)
             continue
-        along = kinds.get((a, b))
-        if along is None:
-            along = kinds[a, b] = _along(graph, orientation, a, b)
+        factor = kinds.get((a, b))
+        if factor is None:
+            factor = kinds[a, b] = _along(graph, orientation, a, b)
         labels[j], labels[k] = b, a
         if not poly:
             continue
         out = {}
-        if not along:
+        if not factor:
             for e, c in poly.items():
                 e2 = list(e)
                 e2[j], e2[k] = e2[k], e2[j]
@@ -170,20 +180,14 @@ def _cross_word(graph, orientation, kinds, labels, letters, poly):
             for e, c in poly.items():
                 e2 = list(e)
                 p, q = e2[k], e2[j]
-                e2[j], e2[k] = p + 1, q
-                t = tuple(e2)
-                v = out.get(t, 0) + c
-                if v:
-                    out[t] = v
-                else:
-                    del out[t]
-                e2[j], e2[k] = p, q + 1
-                t = tuple(e2)
-                v = out.get(t, 0) + c
-                if v:
-                    out[t] = v
-                else:
-                    del out[t]
+                for dp, dq in factor:
+                    e2[j], e2[k] = p + dp, q + dq
+                    t = tuple(e2)
+                    v = out.get(t, 0) + c
+                    if v:
+                        out[t] = v
+                    else:
+                        del out[t]
         poly = out
     return poly
 

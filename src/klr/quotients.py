@@ -3,6 +3,9 @@
 R(nu) has the basis psi_w x^u e(i) (KL I, Thm 2.5), of degree
 deg psi_w e(i) + 2|u|, so every graded piece is read off one diagram
 table: the degree of psi_w e(i) for each sequence i and permutation w.
+``_lifts`` is the one place that reads the degree 2 of a dot: the bases,
+the multipliers and the right factors of a degree all come from a row of
+the table through it.
 Each quotient builds that table once, and its bases, its multipliers and
 its right factors all read it; the top sequence of each psi_v e(j) is
 computed once, when the right factors are grouped by top, and each basis
@@ -120,16 +123,24 @@ def _diagrams(graph, weight):
             for j in seqs}
 
 
+def _lifts(row, d):
+    """(position, entry, dot count) for each entry of row, a list of
+    tuples whose last item is a diagram degree, that dots lift to degree
+    d.  A dot has degree 2 (KL I), so d minus the entry's degree must be
+    even and >= 0, and half of it is the number of dots; this is the one
+    place where the engine reads a dot's degree."""
+    return [(pos, entry, rem // 2) for pos, entry in enumerate(row)
+            if (rem := d - entry[-1]) >= 0 and not rem % 2]
+
+
 def _keys(diagrams, d, m):
     """The basis keys (j, v, u) of degree d over the bottoms of a diagram
     table, for m strands.  j, v and the dot vectors u each come in
     lexicographic order, so the keys come sorted."""
     for j, row in diagrams.items():
-        for v, dv in row:
-            rem = d - dv
-            if rem >= 0 and not rem % 2:
-                for u in _compositions(rem // 2, m):
-                    yield j, v, u
+        for _, (v, _), k in _lifts(row, d):
+            for u in _compositions(k, m):
+                yield j, v, u
 
 
 def graded_basis(graph, weight, d):
@@ -171,22 +182,26 @@ class IdealSpec:
     constructor argument, so a spec built as ``IdealSpec(weight,
     generators)`` has none, and ``quotient_gdim`` computes its quotient
     up to the cutoff.
-    Raises ValueError for a bad weight (see ``check_weight``),
-    InhomogeneousError for a generator that is not homogeneous and
-    WeightMismatchError for one that is not in R(nu).
+    Raises ValueError for a bad weight (see ``check_weight``), TypeError
+    for a generator that is not a KLRElement, InhomogeneousError for one
+    that is not homogeneous and WeightMismatchError for one that is not in
+    R(nu).  The generators are read once.
     """
 
     __slots__ = ("weight", "generators", "central", "_top_rule")
 
     def __init__(self, weight, generators):
         nu = weight_from_dict(dict(check_weight(weight)))
+        generators = list(generators)
         for g in generators:
+            if not isinstance(g, KLRElement):
+                raise TypeError(f"generator {g!r} is not a KLRElement")
             g.degree()  # raises InhomogeneousError unless g is homogeneous
             if g.weight != nu:
                 raise WeightMismatchError(
                     f"generator over {g.weight} in an ideal of R({nu})")
         self.weight = nu
-        self.generators = list(generators)
+        self.generators = generators
         self.central = all(map(_is_central, self.generators))
         self._top_rule = None
 
@@ -416,7 +431,8 @@ class _IdealSpan:
         self._left = {}
         self._products = {}
         # bottom of a left vector -> degree left to the right factor and
-        # its shifts -> [(position in right[bottom], j, |t|)]; see _spanning
+        # its shifts -> [(position in right[bottom], (j, v, degree), |t|)]
+        # from _lifts; see _spanning
         self._reach = {}
 
     def left(self, e):
@@ -506,11 +522,8 @@ class _IdealSpan:
                 top, bottom, _, dead, reach = left
                 factors = reach.get(rest)
                 if factors is None:
-                    factors = reach[rest] = [
-                        (pos, j, rem // 2)
-                        for pos, (j, _, dv) in enumerate(self.right[bottom])
-                        if (rem := rest - dv) >= 0 and not rem % 2]
-                for pos, j, size in factors:
+                    factors = reach[rest] = _lifts(self.right[bottom], rest)
+                for pos, (j, _, _), size in factors:
                     if dead[pos]:
                         dead_shifts += len(_compositions(size, self.m))
                     else:
@@ -532,12 +545,10 @@ class _IdealSpan:
         """
         blocks = {}  # (top, bottom) -> {basis key: column}
         for top, factors in self.right.items():
-            for j, v, dv in factors:
-                rem = d - dv
-                if rem >= 0 and not rem % 2:
-                    block = blocks.setdefault((top, j), {})
-                    for u in _compositions(rem // 2, self.m):
-                        block[j, v, u] = len(block)
+            for _, (j, v, _), k in _lifts(factors, d):
+                block = blocks.setdefault((top, j), {})
+                for u in _compositions(k, self.m):
+                    block[j, v, u] = len(block)
         echelons = {sector: {} for sector in blocks}
         live, products = self._spanning(d)
         rows = 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import product
 
 from .characters import cycle_alpha, orthogonal_idempotents_check, serre_check
-from .permutations import all_permutations, canonical_word
+from .permutations import all_permutations, apply_perm_to_seq, canonical_word
 from .polyrep import (
     act_many,
     act_word,
@@ -42,6 +42,11 @@ def label_seqs(graph, m):
 def relations(ring):
     """All defining relations on 2 and 3 strands, every labeling.
 
+    The double crossing and the braid relation expect the dots that the
+    graph answers for their labels (``CartanGraph.double_crossing`` and
+    ``braid_correction``); the dot slides and distant dots are the same on
+    every graph.
+
     Returns the failures as (relation, element found) pairs.
     """
     graph = ring.graph
@@ -54,14 +59,8 @@ def relations(ring):
     for seq in label_seqs(graph, 2):
         a, b = seq
         dd = ring.evaluate_word(seq, [("C", 1), ("C", 1)])
-        if a == b:
-            want = ring.zero()
-        elif graph.cartan(a, b) == 0:
-            want = ring.idempotent(seq)
-        else:
-            want = (ring.generator(("D", 1), seq)
-                    + ring.generator(("D", 2), seq))
-        expect(f"double crossing {format_seq(seq)}", dd, want)
+        expect(f"double crossing {format_seq(seq)}", dd, ring.element(
+            {(seq, (0, 1), u): 1 for u in graph.double_crossing(a, b)}))
         for k, k2 in ((1, 2), (2, 1)):
             lhs = ring.evaluate_word(seq, [("D", k), ("C", 1)])
             rhs = ring.evaluate_word(seq, [("C", 1), ("D", k2)])
@@ -75,9 +74,9 @@ def relations(ring):
         a, b, c = seq
         L = ring.evaluate_word(seq, [("C", 1), ("C", 2), ("C", 1)])
         R = ring.evaluate_word(seq, [("C", 2), ("C", 1), ("C", 2)])
-        braid = a == c and graph.cartan(a, b) == -1
+        corr = graph.braid_correction(a, b) if a == c else ()
         expect(f"braid {format_seq(seq)}", L - R,
-               ring.idempotent(seq) if braid else ring.zero())
+               ring.element({(seq, (0, 1, 2), u): 1 for u in corr}))
         # distant dots commute with crossings
         lhs = ring.evaluate_word(seq, [("D", 3), ("C", 1)])
         rhs = ring.evaluate_word(seq, [("C", 1), ("D", 3)])
@@ -181,6 +180,14 @@ def _cycle(ring, arg):
     except ValueError:
         raise ValueError(f"bad cycle suite {'cycle:' + arg!r}") from None
     alpha, sq = cycle_alpha(ring, n)
+    # alpha's defining properties: a degree-0 endomorphism of its
+    # sequence, which with 1 spans the degree-0 sector
+    (seq, w, _), = alpha.terms
+    degree, sector = alpha.degree(), ring.gdim_hom(seq, seq).series(0)[0]
+    if not (degree == 0 and apply_perm_to_seq(w, seq) == seq and sector == 2):
+        return (["alpha spans the degree-0 endomorphisms with 1: FAIL"],
+                [(f"cycle:{n}", f"alpha of degree {degree}, degree-0 "
+                                f"dimension {sector}")])
     want, text = (0, "0") if n % 2 else (-2 * alpha, "-2*alpha")
     failures = [] if sq == want else [(f"cycle:{n}", str(sq))]
     return [f"alpha^2 = {text} {'FAIL' if failures else 'PASS'}"], failures

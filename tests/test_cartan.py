@@ -52,6 +52,51 @@ def test_cartan_table_matches_edges():
         assert str(err.value) == "unknown vertex 'y' or 'z'"
 
 
+# KL I's two relations on an ordered pair of labels (a, b), as the graph
+# answers them: Q_ab with psi^2 e(ab) = Q_ab(x_1, x_2) e(ab), and the braid
+# correction psi_1 psi_2 psi_1 - psi_2 psi_1 psi_2 on e(aba), each as the
+# exponent vectors of its monomials
+CROSSING_RELATIONS = {
+    "a1": (single_vertex(), {("i", "i"): ((), ())}),
+    "a2": (a2(), {
+        ("i", "i"): ((), ()),
+        ("i", "j"): (((1, 0), (0, 1)), ((0, 0, 0),)),
+        ("j", "i"): (((1, 0), (0, 1)), ((0, 0, 0),)),
+        ("j", "j"): ((), ())}),
+    "a1xa1": (a1xa1(), {
+        ("i", "i"): ((), ()),
+        ("i", "j"): (((0, 0),), ()),
+        ("j", "i"): (((0, 0),), ()),
+        ("j", "j"): ((), ())}),
+    "cycle3": (cycle(3), {
+        ("1", "1"): ((), ()),
+        ("1", "2"): (((1, 0), (0, 1)), ((0, 0, 0),)),
+        ("1", "3"): (((1, 0), (0, 1)), ((0, 0, 0),)),
+        ("2", "1"): (((1, 0), (0, 1)), ((0, 0, 0),)),
+        ("2", "2"): ((), ()),
+        ("2", "3"): (((1, 0), (0, 1)), ((0, 0, 0),)),
+        ("3", "1"): (((1, 0), (0, 1)), ((0, 0, 0),)),
+        ("3", "2"): (((1, 0), (0, 1)), ((0, 0, 0),)),
+        ("3", "3"): ((), ())}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSSING_RELATIONS))
+def test_crossing_relations_are_kl_i(name):
+    """0 on equal labels, 1 for pairing 0, x_1 + x_2 on an edge; the braid
+    correction is 1 on an edge and 0 otherwise.  Every ordered pair."""
+    g, table = CROSSING_RELATIONS[name]
+    assert set(table) == {(a, b) for a in g.vertices for b in g.vertices}
+    for (a, b), (double, braid) in table.items():
+        assert g.double_crossing(a, b) == double, (a, b)
+        assert g.braid_correction(a, b) == braid, (a, b)
+    for answer in (g.double_crossing, g.braid_correction):
+        with pytest.raises(GraphError, match="unknown vertex 'z'"):
+            answer(g.vertices[0], "z")
+        with pytest.raises(GraphError, match="unknown vertex"):
+            answer([], g.vertices[0])
+
+
 def test_unknown_vertex():
     for i, j in (("i", "z"), ("z", "i"), ("z", "z")):
         with pytest.raises(GraphError) as err:

@@ -29,6 +29,8 @@ from klr import (
     tight,
 )
 from klr.laurent import qbinom, qfact
+from klr.polyrep import act, default_orientation
+from klr.quotients import IdealSpec
 from klr.sequences import divided_weight, expand, factorial_poly, reverse
 
 
@@ -380,6 +382,9 @@ FOREIGN_OPERANDS = {
     "bar_k0(1)": lambda v: bar_k0(1),
     "sigma_k0(1)": lambda v: sigma_k0(1),
     "char_at_divided(1, theta)": lambda v: char_at_divided(1, (("i", 1),)),
+    "IdealSpec(w, ['x'])": lambda v: IdealSpec((("i", 1),), ["x"]),
+    "act(o, x, seq, [])": lambda v: act(
+        default_orientation(v["elem"].ring.graph), v["elem"], ("i", "j"), []),
 }
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import klr
-from klr import KLRRing, a2
+from klr import KLRRing, a2, cycle
 from klr.cli import (
     EXIT_BROKEN_PIPE,
     build_parser,
@@ -529,6 +529,26 @@ def test_exit_code_1_on_failed_check(capsys, graph_files, monkeypatch):
                                           suite])
         assert code == 1 and "FAIL" in out, suite
         assert "counterexample:" in err, suite
+
+
+def test_cycle_precondition_is_a_verdict(capsys, graph_files, monkeypatch):
+    """A ring whose hom route misreads alpha's degree-0 sector fails the
+    cycle suite with a verdict line and exit 1, not a traceback."""
+    import klr.verify as verify
+    gdim_hom = KLRRing.gdim_hom
+    ring = KLRRing(cycle(3))
+    ring.gdim_hom = lambda *a: gdim_hom(ring, *a) * 2
+    lines, failures = verify.run(ring, "cycle:3")
+    assert lines == ["alpha spans the degree-0 endomorphisms with 1: FAIL"]
+    assert failures == [("cycle:3", "alpha of degree 0, degree-0 "
+                                    "dimension 4")]
+    monkeypatch.setattr(KLRRing, "gdim_hom",
+                        lambda self, *a: gdim_hom(self, *a) * 2)
+    code, out, err = run(capsys, ["check", "-g", graph_files["cycle3"],
+                                  "cycle:3"])
+    assert code == 1
+    assert out == "alpha spans the degree-0 endomorphisms with 1: FAIL\n"
+    assert "counterexample: cycle:3" in err
 
 
 def test_argparse_errors_exit_2(graph_files):

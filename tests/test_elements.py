@@ -723,6 +723,16 @@ def test_diagram_degree(ring_a1, ring_a2):
     assert diagram_degree(ring_a2.graph, ("i", "j", "i"), w0) == 0
 
 
+def test_diagram_degree_needs_a_permutation_of_the_strands(ring_a2):
+    g = ring_a2.graph
+    for seq, w in ((("i", "j"), [1]), (("i", "j"), {}), (("i",), (1, 0)),
+                   (("i", "j"), (0, 0)), (("i", "j"), [1, 0]),
+                   (("i", "j"), (0,))):
+        with pytest.raises(ValueError, match="is not a permutation of"):
+            diagram_degree(g, seq, w)
+    assert diagram_degree(g, ("i", "j"), (1, 0)) == 1
+
+
 def test_diagram_degree_word_independence(ring_a2):
     # degree as a sum over any reduced word's crossings
     rng = random.Random(15)

@@ -171,3 +171,75 @@ def test_raw_constructors_called_only_where_allowed():
              for path in sorted(Path(klr.__file__).parent.glob("*.py"))
              if attribute_readers(path.read_text(), "_of")}
     assert found <= {"laurent", "gdim", "characters", "elements"}
+
+
+def _is_cartan_call(node):
+    """A call of a function or method named ``cartan``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr == "cartan"
+            or isinstance(func, ast.Name) and func.id == "cartan")
+
+
+def _is_int_literal(node):
+    """An int literal, signed or not: -1 parses as a unary minus."""
+    if (isinstance(node, ast.UnaryOp)
+            and isinstance(node.op, (ast.USub, ast.UAdd))):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def cartan_literal_sites(source):
+    """Lines where a ``cartan(...)`` call is compared with an int literal
+    or tested for truth (if, while, a conditional expression, assert, not,
+    and/or, a comprehension filter)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(map(_is_cartan_call, operands))
+                    and any(map(_is_int_literal, operands))):
+                found.add(node.lineno)
+            continue
+        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            tests = [node.test]
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tests = [node.operand]
+        elif isinstance(node, ast.BoolOp):
+            tests = node.values
+        elif isinstance(node, ast.comprehension):
+            tests = node.ifs
+        else:
+            continue
+        found.update(t.lineno for t in tests if _is_cartan_call(t))
+    return sorted(found)
+
+
+def test_cartan_literals_detected():
+    source = ("def f(g, cartan, a, b):\n"
+              "    if g.cartan(a, b) == -1:\n"
+              "        pass\n"
+              "    x = 0 != cartan(a, b)\n"
+              "    if not g.cartan(a, b):\n"
+              "        pass\n"
+              "    y = 1 if cartan(a, b) else 2\n"
+              "    z = [a for a in b if g.cartan(a, b)]\n"
+              "    ok = a and g.cartan(a, b)\n"
+              "    n = 1 - g.cartan(a, b)\n"
+              "    same = g.cartan(a, b) != h.cartan(a, b)\n"
+              "    m = g.cartan(a, b) * 2\n"
+              "    while g.cartan(a, b):\n"
+              "        pass\n")
+    assert cartan_literal_sites(source) == [2, 4, 5, 7, 8, 9, 13]
+
+
+def test_no_cartan_literal_outside_cartan():
+    """The graph owns KL I's crossing relations (``double_crossing``,
+    ``braid_correction``), so outside cartan.py no module decides a
+    relation by comparing a pairing with its simply-laced values: the
+    pairing is read only as a number."""
+    found = {path.stem: cartan_literal_sites(path.read_text())
+             for path in sorted(Path(klr.__file__).parent.glob("*.py"))
+             if path.stem != "cartan"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -305,6 +305,16 @@ def test_ideal_spec_derives_centrality(ring_a1, ring_a2, ring_cycle3):
         assert not cyclotomic_spec(ring, weight, lam).central, (weight, lam)
 
 
+def test_ideal_spec_reads_its_generators_once(ring_a1):
+    """An iterator of generators gives the spec, and the quotient, of the
+    list it yields."""
+    gens = cyclotomic_spec(ring_a1, (("i", 2),), {"i": 1}).generators
+    spec = IdealSpec((("i", 2),), iter(gens))
+    assert spec.generators == gens
+    assert (quotient_gdim(ring_a1, spec).degrees
+            == quotient_gdim(ring_a1, IdealSpec((("i", 2),), gens)).degrees)
+
+
 def test_hand_built_cyclotomic_spec(ring_a2):
     """The cyclotomic generators of lambda = Lambda_i on nu = i + j are not
     central, so a hand-built spec must not take the central shortcut,
