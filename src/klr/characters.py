@@ -325,7 +325,8 @@ def _pair_plain(ring, theta, plain_seq) -> LaurentPoly:
 
     Each peeled letter contributes exactly one factor 1/(1-q^2), so the
     recursion sums the shifted numerators in one dict and never forms a
-    common denominator.  The numerators are memoized per ring in
+    common denominator.  Every coefficient counts placements, so it is
+    positive and no sum cancels.  The numerators are memoized per ring in
     ``ring._pair_cache``, keyed by (theta, plain_seq).
     """
     key = (theta, plain_seq)
@@ -346,11 +347,7 @@ def _pair_plain(ring, theta, plain_seq) -> LaurentPoly:
                     else theta[:p] + theta[p + 1:])
             k = -(n - 1) - twist
             for e, c in _pair_plain(ring, left, rest).coeffs.items():
-                c += num.get(e + k, 0)
-                if c:
-                    num[e + k] = c
-                else:
-                    del num[e + k]
+                num[e + k] = num.get(e + k, 0) + c
         twist += n * cartan(vp, v)
     out = ring._pair_cache[key] = LaurentPoly._of(num)
     return out

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: multiply, gdim, pair, char, shuffle, comul, tight, check,
-quotient.  Sequences are written as juxtaposed single-character vertices
-("iji") or whitespace-separated identifiers; divided powers as "i^(2)".
-Generator words are "<seq>: C1 D2 ...", tokens applied bottom to top.
+quotient.  Sequences, divided sequences and weights are read over the
+loaded graph by ``sequences.parse_seq``, ``parse_divided`` and
+``parse_weight``, whose module docstring states the text form: "iji" or
+"v1 v2", divided powers as "i^(2)", weights as "i:2,j:1".  Generator
+words are "<seq>: C1 D2 ...", tokens applied bottom to top.
 ``main`` loads the graph, builds the ring, runs the subcommand and sets
 the exit code: 0 success, 1 a verification suite found a counterexample,
 2 bad usage or input (one ``error:`` line on stderr), 141 (128 + SIGPIPE,
@@ -21,7 +23,7 @@ import re
 import sys
 
 from . import verify
-from .cartan import CartanGraph, weight_from_dict
+from .cartan import CartanGraph
 from .characters import char_projective, comultiply, pair_monomials, tight
 from .elements import KLRRing
 from .laurent import LaurentPoly
@@ -30,60 +32,14 @@ from .quotients import (
     quotient_gdim,
     sym_plus_spec,
 )
-from .sequences import (check_divided, check_weight, expand, format_divided,
-                        format_seq, shuffles)
+from .sequences import (expand, format_divided, format_seq, parse_divided,
+                        parse_seq, parse_weight, shuffles)
 
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 # -- parsing ---------------------------------------------------------------
-
-def parse_seq(text):
-    """A plain sequence: juxtaposed characters, or whitespace-separated."""
-    text = text.strip()
-    if " " in text or "\t" in text:
-        return tuple(text.split())
-    return tuple(text)
-
-
-_BLOCK = re.compile(r"^(?P<v>[^^\s]+)(?:\^\((?P<n>\d+)\))?$")
-
-
-def parse_divided(text):
-    """A divided sequence: blocks like i, j^(2), space-separated or joined.
-    ``sequences.check_divided`` checks the powers."""
-    text = text.strip()
-    if " " in text or "\t" in text:
-        parts = text.split()
-    else:
-        # single-character vertices, each with an optional power: i^(2)ji
-        parts = re.findall(r"(?s).(?:\^\(\d+\))?", text)
-    out = []
-    for part in parts:
-        m = _BLOCK.match(part)
-        if not m:
-            raise ValueError(f"cannot parse divided-power block {part!r}")
-        out.append((m.group("v"), int(m.group("n") or 1)))
-    return check_divided(out)
-
-
-def parse_weight(text):
-    """A weight like "i:2,j:1", checked by ``sequences.check_weight``."""
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if ":" not in piece:
-            raise ValueError(f"weight entry {piece!r} is not vertex:count")
-        v, _, n = piece.partition(":")
-        try:
-            out.append((v.strip(), int(n)))
-        except ValueError:
-            raise ValueError(f"bad multiplicity in {piece!r}") from None
-    return weight_from_dict(dict(check_weight(out)))
-
 
 def parse_field(text):
     """None for "Q", the integer p for "Fp:<p>".  ``quotient_gdim`` checks
@@ -99,12 +55,13 @@ def parse_field(text):
 _TOKEN = re.compile(r"^([CD])(\d+)$")
 
 
-def parse_word(text):
-    """A generator word "seq: C1 D2"; returns (sequence, token list)."""
+def parse_word(text, graph):
+    """A generator word "seq: C1 D2" over graph; returns (sequence, token
+    list)."""
     if ":" not in text:
         raise ValueError(f"word {text!r} must be '<seq>: <tokens>'")
     head, _, tail = text.partition(":")
-    seq = parse_seq(head)
+    seq = parse_seq(head, graph)
     tokens = []
     for piece in tail.split():
         m = _TOKEN.match(piece)
@@ -143,7 +100,7 @@ def _print_gdim(gd, args):
 def cmd_multiply(ring, args):
     factors = []
     for spec in args.word or []:
-        seq, tokens = parse_word(spec)
+        seq, tokens = parse_word(spec, ring.graph)
         factors.append(ring.evaluate_word(seq, tokens))
     for path in args.elem or []:
         try:
@@ -160,22 +117,23 @@ def cmd_multiply(ring, args):
 
 
 def cmd_gdim(ring, args):
-    _print_gdim(ring.gdim_hom(parse_seq(args.target), parse_seq(args.source)),
-                args)
+    _print_gdim(ring.gdim_hom(parse_seq(args.target, ring.graph),
+                              parse_seq(args.source, ring.graph)), args)
 
 
 def cmd_pair(ring, args):
-    _print_gdim(pair_monomials(ring, parse_divided(args.left),
-                               parse_divided(args.right)), args)
+    _print_gdim(pair_monomials(ring, parse_divided(args.left, ring.graph),
+                               parse_divided(args.right, ring.graph)), args)
 
 
 def cmd_char(ring, args):
-    _print(char_projective(ring, parse_divided(args.monomial)), args)
+    _print(char_projective(ring, parse_divided(args.monomial, ring.graph)),
+           args)
 
 
 def cmd_shuffle(ring, args):
-    left = expand(parse_divided(args.left))
-    right = expand(parse_divided(args.right))
+    left = expand(parse_divided(args.left, ring.graph))
+    right = expand(parse_divided(args.right, ring.graph))
     coeffs = {}
     for seq, deg in shuffles(ring.graph, left, right):
         p = coeffs.get(seq, LaurentPoly.zero()) + LaurentPoly.q_power(deg)
@@ -189,7 +147,7 @@ def cmd_shuffle(ring, args):
 
 
 def cmd_comul(ring, args):
-    terms = comultiply(ring.graph, parse_divided(args.monomial))
+    terms = comultiply(ring.graph, parse_divided(args.monomial, ring.graph))
     if args.json:
         print(json.dumps([{"left": format_divided(l) or "1",
                            "right": format_divided(r) or "1",
@@ -201,7 +159,7 @@ def cmd_comul(ring, args):
 
 
 def cmd_tight(ring, args):
-    _print(tight(ring, parse_divided(args.monomial)), args)
+    _print(tight(ring, parse_divided(args.monomial, ring.graph)), args)
 
 
 def cmd_quotient(ring, args):

@@ -97,9 +97,11 @@ def _check_weights(graph, x, y):
 def diagram_degree(graph, seq, w):
     """Sum of -(i_a . i_b) over the inversions of w on the labeled strands.
     Raises ValueError unless w is a tuple that permutes range(len(seq)),
-    and GraphError for a crossed label that is not a vertex."""
+    and GraphError for a label of seq that is not a vertex, crossed or
+    not (``CartanGraph.require_vertices``, one subset test)."""
     if type(w) is not tuple or sorted(w) != list(range(len(seq))):
         raise ValueError(f"{w!r} is not a permutation of {len(seq)} strands")
+    graph.require_vertices(seq)
     return -sum(graph.cartan(seq[a], seq[b]) for a, b in inversions(w))
 
 

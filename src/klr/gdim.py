@@ -153,8 +153,6 @@ class GradedDim:
         numerator has nonnegative coefficients, so it is nonzero at q = 1,
         where every factor 1 - q^{2a} vanishes."""
         num = self.num
-        if num.is_zero():
-            return GradedDim._of(num, ())
         out = []
         for a in self.den:
             try:

@@ -52,6 +52,7 @@ from __future__ import annotations
 from itertools import product
 from operator import add
 
+from .elements import KLRElement
 from .permutations import canonical_word, check_tokens
 from .sequences import seq_enumerate
 
@@ -105,6 +106,13 @@ def divided_difference(p, k):
 
 
 # -- the action ------------------------------------------------------------
+
+def _graph_of(x):
+    """The graph of x's ring; raises TypeError unless x is a KLRElement."""
+    if not isinstance(x, KLRElement):
+        raise TypeError(f"{x!r} is not a KLRElement")
+    return x.ring.graph
+
 
 def _check_input(graph, seq, polys):
     """Raise GraphError for a label of seq that is not a vertex, TypeError
@@ -275,9 +283,9 @@ def act(orientation, x, seq, poly):
     that crossing.  Raises GraphError for a label of seq that is not a
     vertex, and ValueError for a monomial without one variable per strand
     or for a crossed edge that the orientation does not orient one of its
-    two ways.
+    two ways, and TypeError unless x is a KLRElement.
     """
-    graph = x.ring.graph
+    graph = _graph_of(x)
     seq = _check_input(graph, seq, (poly,))
     return _act(graph, orientation, x, seq, poly, ())
 
@@ -291,7 +299,7 @@ def act_many(orientation, x, seq, polys):
     exponent coordinate, so a single pass crosses each word of x for all
     of them.
     """
-    graph = x.ring.graph
+    graph = _graph_of(x)
     polys = list(polys)
     seq = _check_input(graph, seq, polys)
     tagged = {e + (t,): v for t, poly in enumerate(polys)

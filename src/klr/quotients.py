@@ -80,7 +80,7 @@ from itertools import combinations
 from math import gcd
 from operator import add
 
-from .cartan import check_int, weight_from_dict, weight_size
+from .cartan import check_int, weight_size
 from .elements import KLRElement, WeightMismatchError, diagram_degree
 from .permutations import (
     all_permutations,
@@ -191,7 +191,7 @@ class IdealSpec:
     __slots__ = ("weight", "generators", "central", "_top_rule")
 
     def __init__(self, weight, generators):
-        nu = weight_from_dict(dict(check_weight(weight)))
+        nu = check_weight(weight)
         generators = list(generators)
         for g in generators:
             if not isinstance(g, KLRElement):

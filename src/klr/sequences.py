@@ -1,12 +1,30 @@
-"""Sequences of vertices, divided-power sequences, and shuffles.
+"""Sequences of vertices, divided-power sequences, weights, shuffles,
+and their text form.
 
 A plain sequence is a tuple of vertex strings.  A divided sequence is a
 tuple of (vertex, n) blocks with n >= 1; its expansion repeats each vertex
 n times.  Adjacent blocks with the same vertex are allowed and kept as
-written.
+written.  A weight is a tuple of (vertex, count) pairs; ``check_weight``
+returns its normal form.
+
+The text form, read and written here only:
+
+* **Reading** (``parse_seq``, ``parse_divided``) takes the graph.  Text
+  with a space or a tab is whitespace-separated names, one name per
+  vertex.  Text without one is juxtaposed characters, one per vertex
+  (each with an optional power, as in ``i^(2)j``), but only when every
+  vertex of the graph is one character; over any other graph it is one
+  name.  So on cycle(12), ``11`` is the vertex 11 and ``1 1`` is two
+  strands.  ``parse_weight`` reads ``i:2,j:1``.
+* **Writing** (``format_seq``, ``format_divided``) looks at the sequence
+  only, since a character or K0 vector carries no graph: a plain
+  sequence is juxtaposed when each of its vertices is one character and
+  spaced otherwise, and a divided sequence is always spaced.
 """
 
 from __future__ import annotations
+
+import re
 
 from .cartan import check_int, weight_from_dict
 from .laurent import LaurentPoly, qfact
@@ -15,16 +33,17 @@ from .laurent import LaurentPoly, qfact
 def check_weight(weight):
     """Raise ValueError unless each entry is (vertex, n) with n an int >= 0
     (``cartan.check_int``) and no vertex is listed twice.  Returns the
-    entries as a tuple, read once."""
+    weight, read once, in its normal form (``cartan.weight_from_dict``):
+    sorted by vertex, zero counts dropped."""
     entries = tuple(weight)
-    seen = set()
+    counts = {}
     for v, n in entries:
         check_int(n, "vertex count", 0)
-        if v in seen:
+        if v in counts:
             raise ValueError(f"vertex {v!r} appears twice in weight "
                              f"{list(entries)}")
-        seen.add(v)
-    return entries
+        counts[v] = n
+    return weight_from_dict(counts)
 
 
 def seq_enumerate(weight):
@@ -114,12 +133,66 @@ def reverse(divided):
     return tuple(reversed(divided))
 
 
+# -- text form (see the module docstring) ---------------------------------
+
+def _split(text, graph, piece):
+    """The items of text, the one choice of both readers: the
+    whitespace-separated names if text has a space or a tab or a vertex of
+    graph is not one character, else the matches of the regex piece, one
+    character each with what it allows after it."""
+    text = text.strip()
+    if (" " in text or "\t" in text
+            or any(len(v) != 1 for v in graph.vertices)):
+        return text.split()
+    return re.findall(piece, text)
+
+
+def parse_seq(text, graph):
+    """A plain sequence over graph, read from text."""
+    return tuple(_split(text, graph, r"(?s)."))
+
+
+# matched through re's own cache, so importing the library compiles no
+# pattern that only text input needs
+_BLOCK = r"^(?P<v>[^^\s]+)(?:\^\((?P<n>\d+)\))?$"
+
+
+def parse_divided(text, graph):
+    """A divided sequence over graph, read from text: blocks like i and
+    j^(2).  ``check_divided`` checks the powers."""
+    out = []
+    for part in _split(text, graph, r"(?s).(?:\^\(\d+\))?"):
+        m = re.match(_BLOCK, part)
+        if not m:
+            raise ValueError(f"cannot parse divided-power block {part!r}")
+        out.append((m.group("v"), int(m.group("n") or 1)))
+    return check_divided(out)
+
+
+def parse_weight(text):
+    """A weight like "i:2,j:1", checked and in normal form
+    (``check_weight``)."""
+    out = []
+    for piece in text.split(","):
+        piece = piece.strip()
+        if not piece:
+            continue
+        if ":" not in piece:
+            raise ValueError(f"weight entry {piece!r} is not vertex:count")
+        v, _, n = piece.partition(":")
+        try:
+            out.append((v.strip(), int(n)))
+        except ValueError:
+            raise ValueError(f"bad multiplicity in {piece!r}") from None
+    return check_weight(out)
+
+
 def format_divided(divided):
     return " ".join(v if n == 1 else f"{v}^({n})" for v, n in divided)
 
 
 def format_seq(seq):
-    """Compact form if every vertex is a single character, else spaced."""
+    """Juxtaposed if every vertex is a single character, else spaced."""
     if all(len(v) == 1 for v in seq):
         return "".join(seq)
     return " ".join(seq)

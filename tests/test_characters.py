@@ -29,7 +29,7 @@ from klr import (
     tight,
 )
 from klr.laurent import qbinom, qfact
-from klr.polyrep import act, default_orientation
+from klr.polyrep import act, act_many, default_orientation
 from klr.quotients import IdealSpec
 from klr.sequences import divided_weight, expand, factorial_poly, reverse
 
@@ -385,6 +385,10 @@ FOREIGN_OPERANDS = {
     "IdealSpec(w, ['x'])": lambda v: IdealSpec((("i", 1),), ["x"]),
     "act(o, x, seq, [])": lambda v: act(
         default_orientation(v["elem"].ring.graph), v["elem"], ("i", "j"), []),
+    "act(o, 1, seq, {})": lambda v: act(
+        default_orientation(v["elem"].ring.graph), 1, ("i",), {}),
+    "act_many(o, 1, seq, [{}])": lambda v: act_many(
+        default_orientation(v["elem"].ring.graph), 1, ("i",), [{}]),
 }
 
 

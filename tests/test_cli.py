@@ -9,16 +9,9 @@ import pytest
 
 import klr
 from klr import KLRRing, a2, cycle
-from klr.cli import (
-    EXIT_BROKEN_PIPE,
-    build_parser,
-    main,
-    parse_divided,
-    parse_seq,
-    parse_weight,
-    parse_word,
-)
+from klr.cli import EXIT_BROKEN_PIPE, build_parser, main, parse_word
 from klr.quotients import is_prime
+from klr.sequences import parse_divided, parse_seq, parse_weight
 
 
 def run(capsys, argv):
@@ -28,16 +21,17 @@ def run(capsys, argv):
 
 
 def test_parse_seq():
-    assert parse_seq("iji") == ("i", "j", "i")
-    assert parse_seq("v1 v2 v1") == ("v1", "v2", "v1")
-    assert parse_seq("") == ()
+    assert parse_seq("iji", a2()) == ("i", "j", "i")
+    assert parse_seq("v1 v2 v1", a2()) == ("v1", "v2", "v1")
+    assert parse_seq("", a2()) == ()
 
 
 def test_parse_divided():
-    assert parse_divided("i^(2)j") == (("i", 2), ("j", 1))
-    assert parse_divided("i^(2) j i^(3)") == (("i", 2), ("j", 1), ("i", 3))
-    assert parse_divided("iji") == (("i", 1), ("j", 1), ("i", 1))
-    assert parse_divided("") == parse_divided("  ") == ()
+    assert parse_divided("i^(2)j", a2()) == (("i", 2), ("j", 1))
+    assert parse_divided("i^(2) j i^(3)", a2()) == (("i", 2), ("j", 1),
+                                                    ("i", 3))
+    assert parse_divided("iji", a2()) == (("i", 1), ("j", 1), ("i", 1))
+    assert parse_divided("", a2()) == parse_divided("  ", a2()) == ()
 
 
 def test_parse_weight():
@@ -46,8 +40,36 @@ def test_parse_weight():
 
 
 def test_parse_word():
-    assert parse_word("iji: C1 D2") == (("i", "j", "i"),
-                                        [("C", 1), ("D", 2)])
+    assert parse_word("iji: C1 D2", a2()) == (("i", "j", "i"),
+                                              [("C", 1), ("D", 2)])
+
+
+def test_multi_character_vertex_is_one_name(capsys, tmp_path):
+    """Over a graph with a vertex name longer than one character, text
+    without whitespace is one vertex, and spaced text is one per name: on
+    cycle(12), 11 is one strand and 1 1 two (both written 11)."""
+    paths = {}
+    for name, graph in (("cycle12", cycle(12).to_json()),
+                        ("ab", {"vertices": ["ab", "c"],
+                                "edges": [["ab", "c"]]})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(graph))
+    c12, ab = str(paths["cycle12"]), str(paths["ab"])
+    for argv, out in (
+            (["char", "-g", c12, "11"], "11: 1 / (1-q^2)\n"),
+            (["char", "-g", c12, "1 1"], "11: (q^-2 + 1) / ((1-q^2)^2)\n"),
+            (["char", "-g", c12, "12"], "12: 1 / (1-q^2)\n"),
+            (["char", "-g", c12, "1^(2)"],
+             "11: (q^-1 + q) / ((1-q^2)(1-q^4))\n"),
+            (["pair", "-g", c12, "1 12", "12 1"], "q / ((1-q^2)^2)\n"),
+            (["gdim", "-g", ab, "ab", "ab"], "1 / (1-q^2)\n"),
+            (["gdim", "-g", ab, "ab c", "c ab"], "q / ((1-q^2)^2)\n"),
+            (["shuffle", "-g", ab, "ab", "c"], "ab c: 1, c ab: q\n"),
+            (["multiply", "-g", ab, "--word", "ab c: C1", "--word",
+              "c ab: C1"], "x1[c ab] + x2[c ab]\n")):
+        assert run(capsys, argv) == (0, out, ""), argv
+    assert run(capsys, ["gdim", "-g", ab, "cab", "cab"]) == (
+        2, "", "error: unknown vertex 'cab'\n")
 
 
 def test_multiply_examples(capsys, graph_files):

@@ -733,6 +733,16 @@ def test_diagram_degree_needs_a_permutation_of_the_strands(ring_a2):
     assert diagram_degree(g, ("i", "j"), (1, 0)) == 1
 
 
+def test_diagram_degree_rejects_a_label_that_is_not_a_vertex(ring_a2):
+    """Every label of seq is checked, also one that no inversion of w
+    crosses."""
+    g = ring_a2.graph
+    for seq, w in ((("z",), (0,)), (("z", "q"), (0, 1)),
+                   (("i", "z"), (1, 0)), (("z", "i", "j"), (0, 2, 1))):
+        with pytest.raises(GraphError, match="unknown vertex 'z'"):
+            diagram_degree(g, seq, w)
+
+
 def test_diagram_degree_word_independence(ring_a2):
     # degree as a sum over any reduced word's crossings
     rng = random.Random(15)

@@ -1,8 +1,11 @@
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klr import (
+    CartanGraph,
     GraphError,
     IdealSpec,
     KLRRing,
@@ -13,6 +16,7 @@ from klr import (
     act_word,
     char_projective,
     comultiply,
+    cycle,
     cyclotomic_spec,
     default_orientation,
     degree_lower_bound,
@@ -21,17 +25,21 @@ from klr import (
     pair_recursive,
     quotient_gdim,
     seq_enumerate,
+    single_vertex,
     sym_plus_spec,
     tight,
 )
 from klr.characters import K0Vector
 from klr.laurent import LaurentPoly, qfact
 from klr.sequences import (
+    check_weight,
     divided_weight,
     expand,
     factorial_poly,
     format_divided,
     format_seq,
+    parse_divided,
+    parse_seq,
     plain,
     reverse,
     shift,
@@ -62,6 +70,40 @@ def test_seq_enumerate_rejects_bad_weights():
         with pytest.raises(ValueError):
             seq_enumerate(weight)
     assert seq_enumerate((("i", 0), ("j", 1))) == [("j",)]
+
+
+def test_check_weight_returns_the_normal_form():
+    """Sorted by vertex, zero counts dropped, read once."""
+    assert check_weight([("j", 1), ("i", 0), ("k", 2)]) == (("j", 1),
+                                                           ("k", 2))
+    assert check_weight(iter([("j", 1), ("i", 2)])) == (("i", 2), ("j", 1))
+    assert check_weight([("i", 0)]) == check_weight(()) == ()
+
+
+ONE_CHARACTER_GRAPHS = [single_vertex(), a2(), a1xa1(), cycle(3), cycle(4)]
+LONG_NAME_GRAPHS = [cycle(12), CartanGraph(["ab", "c"], [("ab", "c")])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_text_form_round_trips(data):
+    """The readers invert the writers over the graph.  Over a graph with a
+    vertex name longer than one character, a plain sequence is drawn
+    holding such a vertex, since the writer juxtaposes a sequence of
+    one-character vertices whatever the graph."""
+    graph = data.draw(st.sampled_from(ONE_CHARACTER_GRAPHS
+                                      + LONG_NAME_GRAPHS))
+    vertex = st.sampled_from(graph.vertices)
+    seq = data.draw(st.lists(vertex, max_size=6))
+    if graph in LONG_NAME_GRAPHS:
+        long = [v for v in graph.vertices if len(v) > 1]
+        seq.insert(data.draw(st.integers(0, len(seq))),
+                   data.draw(st.sampled_from(long)))
+    seq = tuple(seq)
+    assert parse_seq(format_seq(seq), graph) == seq
+    theta = tuple(data.draw(st.lists(st.tuples(vertex, st.integers(1, 3)),
+                                     max_size=5)))
+    assert parse_divided(format_divided(theta), graph) == theta
 
 
 def test_divided_sequences():
