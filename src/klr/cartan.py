@@ -20,8 +20,10 @@ vectors on the strands they touch.
 
 ``check_int`` is the one decision of which values count as integers: every
 integer parameter of the package (counts, degrees, cutoffs, powers, strand
-and token indices) goes through it.  It lives here because this module
-imports no other ``klr`` module, so every layer can use it.
+and token indices) goes through it.  ``check_type`` is the one type check
+of an argument that must be an instance of a class: a graph, a ring, a
+character or K0 vector.  Both live here because this module imports no
+other ``klr`` module, so every layer can use them.
 """
 
 from __future__ import annotations
@@ -44,6 +46,13 @@ def check_int(n, what, low=None):
         return n
     bound = "" if low is None else f" >= {low}"
     raise ValueError(f"{what} {n!r} is not an integer{bound}")
+
+
+def check_type(cls, *values):
+    """Raise TypeError for a value that is not a cls."""
+    for x in values:
+        if not isinstance(x, cls):
+            raise TypeError(f"{x!r} is not a {cls.__name__}")
 
 
 class CartanGraph:

@@ -33,8 +33,9 @@ tight iff that term is 1 * q^0.  No series cutoff is involved.
 
 from __future__ import annotations
 
-from .cartan import GraphError, cycle, weight_add, weight_of_seq
-from .elements import WeightMismatchError
+from .cartan import (CartanGraph, GraphError, check_type, cycle, weight_add,
+                     weight_of_seq)
+from .elements import KLRRing, WeightMismatchError
 from .gdim import GradedDim
 from .laurent import LaurentPoly, qbinom
 from .sequences import (
@@ -52,23 +53,21 @@ from .sequences import (
 )
 
 
-def _check_type(cls, *values):
-    """Raise TypeError for a value that is not a cls."""
-    for x in values:
-        if not isinstance(x, cls):
-            raise TypeError(f"{x!r} is not a {cls.__name__}")
-
-
 class CharacterVector:
-    """A map from sequences of a fixed weight to graded dimensions."""
+    """A map from sequences of a fixed weight over a graph to graded
+    dimensions.  The graph decides how the sequences are written
+    (``sequences.format_seq``)."""
 
-    __slots__ = ("weight", "values")
+    __slots__ = ("graph", "weight", "values")
 
-    def __init__(self, weight, values):
-        """Raises TypeError unless values is a dict of GradedDims."""
+    def __init__(self, graph, weight, values):
+        """Raises TypeError unless graph is a CartanGraph and values is a
+        dict of GradedDims."""
+        check_type(CartanGraph, graph)
         if not isinstance(values, dict):
             raise TypeError(f"character values must be a dict, not {values!r}")
-        _check_type(GradedDim, *values.values())
+        check_type(GradedDim, *values.values())
+        self.graph = graph
         self.weight = weight
         self.values = {k: v for k, v in values.items() if not v.is_zero()}
 
@@ -78,32 +77,36 @@ class CharacterVector:
     def __add__(self, other):
         if not isinstance(other, CharacterVector):
             return NotImplemented
-        if self.weight != other.weight:
+        if (self.graph, self.weight) != (other.graph, other.weight):
             raise WeightMismatchError(
-                f"weights differ: {self.weight} vs {other.weight}")
+                f"weights differ: {self.weight} over {self.graph!r} vs "
+                f"{other.weight} over {other.graph!r}")
         out = dict(self.values)
         for k, v in other.values.items():
             out[k] = out[k] + v if k in out else v
-        return CharacterVector(self.weight, out)
+        return CharacterVector(self.graph, self.weight, out)
 
     def scale(self, p: LaurentPoly):
-        return CharacterVector(self.weight,
+        return CharacterVector(self.graph, self.weight,
                                {k: v * p for k, v in self.values.items()})
 
     def __eq__(self, other):
         if not isinstance(other, CharacterVector):
             return NotImplemented
+        # characters over unequal graphs are never equal
         keys = set(self.values) | set(other.values)
-        return all(self.value(k) == other.value(k) for k in keys)
+        return self.graph == other.graph and all(
+            self.value(k) == other.value(k) for k in keys)
 
     def __hash__(self):
         raise TypeError("CharacterVector is unhashable")
 
     def to_json(self):
-        return {format_seq(k): v.to_json() for k, v in sorted(self.values.items())}
+        return {format_seq(k, self.graph): v.to_json()
+                for k, v in sorted(self.values.items())}
 
     def __str__(self):
-        return "\n".join(f"{format_seq(k)}: {v}"
+        return "\n".join(f"{format_seq(k, self.graph)}: {v}"
                          for k, v in sorted(self.values.items())) or "0"
 
 
@@ -120,7 +123,7 @@ class K0Vector:
         """Raises TypeError unless coeffs is a dict of LaurentPolys."""
         if not isinstance(coeffs, dict):
             raise TypeError(f"K0 coefficients must be a dict, not {coeffs!r}")
-        _check_type(LaurentPoly, *coeffs.values())
+        check_type(LaurentPoly, *coeffs.values())
         self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
         self.weight = weight
 
@@ -198,7 +201,7 @@ def char_projective(ring, theta):
     theta = check_divided(theta)
     hat = expand(theta)
     weight = weight_of_seq(hat)
-    return CharacterVector(weight, {
+    return CharacterVector(ring.graph, weight, {
         seq: _divide_factorial(ring.gdim_hom(seq, hat), theta)
         for seq in seq_enumerate(weight)})
 
@@ -206,24 +209,27 @@ def char_projective(ring, theta):
 def char_at_divided(cv: CharacterVector, theta):
     """Evaluate a character at a divided sequence: value at expansion / theta!.
     Raises TypeError unless cv is a CharacterVector."""
-    _check_type(CharacterVector, cv)
+    check_type(CharacterVector, cv)
     theta = check_divided(theta)
     return cv.value(expand(theta)).divide_poly(factorial_poly(theta))
 
 
-def shuffle_product(graph, f: CharacterVector, g: CharacterVector):
-    """Quantum shuffle product of character vectors.  Raises TypeError
-    for an operand that is not a CharacterVector."""
-    _check_type(CharacterVector, f, g)
+def shuffle_product(f: CharacterVector, g: CharacterVector):
+    """Quantum shuffle product of character vectors over one graph.
+    Raises TypeError for an operand that is not a CharacterVector, and
+    WeightMismatchError unless both are over equal graphs."""
+    check_type(CharacterVector, f, g)
+    if f.graph != g.graph:
+        raise WeightMismatchError("characters over other graphs")
     weight = weight_add(f.weight, g.weight)
     values = {}
     for si, vi in f.values.items():
         for sj, vj in g.values.items():
             prod = vi * vj
-            for seq, deg in shuffles(graph, si, sj):
+            for seq, deg in shuffles(f.graph, si, sj):
                 contrib = GradedDim._of(prod.num.shifted(deg), prod.den)
                 values[seq] = values[seq] + contrib if seq in values else contrib
-    return CharacterVector(weight, values)
+    return CharacterVector(f.graph, weight, values)
 
 
 # -- coproduct -------------------------------------------------------------
@@ -356,7 +362,7 @@ def _pair_plain(ring, theta, plain_seq) -> LaurentPoly:
 def pair_k0(ring, u: K0Vector, theta) -> GradedDim:
     """Pair a K0 vector against a single monomial.  Raises TypeError
     unless u is a K0Vector."""
-    _check_type(K0Vector, u)
+    check_type(K0Vector, u)
     out = GradedDim.zero()
     for sym, c in u.coeffs.items():
         p = pair_monomials(ring, sym, theta)
@@ -370,9 +376,10 @@ def equal_in_f(ring, u: K0Vector, v: K0Vector) -> bool:
 
     Plain monomials span the weight space and the form is non-degenerate,
     so this decides equality of the underlying classes.  Raises TypeError
-    unless u and v are K0Vectors.
+    unless ring is a KLRRing and u and v are K0Vectors.
     """
-    _check_type(K0Vector, u, v)
+    check_type(KLRRing, ring)
+    check_type(K0Vector, u, v)
     if u.weight != v.weight:
         return False
     diff = u - v
@@ -385,14 +392,14 @@ def equal_in_f(ring, u: K0Vector, v: K0Vector) -> bool:
 def bar_k0(u: K0Vector) -> K0Vector:
     """q -> 1/q on coefficients; monomial symbols are bar-invariant.
     Raises TypeError unless u is a K0Vector."""
-    _check_type(K0Vector, u)
+    check_type(K0Vector, u)
     return K0Vector(u.weight, {k: c.bar() for k, c in u.coeffs.items()})
 
 
 def sigma_k0(u: K0Vector) -> K0Vector:
     """Reverse every divided sequence; coefficients unchanged.  Raises
     TypeError unless u is a K0Vector."""
-    _check_type(K0Vector, u)
+    check_type(K0Vector, u)
     return K0Vector(u.weight, {reverse(k): c for k, c in u.coeffs.items()})
 
 

@@ -139,10 +139,10 @@ def cmd_shuffle(ring, args):
         p = coeffs.get(seq, LaurentPoly.zero()) + LaurentPoly.q_power(deg)
         coeffs[seq] = p
     if args.json:
-        print(json.dumps({format_seq(s): p.to_json()
+        print(json.dumps({format_seq(s, ring.graph): p.to_json()
                           for s, p in sorted(coeffs.items())}))
     else:
-        print(", ".join(f"{format_seq(s)}: {p}"
+        print(", ".join(f"{format_seq(s, ring.graph)}: {p}"
                         for s, p in sorted(coeffs.items())))
 
 

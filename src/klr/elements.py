@@ -46,7 +46,7 @@ from __future__ import annotations
 from itertools import groupby
 from operator import add, itemgetter
 
-from .cartan import check_int, weight_of_seq
+from .cartan import CartanGraph, check_int, check_type, weight_of_seq
 from .gdim import GradedDim
 from .laurent import LaurentPoly, format_sum, qmultinomial
 from .permutations import (
@@ -213,13 +213,15 @@ class KLRElement:
                 for (i, w, u), c in sorted(self.terms.items())]
 
     def __str__(self):
+        graph = self.ring.graph
+
         def term(key):
             i, w, u = key
             factors = [f"s{l}" for l in canonical_word(w)]
             factors += [f"x{p+1}" if e == 1 else f"x{p+1}^{e}"
                         for p, e in enumerate(u) if e]
             body = "*".join(factors) if factors else "1"
-            return self.terms[key], f"{body}[{format_seq(i)}]"
+            return self.terms[key], f"{body}[{format_seq(i, graph)}]"
 
         return format_sum(map(term, sorted(
             self.terms, key=lambda k: (k[0], k[1], tuple(-x for x in k[2])))))
@@ -231,6 +233,8 @@ class KLRRing:
     """The rings R(nu) for all weights over a fixed Cartan graph."""
 
     def __init__(self, graph):
+        """Raises TypeError unless graph is a CartanGraph."""
+        check_type(CartanGraph, graph)
         self.graph = graph
         # (c, i, w) -> normal form of psi_w e(i) with crossing c below it,
         # for the right steps that need rewriting (see ``_cross``); its

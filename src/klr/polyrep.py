@@ -331,15 +331,17 @@ def oracle_equal(x, y, *, orientation=None):
     the polynomial representation is faithful (the proof of KL I, Thm
     2.5).  So x = y exactly when x - y kills the Artin basis of every
     sequence of the weight: a proof, not a sample.  Each sequence's basis
-    is acted on in one ``act_many`` call.  Raises WeightMismatchError, from
-    ``x - y``, if the weights differ.
+    is acted on in one ``act_many`` call.  Raises TypeError unless x and y
+    are KLRElements, and WeightMismatchError, from ``x - y``, if the
+    weights differ.
     """
+    graph = _graph_of(x)
+    diff = x - y
     if orientation is None:
-        orientation = default_orientation(x.ring.graph)
+        orientation = default_orientation(graph)
     weight = x.weight if x.weight is not None else y.weight
     if weight is None:
         return True
-    diff = x - y
     for seq in seq_enumerate(weight):
         if any(act_many(orientation, diff, seq,
                         [{mono: 1} for mono in artin_basis(seq)])):

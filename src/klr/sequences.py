@@ -7,19 +7,22 @@ n times.  Adjacent blocks with the same vertex are allowed and kept as
 written.  A weight is a tuple of (vertex, count) pairs; ``check_weight``
 returns its normal form.
 
-The text form, read and written here only:
+The text form, read and written here only, follows one rule, which
+``_one_character`` decides from the graph: when every vertex of the graph
+is one character, a plain sequence is juxtaposed characters, one per
+vertex; over any other graph it is whitespace-separated names.
 
 * **Reading** (``parse_seq``, ``parse_divided``) takes the graph.  Text
-  with a space or a tab is whitespace-separated names, one name per
-  vertex.  Text without one is juxtaposed characters, one per vertex
-  (each with an optional power, as in ``i^(2)j``), but only when every
-  vertex of the graph is one character; over any other graph it is one
-  name.  So on cycle(12), ``11`` is the vertex 11 and ``1 1`` is two
-  strands.  ``parse_weight`` reads ``i:2,j:1``.
-* **Writing** (``format_seq``, ``format_divided``) looks at the sequence
-  only, since a character or K0 vector carries no graph: a plain
-  sequence is juxtaposed when each of its vertices is one character and
-  spaced otherwise, and a divided sequence is always spaced.
+  with a space or a tab is always whitespace-separated names.  Text
+  without one is read by the rule: one vertex per character (each with an
+  optional power, as in ``i^(2)j``), or one name.  So on cycle(12),
+  ``11`` is the vertex 11 and ``1 1`` is two strands.  ``parse_weight``
+  reads ``i:2,j:1``.
+* **Writing**: ``format_seq(seq, graph)`` writes a plain sequence by the
+  rule, so on cycle(12) it writes ``1 1`` and ``11`` apart, and
+  ``parse_seq`` reads back the sequence written.  ``format_divided``
+  needs no graph: it always spaces its blocks, which every graph reads as
+  one block each.
 """
 
 from __future__ import annotations
@@ -135,14 +138,19 @@ def reverse(divided):
 
 # -- text form (see the module docstring) ---------------------------------
 
+def _one_character(graph):
+    """Whether every vertex of graph is one character: the one rule of the
+    text form, read by both readers (``_split``) and by ``format_seq``."""
+    return all(len(v) == 1 for v in graph.vertices)
+
+
 def _split(text, graph, piece):
-    """The items of text, the one choice of both readers: the
-    whitespace-separated names if text has a space or a tab or a vertex of
-    graph is not one character, else the matches of the regex piece, one
-    character each with what it allows after it."""
+    """The items of text for both readers: the whitespace-separated names
+    if text has a space or a tab or the rule says names, else the matches
+    of the regex piece, one character each with what it allows after
+    it."""
     text = text.strip()
-    if (" " in text or "\t" in text
-            or any(len(v) != 1 for v in graph.vertices)):
+    if " " in text or "\t" in text or not _one_character(graph):
         return text.split()
     return re.findall(piece, text)
 
@@ -191,11 +199,10 @@ def format_divided(divided):
     return " ".join(v if n == 1 else f"{v}^({n})" for v, n in divided)
 
 
-def format_seq(seq):
-    """Juxtaposed if every vertex is a single character, else spaced."""
-    if all(len(v) == 1 for v in seq):
-        return "".join(seq)
-    return " ".join(seq)
+def format_seq(seq, graph):
+    """A plain sequence over graph as text: juxtaposed when every vertex
+    of graph is one character, else spaced (``_one_character``)."""
+    return ("" if _one_character(graph) else " ").join(seq)
 
 
 # -- shuffles --------------------------------------------------------------

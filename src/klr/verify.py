@@ -59,8 +59,9 @@ def relations(ring):
     for seq in label_seqs(graph, 2):
         a, b = seq
         dd = ring.evaluate_word(seq, [("C", 1), ("C", 1)])
-        expect(f"double crossing {format_seq(seq)}", dd, ring.element(
-            {(seq, (0, 1), u): 1 for u in graph.double_crossing(a, b)}))
+        expect(f"double crossing {format_seq(seq, graph)}", dd,
+               ring.element({(seq, (0, 1), u): 1
+                             for u in graph.double_crossing(a, b)}))
         for k, k2 in ((1, 2), (2, 1)):
             lhs = ring.evaluate_word(seq, [("D", k), ("C", 1)])
             rhs = ring.evaluate_word(seq, [("C", 1), ("D", k2)])
@@ -69,18 +70,18 @@ def relations(ring):
                 want = rhs + corr if k == 1 else rhs - corr
             else:
                 want = rhs
-            expect(f"dot slide {format_seq(seq)} D{k}", lhs, want)
+            expect(f"dot slide {format_seq(seq, graph)} D{k}", lhs, want)
     for seq in label_seqs(graph, 3):
         a, b, c = seq
         L = ring.evaluate_word(seq, [("C", 1), ("C", 2), ("C", 1)])
         R = ring.evaluate_word(seq, [("C", 2), ("C", 1), ("C", 2)])
         corr = graph.braid_correction(a, b) if a == c else ()
-        expect(f"braid {format_seq(seq)}", L - R,
+        expect(f"braid {format_seq(seq, graph)}", L - R,
                ring.element({(seq, (0, 1, 2), u): 1 for u in corr}))
         # distant dots commute with crossings
         lhs = ring.evaluate_word(seq, [("D", 3), ("C", 1)])
         rhs = ring.evaluate_word(seq, [("C", 1), ("D", 3)])
-        expect(f"distant dot {format_seq(seq)}", lhs, rhs)
+        expect(f"distant dot {format_seq(seq, graph)}", lhs, rhs)
     return failures
 
 
@@ -126,8 +127,8 @@ def oracle(ring):
                                           {mono: 1})
                 want_map = {want_seq: want} if want else {}
                 if got != want_map:
-                    failures.append((f"word {tokens} on {format_seq(seq)}",
-                                     mono))
+                    failures.append(
+                        (f"word {tokens} on {format_seq(seq, graph)}", mono))
                     break
     return failures
 
@@ -166,12 +167,14 @@ def _serre(ring, _arg):
 
 
 def _idempotents(ring, _arg):
-    if not ring.graph.edges:
+    graph = ring.graph
+    if not graph.edges:
         raise ValueError("graph has no edges; idempotent suite needs one")
-    return _verdicts((f"idempotents on {x}{y}{x}", f"idempotents {x}{y}{x}",
+    return _verdicts((f"idempotents on {text}", f"idempotents {text}",
                       orthogonal_idempotents_check(ring, x, y))
-                     for i, j in sorted(map(sorted, ring.graph.edges))
-                     for x, y in ((i, j), (j, i)))
+                     for i, j in sorted(map(sorted, graph.edges))
+                     for x, y in ((i, j), (j, i))
+                     for text in (format_seq((x, y, x), graph),))
 
 
 def _cycle(ring, arg):

@@ -108,7 +108,6 @@ def test_04_shuffle_lemma(ring_a2, ring_a1xa1):
                         for t2 in monomials_of_total(["i", "j"], n2):
                             lhs = char_projective(ring, t1 + t2)
                             rhs = shuffle_product(
-                                ring.graph,
                                 char_projective(ring, t1),
                                 char_projective(ring, t2))
                             assert lhs == rhs, (t1, t2)

@@ -29,7 +29,7 @@ from klr import (
     tight,
 )
 from klr.laurent import qbinom, qfact
-from klr.polyrep import act, act_many, default_orientation
+from klr.polyrep import act, act_many, default_orientation, oracle_equal
 from klr.quotients import IdealSpec
 from klr.sequences import divided_weight, expand, factorial_poly, reverse
 
@@ -219,12 +219,11 @@ def test_char_values(ring_a1, ring_a1xa1):
 def test_shuffle_products(ring_a2, ring_a1xa1):
     ci = char_projective(ring_a1xa1, (("i", 1),))
     cj = char_projective(ring_a1xa1, (("j", 1),))
-    prod = shuffle_product(ring_a1xa1.graph, ci, cj)
+    prod = shuffle_product(ci, cj)
     one2 = GradedDim(LaurentPoly.one(), (1, 1))
     assert prod.value(("i", "j")) == one2
     assert prod.value(("j", "i")) == one2
-    prod = shuffle_product(ring_a2.graph,
-                           char_projective(ring_a2, (("i", 1),)),
+    prod = shuffle_product(char_projective(ring_a2, (("i", 1),)),
                            char_projective(ring_a2, (("j", 1),)))
     assert prod.value(("i", "j")) == one2
     assert prod.value(("j", "i")) == one2 * LaurentPoly.q_power(1)
@@ -237,8 +236,7 @@ def test_shuffle_lemma(ring_a2, ring_a1xa1):
                 for t1 in monomials_of_weight(["i", "j"], n1):
                     for t2 in monomials_of_weight(["i", "j"], n2):
                         lhs = char_projective(ring, t1 + t2)
-                        rhs = shuffle_product(ring.graph,
-                                              char_projective(ring, t1),
+                        rhs = shuffle_product(char_projective(ring, t1),
                                               char_projective(ring, t2))
                         assert lhs == rhs, (t1, t2)
 
@@ -366,17 +364,20 @@ FOREIGN_OPERANDS = {
     "elem + 1": lambda v: v["elem"] + 1,
     "elem - 1": lambda v: v["elem"] - 1,
     "elem + 'x'": lambda v: v["elem"] + "x",
-    "CharacterVector(w, [])": lambda v: CharacterVector(v["cv"].weight, []),
-    "shuffle_product(g, cv, 1)": lambda v: shuffle_product(
-        v["elem"].ring.graph, v["cv"], 1),
+    "CharacterVector(g, w, [])": lambda v: CharacterVector(
+        v["cv"].graph, v["cv"].weight, []),
+    "CharacterVector(None, w, {})": lambda v: CharacterVector(
+        None, v["cv"].weight, {}),
+    "shuffle_product(cv, 1)": lambda v: shuffle_product(v["cv"], 1),
     "pair_k0(ring, 1, theta)": lambda v: pair_k0(v["elem"].ring, 1,
                                                  (("i", 1),)),
     "equal_in_f(ring, 1, 1)": lambda v: equal_in_f(v["elem"].ring, 1, 1),
+    "equal_in_f(None, u, u)": lambda v: equal_in_f(None, v["k0"], v["k0"]),
     "lp.exact_div(1)": lambda v: v["lp"].exact_div(1),
     "gd.divide_poly(1)": lambda v: v["gd"].divide_poly(1),
     "K0Vector(w, [])": lambda v: K0Vector(v["k0"].weight, []),
-    "CharacterVector(w, {seq: 1})": lambda v: CharacterVector(
-        v["cv"].weight, {("i",): 1}),
+    "CharacterVector(g, w, {seq: 1})": lambda v: CharacterVector(
+        v["cv"].graph, v["cv"].weight, {("i",): 1}),
     "K0Vector(w, {theta: 1})": lambda v: K0Vector(v["k0"].weight,
                                                   {(("i", 1),): 1}),
     "bar_k0(1)": lambda v: bar_k0(1),
@@ -389,17 +390,40 @@ FOREIGN_OPERANDS = {
         default_orientation(v["elem"].ring.graph), 1, ("i",), {}),
     "act_many(o, 1, seq, [{}])": lambda v: act_many(
         default_orientation(v["elem"].ring.graph), 1, ("i",), [{}]),
+    "oracle_equal(1, 1)": lambda v: oracle_equal(1, 1),
+    "oracle_equal(elem, 1)": lambda v: oracle_equal(v["elem"], 1),
+    "KLRRing(None)": lambda v: KLRRing(None),
+    "KLRRing('x')": lambda v: KLRRing("x"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FOREIGN_OPERANDS))
 def test_foreign_operand_raises_type_error(ring_a2, case):
+    """The TypeError is the operand's, not a call with the wrong number
+    of arguments, which also raises one."""
     values = {"gd": GradedDim.one(), "lp": LaurentPoly.one(),
               "cv": char_projective(ring_a2, (("i", 1),)),
               "k0": K0Vector.monomial((("i", 1),)),
               "elem": ring_a2.generator(("C", 1), ("i", "j"))}
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError) as info:
         FOREIGN_OPERANDS[case](values)
+    assert "positional argument" not in str(info.value)
+
+
+def test_characters_carry_their_graph(ring_a2, ring_a1xa1):
+    """A character vector is over the graph of its ring: two over unequal
+    graphs neither add nor shuffle, and are never equal, though here their
+    values agree."""
+    i_a2 = char_projective(ring_a2, (("i", 1),))
+    i_a1xa1 = char_projective(ring_a1xa1, (("i", 1),))
+    assert i_a2.graph is ring_a2.graph and i_a2.values == i_a1xa1.values
+    assert i_a2 != i_a1xa1
+    with pytest.raises(WeightMismatchError, match="weights differ"):
+        i_a2 + i_a1xa1
+    with pytest.raises(WeightMismatchError, match="other graphs"):
+        shuffle_product(i_a2, i_a1xa1)
+    assert i_a2 + char_projective(KLRRing(a2()), (("i", 1),)) == i_a2.scale(
+        LaurentPoly.const(2))
 
 
 def test_shuffle_product_divides_nothing(ring_a2, monkeypatch):
@@ -412,7 +436,7 @@ def test_shuffle_product_divides_nothing(ring_a2, monkeypatch):
     exact_div = LaurentPoly.exact_div
     monkeypatch.setattr(LaurentPoly, "exact_div",
                         lambda p, d: divisions.append(d) or exact_div(p, d))
-    prod = shuffle_product(ring_a2.graph, f, g)
+    prod = shuffle_product(f, g)
     assert divisions == []
     assert sum(len(v.den) for v in prod.values.values()) == 50
     assert prod == char_projective(
@@ -428,7 +452,7 @@ def test_character_and_k0_vector_arithmetic(ring_a2):
         assert total.value(seq) == ij.value(seq) + ji.value(seq)
     assert str(total) == ("ij: (1 + q) / ((1-q^2)^2)\n"
                           "ji: (1 + q) / ((1-q^2)^2)")
-    assert ij + CharacterVector(ij.weight, {}) == ij
+    assert ij + CharacterVector(ij.graph, ij.weight, {}) == ij
     q = LaurentPoly.q_power(1)
     assert str(ij.scale(q)) == ("ij: q / ((1-q^2)^2)\n"
                                 "ji: q^2 / ((1-q^2)^2)")

@@ -47,7 +47,8 @@ def test_parse_word():
 def test_multi_character_vertex_is_one_name(capsys, tmp_path):
     """Over a graph with a vertex name longer than one character, text
     without whitespace is one vertex, and spaced text is one per name: on
-    cycle(12), 11 is one strand and 1 1 two (both written 11)."""
+    cycle(12), 11 is one strand and 1 1 two, and each is written as it is
+    read."""
     paths = {}
     for name, graph in (("cycle12", cycle(12).to_json()),
                         ("ab", {"vertices": ["ab", "c"],
@@ -57,10 +58,10 @@ def test_multi_character_vertex_is_one_name(capsys, tmp_path):
     c12, ab = str(paths["cycle12"]), str(paths["ab"])
     for argv, out in (
             (["char", "-g", c12, "11"], "11: 1 / (1-q^2)\n"),
-            (["char", "-g", c12, "1 1"], "11: (q^-2 + 1) / ((1-q^2)^2)\n"),
+            (["char", "-g", c12, "1 1"], "1 1: (q^-2 + 1) / ((1-q^2)^2)\n"),
             (["char", "-g", c12, "12"], "12: 1 / (1-q^2)\n"),
             (["char", "-g", c12, "1^(2)"],
-             "11: (q^-1 + q) / ((1-q^2)(1-q^4))\n"),
+             "1 1: (q^-1 + q) / ((1-q^2)(1-q^4))\n"),
             (["pair", "-g", c12, "1 12", "12 1"], "q / ((1-q^2)^2)\n"),
             (["gdim", "-g", ab, "ab", "ab"], "1 / (1-q^2)\n"),
             (["gdim", "-g", ab, "ab c", "c ab"], "q / ((1-q^2)^2)\n"),

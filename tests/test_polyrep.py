@@ -691,7 +691,8 @@ def test_oracle_names_the_failing_monomial(monkeypatch):
         # a kernel fault: psi_1 e(seq) is added to every word.  It kills
         # the monomials symmetric in x_1, x_2 when the first two labels
         # agree, so the first failing monomial is not always 1
-        words.append((f"word {tokens} on {format_seq(seq)}", seq, tokens))
+        words.append((f"word {tokens} on {format_seq(seq, g)}", seq,
+                      tokens))
         return evaluate_word(seq, tokens) + evaluate_word(seq, [("C", 1)])
 
     monkeypatch.setattr(ring, "evaluate_word", faulty)
