@@ -21,9 +21,11 @@ vectors on the strands they touch.
 ``check_int`` is the one decision of which values count as integers: every
 integer parameter of the package (counts, degrees, cutoffs, powers, strand
 and token indices) goes through it.  ``check_type`` is the one type check
-of an argument that must be an instance of a class: a graph, a ring, a
-character or K0 vector.  Both live here because this module imports no
-other ``klr`` module, so every layer can use them.
+of the package: every argument that must be an instance of a class (a
+graph, a ring, an element, a spec, a character or K0 vector, a
+polynomial, a dict, a text) goes through it, where the argument is first
+read, and it returns the argument.  Both live here because this module
+imports no other ``klr`` module, so every layer can use them.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import json
 
 
 class GraphError(ValueError):
-    """Malformed graph input (a vertex that is not a string, a repeated
-    vertex, an edge that is not two vertices, a loop, a duplicate edge, an
-    unknown vertex)."""
+    """Malformed graph input (a vertex that is not a string, a vertex name
+    that the text form cannot carry, a repeated vertex, an edge that is
+    not two vertices, a loop, a duplicate edge, an unknown vertex)."""
 
 
 def check_int(n, what, low=None):
@@ -48,11 +50,14 @@ def check_int(n, what, low=None):
     raise ValueError(f"{what} {n!r} is not an integer{bound}")
 
 
-def check_type(cls, *values):
-    """Raise TypeError for a value that is not a cls."""
-    for x in values:
-        if not isinstance(x, cls):
-            raise TypeError(f"{x!r} is not a {cls.__name__}")
+def check_type(cls, value):
+    """Return value if it is a cls (an instance of it or of a subclass);
+    otherwise raises TypeError.  It returns what it checks, as ``check_int``
+    does, so an argument is typed where it is first read:
+    ``check_type(CartanGraph, graph).require_vertices(seq)``."""
+    if isinstance(value, cls):
+        return value
+    raise TypeError(f"{value!r} is not a {cls.__name__}")
 
 
 class CartanGraph:
@@ -66,13 +71,19 @@ class CartanGraph:
                  "_braid")
 
     def __init__(self, vertices, edges):
-        """Raises GraphError for a vertex that is not a string, a repeated
+        """Raises GraphError for a vertex that is not a string, a vertex
+        name that the text form cannot carry (an empty one, or one that
+        holds whitespace or one of the separators ``^``, ``:`` and ``,``
+        of sequences, divided powers, words and weights), a repeated
         vertex, an edge that is not a list or tuple of two vertices, a
         loop, or a repeated edge."""
         self.vertices = tuple(vertices)
         for v in self.vertices:
             if not isinstance(v, str):
                 raise GraphError(f"vertex {v!r} is not a string")
+            if v.split() != [v] or any(c in v for c in "^:,"):
+                raise GraphError(f"vertex {v!r} is empty or holds "
+                                 f"whitespace, '^', ':' or ','")
         vset = self._vertex_set = frozenset(self.vertices)
         if len(vset) != len(self.vertices):
             dup = next(v for v in self.vertices if self.vertices.count(v) > 1)
@@ -244,6 +255,6 @@ def weight_add(w1, w2):
 
 
 def weight_from_dict(d):
-    """The weight of a {vertex: count} map, in the one normal form of a
+    """The weight of a {vertex: count} dict, in the one normal form of a
     weight: (vertex, count) pairs sorted by vertex, zero counts dropped."""
-    return tuple(sorted((v, n) for v, n in d.items() if n))
+    return tuple(sorted((v, n) for v, n in check_type(dict, d).items() if n))

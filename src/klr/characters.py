@@ -62,14 +62,11 @@ class CharacterVector:
 
     def __init__(self, graph, weight, values):
         """Raises TypeError unless graph is a CartanGraph and values is a
-        dict of GradedDims."""
-        check_type(CartanGraph, graph)
-        if not isinstance(values, dict):
-            raise TypeError(f"character values must be a dict, not {values!r}")
-        check_type(GradedDim, *values.values())
-        self.graph = graph
+        dict of GradedDims (``cartan.check_type``)."""
+        self.graph = check_type(CartanGraph, graph)
         self.weight = weight
-        self.values = {k: v for k, v in values.items() if not v.is_zero()}
+        self.values = {k: v for k, v in check_type(dict, values).items()
+                       if not check_type(GradedDim, v).is_zero()}
 
     def value(self, seq):
         return self.values.get(tuple(seq), GradedDim.zero())
@@ -120,11 +117,10 @@ class K0Vector:
     __slots__ = ("weight", "coeffs")
 
     def __init__(self, weight, coeffs):
-        """Raises TypeError unless coeffs is a dict of LaurentPolys."""
-        if not isinstance(coeffs, dict):
-            raise TypeError(f"K0 coefficients must be a dict, not {coeffs!r}")
-        check_type(LaurentPoly, *coeffs.values())
-        self.coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+        """Raises TypeError unless coeffs is a dict of LaurentPolys
+        (``cartan.check_type``)."""
+        self.coeffs = {k: c for k, c in check_type(dict, coeffs).items()
+                       if not check_type(LaurentPoly, c).is_zero()}
         self.weight = weight
 
     @staticmethod
@@ -197,11 +193,12 @@ def _divide_factorial(gd: GradedDim, divided) -> GradedDim:
 # -- characters ------------------------------------------------------------
 
 def char_projective(ring, theta):
-    """Character of the monomial projective: gdim_hom(k, expand) / theta!."""
+    """Character of the monomial projective: gdim_hom(k, expand) / theta!.
+    Raises TypeError unless ring is a KLRRing."""
     theta = check_divided(theta)
     hat = expand(theta)
     weight = weight_of_seq(hat)
-    return CharacterVector(ring.graph, weight, {
+    return CharacterVector(check_type(KLRRing, ring).graph, weight, {
         seq: _divide_factorial(ring.gdim_hom(seq, hat), theta)
         for seq in seq_enumerate(weight)})
 
@@ -218,18 +215,18 @@ def shuffle_product(f: CharacterVector, g: CharacterVector):
     """Quantum shuffle product of character vectors over one graph.
     Raises TypeError for an operand that is not a CharacterVector, and
     WeightMismatchError unless both are over equal graphs."""
-    check_type(CharacterVector, f, g)
-    if f.graph != g.graph:
+    graph = check_type(CharacterVector, f).graph
+    if check_type(CharacterVector, g).graph != graph:
         raise WeightMismatchError("characters over other graphs")
     weight = weight_add(f.weight, g.weight)
     values = {}
     for si, vi in f.values.items():
         for sj, vj in g.values.items():
             prod = vi * vj
-            for seq, deg in shuffles(f.graph, si, sj):
+            for seq, deg in shuffles(graph, si, sj):
                 contrib = GradedDim._of(prod.num.shifted(deg), prod.den)
                 values[seq] = values[seq] + contrib if seq in values else contrib
-    return CharacterVector(f.graph, weight, values)
+    return CharacterVector(graph, weight, values)
 
 
 # -- coproduct -------------------------------------------------------------
@@ -241,10 +238,11 @@ def comultiply(graph, theta):
     blocks are assembled left to right in the twisted tensor product, so a
     block landing on the left picks up q^{-B(weight(right so far), a*i)}.
     Blocks are kept unmerged in the output.  Raises ValueError on a bad
-    block and GraphError on a label that is not a vertex.
+    block, GraphError on a label that is not a vertex and TypeError unless
+    graph is a CartanGraph.
     """
     theta = check_divided(theta)
-    graph.require_vertices(v for v, _ in theta)
+    check_type(CartanGraph, graph).require_vertices(v for v, _ in theta)
     terms = [((), (), (), LaurentPoly.one())]  # (left, right, right weight, coeff)
     for v, n in theta:
         new_terms = []
@@ -274,17 +272,20 @@ def _same_weight(ring, theta, theta2):
 
     An unhashable label, or a label that is not a vertex, runs the checks
     again block by block and label by label: they name every bad label as
-    written, in first-seen order (1 and 1.0 share a count, not a repr)."""
+    written, in first-seen order (1 and 1.0 share a count, not a repr).
+    The ring is typed first (``cartan.check_type``), for both routes,
+    ``tight`` and ``pair_k0``."""
+    graph = check_type(KLRRing, ring).graph
     counts = {}
     try:
         for blocks, sign in ((theta, 1), (theta2, -1)):
             for block in blocks:
                 v, n = check_block(block)
                 counts[v] = counts.get(v, 0) + sign * n
-        ring.graph.require_vertices(counts)
+        graph.require_vertices(counts)
     except (TypeError, GraphError):
         check_divided(theta + theta2)
-        ring.graph.require_vertices(v for v, _ in theta + theta2)
+        graph.require_vertices(v for v, _ in theta + theta2)
         raise
     return not any(counts.values())
 
@@ -362,9 +363,8 @@ def _pair_plain(ring, theta, plain_seq) -> LaurentPoly:
 def pair_k0(ring, u: K0Vector, theta) -> GradedDim:
     """Pair a K0 vector against a single monomial.  Raises TypeError
     unless u is a K0Vector."""
-    check_type(K0Vector, u)
     out = GradedDim.zero()
-    for sym, c in u.coeffs.items():
+    for sym, c in check_type(K0Vector, u).coeffs.items():
         p = pair_monomials(ring, sym, theta)
         if not p.is_zero():
             out = out + p * c
@@ -379,8 +379,7 @@ def equal_in_f(ring, u: K0Vector, v: K0Vector) -> bool:
     unless ring is a KLRRing and u and v are K0Vectors.
     """
     check_type(KLRRing, ring)
-    check_type(K0Vector, u, v)
-    if u.weight != v.weight:
+    if check_type(K0Vector, u).weight != check_type(K0Vector, v).weight:
         return False
     diff = u - v
     for seq in seq_enumerate(u.weight):
@@ -392,15 +391,15 @@ def equal_in_f(ring, u: K0Vector, v: K0Vector) -> bool:
 def bar_k0(u: K0Vector) -> K0Vector:
     """q -> 1/q on coefficients; monomial symbols are bar-invariant.
     Raises TypeError unless u is a K0Vector."""
-    check_type(K0Vector, u)
-    return K0Vector(u.weight, {k: c.bar() for k, c in u.coeffs.items()})
+    return K0Vector(check_type(K0Vector, u).weight,
+                    {k: c.bar() for k, c in u.coeffs.items()})
 
 
 def sigma_k0(u: K0Vector) -> K0Vector:
     """Reverse every divided sequence; coefficients unchanged.  Raises
     TypeError unless u is a K0Vector."""
-    check_type(K0Vector, u)
-    return K0Vector(u.weight, {reverse(k): c for k, c in u.coeffs.items()})
+    return K0Vector(check_type(K0Vector, u).weight,
+                    {reverse(k): c for k, c in u.coeffs.items()})
 
 
 # -- tightness -------------------------------------------------------------
@@ -459,7 +458,7 @@ def serre_check(ring, i, j) -> bool:
     if i == j:
         raise ValueError(f"Serre relations need two distinct vertices, "
                          f"got {i!r} twice")
-    n = 1 - ring.graph.cartan(i, j)
+    n = 1 - check_type(KLRRing, ring).graph.cartan(i, j)
     weight = divided_weight(((i, n), (j, 1)))
     divided = {tuple(b for b in ((i, k), (j, 1), (i, n - k)) if b[1]):
                LaurentPoly.const((-1) ** k) for k in range(n + 1)}
@@ -477,7 +476,7 @@ def orthogonal_idempotents_check(ring, i, j) -> bool:
     that is, the graph's braid correction on i j i is 1, which holds
     exactly on an edge; any other pair raises GraphError.
     """
-    if ring.graph.braid_correction(i, j) != ((0, 0, 0),):
+    if check_type(KLRRing, ring).graph.braid_correction(i, j) != ((0, 0, 0),):
         raise GraphError(f"{i!r} and {j!r} are not joined by an edge")
     seq = (i, j, i)
     e1 = ring.evaluate_word(seq, [("C", 1), ("C", 2), ("C", 1)])
@@ -501,7 +500,7 @@ def cycle_alpha(ring, n):
     """
     target = cycle(n)
     verts = target.vertices
-    ring.graph.require_vertices(verts)
+    check_type(KLRRing, ring).graph.require_vertices(verts)
     if any(ring.graph.cartan(a, b) != target.cartan(a, b)
            for a in verts for b in verts):
         raise GraphError("ring is not over the n-cycle")

@@ -74,13 +74,13 @@ class InhomogeneousError(ValueError):
 
 
 def _check_rings(graph, *elements):
-    """Raise TypeError for an argument that is not a KLRElement, and
-    WeightMismatchError unless every element is in the ring over graph, or
-    over an equal graph (``CartanGraph.__eq__``)."""
+    """Raise TypeError for an argument that is not a KLRElement
+    (``cartan.check_type``), and WeightMismatchError unless every element
+    is in the ring over graph, or over an equal graph
+    (``CartanGraph.__eq__``)."""
     for x in elements:
-        if not isinstance(x, KLRElement):
-            raise TypeError(f"{x!r} is not a KLRElement")
-        if x.ring.graph is not graph and x.ring.graph != graph:
+        ring_graph = check_type(KLRElement, x).ring.graph
+        if ring_graph is not graph and ring_graph != graph:
             raise WeightMismatchError("elements of rings over other graphs")
 
 
@@ -97,11 +97,12 @@ def _check_weights(graph, x, y):
 def diagram_degree(graph, seq, w):
     """Sum of -(i_a . i_b) over the inversions of w on the labeled strands.
     Raises ValueError unless w is a tuple that permutes range(len(seq)),
-    and GraphError for a label of seq that is not a vertex, crossed or
-    not (``CartanGraph.require_vertices``, one subset test)."""
+    GraphError for a label of seq that is not a vertex, crossed or not
+    (``CartanGraph.require_vertices``, one subset test), and TypeError
+    unless graph is a CartanGraph."""
     if type(w) is not tuple or sorted(w) != list(range(len(seq))):
         raise ValueError(f"{w!r} is not a permutation of {len(seq)} strands")
-    graph.require_vertices(seq)
+    check_type(CartanGraph, graph).require_vertices(seq)
     return -sum(graph.cartan(seq[a], seq[b]) for a, b in inversions(w))
 
 
@@ -234,8 +235,7 @@ class KLRRing:
 
     def __init__(self, graph):
         """Raises TypeError unless graph is a CartanGraph."""
-        check_type(CartanGraph, graph)
-        self.graph = graph
+        self.graph = check_type(CartanGraph, graph)
         # (c, i, w) -> normal form of psi_w e(i) with crossing c below it,
         # for the right steps that need rewriting (see ``_cross``); its
         # keys and terms share one copy of each sequence, permutation and
@@ -388,12 +388,14 @@ class KLRRing:
         a term of y are right-multiplied by that term's crossings, top to
         bottom, and its dots are shifted in last.  No weight check is made
         and no element is built, so it suits callers that multiply many
-        term dicts of one known weight.
+        term dicts of one known weight.  Raises TypeError unless both are
+        dicts (``cartan.check_type``).
         """
+        xitems = check_type(dict, xterms).items()
         out = {}
-        for (iy, py, uy), cy in yterms.items():
+        for (iy, py, uy), cy in check_type(dict, yterms).items():
             top = apply_perm_to_seq(py, iy)
-            acc = {k: c for k, c in xterms.items() if k[0] == top}
+            acc = {k: c for k, c in xitems if k[0] == top}
             if acc:
                 _acc(out, self._right_word(acc, canonical_word(py)), cy, uy)
         return out

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import check_int
+from .cartan import check_int, check_type
 from .laurent import LaurentPoly, DivisibilityError
 
 _new = object.__new__
@@ -76,14 +76,13 @@ class GradedDim:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den=()):
-        """Raises TypeError unless num is a LaurentPoly, and ValueError
-        unless every factor of den is an int >= 1 (``cartan.check_int``)."""
-        if not isinstance(num, LaurentPoly):
-            raise TypeError(f"numerator must be a LaurentPoly, not {num!r}")
+        """Raises TypeError unless num is a LaurentPoly
+        (``cartan.check_type``), and ValueError unless every factor of den
+        is an int >= 1 (``cartan.check_int``)."""
+        self.num = check_type(LaurentPoly, num)
         den = tuple(den)
         for a in den:
             check_int(a, "denominator factor", 1)
-        self.num = num
         self.den = tuple(sorted(den))
 
     @staticmethod

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cartan import check_int
+from .cartan import check_int, check_type
 
 _new = object.__new__
 
@@ -35,14 +35,12 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        """Raises TypeError unless coeffs is a dict or None, and ValueError
-        unless every exponent and coefficient is an int
-        (``cartan.check_int``); drops zeros."""
-        if coeffs is not None and not isinstance(coeffs, dict):
-            raise TypeError(f"coefficients must be a dict, not {coeffs!r}")
+        """Raises TypeError unless coeffs is a dict or None
+        (``cartan.check_type``), and ValueError unless every exponent and
+        coefficient is an int (``cartan.check_int``); drops zeros."""
         out = {}
-        if coeffs:
-            for e, c in coeffs.items():
+        if coeffs is not None:
+            for e, c in check_type(dict, coeffs).items():
                 check_int(e, "exponent")
                 if check_int(c, "coefficient"):
                     out[e] = c
@@ -190,14 +188,12 @@ class LaurentPoly:
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ``DivisibilityError`` on a remainder and
-        TypeError unless the divisor is a LaurentPoly.
+        TypeError unless the divisor is a LaurentPoly (``cartan.check_type``).
 
         Both operands are shifted to honest polynomials first, then ordinary
         univariate division by leading terms is performed over the integers.
         """
-        if not isinstance(divisor, LaurentPoly):
-            raise TypeError(f"divisor must be a LaurentPoly, not {divisor!r}")
-        if divisor.is_zero():
+        if check_type(LaurentPoly, divisor).is_zero():
             raise ZeroDivisionError("division of LaurentPoly by zero")
         if self.is_zero():
             return LaurentPoly.zero()

@@ -52,6 +52,7 @@ from __future__ import annotations
 from itertools import product
 from operator import add
 
+from .cartan import CartanGraph, check_type
 from .elements import KLRElement
 from .permutations import canonical_word, check_tokens
 from .sequences import seq_enumerate
@@ -59,11 +60,13 @@ from .sequences import seq_enumerate
 
 def default_orientation(graph):
     """Each edge directed from the lex-smaller to the lex-larger vertex."""
-    return {frozenset(e): tuple(sorted(e)) for e in graph.edges}
+    return {frozenset(e): tuple(sorted(e))
+            for e in check_type(CartanGraph, graph).edges}
 
 
 def reversed_orientation(graph):
-    return {frozenset(e): tuple(sorted(e, reverse=True)) for e in graph.edges}
+    return {frozenset(e): tuple(sorted(e, reverse=True))
+            for e in check_type(CartanGraph, graph).edges}
 
 
 # -- sparse polynomials ----------------------------------------------------
@@ -107,25 +110,16 @@ def divided_difference(p, k):
 
 # -- the action ------------------------------------------------------------
 
-def _graph_of(x):
-    """The graph of x's ring; raises TypeError unless x is a KLRElement."""
-    if not isinstance(x, KLRElement):
-        raise TypeError(f"{x!r} is not a KLRElement")
-    return x.ring.graph
-
-
 def _check_input(graph, seq, polys):
     """Raise GraphError for a label of seq that is not a vertex, TypeError
-    for one of polys that is not a dict, and ValueError for a monomial of
-    one of polys without one variable per strand.  Returns seq as a tuple,
-    read once."""
+    for one of polys that is not a dict (``cartan.check_type``), and
+    ValueError for a monomial of one of polys without one variable per
+    strand.  Returns seq as a tuple, read once."""
     seq = tuple(seq)
     graph.require_vertices(seq)
     m = len(seq)
     for poly in polys:
-        if not isinstance(poly, dict):
-            raise TypeError(f"polynomial {poly!r} is not a dict")
-        for e in poly:
+        for e in check_type(dict, poly):
             if len(e) != m:
                 raise ValueError(f"monomial {e} has {len(e)} variables for "
                                  f"{m} strands")
@@ -138,9 +132,10 @@ def _along(graph, orientation, a, b):
     exponent pairs on (x_k, x_{k+1}) for an edge oriented from a to b,
     and False, a plain swap, for an edge oriented from b to a or labels
     with Q_ab = 1.  Raises ValueError for a pair with Q_ab != 1 whose edge
-    is not oriented one of its two ways.
+    is not oriented one of its two ways, and TypeError unless the
+    orientation is a dict, which is typed here, where it is first read.
     """
-    head = orientation.get(frozenset((a, b)))
+    head = check_type(dict, orientation).get(frozenset((a, b)))
     if head == (b, a):
         return False
     double = graph.double_crossing(a, b)
@@ -211,9 +206,10 @@ def act_word(graph, orientation, seq, tokens, poly):
     and ValueError for an unknown token type.  A crossed edge that the
     orientation does not orient one of its two ways raises ValueError as
     it is crossed.  Zero coefficients of poly are dropped first, as in
-    ``act``, so the result has none, also for an empty word.
+    ``act``, so the result has none, also for an empty word.  Raises
+    TypeError unless graph is a CartanGraph.
     """
-    labels = list(_check_input(graph, seq, (poly,)))
+    labels = list(_check_input(check_type(CartanGraph, graph), seq, (poly,)))
     tokens = check_tokens(tokens, len(labels))
     poly = {e: c for e, c in poly.items() if c}
     kinds = {}
@@ -285,7 +281,7 @@ def act(orientation, x, seq, poly):
     or for a crossed edge that the orientation does not orient one of its
     two ways, and TypeError unless x is a KLRElement.
     """
-    graph = _graph_of(x)
+    graph = check_type(KLRElement, x).ring.graph
     seq = _check_input(graph, seq, (poly,))
     return _act(graph, orientation, x, seq, poly, ())
 
@@ -299,7 +295,7 @@ def act_many(orientation, x, seq, polys):
     exponent coordinate, so a single pass crosses each word of x for all
     of them.
     """
-    graph = _graph_of(x)
+    graph = check_type(KLRElement, x).ring.graph
     polys = list(polys)
     seq = _check_input(graph, seq, polys)
     tagged = {e + (t,): v for t, poly in enumerate(polys)
@@ -335,7 +331,7 @@ def oracle_equal(x, y, *, orientation=None):
     are KLRElements, and WeightMismatchError, from ``x - y``, if the
     weights differ.
     """
-    graph = _graph_of(x)
+    graph = check_type(KLRElement, x).ring.graph
     diff = x - y
     if orientation is None:
         orientation = default_orientation(graph)

@@ -80,8 +80,8 @@ from itertools import combinations
 from math import gcd
 from operator import add
 
-from .cartan import check_int, weight_size
-from .elements import KLRElement, WeightMismatchError, diagram_degree
+from .cartan import CartanGraph, check_int, check_type, weight_size
+from .elements import KLRElement, KLRRing, WeightMismatchError, diagram_degree
 from .permutations import (
     all_permutations,
     apply_perm_to_seq,
@@ -112,11 +112,11 @@ def _diagrams(graph, weight):
     The sequences j of nu and the permutations v both run in lexicographic
     order.  Every graded piece of R(nu) is read off this table, since the
     psi_v x^u e(j) are a basis (KL I, Thm 2.5) and x^u adds 2|u| to the
-    degree.  Raises GraphError for a vertex not in the graph and
-    ValueError for a bad weight (see ``check_weight``), before any
-    arithmetic.
+    degree.  Raises TypeError unless graph is a CartanGraph, GraphError
+    for a vertex not in the graph and ValueError for a bad weight (see
+    ``check_weight``), before any arithmetic.
     """
-    graph.require_vertices(v for v, _ in weight)
+    check_type(CartanGraph, graph).require_vertices(v for v, _ in weight)
     seqs = seq_enumerate(weight)  # checks the weight
     perms = list(all_permutations(weight_size(weight)))
     return {j: [(v, diagram_degree(graph, j, v)) for v in perms]
@@ -194,9 +194,8 @@ class IdealSpec:
         nu = check_weight(weight)
         generators = list(generators)
         for g in generators:
-            if not isinstance(g, KLRElement):
-                raise TypeError(f"generator {g!r} is not a KLRElement")
-            g.degree()  # raises InhomogeneousError unless g is homogeneous
+            # raises InhomogeneousError unless g is homogeneous
+            check_type(KLRElement, g).degree()
             if g.weight != nu:
                 raise WeightMismatchError(
                     f"generator over {g.weight} in an ideal of R({nu})")
@@ -224,7 +223,8 @@ def cyclotomic_spec(ring, weight, lam):
     """
     weight = tuple(weight)
     lam = {v: check_int(n, "dot power", 0) for v, n in dict(lam).items()}
-    ring.graph.require_vertices([v for v, _ in weight] + list(lam))
+    check_type(KLRRing, ring).graph.require_vertices(
+        [v for v, _ in weight] + list(lam))
     gens = []
     for seq in seq_enumerate(weight):
         if seq:
@@ -248,7 +248,7 @@ def sym_plus_spec(ring, weight):
     dot-free diagram, sum_c n_c^2 - (nu, nu) / 2, plus sum_c n_c (n_c - 1).
     """
     weight = tuple(weight)
-    ring.graph.require_vertices(v for v, _ in weight)
+    check_type(KLRRing, ring).graph.require_vertices(v for v, _ in weight)
     seqs = seq_enumerate(weight)
     gens = []
     for color, n in weight:
@@ -392,7 +392,8 @@ class _IdealSpan:
     prime raises ValueError, since Z/n is not a field for composite n, and
     so does a prime that is not an int (``cartan.check_int``).  Both
     ``quotient_gdim`` and ``ideal_degree_dim`` build their span here, so
-    this is the one check of the field, and of the generators' ring: a
+    this is the one check of the field, of the types of the ring and the
+    spec (``cartan.check_type``), and of the generators' ring: a
     generator of a ring over another graph (``CartanGraph.__eq__``) raises
     WeightMismatchError, as its keys would be read as other elements.
     """
@@ -402,9 +403,9 @@ class _IdealSpan:
                                       and is_prime(prime)):
             raise ValueError(f"field characteristic {prime} is not a prime "
                              f"below 2^64")
-        self.ring = ring
+        self.ring = check_type(KLRRing, ring)
         self.prime = prime
-        self.lb = degree_lower_bound(spec.weight)
+        self.lb = degree_lower_bound(check_type(IdealSpec, spec).weight)
         self.pieces = {}  # degree -> [(top, bottom, piece)]
         for g in spec.generators:
             if g.ring.graph != ring.graph:  # its keys mean another ring
@@ -624,8 +625,13 @@ class GradedDimReport:
         if not lines:
             lines = ["all degrees zero"]
         lines.append(f"total (q=1): {self.total()}")
-        lines.append("stabilized" if self.stabilized
-                     else f"NOT stabilized within cutoff {self.cutoff}")
+        # a scan that reached the top is complete, whatever its window holds
+        if self.stabilized:
+            lines.append("stabilized")
+        elif self.top is not None and self.top <= self.cutoff:
+            lines.append(f"complete: top degree {self.top}")
+        else:
+            lines.append(f"NOT stabilized within cutoff {self.cutoff}")
         return "\n".join(lines)
 
 
@@ -651,8 +657,10 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     an error.  Raises ValueError for a cutoff that is not an int and a
     window that is not an int >= 1, which would call any truncated answer
     stabilized (``cartan.check_int``), for a prime that is not a prime
-    below 2^64 (checked by ``_IdealSpan``), and for a window reaching
-    below the degree lower bound, where there are no degrees to read.
+    below 2^64 (checked by ``_IdealSpan``, as are the types of ring and
+    spec), and for a window reaching below the degree lower bound, where
+    there are no degrees to read.  A report whose scan reached its top
+    prints ``complete: top degree t`` when its window is not all zero.
     """
     check_int(cutoff, "cutoff")
     check_int(window, "stabilization window", 1)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 
-from .cartan import check_int, weight_from_dict
+from .cartan import CartanGraph, check_int, check_type, weight_from_dict
 from .laurent import LaurentPoly, qfact
 
 
@@ -140,17 +140,18 @@ def reverse(divided):
 
 def _one_character(graph):
     """Whether every vertex of graph is one character: the one rule of the
-    text form, read by both readers (``_split``) and by ``format_seq``."""
-    return all(len(v) == 1 for v in graph.vertices)
+    text form, read by both readers (``_split``) and by ``format_seq``.
+    Raises TypeError unless graph is a CartanGraph (``cartan.check_type``)."""
+    return all(len(v) == 1 for v in check_type(CartanGraph, graph).vertices)
 
 
 def _split(text, graph, piece):
     """The items of text for both readers: the whitespace-separated names
     if text has a space or a tab or the rule says names, else the matches
     of the regex piece, one character each with what it allows after
-    it."""
-    text = text.strip()
-    if " " in text or "\t" in text or not _one_character(graph):
+    it.  Raises TypeError unless text is a str (``cartan.check_type``)."""
+    text = check_type(str, text).strip()
+    if not _one_character(graph) or " " in text or "\t" in text:
         return text.split()
     return re.findall(piece, text)
 
@@ -181,7 +182,7 @@ def parse_weight(text):
     """A weight like "i:2,j:1", checked and in normal form
     (``check_weight``)."""
     out = []
-    for piece in text.split(","):
+    for piece in check_type(str, text).split(","):
         piece = piece.strip()
         if not piece:
             continue
@@ -214,10 +215,10 @@ def shuffles(graph, seq_i, seq_j):
     Cartan pairings over crossing pairs, where a crossing pair is an entry
     of ``seq_j`` placed to the left of an entry of ``seq_i``.  Each
     sequence is read once.  Raises GraphError for a label that is not a
-    vertex, crossed or not.
+    vertex, crossed or not, and TypeError unless graph is a CartanGraph.
     """
     seq_i, seq_j = tuple(seq_i), tuple(seq_j)
-    graph.require_vertices(seq_i + seq_j)
+    check_type(CartanGraph, graph).require_vertices(seq_i + seq_j)
     m, n = len(seq_i), len(seq_j)
     out = []
 

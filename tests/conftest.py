@@ -55,6 +55,7 @@ def graph_files(tmp_path):
         "ints": {"vertices": [1, 2], "edges": [[1, 2]]},
         "string": {"vertices": "ij", "edges": []},
         "twice": {"vertices": ["i", "i"], "edges": []},
+        "spaced": {"vertices": ["a b", "c"], "edges": [["a b", "c"]]},
     }
     for name, obj in specs.items():
         path = tmp_path / f"{name}.json"

@@ -160,6 +160,28 @@ def test_non_string_vertex_rejected():
         CartanGraph.from_json({"vertices": [1, 2], "edges": [[1, 2]]})
 
 
+def test_vertex_name_the_text_form_cannot_carry_rejected():
+    """A vertex name is nonempty and holds no whitespace and none of the
+    separators of the text form (``^`` of divided powers, ``:`` of words
+    and weights, ``,`` of weights): sequences over it could not be read
+    back as written.  The error names the vertex."""
+    for vertices, edges in ((["a b", "c"], [("a b", "c")]), ([""], []),
+                            (["a\tb"], []), (["i", " i"], []),
+                            (["i\n"], []), (["i^2"], []), (["i:1"], []),
+                            (["i,j"], [])):
+        bad = next(v for v in vertices if v not in ("c", "i"))
+        with pytest.raises(GraphError) as err:
+            CartanGraph(vertices, edges)
+        assert str(err.value) == (f"vertex {bad!r} is empty or holds "
+                                  f"whitespace, '^', ':' or ','")
+    with pytest.raises(GraphError, match="'a b' is empty or holds"):
+        CartanGraph.from_json({"vertices": ["a b", "c"],
+                               "edges": [["a b", "c"]]})
+    # any other character may name a vertex
+    assert CartanGraph(["v_1", "v(2)", "é", "11"], []).vertices == (
+        "v_1", "v(2)", "é", "11")
+
+
 def test_dangling_edge_rejected():
     with pytest.raises(GraphError):
         CartanGraph(["a"], [("a", "b")])

@@ -284,6 +284,15 @@ def test_quotient_examples(capsys, graph_files):
     assert "total (q=1): 3" in out
     assert "stabilized" in out and "NOT stabilized" not in out
 
+    # a scan that reached the exact top (6) is complete, though its last
+    # degrees fill the stabilization window
+    code, out, _ = run(capsys, ["quotient", "-g", graph_files["a1"],
+                                "--nu", "i:2", "--cyclotomic", "i:3",
+                                "--cutoff", "7"])
+    assert (code, out) == (0, "deg   -2: 1\ndeg    0: 3\ndeg    2: 4\n"
+                              "deg    4: 3\ndeg    6: 1\ntotal (q=1): 12\n"
+                              "complete: top degree 6\n")
+
     code, out, _ = run(capsys, ["quotient", "-g", graph_files["a2"],
                                 "--nu", "i:1,j:1", "--symplus"])
     assert code == 0 and "total (q=1): 4" in out
@@ -426,6 +435,10 @@ def test_bad_input_messages(capsys, graph_files, tmp_path):
          f"string"),
         (["check", "-g", graph_files["twice"], "relations"],
          f"cannot load graph {graph_files['twice']}: duplicate vertex 'i'"),
+        # a vertex name that the text form cannot carry
+        (["gdim", "-g", graph_files["spaced"], "c", "c"],
+         f"cannot load graph {graph_files['spaced']}: vertex 'a b' is empty "
+         f"or holds whitespace, '^', ':' or ','"),
         # a string of vertices is not a list of them
         (["gdim", "-g", graph_files["string"], "i", "i"],
          f"cannot load graph {graph_files['string']}: malformed graph "
