@@ -41,6 +41,7 @@ from .laurent import LaurentPoly, qbinom
 from .sequences import (
     check_block,
     check_divided,
+    check_weight,
     divided_weight,
     expand,
     factorial_poly,
@@ -56,17 +57,28 @@ from .sequences import (
 class CharacterVector:
     """A map from sequences of a fixed weight over a graph to graded
     dimensions.  The graph decides how the sequences are written
-    (``sequences.format_seq``)."""
+    (``sequences.format_seq``).  The constructor checks the weight and
+    every key against it, so a vector holds no sequence of another
+    weight."""
 
     __slots__ = ("graph", "weight", "values")
 
     def __init__(self, graph, weight, values):
         """Raises TypeError unless graph is a CartanGraph and values is a
-        dict of GradedDims (``cartan.check_type``)."""
+        dict of GradedDims (``cartan.check_type``).  The weight is read by
+        ``sequences.check_weight``, which keeps its normal form, and its
+        vertices must be the graph's (GraphError); a key is a tuple
+        (TypeError) of that weight (WeightMismatchError)."""
         self.graph = check_type(CartanGraph, graph)
-        self.weight = weight
-        self.values = {k: v for k, v in check_type(dict, values).items()
-                       if not check_type(GradedDim, v).is_zero()}
+        self.weight = check_weight(weight)
+        self.graph.require_vertices(v for v, _ in self.weight)
+        self.values = {}
+        for k, v in check_type(dict, values).items():
+            if weight_of_seq(check_type(tuple, k)) != self.weight:
+                raise WeightMismatchError(
+                    f"sequence {k!r} is not of weight {self.weight}")
+            if not check_type(GradedDim, v).is_zero():
+                self.values[k] = v
 
     def value(self, seq):
         return self.values.get(tuple(seq), GradedDim.zero())
@@ -111,17 +123,28 @@ class K0Vector:
     """An integer-Laurent combination of monomial symbols [P_theta].
 
     Symbols are not linearly independent; equality is decided only through
-    the bilinear form (equal_in_f), never by comparing coefficients.
+    the bilinear form (equal_in_f), never by comparing coefficients.  The
+    constructor checks the weight and every key against it, so two vectors
+    of one weight compare as equal weights, and no symbol of another
+    weight is filed under this one.
     """
 
     __slots__ = ("weight", "coeffs")
 
     def __init__(self, weight, coeffs):
         """Raises TypeError unless coeffs is a dict of LaurentPolys
-        (``cartan.check_type``)."""
-        self.coeffs = {k: c for k, c in check_type(dict, coeffs).items()
-                       if not check_type(LaurentPoly, c).is_zero()}
-        self.weight = weight
+        (``cartan.check_type``).  The weight is read by
+        ``sequences.check_weight``, which keeps its normal form; a key that
+        is not a divided sequence raises ValueError (``check_divided``),
+        and one of another weight WeightMismatchError."""
+        self.weight = check_weight(weight)
+        self.coeffs = {}
+        for k, c in check_type(dict, coeffs).items():
+            if divided_weight(check_divided(k)) != self.weight:
+                raise WeightMismatchError(
+                    f"monomial {k!r} is not of weight {self.weight}")
+            if not check_type(LaurentPoly, c).is_zero():
+                self.coeffs[k] = c
 
     @staticmethod
     def monomial(theta):

@@ -154,7 +154,7 @@ class KLRElement:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
+        if type(other) is int and other == 0:
             return not self.terms
         if not isinstance(other, KLRElement):
             return NotImplemented

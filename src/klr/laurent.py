@@ -87,7 +87,7 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = _const(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented

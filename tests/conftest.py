@@ -1,7 +1,6 @@
-import json
-
 import pytest
 
+from cli_cases import write_graphs
 from klr import KLRRing, a1xa1, a2, cycle, single_vertex
 
 
@@ -41,25 +40,8 @@ def ring_cycle4():
     return KLRRing(cycle(4))
 
 
-@pytest.fixture()
-def graph_files(tmp_path):
-    """Graph JSON files for CLI tests; returns a dict name -> path."""
-    out = {}
-    specs = {
-        "a1": {"vertices": ["i"], "edges": []},
-        "a2": {"vertices": ["i", "j"], "edges": [["i", "j"]]},
-        "a1xa1": {"vertices": ["i", "j"], "edges": []},
-        "cycle3": cycle(3).to_json(),
-        "cycle4": cycle(4).to_json(),
-        "empty": {"vertices": [], "edges": []},
-        "ints": {"vertices": [1, 2], "edges": [[1, 2]]},
-        "string": {"vertices": "ij", "edges": []},
-        "twice": {"vertices": ["i", "i"], "edges": []},
-        "spaced": {"vertices": ["a b", "c"], "edges": [["a b", "c"]]},
-    }
-    for name, obj in specs.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(obj))
-        out[name] = str(path)
-    return out
-
+@pytest.fixture(scope="session")
+def graph_files(tmp_path_factory):
+    """The graph JSON files of ``cli_cases.GRAPHS``, for CLI tests; returns
+    a dict name -> path."""
+    return write_graphs(tmp_path_factory.mktemp("graphs"))

@@ -410,6 +410,41 @@ def test_foreign_operand_raises_type_error(ring_a2, case):
     assert "positional argument" not in str(info.value)
 
 
+def test_k0_vector_keeps_its_weight_in_normal_form(ring_a2):
+    """[P_ij] filed under the weight written j + i is [P_ij]."""
+    one, ij = LaurentPoly.one(), (("i", 1), ("j", 1))
+    u = K0Vector((("j", 1), ("i", 1), ("k", 0)), {ij: one})
+    assert u.weight == (("i", 1), ("j", 1))
+    assert equal_in_f(ring_a2, u, K0Vector.monomial(ij))
+
+
+def test_k0_vector_refuses_a_key_of_another_weight():
+    """[P_j] filed under weight i is refused, not counted as 0."""
+    with pytest.raises(WeightMismatchError):
+        K0Vector((("i", 1),), {(("j", 1),): LaurentPoly.one()})
+    with pytest.raises(ValueError):
+        K0Vector((("i", 1),), {(("i", 0),): LaurentPoly.one()})
+    with pytest.raises(TypeError):
+        K0Vector(None, {})
+
+
+def test_character_vector_refuses_a_key_of_another_weight():
+    """A character holds only sequences of its weight, which is over its
+    graph; a shuffle product then reads the weight it holds."""
+    with pytest.raises(WeightMismatchError):
+        CharacterVector(a2(), (("i", 1),), {("j",): GradedDim.one()})
+    with pytest.raises(TypeError):
+        CharacterVector(a2(), (("i", 1),), {"i": GradedDim.one()})
+    with pytest.raises(GraphError):
+        CharacterVector(a2(), (("k", 1),), {})
+    with pytest.raises(TypeError):
+        CharacterVector(a2(), None, {})
+    cv = CharacterVector(a2(), (("j", 1), ("i", 0)), {("j",): GradedDim.one()})
+    assert cv.weight == (("j", 1),)
+    with pytest.raises(TypeError):
+        hash(cv)
+
+
 def test_characters_carry_their_graph(ring_a2, ring_a1xa1):
     """A character vector is over the graph of its ring: two over unequal
     graphs neither add nor shuffle, and are never equal, though here their

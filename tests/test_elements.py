@@ -160,6 +160,15 @@ def test_element_drops_zeros_and_keeps_no_outside_dict(ring_a2):
         assert zero.weight is None
 
 
+def test_bool_is_not_an_int_operand_of_eq(ring_a2):
+    """== takes no bool, as + - * take none: False is not the int 0."""
+    e = ring_a2.idempotent(("i", "j"))
+    assert not ring_a2.zero() == False  # noqa: E712
+    assert ring_a2.zero() != False  # noqa: E712
+    assert not e == True  # noqa: E712
+    assert ring_a2.zero() == 0 and not e == 0 and not e == 1
+
+
 def test_weight_mismatch(ring_a1):
     x = ring_a1.idempotent(("i",))
     y = ring_a1.idempotent(("i", "i"))

@@ -39,6 +39,10 @@ def test_equality_cross_multiplication():
     b = GradedDim(LaurentPoly({0: 1, 2: 1}), (2,))
     assert a == b
     assert not (a == geom(2))
+    # the character of i^(2) on one vertex, as `klr char` prints it, is
+    # q^-1 / (1-q^2)^2
+    assert GradedDim(LaurentPoly({-1: 1, 1: 1}), (1, 2)) == GradedDim(
+        LaurentPoly.q_power(-1), (1, 1))
 
 
 def test_add_common_denominator():
@@ -174,6 +178,9 @@ def test_operands_on_either_side():
     assert 1 + gd == gd + 1 == GradedDim(LaurentPoly({0: 2, 2: -1}), (1,))
     assert 1 - gd == -(gd - 1) == GradedDim(LaurentPoly({2: -1}), (1,))
     assert p + gd == gd + p and p - gd == -(gd - p) and p * gd == gd * p
+    # nothing else is lifted, on the right of - either
+    with pytest.raises(TypeError):
+        "x" - GradedDim.one()
 
 
 def test_distributivity_random():

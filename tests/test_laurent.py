@@ -115,6 +115,14 @@ def test_int_operands():
     assert len({LaurentPoly.q_power(1), LaurentPoly.q_power(1, 1)}) == 1
 
 
+def test_bool_is_not_an_int_operand_of_eq():
+    """== takes no bool, as + - * take none: True is not the constant 1."""
+    assert not LaurentPoly.one() == True  # noqa: E712
+    assert not LaurentPoly.zero() == False  # noqa: E712
+    assert LaurentPoly.one() != True  # noqa: E712
+    assert LaurentPoly.one() == 1 and LaurentPoly.zero() == 0
+
+
 def test_not_iterable():
     """A LaurentPoly is not a sequence of its coefficients: iteration and
     membership raise TypeError, where the item protocol would read p[0],
