@@ -81,7 +81,12 @@ class CharacterVector:
                 self.values[k] = v
 
     def value(self, seq):
-        return self.values.get(tuple(seq), GradedDim.zero())
+        """The graded dimension at seq: 0 for a sequence of another
+        weight, and GraphError for a label that is not a vertex
+        (``CartanGraph.require_vertices``)."""
+        seq = tuple(seq)
+        self.graph.require_vertices(seq)
+        return self.values.get(seq, GradedDim.zero())
 
     def __add__(self, other):
         if not isinstance(other, CharacterVector):
@@ -228,7 +233,8 @@ def char_projective(ring, theta):
 
 def char_at_divided(cv: CharacterVector, theta):
     """Evaluate a character at a divided sequence: value at expansion / theta!.
-    Raises TypeError unless cv is a CharacterVector."""
+    Raises TypeError unless cv is a CharacterVector, and GraphError for a
+    label that is not a vertex (``CharacterVector.value``)."""
     check_type(CharacterVector, cv)
     theta = check_divided(theta)
     return cv.value(expand(theta)).divide_poly(factorial_poly(theta))

@@ -29,9 +29,10 @@ shift is applied afterwards.
 
 Canonicalization also works from the bottom.  Canonical words are closed
 under prefixes (see ``permutations``), so a right step that keeps the
-canonical word of w plus c canonical is a single key, built directly and
+canonical word of w plus c canonical is a single term, built directly and
 not cached.  Only the steps that need rewriting are cached, per (letter,
-sequence, permutation), and the entries share one copy of each sequence,
+sequence, permutation), each as one flat tuple (j1, v1, u1, k1, j2, ...)
+of its terms, and the entries share one copy of each sequence,
 permutation and dot vector they hold.  ``_bring_to_back`` moves a chosen
 right descent to the bottom of a reduced word by commutation and braid
 moves and returns their corrections as normal-form terms;
@@ -237,9 +238,10 @@ class KLRRing:
         """Raises TypeError unless graph is a CartanGraph."""
         self.graph = check_type(CartanGraph, graph)
         # (c, i, w) -> normal form of psi_w e(i) with crossing c below it,
-        # for the right steps that need rewriting (see ``_cross``); its
-        # keys and terms share one copy of each sequence, permutation and
-        # dot vector, the one that ``_parts`` maps it to
+        # as one flat tuple (j1, v1, u1, k1, j2, ...) of its terms, for the
+        # right steps that need rewriting (see ``_cross``); its keys and
+        # terms share one copy of each sequence, permutation and dot
+        # vector, the one that ``_parts`` maps it to
         self._cross_cache = {}
         self._parts = {}
         # (theta, plain sequence) -> pairing numerator; see characters._pair_plain
@@ -557,7 +559,9 @@ class KLRRing:
         and x_{c+1} psi_c = psi_c x_c - 1 on equal labels.  On monomials,
         d_c(x_c^a x_{c+1}^b) = sum_{j < a-b} x_c^{a-1-j} x_{c+1}^{b+j} for
         a > b, minus the same sum with a and b exchanged for a < b, and 0
-        for a = b.
+        for a = b.  The terms of psi_w psi_c come from ``_cross`` as one
+        flat tuple (j, v, u, k, ...), which is shifted by x^{s_c v} and
+        accumulated as ``_acc`` adds a dict.
         """
         for c in word:
             self._terms_read += len(terms)
@@ -567,7 +571,16 @@ class KLRRing:
                 sv = list(v)
                 a, b = sv[c - 1], sv[c]
                 sv[c - 1], sv[c] = b, a
-                _acc(out, self._cross(c, i, w), k, tuple(sv))
+                # out += k * psi_w psi_c x^{s_c v}
+                s = tuple(sv) if any(sv) else None
+                it = iter(self._cross(c, i, w))
+                for j, p, u, t in zip(it, it, it, it):
+                    key = (j, p, tuple(map(add, u, s)) if s else u)
+                    n = get(key, 0) + k * t
+                    if n:
+                        out[key] = n
+                    else:
+                        out.pop(key, None)
                 if a == b or i[c - 1] != i[c]:
                     continue
                 lo, hi = (b, a) if a > b else (a, b)
@@ -584,11 +597,13 @@ class KLRRing:
         return terms
 
     def _cross(self, c, i, w):
-        """Normal form of psi_w e(i) . psi_c, over the sequence s_c i.
+        """Normal form of psi_w e(i) . psi_c, over the sequence s_c i, as
+        one flat tuple (j1, v1, u1, k1, j2, v2, u2, k2, ...) of its terms
+        k psi_v x^u e(j); the zero step is ().
 
         When the length goes up and canonical(w s_c) ends in c, prefix
         closure (see ``permutations``) makes it canonical(w) + c, so the
-        product is the one key (s_c i, w s_c, no dots): a direct step,
+        product is the one term (s_c i, w s_c, no dots, 1): a direct step,
         counted and not cached.  Every other step (a braid move or a
         double crossing) is rewritten once and cached per (c, i, w), with
         each sequence, permutation and dot vector of the entry replaced by
@@ -600,7 +615,7 @@ class KLRRing:
             v = right_mult_letter(w, c)
             if canonical_word(v)[-1] == c:
                 self._direct_steps += 1
-                return {(apply_word_to_seq((c,), i), v, (0,) * len(w)): 1}
+                return (apply_word_to_seq((c,), i), v, (0,) * len(w), 1)
         key = (c, i, w)
         hit = self._cross_cache.get(key)
         if hit is not None:
@@ -622,8 +637,8 @@ class KLRRing:
                     _acc(out, inner, 1, _placed(u, c, len(i)))
             _acc(out, self._right_word(corrs, (c,)))
         share = self._parts.setdefault
-        out = {(share(j, j), share(v, v), share(u, u)): k
-               for (j, v, u), k in out.items()}
+        out = tuple(f for (j, v, u), k in out.items()
+                    for f in (share(j, j), share(v, v), share(u, u), k))
         self._cross_cache[(c, share(i, i), share(w, w))] = out
         return out
 

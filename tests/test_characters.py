@@ -445,6 +445,18 @@ def test_character_vector_refuses_a_key_of_another_weight():
         hash(cv)
 
 
+def test_character_readers_refuse_an_unknown_vertex(ring_a2):
+    """A label that is not a vertex is bad input, as on the pairing
+    routes; a sequence of another weight over the graph's vertices is 0."""
+    cv = char_projective(ring_a2, (("i", 1), ("j", 1)))
+    with pytest.raises(GraphError, match="unknown vertex 'k'"):
+        cv.value(("k", "z"))
+    with pytest.raises(GraphError, match="unknown vertex 'k'"):
+        char_at_divided(cv, (("k", 1), ("j", 1)))
+    assert cv.value(("i", "i")).is_zero()
+    assert char_at_divided(cv, (("j", 2),)).is_zero()
+
+
 def test_characters_carry_their_graph(ring_a2, ring_a1xa1):
     """A character vector is over the graph of its ring: two over unequal
     graphs neither add nor shuffle, and are never equal, though here their

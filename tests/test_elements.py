@@ -849,7 +849,9 @@ def test_stats_account_for_every_right_step(ring_a1, ring_a2, ring_cycle3,
 
 def test_cross_cache_shares_key_parts(ring_a2, ring_cycle3):
     """The cross cache holds one object per distinct sequence, permutation
-    and dot vector, across its keys and the terms it stores."""
+    and dot vector, across its keys and the terms it stores.  Each entry
+    is one flat tuple (j1, v1, u1, k1, j2, ...) of its terms, with nonzero
+    int coefficients."""
     rng = random.Random(31)
     for graph in (ring_a2.graph, ring_cycle3.graph):
         ring = KLRRing(graph)
@@ -862,13 +864,12 @@ def test_cross_cache_shares_key_parts(ring_a2, ring_cycle3):
             ring.multiply(ring.evaluate_word(top, random_word(rng, len(seq))),
                           ring.evaluate_word(seq, below))
         seqs, perms, dots = [], [], []
-        for (_, i, w), terms in ring._cross_cache.items():
-            seqs.append(i)
-            perms.append(w)
-            for j, v, u in terms:
-                seqs.append(j)
-                perms.append(v)
-                dots.append(u)
+        for (_, i, w), entry in ring._cross_cache.items():
+            assert type(entry) is tuple and len(entry) % 4 == 0
+            assert all(type(k) is int and k for k in entry[3::4])
+            seqs += [i, *entry[::4]]
+            perms += [w, *entry[1::4]]
+            dots += entry[2::4]
         assert len(ring._cross_cache) > 50
         for parts in (seqs, perms, dots):
             assert len(set(map(id, parts))) == len(set(parts)) > 1

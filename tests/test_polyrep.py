@@ -742,7 +742,10 @@ def test_oracle_reaches_every_right_step(monkeypatch):
 
     def faulty(c, i, w):
         out = cross(c, i, w)
-        return {k: -v for k, v in out.items()} if (c, i, w) == bad else out
+        if (c, i, w) != bad:
+            return out
+        # an entry is one flat tuple (j, v, u, k, ...): negate each k
+        return tuple(-f if n % 4 == 3 else f for n, f in enumerate(out))
 
     assert cross(*bad)
     monkeypatch.setattr(ring, "_cross", faulty)
