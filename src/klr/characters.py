@@ -33,8 +33,8 @@ tight iff that term is 1 * q^0.  No series cutoff is involved.
 
 from __future__ import annotations
 
-from .cartan import (CartanGraph, GraphError, check_type, cycle, weight_add,
-                     weight_of_seq)
+from .cartan import (CartanGraph, GraphError, check_int, check_type, cycle,
+                     weight_add, weight_of_seq)
 from .elements import KLRRing, WeightMismatchError
 from .gdim import GradedDim
 from .laurent import LaurentPoly, qbinom
@@ -525,12 +525,17 @@ def cycle_alpha(ring, n):
     of the sequence, the degree-0 sector being two-dimensional) are facts
     about the ring, which the ``cycle:<n>`` suite of ``klr.verify`` checks.
     Raises GraphError unless the vertices '1'..'n' of the ring's graph
-    induce an n-cycle, that is, pair as they do in ``cycle(n)``.
+    induce an n-cycle, that is, pair as they do in ``cycle(n)``.  A graph
+    of k vertices lacks one of '1'..'k+1', so only those are looked up
+    before ``cycle(n)`` is built: a large n costs no more than a small one.
     """
+    check_int(n, "cycle length")
+    graph = check_type(KLRRing, ring).graph
+    graph.require_vertices(
+        str(a) for a in range(1, min(n, len(graph.vertices) + 1) + 1))
     target = cycle(n)
     verts = target.vertices
-    check_type(KLRRing, ring).graph.require_vertices(verts)
-    if any(ring.graph.cartan(a, b) != target.cartan(a, b)
+    if any(graph.cartan(a, b) != target.cartan(a, b)
            for a in verts for b in verts):
         raise GraphError("ring is not over the n-cycle")
     seq = verts + verts

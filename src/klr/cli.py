@@ -171,8 +171,7 @@ def cmd_quotient(ring, args):
     else:
         spec = cyclotomic_spec(ring, weight, dict(parse_weight(args.cyclotomic)))
     prime = parse_field(args.field)
-    _print(quotient_gdim(ring, spec, cutoff=args.cutoff,
-                         window=args.window, prime=prime), args)
+    _print(quotient_gdim(ring, spec, cutoff=args.cutoff, prime=prime), args)
 
 
 def cmd_check(ring, args):
@@ -261,7 +260,6 @@ def build_parser():
     p.add_argument("--symplus", action="store_true",
                    help="quotient by the symmetric-polynomial ideal")
     p.add_argument("--cutoff", type=int, default=10)
-    p.add_argument("--window", type=int, default=3)
     p.add_argument("--field", default="Q", help="Q or Fp:<p>")
     p.set_defaults(func=cmd_quotient)
     return top

@@ -215,8 +215,11 @@ class IdealSpec:
 def cyclotomic_spec(ring, weight, lam):
     """Dots-to-the-power lambda on the leftmost strand of every sequence.
 
-    lam maps vertices to nonnegative integers (missing vertices count 0);
-    any other value raises ValueError (``cartan.check_int``).  The
+    Each generator x_1^lambda_{i_1} e(i) is the one basis key
+    (i, identity, (lambda_{i_1}, 0, ..., 0)), so its cost does not grow
+    with lambda.  lam maps vertices to nonnegative integers (missing
+    vertices count 0); any other value raises ValueError
+    (``cartan.check_int``).  The
     quotient R^lambda(beta) is a symmetric algebra of degree
     d = 2 (lambda, beta) - (beta, beta) (Shan-Varagnolo-Vasserot), which
     is the spec's top rule.
@@ -228,8 +231,8 @@ def cyclotomic_spec(ring, weight, lam):
     gens = []
     for seq in seq_enumerate(weight):
         if seq:
-            dots = [("D", 1)] * lam.get(seq[0], 0)
-            gens.append(ring.evaluate_word(seq, dots))
+            dots = (lam.get(seq[0], 0),) + (0,) * (len(seq) - 1)
+            gens.append(KLRElement(ring, {(seq, identity(len(seq)), dots): 1}))
     spec = IdealSpec(weight, gens)
     beta = spec.weight
     d = (2 * sum(lam.get(v, 0) * n for v, n in beta)
@@ -413,9 +416,9 @@ class _IdealSpan:
             split = {}
             for key, c in g.terms.items():
                 split.setdefault(_sector(key), {})[key] = c
+            pieces = self.pieces.setdefault(g.degree(), [])
             for (top, bottom), terms in split.items():
-                self.pieces.setdefault(g.degree(), []).append(
-                    (top, bottom, KLRElement(ring, terms)))
+                pieces.append((top, bottom, KLRElement(ring, terms)))
         self.central = spec.central
         self.m = weight_size(spec.weight)
         self.diagrams = _diagrams(ring.graph, spec.weight)
@@ -592,20 +595,35 @@ def ideal_degree_dim(ring, spec, d, prime=None):
 
 
 class GradedDimReport:
-    __slots__ = ("degrees", "top", "stabilized", "cutoff", "window", "field",
-                 "stats")
+    """Per-degree dimensions of a quotient, from its lowest degree up to
+    its top or the cutoff, whichever is lower.
 
-    def __init__(self, degrees, stabilized, cutoff, window, field,
-                 stats=None, top=None):
+    ``complete`` is the one reading of how the report ends: true when the
+    top is known and the cutoff reached it, so every degree above the
+    computed ones is zero by theorem.  Otherwise the report is truncated
+    at the cutoff, and ``top`` says what the top is, or None when the
+    scan stopped before it could be known.  ``stabilized`` is the window
+    test of ``quotient_gdim``; neither ``__str__`` nor ``to_json`` reads
+    it.
+    """
+
+    __slots__ = ("degrees", "top", "stabilized", "cutoff", "field", "stats")
+
+    def __init__(self, degrees, stabilized, cutoff, field, stats=None,
+                 top=None):
         self.degrees = degrees  # map degree -> dimension, as computed
         # every degree above top is zero by theorem; None when unknown
         self.top = top
         self.stabilized = stabilized
         self.cutoff = cutoff
-        self.window = window
         self.field = field
         # map degree -> {"basis", "products", "rows", "rank"} counts
         self.stats = stats or {}
+
+    @property
+    def complete(self):
+        """Is every degree of the quotient in the report?"""
+        return self.top is not None and self.top <= self.cutoff
 
     def total(self):
         return sum(self.degrees.values())
@@ -613,9 +631,8 @@ class GradedDimReport:
     def to_json(self):
         return {"degrees": {str(d): n for d, n in sorted(self.degrees.items())},
                 "top": self.top,
-                "stabilized": self.stabilized,
+                "complete": self.complete,
                 "cutoff": self.cutoff,
-                "window": self.window,
                 "field": self.field,
                 "stats": {str(d): s for d, s in sorted(self.stats.items())}}
 
@@ -625,13 +642,9 @@ class GradedDimReport:
         if not lines:
             lines = ["all degrees zero"]
         lines.append(f"total (q=1): {self.total()}")
-        # a scan that reached the top is complete, whatever its window holds
-        if self.stabilized:
-            lines.append("stabilized")
-        elif self.top is not None and self.top <= self.cutoff:
-            lines.append(f"complete: top degree {self.top}")
-        else:
-            lines.append(f"NOT stabilized within cutoff {self.cutoff}")
+        top = "not known" if self.top is None else self.top
+        lines.append(f"complete: top degree {top}" if self.complete else
+                     f"truncated at cutoff {self.cutoff}; top degree {top}")
         return "\n".join(lines)
 
 
@@ -648,33 +661,30 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     computation.  ``degrees`` and ``stats`` hold exactly the computed
     degrees, and ``top`` is the top degree (d // 2 for a zero cyclotomic
     quotient), or None when the spec has no rule or the cutoff came
-    before the scan could decide.
+    before the scan could decide.  The report is complete when the top
+    is known and no higher than the cutoff, and truncated otherwise.
 
-    Stabilization means the last `window` consecutive degrees (including
-    both parities) up to the cutoff are zero; degrees above the top count
-    as zero.  Without a top rule, zeros in a window do not prove that no
-    higher degree is nonzero, so a failed window is reported rather than
-    an error.  Raises ValueError for a cutoff that is not an int and a
-    window that is not an int >= 1, which would call any truncated answer
-    stabilized (``cartan.check_int``), for a prime that is not a prime
-    below 2^64 (checked by ``_IdealSpan``, as are the types of ring and
-    spec), and for a window reaching below the degree lower bound, where
-    there are no degrees to read.  A report whose scan reached its top
-    prints ``complete: top degree t`` when its window is not all zero.
+    ``stabilized`` is true when the last `window` consecutive degrees up
+    to the cutoff are zero; a degree above the top counts as zero, and so
+    does one below the lower bound, where R(nu) has no basis element.
+    Raises ValueError for a cutoff that is not an int and a window that
+    is not an int >= 1 (``cartan.check_int``), and for a prime that is
+    not a prime below 2^64 (checked by ``_IdealSpan``, as are the types
+    of ring and spec).
     """
+    # window and stabilized stay, with this meaning, only because the
+    # benchmark's quotients workload (perfbench/workloads.py) passes the
+    # one and checks the other; they go once it no longer does (ROADMAP
+    # item 10, then the library half of item 2)
     check_int(cutoff, "cutoff")
     check_int(window, "stabilization window", 1)
     span = _IdealSpan(ring, spec, prime)
-    lb = span.lb
-    if cutoff - window + 1 < lb:
-        raise ValueError(f"window of {window} degrees up to cutoff {cutoff} "
-                         f"reaches below the lowest degree {lb}")
     rule, value = spec.top_rule or (None, None)
     # a symmetric quotient that is zero up to d // 2 is zero: until d0
     # shows, d // 2 is where the scan stops
     top = value // 2 if rule == "symmetric" else value
     stats = {}
-    k = lb
+    k = span.lb
     while k <= cutoff and (top is None or k <= top):
         stats[k] = s = span.degree(k)
         if rule == "symmetric" and s["rank"] < s["basis"]:
@@ -683,8 +693,8 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     if rule == "symmetric" and top > cutoff:
         top = None  # the cutoff came before d0 or d // 2
     degrees = {k: s["basis"] - s["rank"] for k, s in stats.items()}
-    # the window's degrees from k on lie above the top: zeros
-    tail = [degrees[j] for j in range(cutoff - window + 1, k)]
+    # the window's degrees below the lower bound or from k on are zeros
+    stabilized = not any(degrees[j] for j in
+                         range(max(cutoff - window + 1, span.lb), k))
     field = "Q" if prime is None else f"F_{prime}"
-    return GradedDimReport(degrees, not any(tail), cutoff, window, field,
-                           stats, top)
+    return GradedDimReport(degrees, stabilized, cutoff, field, stats, top)

@@ -4,7 +4,9 @@
 (command line, exit code, stdout, stderr), exact; in the command line and
 in stderr, ``@name`` stands for the path of a file holding ``GRAPHS[name]``
 (``write_graphs``, ``resolve``).  ``ok`` builds a row that exits 0 with no
-stderr, ``bad`` one that exits 2 with one ``error:`` line and no stdout.
+stderr, ``bad`` one that exits 2 with one ``error:`` line and no stdout,
+and ``usage`` one that argparse refuses: exit 2, its usage lines and its
+error line, wrapped to 80 columns (``COLUMNS``) by both runners.
 Cases that need a monkeypatch, a subprocess, an environment variable or
 an element file stay in ``test_cli.py``.
 
@@ -55,13 +57,18 @@ def bad(command, message):
     return command, 2, "", f"error: {message}\n"
 
 
-def _report(top, degrees, cutoff=10, window=3, field="Q"):
-    """The --json line of a stabilized quotient report, from one (degree,
+def usage(command, message):
+    return command, 2, "", (
+        "usage: klr [-h]\n           {multiply,gdim,pair,char,shuffle,comul,"
+        f"tight,check,quotient}} ...\nklr: error: {message}\n")
+
+
+def _report(top, degrees, cutoff=10, field="Q"):
+    """The --json line of a complete quotient report, from one (degree,
     dimension, basis, products, rows, rank) tuple per degree."""
     return json.dumps({
         "degrees": {str(d): n for d, n, *_ in degrees}, "top": top,
-        "stabilized": True, "cutoff": cutoff, "window": window,
-        "field": field, "stats": {
+        "complete": True, "cutoff": cutoff, "field": field, "stats": {
             str(d): dict(zip(("basis", "products", "rows", "rank"), counts))
             for d, _, *counts in degrees}})
 
@@ -70,7 +77,7 @@ ORACLE = ("oracle agreement (every right step and dot slide on 2 to 4 "
           "strands, on the Artin basis, both orientations): PASS")
 QUOTIENT_I3 = ("deg   -6: 1\ndeg   -4: 4\ndeg   -2: 8\ndeg    0: 10\n"
                "deg    2: 8\ndeg    4: 4\ndeg    6: 1\ntotal (q=1): 36\n"
-               "stabilized")
+               "complete: top degree 6")
 UNKNOWN_K = "unknown vertex 'k'"
 NEGATIVE = "vertex count -1 is not an integer >= 0"
 ONE_KIND = "specify exactly one of --cyclotomic or --symplus"
@@ -229,6 +236,9 @@ CASES = [
         "serre, idempotents, cycle:<n>, oracle)"),
     bad("check -g @a2 cycle:x", "bad cycle suite 'cycle:x'"),
     bad("check -g @cycle3 cycle:4", "unknown vertex '4'"),
+    # a graph of k vertices lacks one of '1'..'k+1': no cycle of a million
+    # vertices is built to find that out
+    bad("check -g @cycle3 cycle:1000000", "unknown vertex '4'"),
     bad("check -g @cycle4 cycle:3", "ring is not over the n-cycle"),
     # a vertex must be a string
     bad("check -g @ints relations",
@@ -243,28 +253,26 @@ CASES = [
         "empty or holds whitespace, '^', ':' or ','"),
     # no degree above the exact top (6) is computed, so a cutoff of 10^9
     # answers at once, and as the cutoff at top + 3 does
-    ok("quotient -g @a1 --nu i:3 --symplus --cutoff 1000000000 --window 1",
-       QUOTIENT_I3),
-    ok("quotient -g @a1 --nu i:3 --symplus --cutoff 9 --window 1",
-       QUOTIENT_I3),
-    ok("quotient -g @a1 --nu i:3 --symplus --cutoff 1000000000 --window 1 "
-       "--json", _report(6, [
+    ok("quotient -g @a1 --nu i:3 --symplus --cutoff 1000000000", QUOTIENT_I3),
+    ok("quotient -g @a1 --nu i:3 --symplus --cutoff 9", QUOTIENT_I3),
+    ok("quotient -g @a1 --nu i:3 --symplus --cutoff 1000000000 --json",
+       _report(6, [
            (-6, 1, 1, 0, 0, 0), (-5, 0, 0, 0, 0, 0), (-4, 4, 5, 1, 1, 1),
            (-3, 0, 0, 0, 0, 0), (-2, 8, 14, 6, 6, 6), (-1, 0, 0, 0, 0, 0),
            (0, 10, 29, 20, 20, 19), (1, 0, 0, 0, 0, 0),
            (2, 8, 50, 48, 48, 42), (3, 0, 0, 0, 0, 0), (4, 4, 77, 93, 93, 73),
            (5, 0, 0, 0, 0, 0), (6, 1, 110, 156, 156, 109)],
-           cutoff=1000000000, window=1)),
+           cutoff=1000000000)),
     # a non-central quotient: its multipliers come from the diagram table
     ok("quotient -g @a2 --nu i:2,j:1 --cyclotomic i:2",
        "deg   -2: 1\ndeg   -1: 2\ndeg    0: 4\ndeg    1: 4\ndeg    2: 4\n"
-       "deg    3: 2\ndeg    4: 1\ntotal (q=1): 18\nstabilized"),
+       "deg    3: 2\ndeg    4: 1\ntotal (q=1): 18\ncomplete: top degree 4"),
     ok("quotient -g @a2 --nu i:2,j:1 --cyclotomic i:2 --json", _report(4, [
         (-2, 1, 2, 8, 1, 1), (-1, 2, 4, 12, 2, 2), (0, 4, 12, 30, 9, 8),
         (1, 4, 16, 38, 14, 12), (2, 4, 32, 81, 31, 28),
         (3, 2, 36, 96, 40, 34), (4, 1, 62, 182, 66, 61)])),
-    # a scan that reached the exact top is complete, though its last
-    # degrees fill the stabilization window
+    # a scan that reached the exact top is complete, whatever its last
+    # degrees hold
     ok("quotient -g @a1 --nu i:2 --cyclotomic i:3 --cutoff 7",
        "deg   -2: 1\ndeg    0: 3\ndeg    2: 4\ndeg    4: 3\ndeg    6: 1\n"
        "total (q=1): 12\ncomplete: top degree 6"),
@@ -280,24 +288,30 @@ CASES = [
        _report(2, [(0, 1, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0),
                    (2, 1, 1, 0, 0, 0)], field="F_7")),
     ok("quotient -g @a1 --nu i:1 --cyclotomic i:3",
-       "deg    0: 1\ndeg    2: 1\ndeg    4: 1\ntotal (q=1): 3\nstabilized"),
+       "deg    0: 1\ndeg    2: 1\ndeg    4: 1\ntotal (q=1): 3\n"
+       "complete: top degree 4"),
     ok("quotient -g @a2 --nu i:1,j:1 --symplus",
-       "deg    0: 2\ndeg    1: 2\ntotal (q=1): 4\nstabilized"),
+       "deg    0: 2\ndeg    1: 2\ntotal (q=1): 4\ncomplete: top degree 1"),
     bad("quotient -g @a2 --nu i:1", ONE_KIND),
     ok("quotient -g @a2 --nu i:1,j:1 --cyclotomic i:1",
-       "deg    0: 1\ntotal (q=1): 1\nstabilized"),
+       "deg    0: 1\ntotal (q=1): 1\ncomplete: top degree 0"),
     ok("quotient -g @a1 --nu i:1 --cyclotomic i:0",
-       "all degrees zero\ntotal (q=1): 0\nstabilized"),
-    # a window wider than the cutoff is fine while it stays above the
-    # lowest degree (-2 here); the library checks the window itself
-    ok("quotient -g @a1 --nu i:2 --symplus --cutoff 1 --window 3",
+       "all degrees zero\ntotal (q=1): 0\ncomplete: top degree -1"),
+    # a cutoff below the top truncates the report, which names the top
+    ok("quotient -g @a1 --nu i:2 --symplus --cutoff 1",
        "deg   -2: 1\ndeg    0: 2\ntotal (q=1): 3\n"
-       "NOT stabilized within cutoff 1"),
-    bad("quotient -g @a1 --nu i:1 --cyclotomic i:1 --cutoff 1 --window 3",
-        "window of 3 degrees up to cutoff 1 reaches below the lowest "
-        "degree 0"),
-    bad("quotient -g @a1 --nu i:3 --symplus --cutoff 2 --window 0",
-        "stabilization window 0 is not an integer >= 1"),
+       "truncated at cutoff 1; top degree 2"),
+    ok("quotient -g @a1 --nu i:3 --symplus --cutoff 2",
+       "deg   -6: 1\ndeg   -4: 4\ndeg   -2: 8\ndeg    0: 10\ndeg    2: 8\n"
+       "total (q=1): 31\ntruncated at cutoff 2; top degree 6"),
+    ok("quotient -g @a1 --nu i:1 --cyclotomic i:1 --cutoff 1",
+       "deg    0: 1\ntotal (q=1): 1\ncomplete: top degree 0"),
+    # quotient takes no stabilization window, valid or not: the exact top
+    # decides how a report ends
+    usage("quotient -g @a1 --nu i:1 --cyclotomic i:1 --cutoff 1 --window 3",
+          "unrecognized arguments: --window 3"),
+    usage("quotient -g @a1 --nu i:3 --symplus --cutoff 2 --window 0",
+          "unrecognized arguments: --window 0"),
     bad("quotient -g @a1 --nu i:1", ONE_KIND),
     bad("quotient -g @a1 --nu i:1 --cyclotomic i:1 --symplus", ONE_KIND),
     bad("quotient -g @a1 --nu i:1 --cyclotomic i:1 --field GF(4)",
@@ -307,7 +321,8 @@ CASES = [
           f"field characteristic {p} is not a prime below 2^64")
       for p in (1, 4, 0, 2 ** 64 + 13)),
     ok("quotient -g @a1 --nu i:2 --symplus --field Fp:2",
-       "deg   -2: 1\ndeg    0: 2\ndeg    2: 1\ntotal (q=1): 4\nstabilized"),
+       "deg   -2: 1\ndeg    0: 2\ndeg    2: 1\ntotal (q=1): 4\n"
+       "complete: top degree 2"),
     bad("quotient -g @a2 --nu k:1 --symplus", UNKNOWN_K),
     bad("quotient -g @a2 --nu i:1 --cyclotomic k:1", UNKNOWN_K),
     # the graph's one vertex check names every unknown label
@@ -365,7 +380,8 @@ def main():
             argv, want = resolve(case, paths)
             try:
                 proc = subprocess.run(["klr", *argv], capture_output=True,
-                                      text=True, timeout=20)
+                                      text=True, timeout=20,
+                                      env={**os.environ, "COLUMNS": "80"})
                 got = (proc.returncode, proc.stdout, proc.stderr)
             except subprocess.TimeoutExpired:
                 got = "no answer within 20 s"

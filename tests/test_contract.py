@@ -166,7 +166,7 @@ def _calls():
         "reversed_orientation": (klr.reversed_orientation, (g,), {}),
         # quotients
         "GradedDimReport": (GradedDimReport,
-                            ({0: 1}, True, 4, 3, "Q", None, 0), {}),
+                            ({0: 1}, True, 4, "Q", None, 0), {}),
         "IdealSpec": (IdealSpec, (w, [y]), {}),
         "cyclotomic_spec": (klr.cyclotomic_spec,
                             (ring1, (("i", 2),), {"i": 1}), {}),

@@ -107,13 +107,16 @@ PARAMETERS = {
     "cyclotomic dot power": (
         lambda n: str(quotient_gdim(
             A1, cyclotomic_spec(A1, (("i", 2),), {"i": n}))),
-        -1, 0, "all degrees zero\ntotal (q=1): 0\nstabilized"),
+        -1, 0, "all degrees zero\ntotal (q=1): 0\ncomplete: top degree -4"),
     "window": (
-        lambda w: str(quotient_gdim(A1, SYM, cutoff=-2, window=w)),
-        0, 1, "deg   -2: 1\ntotal (q=1): 1\nNOT stabilized within cutoff -2"),
+        lambda w: quotient_gdim(A1, SYM, cutoff=-2, window=w).stabilized,
+        0, 1, False),
+    # a cutoff has no bound: below the lowest degree, -2, nothing is
+    # computed and the report is truncated
     "cutoff": (
-        lambda c: quotient_gdim(A1, SYM, cutoff=c, window=1).degrees,
-        -3, -2, {-2: 1}),
+        lambda c: str(quotient_gdim(A1, SYM, cutoff=c)), None, -3,
+        "all degrees zero\ntotal (q=1): 0\n"
+        "truncated at cutoff -3; top degree 2"),
     "prime": (
         lambda p: quotient_gdim(A1, SYM, prime=p).degrees,
         1, 2, {-2: 1, -1: 0, 0: 2, 1: 0, 2: 1}),

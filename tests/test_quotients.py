@@ -493,10 +493,14 @@ def test_window_must_be_positive(ring_a1):
         with pytest.raises(ValueError):
             quotient_gdim(ring_a1, spec, cutoff=2, window=window)
     assert not quotient_gdim(ring_a1, spec, cutoff=2, window=1).stabilized
-    # the lowest degree of R(3i) is -6: these windows reach below it
-    for cutoff, window in ((-8, 1), (-6, 3)):
-        with pytest.raises(ValueError):
-            quotient_gdim(ring_a1, spec, cutoff=cutoff, window=window)
+    # the lowest degree of R(3i) is -6: a window reaching below it reads
+    # zeros there, where R(3i) has no basis element
+    for cutoff, window, degrees, stabilized in ((-8, 1, {}, True),
+                                                (-6, 3, {-6: 1}, False)):
+        rep = quotient_gdim(ring_a1, spec, cutoff=cutoff, window=window)
+        assert (rep.degrees, rep.stabilized, rep.top) == (
+            degrees, stabilized, 6), cutoff
+        assert not rep.complete
 
 
 def test_prime_field_agrees_here(ring_a1):
@@ -512,12 +516,16 @@ def test_report_json(ring_a1):
     spec = cyclotomic_spec(ring_a1, (("i", 1),), {"i": 2})
     rep = quotient_gdim(ring_a1, spec, cutoff=6, window=3)
     obj = rep.to_json()
-    assert obj["stabilized"] is True
+    assert list(obj) == ["degrees", "top", "complete", "cutoff", "field",
+                         "stats"]
+    assert obj["complete"] is True
     assert obj["field"] == "Q"
     assert obj["degrees"]["0"] == 1
-    assert obj["cutoff"] == 6 and obj["window"] == 3
+    assert obj["cutoff"] == 6
     # no degree above the top, 2, is computed
     assert obj["top"] == 2 and list(obj["degrees"]) == ["0", "1", "2"]
+    obj = quotient_gdim(ring_a1, spec, cutoff=1).to_json()
+    assert (obj["complete"], obj["top"], obj["cutoff"]) == (False, 2, 1)
 
 
 def _dense_rank(rows, prime=None):
@@ -770,6 +778,47 @@ def test_no_degree_above_the_top(ring_a1, ring_a2):
     assert rep.top is None and rep.stabilized
     assert rep.degrees == {-6: 0, -5: 0, -4: 0}
     assert rep.to_json()["top"] is None
+
+
+def test_report_is_complete_iff_its_cutoff_reaches_the_top(
+        ring_a1, ring_a2, ring_a1xa1, ring_cycle3):
+    """A report is complete exactly when its cutoff reaches the exact top,
+    and then it holds every degree; otherwise it holds the degrees up to
+    the cutoff.  Its last line is decided by ``complete`` alone, for
+    cutoffs from below the lowest degree to past the top."""
+    ij, lam = (("i", 1), ("j", 1)), {"i": 1, "j": 1}
+    cases = [(ring_a1, sym_plus_spec(ring_a1, (("i", 2),))),
+             (ring_a1, cyclotomic_spec(ring_a1, (("i", 2),), {"i": 3})),
+             # zero: d // 2 = -1 lies below the lowest degree, 0
+             (ring_a1, cyclotomic_spec(ring_a1, (("i", 1),), {"i": 0})),
+             (ring_a2, sym_plus_spec(ring_a2, ij)),
+             (ring_a2, cyclotomic_spec(ring_a2, (("i", 2), ("j", 1)),
+                                       {"i": 1})),
+             (ring_a1xa1, sym_plus_spec(ring_a1xa1, ij)),
+             (ring_a1xa1, cyclotomic_spec(ring_a1xa1, ij, lam)),
+             (ring_cycle3, sym_plus_spec(ring_cycle3, (("1", 1), ("2", 1)))),
+             (ring_cycle3, cyclotomic_spec(
+                 ring_cycle3, (("1", 1), ("2", 1), ("3", 1)), {"1": 1}))]
+    for ring, spec in cases:
+        far = quotient_gdim(ring, spec, cutoff=10 ** 9)
+        assert far.complete and far.top is not None
+        lb = degree_lower_bound(spec.weight)
+        for cutoff in range(lb - 3, max(far.top, lb) + 3):
+            rep = quotient_gdim(ring, spec, cutoff=cutoff)
+            case = (spec.weight, spec.top_rule, cutoff)
+            assert rep.complete == (far.top <= cutoff), case
+            assert rep.to_json()["complete"] is rep.complete, case
+            last = str(rep).splitlines()[-1]
+            if rep.complete:
+                assert (rep.degrees, rep.top) == (far.degrees, far.top), case
+                assert last == f"complete: top degree {far.top}", case
+                continue
+            assert rep.degrees == {d: n for d, n in far.degrees.items()
+                                   if d <= cutoff}, case
+            assert rep.top in (far.top, None), case
+            top = "not known" if rep.top is None else far.top
+            assert last == (f"truncated at cutoff {cutoff}; "
+                            f"top degree {top}"), case
 
 
 def _symmetric_degree(graph, weight, lam):

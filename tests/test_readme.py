@@ -30,7 +30,7 @@ def readme_examples(text):
 
 def test_readme_examples(capsys, graph_files):
     examples = readme_examples(README.read_text())
-    assert len(examples) == 15
+    assert len(examples) == 16
     for argv, expected in examples:
         argv = [graph_files[a[:-len(".json")]] if a.endswith(".json") else a
                 for a in argv]
