@@ -221,14 +221,14 @@ def _divide_factorial(gd: GradedDim, divided) -> GradedDim:
 # -- characters ------------------------------------------------------------
 
 def char_projective(ring, theta):
-    """Character of the monomial projective: gdim_hom(k, expand) / theta!.
+    """Character of the monomial projective: gdim_hom(k, expand) / theta!,
+    read off one column of sectors (``KLRRing.gdim_hom_column``).
     Raises TypeError unless ring is a KLRRing."""
     theta = check_divided(theta)
     hat = expand(theta)
-    weight = weight_of_seq(hat)
-    return CharacterVector(check_type(KLRRing, ring).graph, weight, {
-        seq: _divide_factorial(ring.gdim_hom(seq, hat), theta)
-        for seq in seq_enumerate(weight)})
+    column = check_type(KLRRing, ring).gdim_hom_column(hat)
+    return CharacterVector(ring.graph, weight_of_seq(hat), {
+        seq: _divide_factorial(gd, theta) for seq, gd in column.items()})
 
 
 def char_at_divided(cv: CharacterVector, theta):

@@ -44,8 +44,8 @@ into dots on strands c and c+1.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import add, itemgetter
+from functools import reduce
+from operator import add, mul
 
 from .cartan import CartanGraph, check_int, check_type, weight_of_seq
 from .gdim import GradedDim
@@ -62,7 +62,13 @@ from .permutations import (
     right_mult_letter,
     word_to_perm,
 )
-from .sequences import check_divided, divided_weight, format_seq, plain
+from .sequences import (
+    check_divided,
+    divided_weight,
+    format_seq,
+    plain,
+    seq_enumerate,
+)
 
 
 class WeightMismatchError(ValueError):
@@ -105,6 +111,35 @@ def diagram_degree(graph, seq, w):
         raise ValueError(f"{w!r} is not a permutation of {len(seq)} strands")
     check_type(CartanGraph, graph).require_vertices(seq)
     return -sum(graph.cartan(seq[a], seq[b]) for a, b in inversions(w))
+
+
+def _runs(theta):
+    """The runs of a checked divided sequence, its maximal stretches of
+    blocks on one vertex, as (label, length) pairs, and whether a run holds
+    more than one block.  Unsplit, the runs are theta itself."""
+    runs, last = [], None
+    for v, n in theta:
+        if v == last:
+            runs[-1] = (v, runs[-1][1] + n)
+        else:
+            runs.append((v, n))
+            last = v
+    if len(runs) == len(theta):
+        return theta, False
+    return tuple(runs), True
+
+
+def _split_factor(theta):
+    """The product of the quantum multinomials [r]! / prod [n_b]! of the
+    runs of theta that hold more than one block; theta must have one."""
+    factors, last, sizes = [], None, []
+    for v, n in (*theta, (None, 0)):
+        if v != last:
+            if len(sizes) > 1:
+                factors.append(qmultinomial(sizes))
+            last, sizes = v, []
+        sizes.append(n)
+    return reduce(mul, factors)
 
 
 def _placed(u, k, m):
@@ -452,6 +487,32 @@ class KLRRing:
         case of ``gdim_hom_divided``, with source ``plain(seq_i)``."""
         return self.gdim_hom_divided(seq_j, plain(seq_i))
 
+    def gdim_hom_column(self, seq_i):
+        """Every sector into the plain source i: a dict from each sequence
+        j of i's weight, in lexicographic order (``seq_enumerate``), to
+        ``gdim_hom(j, i)``.  KL I reads the character of P_i off it.
+
+        One walk of the DP (``_hom_numerators``) fills every target that
+        the hom cache lacks, and targets that share a prefix share its
+        layers.  Each target counts once in ``stats()``, as a hit or as a
+        new entry.  Raises GraphError for a label that is not a vertex."""
+        seq_i = tuple(seq_i)
+        self.graph.require_vertices(seq_i)
+        theta = plain(seq_i)
+        runs, split = _runs(theta)
+        targets = seq_enumerate(weight_of_seq(seq_i))
+        cache = self._hom_cache
+        missing = [j for j in targets if (j, runs) not in cache]
+        self._hom_hits += len(targets) - len(missing)
+        if missing:
+            self._hom_numerators(runs, missing)
+        nums = {j: cache[j, runs] for j in targets}
+        if split:
+            factor = _split_factor(theta)
+            nums = {j: num * factor for j, num in nums.items()}
+        den = (1,) * len(seq_i)
+        return {j: GradedDim._of(num, den) for j, num in nums.items()}
+
     def gdim_hom_divided(self, seq_j, theta):
         """gdim e(j) R e(expand theta) / theta!, a GradedDim over (1-q^2)^m.
 
@@ -481,12 +542,15 @@ class KLRRing:
         runs, so its numerator is memoized per ring by (j, runs of theta),
         and the multinomials of theta's own split are applied after the
         memo: sources with the same runs, as ``i i j`` and ``i^(2) j``, share
-        one DP (see ``_gdim_hom``).  Raises ValueError on a bad block and
-        WeightMismatchError when the weights differ.
+        one DP (see ``_gdim_hom``).  Raises ValueError on a bad block,
+        WeightMismatchError when the weights differ, and GraphError for a
+        label of theta that is not a vertex.
         """
         seq_j, theta = tuple(seq_j), check_divided(theta)
         if weight_of_seq(seq_j) != divided_weight(theta):
             raise WeightMismatchError("sequences have different weights")
+        # a source of one run makes the DP ask the graph nothing
+        self.graph.require_vertices(v for v, _ in theta)
         return self._gdim_hom(seq_j, theta)
 
     def _gdim_hom(self, seq_j, theta):
@@ -499,39 +563,77 @@ class KLRRing:
         every call, hit or miss, multiplies in the factors of its own
         split; ``i i j`` and ``i^(2) j`` share an entry.  Each call returns
         a new GradedDim."""
-        blocks = [(v, tuple(n for _, n in g))
-                  for v, g in groupby(theta, key=itemgetter(0))]
-        runs = tuple((v, sum(ns)) for v, ns in blocks)
+        runs, split = _runs(theta)
         memo = (seq_j, runs)
         num = self._hom_cache.get(memo)
-        if num is not None:
-            self._hom_hits += 1
+        if num is None:
+            self._hom_numerators(runs, (seq_j,))
+            num = self._hom_cache[memo]
         else:
-            k = len(runs)
-            cartan = [[self.graph.cartan(x, y) for y, _ in runs]
-                      for x, _ in runs]
-            # sources used per run -> exponent -> count; q^{-r(r-1)/2} per run
-            layer = {(0,) * k: {-sum(n * (n - 1) // 2 for _, n in runs): 1}}
-            for label in seq_j:
-                nxt = {}
-                for used, counts in layer.items():
-                    for r, (v, n) in enumerate(runs):
-                        if v != label or used[r] == n:
-                            continue
-                        shift = -sum(cartan[r][t] * used[t]
-                                     for t in range(r + 1, k))
-                        key = used[:r] + (used[r] + 1,) + used[r + 1:]
-                        out = nxt.setdefault(key, {})
-                        for e, c in counts.items():
-                            out[e + shift] = out.get(e + shift, 0) + c
-                layer = nxt
-            # every count is positive, so the dict holds no zero
-            num = self._hom_cache[memo] = LaurentPoly._of(
-                layer.get(tuple(n for _, n in runs), {}))
-        for _, ns in blocks:
-            if len(ns) > 1:
-                num = num * qmultinomial(ns)
+            self._hom_hits += 1
+        if split:
+            num = num * _split_factor(theta)
         return GradedDim._of(num, (1,) * len(seq_j))
+
+    def _hom_numerators(self, runs, targets):
+        """Store the DP numerator of each target j, a sequence of the runs'
+        weight, in ``_hom_cache[(j, runs)]``, by one depth-first walk.
+
+        The targets are walked in sorted order.  The stack holds one layer
+        per letter of the current target: layer d maps each state (the
+        sources used per run) after the first d letters to its counts
+        (exponent -> count).  A target keeps the layers of the prefix it
+        shares with the one before it and builds only the rest.  A label's
+        moves, each run r of that label with its length and the nonzero
+        -(i_r . i_t) of every later run t, are listed once per walk."""
+        cartan = self.graph.cartan
+        # the state with every source used, and q^{-r(r-1)/2} per run
+        moves, full, start = {}, [], 0
+        for r, (v, n) in enumerate(runs):
+            later = []
+            for t in range(r + 1, len(runs)):
+                c = cartan(v, runs[t][0])
+                if c:
+                    later.append((t, -c))
+            moves.setdefault(v, []).append((r, n, later))
+            full.append(n)
+            start -= n * (n - 1) // 2
+        full = tuple(full)
+        stack = [{(0,) * len(runs): {start: 1}}]
+        cache, last = self._hom_cache, ()
+        for target in sorted(targets):
+            d = 0
+            for a, b in zip(last, target):
+                if a != b:
+                    break
+                d += 1
+            del stack[d + 1:]
+            layer = stack[d]
+            for label in target[d:]:
+                nxt = {}
+                steps = moves.get(label, ())
+                for used, counts in layer.items():
+                    for r, n, later in steps:
+                        if used[r] == n:
+                            continue
+                        shift = 0
+                        for t, c in later:
+                            shift += c * used[t]
+                        key = used[:r] + (used[r] + 1,) + used[r + 1:]
+                        out = nxt.get(key)
+                        if out is None:
+                            nxt[key] = {e + shift: c
+                                        for e, c in counts.items()}
+                        else:
+                            for e, c in counts.items():
+                                e += shift
+                                out[e] = out.get(e, 0) + c
+                layer = nxt
+                stack.append(layer)
+            # every count is positive, so the dict holds no zero; a layer
+            # is never changed once built, so the entry may keep it
+            cache[target, runs] = LaurentPoly._of(layer.get(full, {}))
+            last = target
 
     def nilhecke_em(self, m, vertex):
         """The degree-0 primitive idempotent on m equal-label strands.

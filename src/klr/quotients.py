@@ -660,8 +660,9 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     there.  Every degree above the top is zero by theorem, not by
     computation.  ``degrees`` and ``stats`` hold exactly the computed
     degrees, and ``top`` is the top degree (d // 2 for a zero cyclotomic
-    quotient), or None when the spec has no rule or the cutoff came
-    before the scan could decide.  The report is complete when the top
+    quotient, known at any cutoff when d // 2 lies below the lower
+    bound), or None when the spec has no rule or the cutoff stopped the
+    scan before it could decide.  The report is complete when the top
     is known and no higher than the cutoff, and truncated otherwise.
 
     ``stabilized`` is true when the last `window` consecutive degrees up
@@ -690,8 +691,8 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
         if rule == "symmetric" and s["rank"] < s["basis"]:
             rule, top = "top", value - k  # k is d0
         k += 1
-    if rule == "symmetric" and top > cutoff:
-        top = None  # the cutoff came before d0 or d // 2
+    if rule == "symmetric" and k <= top:
+        top = None  # the cutoff stopped the scan at or below d // 2
     degrees = {k: s["basis"] - s["rank"] for k, s in stats.items()}
     # the window's degrees below the lower bound or from k on are zeros
     stabilized = not any(degrees[j] for j in

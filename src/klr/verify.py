@@ -10,7 +10,10 @@ should compute:
   strands, acting on the Artin basis over Sym(nu), in both orientations;
 * ``serre``, ``idempotents``, ``cycle:<n>``: the Serre identities in K0, the
   splitting of 1_iji into orthogonal idempotents, and the cycle phenomenon,
-  through the checks in ``klr.characters``.
+  through the checks in ``klr.characters``;
+* ``pairing:<nu>``: the two routes of the bilinear form, the hom-space DP
+  (``pair_monomials``) against the coproduct recursion
+  (``pair_recursive``), on every pair of divided monomials of weight nu.
 
 ``SUITES`` is the one table of them, keyed by the names that ``klr check``
 takes; ``run`` looks a suite up there, and the command-line help and the
@@ -22,7 +25,13 @@ from __future__ import annotations
 
 from itertools import product
 
-from .characters import cycle_alpha, orthogonal_idempotents_check, serre_check
+from .characters import (
+    cycle_alpha,
+    orthogonal_idempotents_check,
+    pair_monomials,
+    pair_recursive,
+    serre_check,
+)
 from .permutations import all_permutations, apply_perm_to_seq, canonical_word
 from .polyrep import (
     act_many,
@@ -31,7 +40,7 @@ from .polyrep import (
     default_orientation,
     reversed_orientation,
 )
-from .sequences import format_seq
+from .sequences import format_divided, format_seq, parse_weight
 
 
 def label_seqs(graph, m):
@@ -196,6 +205,47 @@ def _cycle(ring, arg):
     return [f"alpha^2 = {text} {'FAIL' if failures else 'PASS'}"], failures
 
 
+def _divided_monomials(weight):
+    """Every divided sequence of the weight, a tuple of blocks (v, n) with
+    n >= 1, adjacent blocks on one vertex included."""
+    left, out, blocks = dict(weight), [], []
+
+    def extend():
+        if not any(left.values()):
+            out.append(tuple(blocks))
+        for v in sorted(left):
+            for n in range(1, left[v] + 1):
+                left[v] -= n
+                blocks.append((v, n))
+                extend()
+                blocks.pop()
+                left[v] += n
+
+    extend()
+    return out
+
+
+def _pairing(ring, arg):
+    weight = parse_weight(arg)
+    if not weight:
+        raise ValueError("pairing suite needs a nonzero weight")
+    ring.graph.require_vertices(v for v, _ in weight)
+    monos = _divided_monomials(weight)
+    failures = []
+    for t1 in monos:
+        for t2 in monos:
+            hom = pair_monomials(ring, t1, t2)
+            cop = pair_recursive(ring, t1, t2)
+            if hom != cop:
+                failures.append(
+                    (f"pairing ({format_divided(t1)}, {format_divided(t2)})",
+                     f"{hom} by the hom route, {cop} by the coproduct"))
+    text = ",".join(f"{v}:{n}" for v, n in weight)
+    n = len(monos)
+    return ([f"pairing routes on weight {text}, {n} x {n} divided "
+             f"monomials: {'FAIL' if failures else 'PASS'}"], failures)
+
+
 # Each suite maps (ring, arg) to (verdict lines, failures), under the name
 # that ``klr check`` takes; arg is the text after the first colon of a
 # name "<suite>:<arg>", and empty for a name without a colon.
@@ -207,6 +257,7 @@ SUITES = {
     "oracle": _whole(oracle, "oracle agreement (every right step and dot "
                      "slide on 2 to 4 strands, on the Artin basis, both "
                      "orientations)"),
+    "pairing:<nu>": _pairing,
 }
 
 

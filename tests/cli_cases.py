@@ -148,6 +148,10 @@ CASES = [
     ok('multiply -g @ab --word "ab c: C1" --word "c ab: C1"',
        "x1[c ab] + x2[c ab]"),
     bad("gdim -g @ab cab cab", "unknown vertex 'cab'"),
+    # the hom route names every label of its source that is not a vertex,
+    # as the pairing does
+    bad('char -g @a2 "y z"', "unknown vertex 'y' or 'z'"),
+    bad('gdim -g @a2 "y z" "z y"', "unknown vertex 'z' or 'y'"),
     # one line per sequence
     ok('char -g @a1 "i^(2)"', "ii: (q^-1 + q) / ((1-q^2)(1-q^4))"),
     ok("char -g @a2 ij", "ij: 1 / ((1-q^2)^2)\nji: q / ((1-q^2)^2)"),
@@ -216,6 +220,15 @@ CASES = [
        "idempotents on 232: PASS\nidempotents on 323: PASS"),
     ok("check -g @cycle3 cycle:3", "alpha^2 = 0 PASS"),
     ok("check -g @cycle4 cycle:4", "alpha^2 = -2*alpha PASS"),
+    # the two routes of the bilinear form on every pair of divided
+    # monomials of one weight (adjacent blocks on one vertex included)
+    *(ok(f"check -g @{g} pairing:{nu}", f"pairing routes on weight {nu}, "
+         f"{n} x {n} divided monomials: PASS")
+      for g, nu, n in (("a2", "i:2,j:2", 14), ("a1xa1", "i:2,j:2", 14),
+                       ("cycle3", "1:2,2:1,3:1", 18))),
+    bad("check -g @a2 pairing:i:x", "bad multiplicity in 'i:x'"),
+    bad("check -g @a2 pairing:k:1", UNKNOWN_K),
+    bad("check -g @a2 pairing:", "pairing suite needs a nonzero weight"),
     # the idempotent suite needs an edge, and a1xa1 has none
     bad("check -g @a1xa1 idempotents",
         "graph has no edges; idempotent suite needs one"),
@@ -231,9 +244,9 @@ CASES = [
         "graph has no vertices; relations suite needs one"),
     # the unknown-suite error lists the names of the suite table
     bad("check -g @a2 nosuch", "unknown suite 'nosuch' (relations, serre, "
-        "idempotents, cycle:<n>, oracle)"),
+        "idempotents, cycle:<n>, oracle, pairing:<nu>)"),
     bad("check -g @a2 nonsense", "unknown suite 'nonsense' (relations, "
-        "serre, idempotents, cycle:<n>, oracle)"),
+        "serre, idempotents, cycle:<n>, oracle, pairing:<nu>)"),
     bad("check -g @a2 cycle:x", "bad cycle suite 'cycle:x'"),
     bad("check -g @cycle3 cycle:4", "unknown vertex '4'"),
     # a graph of k vertices lacks one of '1'..'k+1': no cycle of a million
@@ -297,6 +310,13 @@ CASES = [
        "deg    0: 1\ntotal (q=1): 1\ncomplete: top degree 0"),
     ok("quotient -g @a1 --nu i:1 --cyclotomic i:0",
        "all degrees zero\ntotal (q=1): 0\ncomplete: top degree -1"),
+    # d // 2 = -1 lies below the lowest degree 0, so the quotient is zero
+    # and its top is known at any cutoff
+    *(ok(f"quotient -g @a1 --nu i:1 --cyclotomic i:0 --cutoff {c}",
+         f"all degrees zero\ntotal (q=1): 0\n{end}")
+      for c, end in ((-3, "truncated at cutoff -3; top degree -1"),
+                     (-2, "truncated at cutoff -2; top degree -1"),
+                     (-1, "complete: top degree -1"))),
     # a cutoff below the top truncates the report, which names the top
     ok("quotient -g @a1 --nu i:2 --symplus --cutoff 1",
        "deg   -2: 1\ndeg    0: 2\ntotal (q=1): 3\n"

@@ -123,6 +123,8 @@ def _calls():
         "KLRRing.gdim_hom": (ring.gdim_hom, (("i", "j"), ("j", "i")), {}),
         "KLRRing.gdim_hom_divided": (ring.gdim_hom_divided,
                                      (("i", "j"), ij), {}),
+        "KLRRing.gdim_hom_column": (ring.gdim_hom_column, (("i", "j"),),
+                                    {}),
         "KLRRing.nilhecke_em": (ring.nilhecke_em, (2, "i"), {}),
         # gdim
         "GradedDim": (GradedDim, (lp, (1, 2)), {}),

@@ -15,7 +15,9 @@ from klr import (
     KLRRing,
     LaurentPoly,
     WeightMismatchError,
+    a1xa1,
     a2,
+    cycle,
     diagram_degree,
     expand,
     factorial_poly,
@@ -25,6 +27,7 @@ from klr import (
     seq_enumerate,
     single_vertex,
     weight_from_dict,
+    weight_of_seq,
 )
 from klr.permutations import (
     all_permutations,
@@ -613,6 +616,89 @@ def test_gdim_hom_divided_source(ring_a2, ring_a1xa1, ring_cycle3, data):
     assert (gd.num, gd.den) == (want.num, want.den)
     back = ring.gdim_hom(seq_i, seq_j)
     assert (back.num, back.den) == (plain_gd.num, plain_gd.den)
+
+
+# gdim_hom_divided at the per-target DP that preceded the walk over target
+# prefixes: adjacent blocks on one vertex (split runs), non-adjacent equal
+# labels, and a graph with no edge
+DIVIDED_SECTORS = [
+    (single_vertex(), "iii", (("i", 2), ("i", 1)),
+     "(q^-5 + q^-3 + q^-1) / ((1-q^2)^3)"),
+    (a2(), "jiij", (("i", 2), ("j", 2)), "1 / ((1-q^2)^4)"),
+    (a2(), "ijij", (("i", 1), ("j", 1), ("i", 1), ("j", 1)),
+     "(q^-2 + 3) / ((1-q^2)^4)"),
+    (a2(), "iijji", (("i", 2), ("j", 2), ("i", 1)),
+     "(2*q^-2 + 1) / ((1-q^2)^5)"),
+    (a2(), "ijiji", (("i", 1), ("i", 1), ("j", 2), ("i", 1)),
+     "(3*q^-2 + 3) / ((1-q^2)^5)"),
+    (a2(), "iiiijj", (("i", 2), ("i", 2), ("j", 1), ("j", 1)),
+     "(q^-12 + 2*q^-10 + 3*q^-8 + 3*q^-6 + 2*q^-4 + q^-2) / ((1-q^2)^6)"),
+    (a1xa1(), "jiji", (("i", 2), ("j", 2)), "q^-2 / ((1-q^2)^4)"),
+    (cycle(3), "3121", (("1", 2), ("2", 1), ("3", 1)), "q^3 / ((1-q^2)^4)"),
+    (cycle(3), "123312", (("3", 1), ("1", 1), ("2", 2), ("3", 1), ("1", 1)),
+     "(q + 2*q^3 + q^5) / ((1-q^2)^6)"),
+]
+
+
+def test_gdim_hom_divided_keeps_its_values():
+    """Divided sources give the recorded sectors, and each equals the m!
+    scan of its plain source times the multinomials of its split runs."""
+    for graph, word, theta, want in DIVIDED_SECTORS:
+        ring = KLRRing(graph)
+        seq_j, seq_i = tuple(word), expand(theta)
+        gd = ring.gdim_hom_divided(seq_j, theta)
+        assert str(gd) == want, (word, theta)
+        scan = GradedDim(_gdim_hom_scan(ring, seq_j, seq_i), (1,) * len(word))
+        assert gd == scan.divide_poly(factorial_poly(theta)), (word, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gdim_hom_column_equals_each_sector(data):
+    """One walk over the target prefixes gives, on a fresh ring, what
+    gdim_hom gives target by target on another, one DP per target."""
+    graph = data.draw(st.sampled_from([single_vertex(), a2(), a1xa1(),
+                                       cycle(3)]))
+    vertices = graph.vertices
+    seq_i = data.draw(st.one_of(
+        st.lists(st.sampled_from(vertices), max_size=7).map(tuple),
+        _run_blocks(vertices)))
+    column = KLRRing(graph).gdim_hom_column(seq_i)
+    ring = KLRRing(graph)
+    assert list(column) == seq_enumerate(weight_of_seq(seq_i))
+    for seq_j, gd in column.items():
+        want = ring.gdim_hom(seq_j, seq_i)
+        assert str(gd) == str(want), (seq_j, seq_i)
+        assert (gd.num, gd.den) == (want.num, want.den)
+
+
+def test_gdim_hom_column_counts_each_target_once():
+    """A column reads each target once: a target already in the hom cache
+    is a hit, and every other one is a new entry."""
+    ring = KLRRing(a2())
+    ring.gdim_hom(("j", "i", "i"), ("i", "j", "i"))
+    column = ring.gdim_hom_column(("i", "j", "i"))
+    assert list(column) == [("i", "i", "j"), ("i", "j", "i"), ("j", "i", "i")]
+    stats = ring.stats()
+    assert (stats["caches"]["hom"], stats["hits"]["hom"]) == (3, 1)
+    ring.gdim_hom_column(("i", "j", "i"))
+    stats = ring.stats()
+    assert (stats["caches"]["hom"], stats["hits"]["hom"]) == (3, 4)
+    # a split run multiplies in its [r]!, hit or miss, as gdim_hom does
+    for _ in range(2):
+        for seq_j, gd in ring.gdim_hom_column(("i", "i", "j")).items():
+            assert gd == ring.gdim_hom(seq_j, ("i", "i", "j"))
+    assert ring.gdim_hom_column(()) == {(): GradedDim(LaurentPoly.one())}
+
+
+def test_hom_route_checks_the_source_vertices(ring_a2):
+    """A source of one run makes the DP ask the graph nothing, so the
+    labels are checked before it runs."""
+    for call in (lambda: ring_a2.gdim_hom(("z", "z"), ("z", "z")),
+                 lambda: ring_a2.gdim_hom_divided(("z",), (("z", 1),)),
+                 lambda: ring_a2.gdim_hom_column(("z", "z"))):
+        with pytest.raises(GraphError, match="unknown vertex 'z'"):
+            call()
 
 
 def test_gdim_hom_divided_rejects_bad_input(ring_a2):

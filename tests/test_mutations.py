@@ -1,4 +1,4 @@
-"""Recorded faults of the kernel, each caught by a ``klr check`` suite.
+"""Recorded faults of the package, each caught by a ``klr check`` suite.
 
 Each row of ``FAULTS`` is (name, module, old string, new string, suites).
 A row copies ``src/klr`` to a temporary directory, asserts that the old
@@ -18,9 +18,10 @@ Known misses, which no row asserts:
 * the last-letter, dot-slide and divided-difference faults pass
   ``relations``, and so does the double-crossing fault: ``relations``
   reads the graph's table of Q_ab (``CartanGraph.double_crossing``), as
-  the kernel does, so a fault in that table reaches both sides;
-* a shift of every placement of ``_gdim_hom`` passes every ``klr check``
-  suite: no suite compares the two routes of the bilinear form yet.
+  the kernel does, so a fault in that table reaches both sides.
+
+The two faults of the hom DP (``KLRRing._hom_numerators``) are caught by
+``pairing:i:2,j:2``, which compares it with the coproduct route.
 """
 
 import os
@@ -36,7 +37,8 @@ from cli_cases import CASES, resolve, write_graphs
 SRC = Path(__file__).resolve().parent.parent / "src" / "klr"
 # the a2 rows of cli_cases.CASES, by suite
 SUITES = {case[0].split()[-1]: case for case in CASES
-          if case[0] in ("check -g @a2 oracle", "check -g @a2 relations")}
+          if case[0] in ("check -g @a2 oracle", "check -g @a2 relations",
+                         "check -g @a2 pairing:i:2,j:2")}
 
 FAULTS = [
     ("braid sign flipped", "elements.py",
@@ -61,6 +63,12 @@ FAULTS = [
      "    for e, c in p.items():\n        a, b = e[i], e[k]",
      "    for e, c in {}.items():\n        a, b = e[i], e[k]",
      ("oracle",)),
+    ("hom DP shift counts the placed run itself", "elements.py",
+     "range(r + 1, len(runs))", "range(r, len(runs))",
+     ("pairing:i:2,j:2",)),
+    ("hom DP shift off by one on every placement", "elements.py",
+     "shift = 0", "shift = 1",
+     ("pairing:i:2,j:2",)),
 ]
 
 
@@ -93,7 +101,7 @@ def _check(tmp_path, root, suite):
 
 def test_unmutated_copy_passes(tmp_path):
     root = _copy(tmp_path)
-    assert sorted(SUITES) == ["oracle", "relations"]
+    assert sorted(SUITES) == ["oracle", "pairing:i:2,j:2", "relations"]
     for suite in SUITES:
         want, got = _check(tmp_path, root, suite)
         assert got == want
