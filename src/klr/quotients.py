@@ -49,13 +49,33 @@ soon as it is built, since so are its shifts.  A dead product's shifts are
 still counted among a degree's spanning products, so the per-degree
 counts do not depend on how many products have died.
 
+A product is built in one right step from the product of its prefix.
+The basis fixes one reduced word per permutation, its canonical word, and
+canonical words are closed under prefixes (see ``permutations``), so with
+d the last letter of canonical(v), l psi_v e(j) = (l psi_{v s_d}
+e(s_d j)) psi_d, and the prefix psi_{v s_d} e(s_d j) has the same top as
+psi_v e(j).  The prefix's product is read from the cache, or built the
+same way and cached like any live product.  A prefix of degree
+e + deg psi_{v s_d} e(s_d j) is shared only when it is live and that
+degree is at most the last degree the scan can reach (the cutoff or the
+top, whichever is lower): a dead prefix is not cached again, and a prefix
+above the last degree would never be ranked at its own degree, so it
+would never die, and stay cached to the end.  Otherwise the product is
+built from l letter by letter, as is the prefix in passing, without
+caching it.  A prefix lies above its product by 2 when psi_d crosses
+equal labels, so chains of prefixes are built and cached ahead of their
+own degree: the cache holds more at the low degrees, and each product of
+a long word costs one step.
+
 A generator piece made of dots only needs only the dot-free multipliers
 psi_w in the left ideal: it commutes with dots, so psi_w x^u g = psi_w g
 x^u, and psi_w g x^u R lies in psi_w g R.
 
 The quotient dimension is dim R(nu)_d minus the rank.  Ranks are exact,
 over Q or a prime field, by sparse row reduction that is fraction-free over
-Q: rows stay dicts of small integers.
+Q: rows stay dicts of small integers.  Over F_p each pivot is scaled to
+leading entry 1 and stored without it, so a reduction step pops the row's
+lead and reads no entry of the pivot that it would only cancel.
 
 The two quotients built here have an exact top degree, known from a
 theorem and not from the engine, so no degree above it is computed:
@@ -85,6 +105,7 @@ from .elements import KLRElement, KLRRing, WeightMismatchError, diagram_degree
 from .permutations import (
     all_permutations,
     apply_perm_to_seq,
+    canonical_word,
     identity,
     right_mult_letter,
 )
@@ -185,22 +206,25 @@ class IdealSpec:
     Raises ValueError for a bad weight (see ``check_weight``), TypeError
     for a generator that is not a KLRElement, InhomogeneousError for one
     that is not homogeneous and WeightMismatchError for one that is not in
-    R(nu).  The generators are read once.
+    R(nu).  The generators are read once, and ``degrees`` keeps the
+    degree of each, in the order of ``generators``.
     """
 
-    __slots__ = ("weight", "generators", "central", "_top_rule")
+    __slots__ = ("weight", "generators", "degrees", "central", "_top_rule")
 
     def __init__(self, weight, generators):
         nu = check_weight(weight)
         generators = list(generators)
+        degrees = []
         for g in generators:
             # raises InhomogeneousError unless g is homogeneous
-            check_type(KLRElement, g).degree()
+            degrees.append(check_type(KLRElement, g).degree())
             if g.weight != nu:
                 raise WeightMismatchError(
                     f"generator over {g.weight} in an ideal of R({nu})")
         self.weight = nu
         self.generators = generators
+        self.degrees = degrees
         self.central = all(map(_is_central, self.generators))
         self._top_rule = None
 
@@ -317,38 +341,49 @@ def _insert(echelon, row, prime=None):
     pivots until its leading column is free or it vanishes.  Over Q the
     step is fraction-free, a * row - f * pivot with a, f divided by their
     gcd, and the result is divided by the gcd of its entries, so entries
-    stay small integers.  Over F_prime the same step runs modulo prime
-    against pivots scaled to leading entry 1.  Returns True if the row
-    became a new pivot.
+    stay small integers.  Over F_prime a pivot is scaled to leading entry
+    1 and stored without it, so each step pops the row's lead f and
+    subtracts f * pivot modulo prime from the rest of the row.  Returns
+    True if the row became a new pivot.
     """
+    if prime is not None:
+        while row:
+            lead = min(row)
+            f = row.pop(lead)
+            pivot = echelon.get(lead)
+            if pivot is None:
+                inv = pow(f, -1, prime)
+                echelon[lead] = {col: c * inv % prime
+                                 for col, c in row.items()}
+                return True
+            for col, p in pivot.items():
+                c = (row.get(col, 0) - f * p) % prime
+                if c:
+                    row[col] = c
+                else:
+                    del row[col]
+        return False
     while row:
         lead = min(row)
         f = row[lead]
         pivot = echelon.get(lead)
         if pivot is None:
-            if prime is not None:
-                inv = pow(f, -1, prime)
-                row = {col: c * inv % prime for col, c in row.items()}
             echelon[lead] = row
             return True
-        if prime is None:
-            a = pivot[lead]
-            g = gcd(a, f)
-            a, f = a // g, f // g
-            if a != 1:
-                row = {col: a * c for col, c in row.items()}
+        a = pivot[lead]
+        g = gcd(a, f)
+        a, f = a // g, f // g
+        if a != 1:
+            row = {col: a * c for col, c in row.items()}
         for col, p in pivot.items():
             c = row.get(col, 0) - f * p
-            if prime is not None:
-                c %= prime
             if c:
                 row[col] = c
             else:
                 del row[col]
-        if prime is None:
-            g = gcd(*row.values())
-            if g > 1:
-                row = {col: c // g for col, c in row.items()}
+        g = gcd(*row.values())
+        if g > 1:
+            row = {col: c // g for col, c in row.items()}
     return False
 
 
@@ -387,8 +422,9 @@ class _IdealSpan:
     once per span and read by all the rest: ``right`` is the table grouped
     by the top of each psi_v e(j), ``left(e)`` keeps the left vectors of
     degree e with their dead marks, ``_product`` caches each live nonzero
-    product of a left vector and a dot-free right factor, and
-    ``degree(d)`` reads the basis of degree d off ``right``, ranks the
+    product of a left vector and a dot-free right factor, built from
+    the product of its prefix, and
+    ``degree(d, last)`` reads the basis of degree d off ``right``, ranks the
     shifted products of degree d block by block, and marks the dead
     products (see the module docstring).  Ranks are over
     F_prime for a prime below 2^64, where ``is_prime`` is exact; any other
@@ -410,13 +446,13 @@ class _IdealSpan:
         self.prime = prime
         self.lb = degree_lower_bound(check_type(IdealSpec, spec).weight)
         self.pieces = {}  # degree -> [(top, bottom, piece)]
-        for g in spec.generators:
+        for g, dg in zip(spec.generators, spec.degrees):
             if g.ring.graph != ring.graph:  # its keys mean another ring
                 raise WeightMismatchError("elements of rings over other graphs")
             split = {}
             for key, c in g.terms.items():
                 split.setdefault(_sector(key), {})[key] = c
-            pieces = self.pieces.setdefault(g.degree(), [])
+            pieces = self.pieces.setdefault(dg, [])
             for (top, bottom), terms in split.items():
                 pieces.append((top, bottom, KLRElement(ring, terms)))
         self.central = spec.central
@@ -429,6 +465,9 @@ class _IdealSpan:
             for v, dv in row:
                 self.right.setdefault(apply_perm_to_seq(v, j), []).append(
                     (j, v, dv))
+        # top -> {v: position of psi_v e(j) in right[top]}: one j per v
+        self._position = {top: {v: pos for pos, (_, v, _) in enumerate(row)}
+                          for top, row in self.right.items()}
         # lowest degree of a left vector
         self.low = min(self.pieces, default=0) + (0 if spec.central
                                                   else self.lb)
@@ -487,23 +526,45 @@ class _IdealSpan:
             for top, bottom, terms in out]
         return out
 
-    def _product(self, key, left):
+    def _product(self, key, left, last):
         """Terms of a left vector times psi_v e(j), reduced modulo the
         prime, for key (e, index, position of psi_v e(j) in
-        ``right[bottom]``).  A nonzero product is cached until it dies; a
-        zero one is marked dead at once, since so are all its shifts."""
+        ``right[bottom]``), in a scan whose last degree is ``last``.
+
+        The product is one right step psi_d from the product of its
+        prefix psi_{v s_d} e(s_d j), with d the last letter of
+        canonical(v).  The prefix has the top of psi_v e(j), so it is in
+        the same row ``right[bottom]``, and its product is read through
+        this method, so it is cached like any live product.  A prefix
+        that is dead, or whose degree lies above ``last``, is not read:
+        the product is then built from the left vector letter by letter
+        (see the module docstring).  The steps call the ring's
+        ``_right_word`` directly: the terms are normal forms whose bottom
+        is the top of psi_v e(j), so ``multiply_terms``'s filter and copy
+        would only cost time.  A nonzero product is cached until it dies;
+        a zero one is marked dead at once, since so are all its shifts.
+        """
         terms = self._products.get(key)
-        if terms is None:
-            _, bottom, lterms, dead, _ = left
-            j, v, _ = self.right[bottom][key[2]]
-            terms = self.ring.multiply_terms(lterms,
-                                             {(j, v, (0,) * self.m): 1})
+        if terms is not None:
+            return terms
+        e, index, pos = key
+        _, bottom, terms, dead, _ = left
+        row = self.right[bottom]
+        v = row[pos][1]
+        word = canonical_word(v)
+        if word:
+            d = word[-1]
+            prefix = self._position[bottom][right_mult_letter(v, d)]
+            if not dead[prefix] and e + row[prefix][2] <= last:
+                terms = self._product((e, index, prefix), left, last)
+                word = (d,)
+            terms = self.ring._right_word(terms, word)
             if self.prime is not None:
                 terms = _sparse(terms.items(), self.prime)
-            if terms:
-                self._products[key] = terms
-            else:
-                dead[key[2]] = 1
+        if terms:
+            self._products[key] = terms
+        else:
+            dead[pos] = 1
         return terms
 
     def _spanning(self, d):
@@ -534,9 +595,10 @@ class _IdealSpan:
                         live.append(((e, index, pos), left, (top, j), size))
         return live, dead_shifts
 
-    def degree(self, d):
+    def degree(self, d, last):
         """Counts for degree d: basis size, spanning products, rows
-        reduced, and the rank of those rows.
+        reduced, and the rank of those rows, for a scan whose last degree
+        is ``last`` (see ``_product``).
 
         The basis is read off ``right``, block by (top, bottom) block,
         with no key's top computed again.  Each block keeps one echelon,
@@ -564,7 +626,7 @@ class _IdealSpan:
             columns = blocks.get(block)
             added = 0
             if columns and len(echelons[block]) < len(columns):
-                terms = self._product(key, left)
+                terms = self._product(key, left, last)
                 if terms:
                     new = [{columns[i, w, tuple(map(add, u, t))]: c
                             for (i, w, u), c in terms.items()}
@@ -591,7 +653,7 @@ def ideal_degree_dim(ring, spec, d, prime=None):
     for a prime that is not a prime below 2^64.
     """
     check_int(d, "degree")
-    return _IdealSpan(ring, spec, prime).degree(d)["rank"]
+    return _IdealSpan(ring, spec, prime).degree(d, d)["rank"]
 
 
 class GradedDimReport:
@@ -687,7 +749,11 @@ def quotient_gdim(ring, spec, cutoff=10, window=3, prime=None):
     stats = {}
     k = span.lb
     while k <= cutoff and (top is None or k <= top):
-        stats[k] = s = span.degree(k)
+        # the last degree the scan can reach: the top once it is known,
+        # and d - k while d0 is not, in case d0 is k
+        bound = value - k if rule == "symmetric" else top
+        stats[k] = s = span.degree(
+            k, cutoff if bound is None else min(cutoff, bound))
         if rule == "symmetric" and s["rank"] < s["basis"]:
             rule, top = "top", value - k  # k is d0
         k += 1

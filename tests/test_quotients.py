@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -24,9 +25,15 @@ from klr import (
     sym_plus_spec,
     weight_size,
 )
-from klr import cli
+from klr import cli, quotients
 from klr.elements import diagram_degree
-from klr.permutations import all_permutations, apply_perm_to_seq, identity
+from klr.permutations import (
+    all_permutations,
+    apply_perm_to_seq,
+    canonical_word,
+    identity,
+    right_mult_letter,
+)
 from klr.quotients import _IdealSpan, _rank, _sparse
 
 # Regression fixtures: graded dimensions of single-vertex cyclotomic
@@ -219,10 +226,11 @@ def test_ideal_degree_dim_matches_report(ring_a2):
                     graded_basis(ring_a2.graph, weight, d))
 
 
-# Per-degree (basis, products, rows, rank) of two spans, the same over Q
+# Per-degree (basis, products, rows, rank) of three spans, the same over Q
 # and F_2147483629, recorded from the engine that kept an empty dict for
-# each dead product: a cyclotomic quotient, where most products die, and
-# a central one
+# each dead product: a cyclotomic quotient, where most products die, a
+# central one, and the first truncated at cutoff 0, recorded from the
+# engine that built each product from its left vector letter by letter
 SPAN_CASES = {
     "a2 2i+2j, lambda = L_i+L_j": {
         -4: (2, 28, 2, 2), -3: (4, 48, 4, 4), -2: (26, 230, 30, 22),
@@ -234,39 +242,155 @@ SPAN_CASES = {
         0: (29, 20, 20, 19), 1: (0, 0, 0, 0), 2: (50, 48, 48, 42),
         3: (0, 0, 0, 0), 4: (77, 93, 93, 73), 5: (0, 0, 0, 0),
         6: (110, 156, 156, 109)},
+    "a2 2i+2j, lambda = L_i+L_j, cutoff 0": {
+        -4: (2, 28, 2, 2), -3: (4, 48, 4, 4), -2: (26, 230, 30, 22),
+        -1: (44, 368, 74, 36), 0: (132, 1212, 272, 120)},
 }
 
 
 def _span_cases(ring_a1, ring_a2):
-    return {"a2 2i+2j, lambda = L_i+L_j": (ring_a2, cyclotomic_spec(
-                ring_a2, (("i", 2), ("j", 2)), {"i": 1, "j": 1})),
-            "a1 Sym+ on 3i": (ring_a1, sym_plus_spec(ring_a1, (("i", 3),)))}
+    """name -> (ring, spec, cutoff, top, total) for each row of
+    ``SPAN_CASES``."""
+    cyclotomic = cyclotomic_spec(ring_a2, (("i", 2), ("j", 2)),
+                                 {"i": 1, "j": 1})
+    return {"a2 2i+2j, lambda = L_i+L_j": (ring_a2, cyclotomic, 10, 2, 36),
+            "a1 Sym+ on 3i": (
+                ring_a1, sym_plus_spec(ring_a1, (("i", 3),)), 10, 6, 36),
+            "a2 2i+2j, lambda = L_i+L_j, cutoff 0": (
+                ring_a2, cyclotomic, 0, 2, 24)}
 
 
-def test_span_counts_are_pinned(ring_a1, ring_a2):
+def _spans(monkeypatch):
+    """Make ``quotient_gdim`` record each span it builds; returns the list
+    they are appended to."""
+    spans = []
+
+    class Recorded(_IdealSpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spans.append(self)
+
+    monkeypatch.setattr(quotients, "_IdealSpan", Recorded)
+    return spans
+
+
+def _first_degree(span, key):
+    """The degree of a product key (e, index, position): e plus the
+    degree of its right factor."""
+    e, index, pos = key
+    return e + span.right[span.left(e)[index][1]][pos][2]
+
+
+def test_span_counts_are_pinned(monkeypatch, ring_a1, ring_a2):
     """Dead products are skipped, not dropped from the count: every shift
     still counts as a spanning product, and the rows, ranks, top and
-    answer are those of the recorded engine."""
-    for name, (ring, spec) in _span_cases(ring_a1, ring_a2).items():
+    answer are those of the recorded engine.  No product above the last
+    degree of the scan, the cutoff or the top, stays in the table."""
+    spans = _spans(monkeypatch)
+    for name, (ring, spec, cutoff, top, total) in _span_cases(
+            ring_a1, ring_a2).items():
         for prime in (None, 2147483629):
-            rep = quotient_gdim(ring, spec, cutoff=10, window=3, prime=prime)
+            rep = quotient_gdim(ring, spec, cutoff=cutoff, window=3,
+                                prime=prime)
             got = {d: (s["basis"], s["products"], s["rows"], s["rank"])
                    for d, s in rep.stats.items()}
             assert got == SPAN_CASES[name], (name, prime)
-            assert (rep.top, rep.stabilized, rep.total()) == (
-                max(got), True, 36), (name, prime)
+            assert (rep.top, rep.complete, rep.total()) == (
+                top, top <= cutoff, total), (name, prime)
+            assert rep.stabilized == rep.complete, (name, prime)
+            span = spans.pop()
+            assert span._products, (name, prime)
+            assert max(_first_degree(span, key) for key in span._products) <= (
+                min(cutoff, top)), (name, prime)
 
 
 def test_product_table_keeps_live_products(ring_a1, ring_a2):
     """A dead product is one byte in its left vector's marks; the table
-    holds only the products that are live and nonzero."""
-    for name, (ring, spec) in _span_cases(ring_a1, ring_a2).items():
+    holds only the products that are live and nonzero, so a prefix that
+    died is not cached again when a product above it is built."""
+    for name, (ring, spec, cutoff, _, _) in _span_cases(
+            ring_a1, ring_a2).items():
         for prime in (None, 2147483629):
             span = _IdealSpan(ring, spec, prime)
             for d in SPAN_CASES[name]:
-                span.degree(d)
+                span.degree(d, cutoff)
             assert span._products, (name, prime)
             assert all(span._products.values()), (name, prime)
+            assert not any(span.left(e)[index][3][pos]
+                           for e, index, pos in span._products), (name, prime)
+
+
+def _checked_span(ring, spec, prime, paths):
+    """A span whose every product is checked against ``multiply_terms``
+    as it is returned, and whose builds count in ``paths`` the products
+    built letter by letter because their prefix is dead or lies above the
+    last degree."""
+    span = _IdealSpan(ring, spec, prime)
+    m = span.m
+
+    def product(key, left, last):
+        e, _, pos = key
+        j, v, _ = span.right[left[1]][pos]
+        if key not in span._products and v != identity(m):
+            d = canonical_word(v)[-1]
+            prefix = span._position[left[1]][right_mult_letter(v, d)]
+            paths["dead prefix"] += left[3][prefix]
+            paths["above last"] += e + span.right[left[1]][prefix][2] > last
+        terms = _IdealSpan._product(span, key, left, last)
+        assert terms == _sparse(ring.multiply_terms(
+            left[2], {(j, v, (0,) * m): 1}).items(), prime), (key, prime)
+        return terms
+
+    span._product = product
+    return span
+
+
+def _prefix_paths(ring, spec, prime, cutoff, paths):
+    """Every degree of a scan up to cutoff, through a checked span."""
+    span = _checked_span(ring, spec, prime, paths)
+    for d in range(span.lb, cutoff + 1):
+        span.degree(d, cutoff)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_prefix_products_match_multiply_terms(ring_a1, ring_a2, ring_a1xa1,
+                                              ring_cycle3, data):
+    """Each product is one right step from the product of its prefix:
+    every product the span builds equals the left vector times psi_v e(j)
+    by ``multiply_terms``, whether it was built from its prefix or, since
+    the prefix is dead or above the last degree, letter by letter."""
+    ring = data.draw(st.sampled_from([ring_a1, ring_a2, ring_a1xa1,
+                                      ring_cycle3]))
+    vertices = sorted(ring.graph.vertices)
+    counts = data.draw(st.lists(st.integers(0, 4), min_size=len(vertices),
+                                max_size=len(vertices)).filter(
+                                    lambda c: 1 <= sum(c) <= 4))
+    weight = tuple((v, n) for v, n in zip(vertices, counts) if n)
+    if data.draw(st.booleans()):
+        spec = sym_plus_spec(ring, weight)
+    else:
+        spec = cyclotomic_spec(ring, weight, {
+            v: data.draw(st.integers(0, 2)) for v in vertices})
+    lb = degree_lower_bound(weight)
+    cutoff = lb + data.draw(st.integers(0, 3 if sum(counts) == 4 else 6))
+    prime = data.draw(st.sampled_from([None, 2147483647]))
+    _prefix_paths(ring, spec, prime, cutoff, Counter())
+
+
+def test_prefix_paths_are_taken(ring_a1, ring_a2):
+    """Both paths around the prefix occur, and build the products of
+    ``multiply_terms``: a product whose prefix died at its own degree, and
+    one whose prefix lies above the last degree, is built letter by
+    letter."""
+    paths = Counter()
+    for ring, spec, cutoff in [
+            (ring_a2, cyclotomic_spec(ring_a2, (("i", 2), ("j", 2)),
+                                      {"i": 1, "j": 1}), 0),
+            (ring_a1, sym_plus_spec(ring_a1, (("i", 3),)), 2)]:
+        for prime in (None, 2147483647):
+            _prefix_paths(ring, spec, prime, cutoff, paths)
+    assert paths["dead prefix"] and paths["above last"], paths
 
 
 def test_sym_plus_generators_central(ring_a2):
